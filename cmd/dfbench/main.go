@@ -224,8 +224,8 @@ func main() {
 		}
 	}
 	outs, runErr := exp.Run(ctx, camp, opt)
-	fatalIf(runErr)
-	fatalIf(exp.PointErrors(outs))
+	cliutil.FatalIf(runErr)
+	cliutil.FatalIf(exp.PointErrors(outs))
 	for _, o := range outs {
 		cfg, res := o.Point.Config, o.Result
 		rep.Points = append(rep.Points, Point{
@@ -251,17 +251,17 @@ func main() {
 
 	if *scale {
 		pts, err := runScale(ctx, *reps, *verbose)
-		fatalIf(err)
+		cliutil.FatalIf(err)
 		rep.Points = append(rep.Points, pts...)
 	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
-	fatalIf(err)
+	cliutil.FatalIf(err)
 	buf = append(buf, '\n')
 	if *out == "-" {
 		os.Stdout.Write(buf)
 	} else {
-		fatalIf(os.WriteFile(*out, buf, 0o644))
+		cliutil.FatalIf(os.WriteFile(*out, buf, 0o644))
 		fmt.Printf("dfbench: wrote %d points to %s\n", len(rep.Points), *out)
 	}
 
@@ -411,9 +411,9 @@ func (p Point) key() pointKey {
 // the workflow summary.
 func compareBaseline(w io.Writer, rep Report, path string, maxRegress float64) bool {
 	buf, err := os.ReadFile(path)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 	var base Report
-	fatalIf(json.Unmarshal(buf, &base))
+	cliutil.FatalIf(json.Unmarshal(buf, &base))
 	old := make(map[pointKey]Point, len(base.Points))
 	for _, p := range base.Points {
 		old[p.key()] = p
@@ -468,11 +468,4 @@ func medianOf(xs []float64) float64 {
 		m = (xs[len(xs)/2-1] + xs[len(xs)/2]) / 2
 	}
 	return m
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dfbench: %v\n", err)
-		os.Exit(1)
-	}
 }

@@ -25,8 +25,6 @@ import (
 
 	dragonfly "repro"
 	"repro/internal/cliutil"
-	"repro/internal/exp"
-	"repro/internal/exp/srv"
 	"repro/internal/sweep"
 )
 
@@ -46,16 +44,12 @@ func main() {
 		warmup    = flag.Int64("warmup", 2000, "warmup cycles")
 		measure   = flag.Int64("measure", 4000, "measured cycles")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		par       = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		remote    = flag.String("remote", "", "execute on a dragonsrv server at this base URL (e.g. http://127.0.0.1:8080) instead of in-process")
-		cacheDir  = flag.String("cache", "", "result cache directory (empty = no cache; ignored with -remote)")
-		jsonlOut  = flag.String("jsonl", "", "stream per-point JSONL results to this file")
-		quiet     = flag.Bool("q", false, "suppress progress lines")
+		run       = cliutil.ExecFlags(flag.CommandLine) // -parallel -remote -cache -jsonl -q
 	)
 	flag.Parse()
 
 	f, err := dragonfly.ParseFlowControl(*flow)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 	base := dragonfly.PaperVCT(*h)
 	if f == dragonfly.WH {
 		base = dragonfly.PaperWH(*h)
@@ -63,50 +57,25 @@ func main() {
 	base.Warmup, base.Measure = *warmup, *measure
 	base.Seed = *seed
 	base.Traffic, err = cliutil.Traffic(*trafficK, *offset, *globalPct)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 	if *faults != "" {
 		base.Faults, err = cliutil.Faults(*faults, *h)
-		fatalIf(err)
+		cliutil.FatalIf(err)
 	}
 	base.StaleCycles = *stale
 
 	ms, err := cliutil.Mechanisms(*mechs)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 	ls, err := cliutil.Floats(*loads)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	opt := sweep.Options{Parallelism: *par, Context: ctx}
-	var client *srv.Client
-	if *remote != "" {
-		client = srv.NewClient(*remote)
-		opt.Remote = client
-	}
-	if *cacheDir != "" && *remote == "" {
-		cache, err := exp.OpenCache(*cacheDir)
-		fatalIf(err)
-		opt.Cache = cache
-	}
-	if *jsonlOut != "" {
-		jf, err := os.Create(*jsonlOut)
-		fatalIf(err)
-		defer jf.Close()
-		opt.JSONL = jf
-	}
-	if !*quiet {
-		opt.Progress = func(series string, p sweep.Point) {
-			if p.Err != nil {
-				fmt.Fprintf(os.Stderr, "FAIL %-14s load=%.3f: %v\n", series, p.X, p.Err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "done %-14s load=%.3f accepted=%.4f lat=%.1f\n",
-				series, p.X, p.Result.AcceptedLoad, p.Result.AvgTotalLatency)
-		}
-	}
+	opt, err := run.Options(ctx)
+	cliutil.FatalIf(err)
 	series, sweepErr := sweep.LoadSweep(base, ms, ls, opt)
 	if series == nil {
-		fatalIf(sweepErr)
+		cliutil.FatalIf(sweepErr)
 	}
 
 	var m sweep.Metric
@@ -118,34 +87,19 @@ func main() {
 	case "netlatency":
 		m = sweep.NetworkLatency
 	default:
-		fatalIf(fmt.Errorf("unknown metric %q", *metric))
+		cliutil.FatalIf(fmt.Errorf("unknown metric %q", *metric))
 	}
 	switch *format {
 	case "dat":
-		fatalIf(sweep.WriteDAT(os.Stdout, "Offered load (phits/(node*cycle))", m, series))
+		cliutil.FatalIf(sweep.WriteDAT(os.Stdout, "Offered load (phits/(node*cycle))", m, series))
 	case "md":
-		fatalIf(sweep.WriteMarkdown(os.Stdout, "load", m, series))
+		cliutil.FatalIf(sweep.WriteMarkdown(os.Stdout, "load", m, series))
 	default:
-		fatalIf(fmt.Errorf("unknown format %q", *format))
+		cliutil.FatalIf(fmt.Errorf("unknown format %q", *format))
 	}
-	if opt.Cache != nil {
-		hits, misses := opt.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses\n", hits, misses)
-	}
-	if client != nil {
-		st := client.LastStatus()
-		fmt.Fprintf(os.Stderr, "remote: campaign %s: %d simulated, %d from store, %d deduped\n",
-			st.ID, st.Executed, st.FromStore, st.Deduped)
-	}
+	cliutil.FatalIf(run.Finish(ctx, os.Stderr))
 	// Per-point failures were reported by the progress callback as they
 	// happened; the joined error decides the exit code after the partial
 	// results have been written.
-	fatalIf(sweepErr)
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dfsweep:", err)
-		os.Exit(1)
-	}
+	cliutil.FatalIf(sweepErr)
 }

@@ -52,9 +52,9 @@ func main() {
 	flag.Parse()
 
 	m, err := dragonfly.ParseMechanism(*mech)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 	f, err := dragonfly.ParseFlowControl(*flow)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 
 	cfg := dragonfly.PaperVCT(*h)
 	if f == dragonfly.WH {
@@ -73,24 +73,24 @@ func main() {
 
 	if *faults != "" {
 		cfg.Faults, err = cliutil.Faults(*faults, *h)
-		fatalIf(err)
+		cliutil.FatalIf(err)
 	}
 	if *phases != "" {
 		cfg.Workload, err = cliutil.Phases(*phases)
-		fatalIf(err)
+		cliutil.FatalIf(err)
 	} else {
 		cfg.Traffic, err = cliutil.Traffic(*trafficK, *offset, *globalPct)
-		fatalIf(err)
+		cliutil.FatalIf(err)
 		if *burst > 0 {
 			cfg.BurstPackets = *burst
 		} else {
 			cfg.Load = *load
 		}
 	}
-	fatalIf(cfg.Validate())
+	cliutil.FatalIf(cfg.Validate())
 
 	routers, nodes, groups, err := dragonfly.NetworkSize(*h)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 	if !*asJSON {
 		fmt.Printf("dragonfly h=%d: %d routers, %d nodes, %d groups; %s/%s\n",
 			*h, routers, nodes, groups, m, f)
@@ -98,26 +98,26 @@ func main() {
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
-		fatalIf(err)
-		fatalIf(pprof.StartCPUProfile(f))
+		cliutil.FatalIf(err)
+		cliutil.FatalIf(pprof.StartCPUProfile(f))
 	}
 	res, err := dragonfly.Run(cfg)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 	if *cpuProf != "" {
 		pprof.StopCPUProfile()
 	}
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
-		fatalIf(err)
+		cliutil.FatalIf(err)
 		runtime.GC() // surface live heap, not garbage
-		fatalIf(pprof.WriteHeapProfile(f))
-		fatalIf(f.Close())
+		cliutil.FatalIf(pprof.WriteHeapProfile(f))
+		cliutil.FatalIf(f.Close())
 	}
 
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		fatalIf(enc.Encode(res))
+		cliutil.FatalIf(enc.Encode(res))
 		return
 	}
 	fmt.Printf("pattern            %s\n", res.Pattern)
@@ -150,13 +150,6 @@ func main() {
 	}
 	if res.Deadlock {
 		fmt.Println("DEADLOCK detected by the watchdog")
-		os.Exit(1)
-	}
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dragonsim:", err)
 		os.Exit(1)
 	}
 }

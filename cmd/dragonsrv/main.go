@@ -41,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/exp"
 	"repro/internal/exp/queue"
 	"repro/internal/exp/srv"
@@ -64,9 +65,9 @@ func main() {
 	flag.Parse()
 
 	maxBytes, err := parseBytes(*maxStore)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 	store, err := exp.OpenStore(*storeDir, maxBytes)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 
 	logger := log.New(os.Stderr, "dragonsrv: ", log.LstdFlags)
 	if *worker != "" {
@@ -84,10 +85,10 @@ func main() {
 		cfg.Log = logger
 	}
 	server, err := srv.New(cfg)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 
 	ln, err := net.Listen("tcp", *addr)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 	hs := &http.Server{
 		Handler: server.Handler(),
 		// A slowloris client must not pin the daemon: bound how long a
@@ -109,7 +110,7 @@ func main() {
 	case sig := <-sigs:
 		logger.Printf("%s: draining (timeout %s; signal again to abort in-flight simulations)", sig, *drainTimeout)
 	case err := <-httpDone:
-		fatalIf(err) // listener died before any signal
+		cliutil.FatalIf(err) // listener died before any signal
 	}
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
@@ -154,7 +155,7 @@ func runWorker(store *exp.Store, coordinator, name string, sims, batch int, poll
 		cfg.Log = logger
 	}
 	wk, err := srv.NewWorker(cfg)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -200,11 +201,4 @@ func budgetString(n int64) string {
 		return "unbounded"
 	}
 	return fmt.Sprintf("%d bytes", n)
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dragonsrv:", err)
-		os.Exit(1)
-	}
 }

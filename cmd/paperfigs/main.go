@@ -29,7 +29,6 @@ import (
 	dragonfly "repro"
 	"repro/internal/cliutil"
 	"repro/internal/exp"
-	"repro/internal/exp/srv"
 	"repro/internal/sweep"
 )
 
@@ -54,7 +53,7 @@ func main() {
 	var (
 		h        = flag.Int("h", 4, "dragonfly parameter (paper: 8)")
 		out      = flag.String("out", "results", "output directory")
-		figsFlag = flag.String("figs", "4,5,6,7,8,9,10,11,transient,resilience", `figures to regenerate ("scaling" — the engine-throughput panels up to h=16 — is opt-in: it needs ~2.5 GiB and tens of minutes)`)
+		figsFlag = flag.String("figs", "4,5,6,7,8,9,10,11,transient,resilience", `figures to regenerate ("scaling" — the engine-throughput panels up to h=16 — is opt-in: it needs ~2.5 GiB and tens of minutes, and it times this machine's engine, so it runs locally even with -remote)`)
 		tmechs   = flag.String("tmechs", "Minimal,Valiant,PiggyBacking,OLM", "mechanisms of the transient traffic-change figure")
 		tload    = flag.Float64("tload", 0.2, "offered load of the transient traffic-change figure")
 		rmechs   = flag.String("rmechs", "Minimal,Valiant,PiggyBacking,OLM", "mechanisms of the resilience figure")
@@ -65,55 +64,23 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		burstVCT = flag.Int("burstvct", 200, "VCT burst packets/node (paper: 1000)")
 		burstWH  = flag.Int("burstwh", 20, "WH burst packets/node (paper: 89)")
-		par      = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		remote   = flag.String("remote", "", "execute campaigns on a dragonsrv server at this base URL (figure scaling still runs locally — it times this machine's engine)")
-		cacheDir = flag.String("cache", "", "result cache directory (empty = no cache; ignored with -remote)")
-		jsonlOut = flag.String("jsonl", "", "stream per-point JSONL results to this file")
-		quiet    = flag.Bool("q", false, "suppress progress")
+		run      = cliutil.ExecFlags(flag.CommandLine) // -parallel -remote -cache -jsonl -q
 	)
 	flag.Parse()
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
+	cliutil.FatalIf(os.MkdirAll(*out, 0o755))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	e := &env{
 		h: *h, rh: *rh, warmup: *warmup, measure: *measure, seed: *seed,
 		burstVCT: *burstVCT, burstWH: *burstWH, outDir: *out,
-		opt:     sweep.Options{Parallelism: *par, Context: ctx},
 		summary: &strings.Builder{},
 	}
-	var client *srv.Client
-	if *remote != "" {
-		client = srv.NewClient(*remote)
-		e.opt.Remote = client
-	}
-	if *cacheDir != "" && *remote == "" {
-		cache, err := exp.OpenCache(*cacheDir)
-		fatalIf(err)
-		e.opt.Cache = cache
-	}
-	if *jsonlOut != "" {
-		jf, err := os.Create(*jsonlOut)
-		fatalIf(err)
-		defer jf.Close()
-		e.opt.JSONL = jf
-	}
-	if !*quiet {
-		e.opt.Progress = func(series string, p sweep.Point) {
-			if p.Err != nil {
-				fmt.Fprintf(os.Stderr, "[%s] FAIL %-18s x=%.3g: %v\n",
-					time.Now().Format("15:04:05"), series, p.X, p.Err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "[%s] %-18s x=%.3g acc=%.4f lat=%.1f\n",
-				time.Now().Format("15:04:05"), series, p.X,
-				p.Result.AcceptedLoad, p.Result.AvgTotalLatency)
-		}
-	}
+	var err error
+	e.opt, err = run.Options(ctx)
+	cliutil.FatalIf(err)
 	routers, nodes, groups, err := dragonfly.NetworkSize(*h)
-	fatalIf(err)
+	cliutil.FatalIf(err)
 	fmt.Fprintf(e.summary, "# Paper figure regeneration\n\n")
 	fmt.Fprintf(e.summary, "Network: h=%d (%d routers, %d nodes, %d groups); warmup %d, measure %d cycles; seed %d.\n\n",
 		*h, routers, nodes, groups, *warmup, *measure, *seed)
@@ -124,50 +91,41 @@ func main() {
 	}
 	start := time.Now()
 	if want["4"] || want["5"] {
-		fatalIf(e.figs45())
+		cliutil.FatalIf(e.figs45())
 	}
 	if want["6"] {
-		fatalIf(e.fig6())
+		cliutil.FatalIf(e.fig6())
 	}
 	if want["7"] || want["8"] {
-		fatalIf(e.figs78())
+		cliutil.FatalIf(e.figs78())
 	}
 	if want["9"] {
-		fatalIf(e.fig9())
+		cliutil.FatalIf(e.fig9())
 	}
 	if want["10"] {
-		fatalIf(e.fig1011(10))
+		cliutil.FatalIf(e.fig1011(10))
 	}
 	if want["11"] {
-		fatalIf(e.fig1011(11))
+		cliutil.FatalIf(e.fig1011(11))
 	}
 	if want["transient"] {
 		ms, err := cliutil.Mechanisms(*tmechs)
-		fatalIf(err)
-		fatalIf(e.figTransient(ctx, ms, *tload))
+		cliutil.FatalIf(err)
+		cliutil.FatalIf(e.figTransient(ms, *tload))
 	}
 	if want["resilience"] {
 		ms, err := cliutil.Mechanisms(*rmechs)
-		fatalIf(err)
-		fatalIf(e.figResilience(ms, *rload))
+		cliutil.FatalIf(err)
+		cliutil.FatalIf(e.figResilience(ms, *rload))
 	}
 	if want["scaling"] {
-		fatalIf(e.figScaling(ctx))
+		cliutil.FatalIf(e.figScaling(ctx))
 	}
 	fmt.Fprintf(e.summary, "\nTotal regeneration time: %s.\n", time.Since(start).Round(time.Second))
 	sumPath := filepath.Join(*out, "summary.md")
-	fatalIf(os.WriteFile(sumPath, []byte(e.summary.String()), 0o644))
+	cliutil.FatalIf(os.WriteFile(sumPath, []byte(e.summary.String()), 0o644))
 	fmt.Println("summary written to", sumPath)
-	if e.opt.Cache != nil {
-		hits, misses := e.opt.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses\n", hits, misses)
-	}
-	if client != nil {
-		if st, err := client.StoreStats(ctx); err == nil {
-			fmt.Fprintf(os.Stderr, "remote store: %d hits, %d misses, %d entries\n",
-				st.Hits, st.Misses, st.Entries)
-		}
-	}
+	cliutil.FatalIf(run.Finish(ctx, os.Stderr))
 	if len(e.pointErrs) > 0 {
 		fmt.Fprintf(os.Stderr, "paperfigs: %d point(s) failed:\n%v\n",
 			len(e.pointErrs), errors.Join(e.pointErrs...))
@@ -221,32 +179,46 @@ func (e *env) writePanel(name, title, xlabel string, metric sweep.Metric, series
 
 // figs45 regenerates Figures 4 (latency) and 5 (throughput) under VCT.
 func (e *env) figs45() error {
-	type panel struct {
+	return e.loadFigs("fig4", "fig5", "VCT", e.vctBase(),
+		[]dragonfly.Mechanism{dragonfly.PAR62, dragonfly.OLM, dragonfly.RLM}, 0.9, 6)
+}
+
+// figs78 regenerates Figures 7 (latency) and 8 (throughput) under WH.
+func (e *env) figs78() error {
+	return e.loadFigs("fig7", "fig8", "WH", e.whBase(),
+		[]dragonfly.Mechanism{dragonfly.PAR62, dragonfly.RLM}, 0.8, 5)
+}
+
+// loadFigs regenerates one latency/throughput figure pair: load sweeps
+// under UN, ADVG+1 and ADVG+h, each panel written once per metric. The
+// curves are the flow control's adaptive mechanisms plus the pattern's
+// oblivious reference (Minimal under UN, Valiant under ADVG) and
+// Piggybacking; UN sweeps stop at unMax, n loads per panel.
+func (e *env) loadFigs(latFig, thrFig, flow string, base dragonfly.Config, adaptive []dragonfly.Mechanism, unMax float64, n int) error {
+	with := func(oblivious dragonfly.Mechanism) []dragonfly.Mechanism {
+		return append(append([]dragonfly.Mechanism(nil), adaptive...), oblivious, dragonfly.Piggybacking)
+	}
+	panels := []struct {
 		suffix  string
 		traffic dragonfly.Traffic
 		mechs   []dragonfly.Mechanism
 		loads   []float64
-	}
-	un := []dragonfly.Mechanism{dragonfly.PAR62, dragonfly.OLM, dragonfly.RLM, dragonfly.Minimal, dragonfly.Piggybacking}
-	adv := []dragonfly.Mechanism{dragonfly.PAR62, dragonfly.OLM, dragonfly.RLM, dragonfly.Valiant, dragonfly.Piggybacking}
-	panels := []panel{
-		{"a_UN", dragonfly.Traffic{Kind: dragonfly.UN}, un, sweep.Loads(0.05, 0.9, 6)},
-		{"b_ADVG+1", dragonfly.Traffic{Kind: dragonfly.ADVG, Offset: 1}, adv, sweep.Loads(0.05, 1.0, 6)},
-		{fmt.Sprintf("c_ADVG+%d", e.h), dragonfly.Traffic{Kind: dragonfly.ADVG, Offset: e.h}, adv, sweep.Loads(0.05, 1.0, 6)},
+	}{
+		{"a_UN", dragonfly.Traffic{Kind: dragonfly.UN}, with(dragonfly.Minimal), sweep.Loads(0.05, unMax, n)},
+		{"b_ADVG+1", dragonfly.Traffic{Kind: dragonfly.ADVG, Offset: 1}, with(dragonfly.Valiant), sweep.Loads(0.05, 1.0, n)},
+		{fmt.Sprintf("c_ADVG+%d", e.h), dragonfly.Traffic{Kind: dragonfly.ADVG, Offset: e.h}, with(dragonfly.Valiant), sweep.Loads(0.05, 1.0, n)},
 	}
 	for _, p := range panels {
-		base := e.vctBase()
 		base.Traffic = p.traffic
 		series, err := sweep.LoadSweep(base, p.mechs, p.loads, e.opt)
 		if err = e.record(err); err != nil {
 			return err
 		}
-		if err := e.writePanel("fig4"+p.suffix, "Latency "+cliutil.TrafficName(p.traffic, e.h)+"/VCT",
-			"Offered load", sweep.TotalLatency, series); err != nil {
+		name := cliutil.TrafficName(p.traffic, e.h) + "/" + flow
+		if err := e.writePanel(latFig+p.suffix, "Latency "+name, "Offered load", sweep.TotalLatency, series); err != nil {
 			return err
 		}
-		if err := e.writePanel("fig5"+p.suffix, "Throughput "+cliutil.TrafficName(p.traffic, e.h)+"/VCT",
-			"Offered load", sweep.AcceptedLoad, series); err != nil {
+		if err := e.writePanel(thrFig+p.suffix, "Throughput "+name, "Offered load", sweep.AcceptedLoad, series); err != nil {
 			return err
 		}
 	}
@@ -256,85 +228,39 @@ func (e *env) figs45() error {
 // fig6 regenerates the VCT mix experiment: throughput (6a) and burst
 // consumption time (6b) versus the percentage of global traffic.
 func (e *env) fig6() error {
-	mechs := []dragonfly.Mechanism{dragonfly.PAR62, dragonfly.OLM, dragonfly.RLM, dragonfly.Piggybacking}
-	pcts := []float64{0, 20, 40, 60, 80, 100}
-	thr, err := sweep.MixSweep(e.vctBase(), mechs, pcts, 1.0, e.opt)
-	if err = e.record(err); err != nil {
-		return err
-	}
-	if err := e.writePanel("fig6a", "Throughput, ADVG+h/ADVL+1 mix, VCT",
-		"Global traffic (%)", sweep.AcceptedLoad, thr); err != nil {
-		return err
-	}
-	burst, err := sweep.BurstSweep(e.vctBase(), mechs, pcts, e.burstVCT, e.opt)
-	if err = e.record(err); err != nil {
-		return err
-	}
-	if err := e.writePanel("fig6b",
-		fmt.Sprintf("Burst consumption (%d pkts/node), VCT", e.burstVCT),
-		"Global traffic (%)", sweep.ConsumptionTime, burst); err != nil {
-		return err
-	}
-	e.burstRatios("Figure 6b", burst)
-	return nil
-}
-
-// figs78 regenerates Figures 7 (latency) and 8 (throughput) under WH.
-func (e *env) figs78() error {
-	un := []dragonfly.Mechanism{dragonfly.PAR62, dragonfly.RLM, dragonfly.Minimal, dragonfly.Piggybacking}
-	adv := []dragonfly.Mechanism{dragonfly.PAR62, dragonfly.RLM, dragonfly.Valiant, dragonfly.Piggybacking}
-	type panel struct {
-		suffix  string
-		traffic dragonfly.Traffic
-		mechs   []dragonfly.Mechanism
-		loads   []float64
-	}
-	panels := []panel{
-		{"a_UN", dragonfly.Traffic{Kind: dragonfly.UN}, un, sweep.Loads(0.05, 0.8, 5)},
-		{"b_ADVG+1", dragonfly.Traffic{Kind: dragonfly.ADVG, Offset: 1}, adv, sweep.Loads(0.05, 1.0, 5)},
-		{fmt.Sprintf("c_ADVG+%d", e.h), dragonfly.Traffic{Kind: dragonfly.ADVG, Offset: e.h}, adv, sweep.Loads(0.05, 1.0, 5)},
-	}
-	for _, p := range panels {
-		base := e.whBase()
-		base.Traffic = p.traffic
-		series, err := sweep.LoadSweep(base, p.mechs, p.loads, e.opt)
-		if err = e.record(err); err != nil {
-			return err
-		}
-		if err := e.writePanel("fig7"+p.suffix, "Latency "+cliutil.TrafficName(p.traffic, e.h)+"/WH",
-			"Offered load", sweep.TotalLatency, series); err != nil {
-			return err
-		}
-		if err := e.writePanel("fig8"+p.suffix, "Throughput "+cliutil.TrafficName(p.traffic, e.h)+"/WH",
-			"Offered load", sweep.AcceptedLoad, series); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.mixFig("fig6", "Figure 6b", "VCT", e.vctBase(), e.burstVCT,
+		[]dragonfly.Mechanism{dragonfly.PAR62, dragonfly.OLM, dragonfly.RLM, dragonfly.Piggybacking},
+		[]float64{0, 20, 40, 60, 80, 100})
 }
 
 // fig9 regenerates the WH mix and burst experiments.
 func (e *env) fig9() error {
-	mechs := []dragonfly.Mechanism{dragonfly.PAR62, dragonfly.RLM, dragonfly.Piggybacking}
-	pcts := []float64{0, 25, 50, 75, 100}
-	thr, err := sweep.MixSweep(e.whBase(), mechs, pcts, 1.0, e.opt)
+	return e.mixFig("fig9", "Figure 9b", "WH", e.whBase(), e.burstWH,
+		[]dragonfly.Mechanism{dragonfly.PAR62, dragonfly.RLM, dragonfly.Piggybacking},
+		[]float64{0, 25, 50, 75, 100})
+}
+
+// mixFig regenerates one mix figure: saturation throughput (panel a)
+// and burst consumption time (panel b) over the ADVG+h/ADVL+1 mix.
+func (e *env) mixFig(fig, burstLabel, flow string, base dragonfly.Config, burstPkts int, mechs []dragonfly.Mechanism, pcts []float64) error {
+	thr, err := sweep.MixSweep(base, mechs, pcts, 1.0, e.opt)
 	if err = e.record(err); err != nil {
 		return err
 	}
-	if err := e.writePanel("fig9a", "Throughput, ADVG+h/ADVL+1 mix, WH",
+	if err := e.writePanel(fig+"a", "Throughput, ADVG+h/ADVL+1 mix, "+flow,
 		"Global traffic (%)", sweep.AcceptedLoad, thr); err != nil {
 		return err
 	}
-	burst, err := sweep.BurstSweep(e.whBase(), mechs, pcts, e.burstWH, e.opt)
+	burst, err := sweep.BurstSweep(base, mechs, pcts, burstPkts, e.opt)
 	if err = e.record(err); err != nil {
 		return err
 	}
-	if err := e.writePanel("fig9b",
-		fmt.Sprintf("Burst consumption (%d pkts/node), WH", e.burstWH),
+	if err := e.writePanel(fig+"b",
+		fmt.Sprintf("Burst consumption (%d pkts/node), %s", burstPkts, flow),
 		"Global traffic (%)", sweep.ConsumptionTime, burst); err != nil {
 		return err
 	}
-	e.burstRatios("Figure 9b", burst)
+	e.burstRatios(burstLabel, burst)
 	return nil
 }
 
@@ -370,7 +296,7 @@ func (e *env) fig1011(fig int) error {
 // mechanism reacts — adaptive mechanisms recover their accepted load
 // within a few windows while Minimal collapses onto the single minimal
 // global channel (~1/(2h²)).
-func (e *env) figTransient(ctx context.Context, mechs []dragonfly.Mechanism, load float64) error {
+func (e *env) figTransient(mechs []dragonfly.Mechanism, load float64) error {
 	base := e.vctBase()
 	switchAt := e.warmup + e.measure/2
 	base.Phases = []dragonfly.PhaseSpec{
@@ -384,26 +310,8 @@ func (e *env) figTransient(ctx context.Context, mechs []dragonfly.Mechanism, loa
 	base.WindowCycles = window
 
 	camp := exp.NewMatrix(base).Mechanisms(mechs...).Campaign("transient")
-	eopt := exp.Options{
-		Workers:        e.opt.Parallelism,
-		Cache:          e.opt.Cache,
-		JSONL:          e.opt.JSONL,
-		CanonicalJSONL: true,
-	}
-	if e.opt.Progress != nil {
-		progress := e.opt.Progress
-		eopt.Progress = func(pr exp.Progress) {
-			o := pr.Outcome
-			progress(o.Point.Series, sweep.Point{X: o.Point.X, Result: o.Result, Err: o.Err})
-		}
-	}
-	run := exp.Run
-	if e.opt.Remote != nil {
-		run = e.opt.Remote.Run
-		eopt.Cache = nil
-	}
-	outs, runErr := run(ctx, camp, eopt)
-	if err := e.record(errors.Join(runErr, exp.PointErrors(outs))); err != nil {
+	outs, err := sweep.Run(camp, e.opt)
+	if err := e.record(err); err != nil {
 		return err
 	}
 
@@ -676,15 +584,4 @@ func avgConsumption(s sweep.Series) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "paperfigs:", err)
-	os.Exit(1)
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fatal(err)
-	}
 }

@@ -6,12 +6,23 @@ package cliutil
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
 	dragonfly "repro"
 	"repro/internal/topology"
 )
+
+// FatalIf is every command's error exit: a non-nil err is printed as
+// "<command>: <err>" on stderr and the process exits 1.
+func FatalIf(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", filepath.Base(os.Args[0]), err)
+		os.Exit(1)
+	}
+}
 
 // Traffic builds a pattern from the classic flag trio (-traffic, -offset,
 // -globalpct): kind is UN, ADVG, ADVL or MIX; offset applies to the

@@ -11,6 +11,21 @@
 // parallelism here composes with the engine's intra-simulation workers and
 // is the better use of cores for the common small-h points.
 //
+// Life of a point. However a point arrives, it becomes a result in one
+// place: Resolve (content key → store lookup → run → persist on success;
+// a failed persist never fails the point; no store means always-miss).
+// The three front doors differ only in what they wrap around it. Run,
+// the in-process door, feeds Resolve from a channel-fed pool with
+// Options.Cache as the store and Options.Run as the run, and reports a
+// broken cache once, campaign-level. The srv.Server coordinator runs
+// each accepted campaign through Run too, with a run that adds in-flight
+// dedup (Flights) around a second Resolve on its Store whose run is a
+// round trip through the lease queue. A srv.Worker calls Resolve on its
+// own optional Store for every point it leases, running the engine under
+// the lease's context. Server and worker log persist errors. NewRecord
+// is likewise the one Outcome → Record conversion behind JSONL lines,
+// SSE events and the results listing.
+//
 //	points := exp.NewMatrix(base).
 //		Mechanisms(dragonfly.RLM, dragonfly.OLM).
 //		Loads(0.1, 0.5, 0.9).
@@ -28,11 +43,12 @@ import (
 
 // Point is one experiment of a campaign: a full simulation configuration
 // plus its place in a figure (points sharing a Series name form one curve,
-// X is the point's x-axis value).
+// X is the point's x-axis value). The JSON layout is the service's wire
+// format for a submitted point and matches Record's field names.
 type Point struct {
-	Series string
-	X      float64
-	Config dragonfly.Config
+	Series string           `json:"series"`
+	X      float64          `json:"x"`
+	Config dragonfly.Config `json:"config"`
 }
 
 // Campaign is an ordered list of points. The order is the order outcomes

@@ -26,11 +26,13 @@ type Record struct {
 	Result  *dragonfly.Result `json:"result,omitempty"`
 }
 
-// recordFor builds the JSONL record of an outcome. Canonical records
-// drop the two volatile fields — Seconds (wall time) and Cached (a
-// property of the store, not the experiment) — so the line depends only
-// on the point and its deterministic result.
-func recordFor(o *Outcome, canonical bool) Record {
+// NewRecord builds the record of an outcome — the one place a Record is
+// assembled, for JSONL lines and for the service's SSE events and
+// results listing alike. Canonical records drop the two volatile fields
+// — Seconds (wall time) and Cached (a property of the store, not the
+// experiment) — so the line depends only on the point and its
+// deterministic result. The record's Result points into o.
+func NewRecord(o *Outcome, canonical bool) Record {
 	rec := Record{
 		Index:  o.Index,
 		Series: o.Point.Series,
@@ -51,7 +53,7 @@ func recordFor(o *Outcome, canonical bool) Record {
 
 // writeRecord emits one outcome as a JSON line.
 func writeRecord(w io.Writer, o *Outcome, canonical bool) error {
-	buf, err := json.Marshal(recordFor(o, canonical))
+	buf, err := json.Marshal(NewRecord(o, canonical))
 	if err != nil {
 		return fmt.Errorf("exp: encode jsonl record: %w", err)
 	}

@@ -113,12 +113,13 @@ type Ticket struct {
 	Done <-chan Outcome
 }
 
-// Task is one claimable point as handed to a worker.
+// Task is one claimable point as handed to a worker; the JSON layout is
+// the lease API's wire format for a claimed point.
 type Task struct {
-	ID      string
-	Key     string // content address, for logs and worker-side stores
-	Attempt int    // 1 for the first execution
-	Config  dragonfly.Config
+	ID      string           `json:"task"`
+	Key     string           `json:"key"`     // content address, for logs
+	Attempt int              `json:"attempt"` // 1 for the first execution; counts requeues
+	Config  dragonfly.Config `json:"config"`
 }
 
 // Lease is a claim on a batch of tasks. Remote leases expire unless
@@ -140,13 +141,10 @@ const (
 )
 
 type task struct {
-	id      string
-	key     string
-	cfg     dragonfly.Config
+	Task    // Attempt counts executions started, the current one included
 	done    chan Outcome
 	state   taskState
 	readyAt time.Time
-	attempt int             // executions started (including the current one)
 	crashed map[string]bool // distinct workers whose lease expired holding it
 }
 
@@ -243,15 +241,13 @@ func (q *Queue) Enqueue(key string, cfg dragonfly.Config) (*Ticket, error) {
 	}
 	q.nextTask++
 	t := &task{
-		id:   fmt.Sprintf("t%04d", q.nextTask),
-		key:  key,
-		cfg:  cfg,
+		Task: Task{ID: fmt.Sprintf("t%04d", q.nextTask), Key: key, Config: cfg},
 		done: make(chan Outcome, 1),
 	}
-	q.byID[t.id] = t
+	q.byID[t.ID] = t
 	q.pending = append(q.pending, t)
 	q.broadcastLocked()
-	return &Ticket{ID: t.id, Done: t.done}, nil
+	return &Ticket{ID: t.ID, Done: t.done}, nil
 }
 
 func (q *Queue) drainErrLocked() error {
@@ -305,9 +301,9 @@ func (q *Queue) Claim(worker string, max int, local bool) (*Lease, error) {
 	out := &Lease{ID: l.id, Worker: worker, Deadline: l.deadline}
 	for _, t := range picked {
 		t.state = stateLeased
-		t.attempt++
-		l.pending[t.id] = t
-		out.Tasks = append(out.Tasks, Task{ID: t.id, Key: t.key, Attempt: t.attempt, Config: t.cfg})
+		t.Attempt++
+		l.pending[t.ID] = t
+		out.Tasks = append(out.Tasks, t.Task)
 	}
 	q.leases[l.id] = l
 	return out, nil
@@ -407,7 +403,7 @@ func (q *Queue) deliverLocked(t *task, out Outcome) {
 		return
 	}
 	t.state = stateDone
-	delete(q.byID, t.id)
+	delete(q.byID, t.ID)
 	if out.Err != nil {
 		q.failed++
 	} else {
@@ -438,14 +434,14 @@ func (q *Queue) expireLocked(now time.Time) {
 			switch {
 			case q.draining:
 				q.deliverLocked(t, Outcome{Err: q.drainErrLocked()})
-			case len(t.crashed) >= q.cfg.PoisonWorkers || t.attempt >= q.cfg.MaxAttempts:
+			case len(t.crashed) >= q.cfg.PoisonWorkers || t.Attempt >= q.cfg.MaxAttempts:
 				q.quarantined++
 				q.deliverLocked(t, Outcome{Err: fmt.Errorf(
 					"%w: crashed %d distinct worker(s) over %d attempt(s): %s",
-					ErrPoison, len(t.crashed), t.attempt, crashers(t.crashed))})
+					ErrPoison, len(t.crashed), t.Attempt, crashers(t.crashed))})
 			default:
 				t.state = statePending
-				t.readyAt = now.Add(q.backoff(t.attempt))
+				t.readyAt = now.Add(Backoff(t.Attempt-1, q.cfg.BackoffBase, q.cfg.BackoffMax))
 				q.pending = append(q.pending, t)
 			}
 		}
@@ -462,17 +458,18 @@ func crashers(m map[string]bool) string {
 	return strings.Join(names, ", ")
 }
 
-// backoff computes the jittered requeue delay after attempt executions.
-func (q *Queue) backoff(attempt int) time.Duration {
-	d := q.cfg.BackoffBase
-	for i := 1; i < attempt && d < q.cfg.BackoffMax; i++ {
+// Backoff returns the jittered exponential delay before retry n
+// (0-based): base<<n capped at max, then drawn from [d/2, d] so a fleet
+// does not requeue, reconnect or re-claim in lockstep. It is the one
+// retry schedule of the fleet: lease requeues here, HTTP retries in srv.
+func Backoff(n int, base, max time.Duration) time.Duration {
+	d := base
+	for i := 0; i < n && d < max; i++ {
 		d *= 2
 	}
-	if d > q.cfg.BackoffMax {
-		d = q.cfg.BackoffMax
+	if d > max {
+		d = max
 	}
-	// Jitter into [d/2, d] so a fleet's requeues do not thunder back in
-	// lockstep.
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 

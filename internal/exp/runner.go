@@ -137,6 +137,15 @@ func Run(ctx context.Context, camp Campaign, opt Options) ([]Outcome, error) {
 		}
 	}
 
+	// A broken cache surfaces once, campaign-level; the points stand.
+	putFailed := func(err error) {
+		mu.Lock()
+		if cacheErr == nil {
+			cacheErr = err
+		}
+		mu.Unlock()
+	}
+
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	workers := opt.workers()
@@ -155,28 +164,8 @@ func Run(ctx context.Context, camp Campaign, opt Options) ([]Outcome, error) {
 					continue
 				}
 				start := time.Now()
-				cacheKey := ""
-				if opt.Cache != nil {
-					cacheKey = opt.Cache.Key(o.Point.Config)
-					if res, ok := opt.Cache.Get(cacheKey); ok {
-						o.Result, o.Cached = res, true
-					}
-				}
-				if !o.Cached {
-					o.Result, o.Err = runFn(ctx, i, o.Point)
-					if o.Err == nil && opt.Cache != nil {
-						// A failed store never fails the point — the
-						// simulation succeeded and its result stands;
-						// the broken cache surfaces once, campaign-level.
-						if err := opt.Cache.Put(cacheKey, o.Point.Config, o.Result); err != nil {
-							mu.Lock()
-							if cacheErr == nil {
-								cacheErr = err
-							}
-							mu.Unlock()
-						}
-					}
-				}
+				o.Result, o.Cached, o.Err = Resolve(ctx, opt.Cache, "", o.Point.Config,
+					func() (dragonfly.Result, error) { return runFn(ctx, i, o.Point) }, putFailed)
 				o.Seconds = time.Since(start).Seconds()
 				finish(o)
 			}

@@ -103,17 +103,11 @@ type campaignRow struct {
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	statuses := make([]Status, 0, len(s.order))
-	for _, id := range s.order {
-		statuses = append(statuses, s.campaigns[id].status())
-	}
-	s.mu.Unlock()
 	data := struct {
 		Store     exp.StoreStats
 		Fleet     queue.FleetStats
 		Campaigns []Status
-	}{Store: s.store.Stats(), Fleet: s.queue.Stats(), Campaigns: statuses}
+	}{Store: s.store.Stats(), Fleet: s.queue.Stats(), Campaigns: s.statuses()}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	indexTmpl.Execute(w, data) //nolint:errcheck // client went away
 }
@@ -130,21 +124,22 @@ func (s *Server) handleCampaignPage(w http.ResponseWriter, r *http.Request) {
 	for i, p := range c.points {
 		rows[i] = campaignRow{Index: i, Series: p.Series, X: p.X, State: "pending"}
 	}
-	for _, rec := range c.recs {
-		row := &rows[rec.Index]
+	for i := range c.recs {
+		o := &c.recs[i]
+		row := &rows[o.Index]
 		switch {
-		case rec.Error != "":
+		case o.Err != nil:
 			row.State = "error"
-		case rec.Cached:
+		case o.Cached:
 			row.State = "cached"
 		default:
 			row.State = "done"
 		}
-		if rec.Result != nil {
-			row.Accepted = strconv.FormatFloat(rec.Result.AcceptedLoad, 'f', 4, 64)
-			row.Latency = strconv.FormatFloat(rec.Result.AvgTotalLatency, 'f', 1, 64)
+		if o.Err == nil {
+			row.Accepted = strconv.FormatFloat(o.Result.AcceptedLoad, 'f', 4, 64)
+			row.Latency = strconv.FormatFloat(o.Result.AvgTotalLatency, 'f', 1, 64)
 		}
-		row.Seconds = strconv.FormatFloat(rec.Seconds, 'f', 2, 64)
+		row.Seconds = strconv.FormatFloat(o.Seconds, 'f', 2, 64)
 	}
 	c.mu.Unlock()
 	data := struct {

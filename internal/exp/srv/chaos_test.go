@@ -220,7 +220,7 @@ func TestChaosZombieLateResult(t *testing.T) {
 	// lease. 410; the poison marker value must never surface.
 	status = rawPost(t, ts.http.URL+"/api/v1/leases/"+grant.ID+"/results",
 		resultsRequest{Results: []TaskResult{{
-			Task:   grant.Points[0].Task,
+			Task:   grant.Points[0].ID,
 			Result: &dragonfly.Result{Delivered: -777},
 		}}}, nil)
 	if status != http.StatusGone {

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -21,28 +20,15 @@ import (
 // Transient-failure policy shared by the client and the worker: a
 // request that fails on the transport, or with a 5xx (a restarting,
 // overloaded, or draining server), is retried with capped exponential
-// backoff plus jitter. 4xx responses are the caller's fault and are
-// never retried. The budget is deliberately modest — a server that is
-// down for good should fail the run in seconds, not minutes.
+// backoff plus jitter (queue.Backoff — the same schedule lease requeues
+// follow). 4xx responses are the caller's fault and are never retried.
+// The budget is deliberately modest — a server that is down for good
+// should fail the run in seconds, not minutes.
 const (
 	retryAttempts = 5
 	retryBackoff  = 100 * time.Millisecond
 	retryCap      = 3 * time.Second
 )
-
-// backoffDelay returns the jittered exponential delay before retry n
-// (0-based): base<<n capped at max, then drawn from [d/2, d] so a fleet
-// of clients does not reconnect in lockstep.
-func backoffDelay(n int, base, max time.Duration) time.Duration {
-	d := base
-	for i := 0; i < n && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
 
 // sleepCtx sleeps for d; false means ctx expired first.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
@@ -89,42 +75,31 @@ func (c *Client) LastStatus() Status {
 
 // Submit posts a campaign and returns its server-assigned ID.
 func (c *Client) Submit(ctx context.Context, camp exp.Campaign) (string, error) {
-	req := submitRequest{Name: camp.Name, Points: make([]wirePoint, len(camp.Points))}
-	for i, p := range camp.Points {
-		req.Points[i] = wirePoint{Series: p.Series, X: p.X, Config: p.Config}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return "", fmt.Errorf("srv: encode campaign: %w", err)
-	}
 	var resp submitResponse
-	if err := c.doJSON(ctx, http.MethodPost, "/api/v1/campaigns", body, &resp); err != nil {
-		return "", err
-	}
-	return resp.ID, nil
+	_, err := c.doJSON(ctx, http.MethodPost, "/api/v1/campaigns",
+		submitRequest{Name: camp.Name, Points: camp.Points}, &resp)
+	return resp.ID, err
 }
 
 // Status fetches one campaign's status.
 func (c *Client) Status(ctx context.Context, id string) (Status, error) {
 	var st Status
-	err := c.doJSON(ctx, http.MethodGet, "/api/v1/campaigns/"+id, nil, &st)
+	_, err := c.doJSON(ctx, http.MethodGet, "/api/v1/campaigns/"+id, nil, &st)
 	return st, err
 }
 
 // StoreStats fetches the server's store statistics.
 func (c *Client) StoreStats(ctx context.Context) (exp.StoreStats, error) {
-	var st exp.StoreStats
-	err := c.doJSON(ctx, http.MethodGet, "/api/v1/store", nil, &st)
-	return st, err
+	var st storeResponse
+	_, err := c.doJSON(ctx, http.MethodGet, "/api/v1/store", nil, &st)
+	return st.StoreStats, err
 }
 
 // FleetStats fetches the server's lease-queue snapshot: active leases,
 // per-worker heartbeat ages, requeue/quarantine counters.
 func (c *Client) FleetStats(ctx context.Context) (queue.FleetStats, error) {
-	var st struct {
-		Fleet queue.FleetStats `json:"fleet"`
-	}
-	err := c.doJSON(ctx, http.MethodGet, "/api/v1/store", nil, &st)
+	var st storeResponse
+	_, err := c.doJSON(ctx, http.MethodGet, "/api/v1/store", nil, &st)
 	return st.Fleet, err
 }
 
@@ -133,55 +108,57 @@ func (c *Client) FleetStats(ctx context.Context) (queue.FleetStats, error) {
 // execute twice if the first response was lost in flight; every POST in
 // this API is safe to repeat — a duplicate campaign submission dedups
 // against the store and in-flight sims, so it costs bookkeeping, not
-// simulations.
-func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, out any) error {
-	var lastErr error
+// simulations; a duplicate result submission is an idempotent no-op.
+func (c *Client) doJSON(ctx context.Context, method, path string, in, out any) (status int, err error) {
 	for attempt := 0; attempt < retryAttempts; attempt++ {
-		if attempt > 0 {
-			if !sleepCtx(ctx, backoffDelay(attempt-1, retryBackoff, retryCap)) {
-				return lastErr
-			}
+		if attempt > 0 && !sleepCtx(ctx, queue.Backoff(attempt-1, retryBackoff, retryCap)) {
+			return status, err
 		}
-		err, retryable := c.doJSONOnce(ctx, method, path, body, out)
-		if err == nil || !retryable {
-			return err
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return lastErr
+		status, err = c.requestJSON(ctx, method, path, in, out)
+		if err == nil || (status != 0 && status/100 != 5) || ctx.Err() != nil {
+			return status, err
 		}
 	}
-	return fmt.Errorf("srv: giving up after %d attempts: %w", retryAttempts, lastErr)
+	return status, fmt.Errorf("srv: giving up after %d attempts: %w", retryAttempts, err)
 }
 
-func (c *Client) doJSONOnce(ctx context.Context, method, path string, body []byte, out any) (_ error, retryable bool) {
+// requestJSON performs one JSON request — the only request code of the
+// client and the worker. A non-nil in is the JSON body; a non-nil out
+// receives the decoded 2xx response. The returned status is non-zero
+// whenever an HTTP response arrived, so callers can tell a transport
+// failure (0: transient) from a 410 or a 5xx.
+func (c *Client) requestJSON(ctx context.Context, method, path string, in, out any) (status int, err error) {
 	var rd io.Reader
-	if body != nil {
+	if in != nil {
+		body, err := json.Marshal(in)
+		if err != nil {
+			return 0, fmt.Errorf("srv: encode %s request: %w", path, err)
+		}
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return fmt.Errorf("srv: %w", err), false
+		return 0, fmt.Errorf("srv: %w", err)
 	}
-	if body != nil {
+	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("srv: %s %s: %w", method, path, err), true
+		return 0, fmt.Errorf("srv: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("srv: %s %s: %s: %s", method, path, resp.Status, errBody(resp.Body)),
-			resp.StatusCode/100 == 5
+		return resp.StatusCode, fmt.Errorf("srv: %s %s: %s: %s", method, path, resp.Status, errBody(resp.Body))
 	}
 	if out == nil {
-		return nil, false
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for connection reuse
+		return resp.StatusCode, nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("srv: decode %s response: %w", path, err), false
+		return resp.StatusCode, fmt.Errorf("srv: decode %s response: %w", path, err)
 	}
-	return nil, false
+	return resp.StatusCode, nil
 }
 
 // errBody extracts the server's {"error": ...} message, if any.
@@ -308,7 +285,7 @@ func (c *Client) stream(ctx context.Context, id string, onRecord func(exp.Record
 	var lastErr error
 	for attempt := 0; attempt < streamAttempts; attempt++ {
 		if attempt > 0 {
-			if !sleepCtx(ctx, backoffDelay(attempt-1, retryBackoff, retryCap)) {
+			if !sleepCtx(ctx, queue.Backoff(attempt-1, retryBackoff, retryCap)) {
 				return Status{}, ctx.Err()
 			}
 		}
@@ -385,17 +362,6 @@ func (c *Client) streamOnce(ctx context.Context, id string, onRecord func(exp.Re
 
 // Health probes /healthz; nil means the server is up and accepting.
 func (c *Client) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return fmt.Errorf("srv: %w", err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("srv: health: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("srv: health: %s", resp.Status)
-	}
-	return nil
+	_, err := c.requestJSON(ctx, http.MethodGet, "/healthz", nil, nil)
+	return err
 }

@@ -29,22 +29,14 @@ type claimRequest struct {
 	WaitMS int    `json:"wait_ms,omitempty"`
 }
 
-// leasePoint is one claimed point. Attempt starts at 1 and counts
-// requeues, so workers can log retries.
-type leasePoint struct {
-	Task    string           `json:"task"`
-	Key     string           `json:"key"`
-	Attempt int              `json:"attempt"`
-	Config  dragonfly.Config `json:"config"`
-}
-
 // LeaseGrant is a successful claim. An empty ID means no work was ready
 // within the wait — poll again. LeaseSeconds is how long the lease
-// lives between heartbeats.
+// lives between heartbeats. A claimed point on the wire is queue.Task's
+// own JSON layout.
 type LeaseGrant struct {
 	ID           string       `json:"id,omitempty"`
 	LeaseSeconds float64      `json:"lease_seconds,omitempty"`
-	Points       []leasePoint `json:"points,omitempty"`
+	Points       []queue.Task `json:"points,omitempty"`
 }
 
 // heartbeatResponse returns the remaining lease lifetime after the
@@ -102,16 +94,12 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, LeaseGrant{})
 		return
 	}
-	grant := LeaseGrant{
+	s.logf("lease %s: %d point(s) -> worker %s", l.ID, len(l.Tasks), l.Worker)
+	writeJSON(w, http.StatusOK, LeaseGrant{
 		ID:           l.ID,
 		LeaseSeconds: time.Until(l.Deadline).Seconds(),
-		Points:       make([]leasePoint, len(l.Tasks)),
-	}
-	for i, t := range l.Tasks {
-		grant.Points[i] = leasePoint{Task: t.ID, Key: t.Key, Attempt: t.Attempt, Config: t.Config}
-	}
-	s.logf("lease %s: %d point(s) -> worker %s", l.ID, len(l.Tasks), l.Worker)
-	writeJSON(w, http.StatusOK, grant)
+		Points:       l.Tasks,
+	})
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

@@ -9,16 +9,20 @@
 // seeded before submission, remote results are interchangeable with —
 // and canonical JSONL streams byte-identical to — local execution.
 //
-// Execution is coordinated through a lease-based point queue
-// (internal/exp/queue): every cache-missing point is enqueued once, and
-// whichever puller claims it first — one of the coordinator's own local
-// sim workers, or a remote dragonsrv -worker process pulling over the
-// lease API (fleet.go) — runs it. Leases expire without heartbeats, so
-// a worker can die at any moment: its points requeue with backoff and
-// the campaign still completes with byte-identical results; points that
-// crash enough distinct workers are quarantined instead of retrying
-// forever (see the queue package for the full lifecycle). Worker
-// (worker.go) is the puller side of the same contract.
+// Life of a point: a submitted campaign runs on exp.Run, whose per-point
+// run is Server.runPoint — in-flight dedup (exp.Flights) around
+// exp.Resolve on the shared store, so the lookup → run → persist policy
+// is the one every front door uses. Only a store miss reaches Resolve's
+// run: one pass through the lease-based point queue
+// (internal/exp/queue), where whichever puller claims the point first —
+// one of the coordinator's own local sim workers, or a remote dragonsrv
+// -worker process pulling over the lease API (fleet.go) — executes it.
+// Worker (worker.go) is the puller side of the same contract and calls
+// exp.Resolve again on its own optional store. Leases expire without
+// heartbeats, so a worker can die at any moment: its points requeue with
+// backoff and the campaign still completes with byte-identical results;
+// points that crash enough distinct workers are quarantined instead of
+// retrying forever (see the queue package for the full lifecycle).
 //
 // API (all JSON unless noted):
 //
@@ -143,9 +147,7 @@ func New(cfg Config) (*Server, error) {
 		runCtx:     ctx,
 		runCancel:  cancel,
 		campaigns:  make(map[string]*campaign),
-		runSim: func(ctx context.Context, cfg dragonfly.Config) (dragonfly.Result, error) {
-			return dragonfly.RunContext(ctx, cfg)
-		},
+		runSim:     dragonfly.RunContext,
 	}
 	for i := 0; i < workers; i++ {
 		s.localWG.Add(1)
@@ -223,12 +225,9 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Close aborts everything immediately. Tests use it; production drains.
 func (s *Server) Close() {
-	s.draining.Store(true)
-	s.queue.Drain(ErrDraining)
-	s.runCancel()
-	s.wg.Wait()
-	s.localWG.Wait()
-	s.queue.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Drain(ctx) //nolint:errcheck // a drain with no patience is the abort
 }
 
 // campaign is one accepted campaign and its execution state.
@@ -241,7 +240,7 @@ type campaign struct {
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast on every new record and on finish
 
-	recs     []exp.Record  // completion-order events (Cached/Seconds live)
+	recs     []exp.Outcome // completion order, as SSE replays them (Cached/Seconds live)
 	served   []bool        // per-index: result arrived without its own sim
 	outs     []exp.Outcome // campaign order, set on finish
 	executed int           // simulations this campaign ran
@@ -291,21 +290,7 @@ func (c *campaign) status() Status {
 func (c *campaign) record(o exp.Outcome) {
 	c.mu.Lock()
 	o.Cached = o.Cached || c.served[o.Index]
-	rec := exp.Record{
-		Index:   o.Index,
-		Series:  o.Point.Series,
-		X:       o.Point.X,
-		Cached:  o.Cached,
-		Seconds: o.Seconds,
-		Config:  o.Point.Config,
-	}
-	if o.Err != nil {
-		rec.Error = o.Err.Error()
-	} else {
-		res := o.Result
-		rec.Result = &res
-	}
-	c.recs = append(c.recs, rec)
+	c.recs = append(c.recs, o)
 	c.cond.Broadcast()
 	c.mu.Unlock()
 }
@@ -325,14 +310,20 @@ func (c *campaign) finish(outs []exp.Outcome, err error) {
 	c.mu.Unlock()
 }
 
-// waitFinished blocks until the campaign finished or ctx expired.
-func (c *campaign) waitFinished(ctx context.Context) ([]exp.Outcome, bool) {
-	stop := context.AfterFunc(ctx, func() {
+// wakeOn broadcasts the campaign's condition when ctx ends, so a waiter
+// parked in cond.Wait notices its caller went away. The returned stop
+// releases the hook.
+func (c *campaign) wakeOn(ctx context.Context) (stop func() bool) {
+	return context.AfterFunc(ctx, func() {
 		c.mu.Lock()
 		c.cond.Broadcast()
 		c.mu.Unlock()
 	})
-	defer stop()
+}
+
+// waitFinished blocks until the campaign finished or ctx expired.
+func (c *campaign) waitFinished(ctx context.Context) ([]exp.Outcome, bool) {
+	defer c.wakeOn(ctx)()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for !c.finished {
@@ -385,42 +376,34 @@ func (s *Server) start(c *campaign) {
 	}()
 }
 
-// runPoint resolves one point: store lookup, in-flight dedup, then — if
-// nobody else has or is computing it — one pass through the lease
-// queue, where a local puller or a remote worker executes it, and the
-// result persists to the store. The store lookup happens inside the
-// flight so concurrent identical points cost one lookup and the
-// hit/miss counters stay exact.
+// runPoint resolves one point: in-flight dedup around exp.Resolve, whose
+// run — reached only when the store misses — is one pass through the
+// lease queue, where a local puller or a remote worker executes the
+// point. The store lookup happens inside the flight so concurrent
+// identical points cost one lookup and the hit/miss counters stay exact.
 func (s *Server) runPoint(c *campaign, idx int, p exp.Point) (dragonfly.Result, error) {
 	key := s.store.Key(p.Config)
 	var ranSim bool
 	res, leader, err := s.flights.Do(s.runCtx, key, func() (dragonfly.Result, error) {
-		if res, ok := s.store.Get(key); ok {
-			return res, nil
-		}
-		if s.draining.Load() {
-			return dragonfly.Result{}, ErrDraining
-		}
-		tk, err := s.queue.Enqueue(key, p.Config)
-		if err != nil { // drain raced the check above
-			return dragonfly.Result{}, ErrDraining
-		}
-		select {
-		case out := <-tk.Done:
-			// A point drained out of the queue never started simulating;
-			// everything else — success, sim error, quarantine — did.
-			ranSim = !errors.Is(out.Err, ErrDraining)
-			if out.Err != nil {
-				return dragonfly.Result{}, out.Err
+		res, _, err := exp.Resolve(s.runCtx, s.store, key, p.Config, func() (dragonfly.Result, error) {
+			if s.draining.Load() {
+				return dragonfly.Result{}, ErrDraining
 			}
-			if perr := s.store.Put(key, p.Config, out.Result); perr != nil {
-				// The result stands; a broken store surfaces in the log.
-				s.logf("store put %s: %v", key[:12], perr)
+			tk, err := s.queue.Enqueue(key, p.Config)
+			if err != nil { // drain raced the check above
+				return dragonfly.Result{}, ErrDraining
 			}
-			return out.Result, nil
-		case <-s.runCtx.Done():
-			return dragonfly.Result{}, s.runCtx.Err()
-		}
+			select {
+			case out := <-tk.Done:
+				// A point drained out of the queue never started simulating;
+				// everything else — success, sim error, quarantine — did.
+				ranSim = !errors.Is(out.Err, ErrDraining)
+				return out.Result, out.Err
+			case <-s.runCtx.Done():
+				return dragonfly.Result{}, s.runCtx.Err()
+			}
+		}, func(perr error) { s.logf("store put %s: %v", key[:12], perr) })
+		return res, err
 	})
 	c.mu.Lock()
 	switch {
@@ -467,6 +450,17 @@ func (s *Server) campaign(id string) *campaign {
 	return s.campaigns[id]
 }
 
+// statuses snapshots every campaign in submission order.
+func (s *Server) statuses() []Status {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	statuses := make([]Status, 0, len(s.order))
+	for _, id := range s.order {
+		statuses = append(statuses, s.campaigns[id].status())
+	}
+	return statuses
+}
+
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -486,18 +480,11 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Wire types. exp.Point carries no JSON tags, so the API defines its
-// own lower-case layout, matching Record's field names.
-
-type wirePoint struct {
-	Series string           `json:"series"`
-	X      float64          `json:"x"`
-	Config dragonfly.Config `json:"config"`
-}
+// Wire types. A point on the wire is exp.Point's own JSON layout.
 
 type submitRequest struct {
 	Name   string      `json:"name"`
-	Points []wirePoint `json:"points"`
+	Points []exp.Point `json:"points"`
 }
 
 type submitResponse struct {
@@ -532,31 +519,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "campaign has no points")
 		return
 	}
-	points := make([]exp.Point, len(req.Points))
-	for i, wp := range req.Points {
-		if err := wp.Config.Validate(); err != nil {
+	for i := range req.Points {
+		if err := req.Points[i].Config.Validate(); err != nil {
 			httpError(w, http.StatusBadRequest, "point %d: %v", i, err)
 			return
 		}
-		points[i] = exp.Point{Series: wp.Series, X: wp.X, Config: wp.Config}
 	}
-	c := s.submit(req.Name, points)
+	c := s.submit(req.Name, req.Points)
 	if c == nil {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	s.logf("campaign %s (%s): accepted, %d points", c.id, c.name, len(points))
-	writeJSON(w, http.StatusCreated, submitResponse{ID: c.id, Total: len(points)})
+	s.logf("campaign %s (%s): accepted, %d points", c.id, c.name, len(req.Points))
+	writeJSON(w, http.StatusCreated, submitResponse{ID: c.id, Total: len(req.Points)})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	statuses := make([]Status, 0, len(s.order))
-	for _, id := range s.order {
-		statuses = append(statuses, s.campaigns[id].status())
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, statuses)
+	writeJSON(w, http.StatusOK, s.statuses())
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -588,12 +567,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl.Flush()
 
 	ctx := r.Context()
-	stop := context.AfterFunc(ctx, func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	defer stop()
+	defer c.wakeOn(ctx)()
 
 	// Bound every event write so a wedged subscriber (accepted the TCP
 	// connection, never reads) detaches promptly instead of pinning this
@@ -612,7 +586,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	for {
 		for next < len(c.recs) {
-			rec := c.recs[next]
+			// The record points into c.recs; entries are never modified
+			// once appended, so it stays valid outside the lock.
+			rec := exp.NewRecord(&c.recs[next], false)
 			next++
 			c.mu.Unlock()
 			if err := emit("point", rec); err != nil {
@@ -653,23 +629,9 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return // client went away
 	}
-	recs := make([]exp.Record, 0, len(outs))
+	recs := make([]exp.Record, len(outs))
 	for i := range outs {
-		o := &outs[i]
-		rec := exp.Record{
-			Index:   o.Index,
-			Series:  o.Point.Series,
-			X:       o.Point.X,
-			Cached:  o.Cached,
-			Seconds: o.Seconds,
-			Config:  o.Point.Config,
-		}
-		if o.Err != nil {
-			rec.Error = o.Err.Error()
-		} else {
-			rec.Result = &o.Result
-		}
-		recs = append(recs, rec)
+		recs[i] = exp.NewRecord(&outs[i], false)
 	}
 	writeJSON(w, http.StatusOK, recs)
 }

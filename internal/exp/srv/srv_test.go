@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -353,4 +354,63 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("condition not reached within 5s")
+}
+
+// TestBrokenStoresAreLoggedNotFatal: the coordinator's and a worker's
+// result stores both fail every Put, yet the campaign completes with
+// every result — the failures land in the two logs.
+func TestBrokenStoresAreLoggedNotFatal(t *testing.T) {
+	brokenStore := func() *exp.Store {
+		dir := t.TempDir()
+		store, err := exp.OpenStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	var srvLog, wkLog bytes.Buffer
+	ts := newTestServer(t, Config{Store: brokenStore(), SimWorkers: -1, Log: log.New(&srvLog, "", 0)})
+	wk, err := NewWorker(WorkerConfig{
+		Coordinator: ts.http.URL, Name: "w", Store: brokenStore(),
+		Sims: 1, Poll: 100 * time.Millisecond, Log: log.New(&wkLog, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk.runSim = func(context.Context, dragonfly.Config) (dragonfly.Result, error) {
+		return dragonfly.Result{Delivered: 5}, nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		wk.Run(ctx) //nolint:errcheck // only ever ctx.Err()
+		close(done)
+	}()
+	camp := tinyCampaign()
+	outs, err := ts.client.Run(context.Background(), camp, exp.Options{})
+	cancel()
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perr := exp.PointErrors(outs); perr != nil {
+		t.Fatalf("broken stores failed points: %v", perr)
+	}
+	for i := range outs {
+		if outs[i].Result.Delivered != 5 {
+			t.Fatalf("point %d lost its result: %+v", i, outs[i].Result)
+		}
+	}
+	if st := ts.client.LastStatus(); st.Executed != len(camp.Points) || wk.Executed() != int64(len(camp.Points)) {
+		t.Fatalf("executed: campaign %d, worker %d, want %d", st.Executed, wk.Executed(), len(camp.Points))
+	}
+	ts.srv.Close() // quiesce the server's logger before reading it
+	for name, buf := range map[string]*bytes.Buffer{"coordinator": &srvLog, "worker": &wkLog} {
+		if !strings.Contains(buf.String(), "store put") {
+			t.Errorf("%s log does not mention the failed put:\n%s", name, buf.String())
+		}
+	}
 }

@@ -1,21 +1,18 @@
 package srv
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	dragonfly "repro"
 	"repro/internal/exp"
+	"repro/internal/exp/queue"
 )
 
 // Worker is the puller side of the fleet protocol: it claims leases
@@ -33,14 +30,13 @@ import (
 // lease's remaining points and claims afresh. Run only returns when its
 // context is canceled.
 type Worker struct {
-	base  string
+	coord *Client // the coordinator, as this worker's HTTP peer
 	name  string
 	store *exp.Store
 	sims  int
 	batch int
 	poll  time.Duration
 	log   *log.Logger
-	hc    *http.Client
 
 	executed atomic.Int64 // simulations actually run (store hits excluded)
 
@@ -82,17 +78,14 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, fmt.Errorf("srv: WorkerConfig.Name is required")
 	}
 	w := &Worker{
-		base:  strings.TrimRight(cfg.Coordinator, "/"),
-		name:  cfg.Name,
-		store: cfg.Store,
-		sims:  cfg.Sims,
-		batch: cfg.Batch,
-		poll:  cfg.Poll,
-		log:   cfg.Log,
-		hc:    &http.Client{},
-		runSim: func(ctx context.Context, cfg dragonfly.Config) (dragonfly.Result, error) {
-			return dragonfly.RunContext(ctx, cfg)
-		},
+		coord:  NewClient(cfg.Coordinator),
+		name:   cfg.Name,
+		store:  cfg.Store,
+		sims:   cfg.Sims,
+		batch:  cfg.Batch,
+		poll:   cfg.Poll,
+		log:    cfg.Log,
+		runSim: dragonfly.RunContext,
 	}
 	if w.sims <= 0 {
 		w.sims = runtime.GOMAXPROCS(0)
@@ -136,7 +129,7 @@ func (wk *Worker) pull(ctx context.Context) {
 	fails := 0
 	for ctx.Err() == nil {
 		var grant LeaseGrant
-		_, err := wk.post(ctx, "/api/v1/leases",
+		_, err := wk.coord.requestJSON(ctx, http.MethodPost, "/api/v1/leases",
 			claimRequest{Worker: wk.name, Max: wk.batch, WaitMS: int(wk.poll / time.Millisecond)},
 			&grant)
 		if err != nil {
@@ -148,7 +141,7 @@ func (wk *Worker) pull(ctx context.Context) {
 			// stampede a coordinator that just came back.
 			fails++
 			wk.logf("claim failed (attempt %d): %v", fails, err)
-			if !sleepCtx(ctx, backoffDelay(fails-1, retryBackoff, retryCap)) {
+			if !sleepCtx(ctx, queue.Backoff(fails-1, retryBackoff, retryCap)) {
 				return
 			}
 			continue
@@ -169,25 +162,26 @@ func (wk *Worker) execute(ctx context.Context, g LeaseGrant) {
 	defer cancel()
 	go wk.heartbeat(lctx, cancel, g)
 
-	for _, p := range g.Points {
+	for _, t := range g.Points {
 		if lctx.Err() != nil {
 			return
 		}
-		tr := TaskResult{Task: p.Task}
-		key := wk.key(p.Config)
-		if res, ok := wk.storeGet(key); ok {
-			tr.Result = &res
+		// The store key is computed locally (Resolve, empty key) — the
+		// same content hash the coordinator uses, but never trusted off
+		// the wire.
+		res, hit, err := exp.Resolve(lctx, wk.store, "", t.Config,
+			func() (dragonfly.Result, error) { return wk.runSim(lctx, t.Config) },
+			func(perr error) { wk.logf("store put: %v", perr) })
+		if lctx.Err() != nil {
+			return // lease lost or shutting down mid-sim: report nothing
+		}
+		tr := TaskResult{Task: t.ID}
+		if err != nil {
+			tr.Error = err.Error()
 		} else {
-			res, err := wk.runSim(lctx, p.Config)
-			if lctx.Err() != nil {
-				return // lease lost or shutting down mid-sim: report nothing
-			}
-			if err != nil {
-				tr.Error = err.Error()
-			} else {
+			tr.Result = &res
+			if !hit {
 				wk.executed.Add(1)
-				wk.storePut(key, p.Config, res)
-				tr.Result = &res
 			}
 		}
 		if !wk.submit(lctx, g.ID, tr) {
@@ -211,7 +205,7 @@ func (wk *Worker) heartbeat(ctx context.Context, cancel context.CancelFunc, g Le
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			status, err := wk.post(ctx, "/api/v1/leases/"+g.ID+"/heartbeat", struct{}{}, nil)
+			status, err := wk.coord.requestJSON(ctx, http.MethodPost, "/api/v1/leases/"+g.ID+"/heartbeat", struct{}{}, nil)
 			if status == http.StatusGone {
 				wk.logf("lease %s: expired under us, abandoning", g.ID)
 				cancel()
@@ -232,81 +226,15 @@ func (wk *Worker) heartbeat(ctx context.Context, cancel context.CancelFunc, g Le
 // refusing the submission — in every case the right move is to stop
 // this lease and claim a new one.
 func (wk *Worker) submit(ctx context.Context, leaseID string, tr TaskResult) bool {
-	for attempt := 0; ; attempt++ {
-		status, err := wk.post(ctx, "/api/v1/leases/"+leaseID+"/results",
-			resultsRequest{Results: []TaskResult{tr}}, nil)
-		switch {
-		case err == nil:
-			return true
-		case status == http.StatusGone:
-			wk.logf("lease %s: gone, result for %s discarded", leaseID, tr.Task)
-			return false
-		case status != 0: // other HTTP error: not transient
-			wk.logf("lease %s: submit %s rejected: %v", leaseID, tr.Task, err)
-			return false
-		}
-		if attempt+1 >= retryAttempts {
-			wk.logf("lease %s: giving up submitting %s: %v", leaseID, tr.Task, err)
-			return false // lease expires, work requeues
-		}
-		if !sleepCtx(ctx, backoffDelay(attempt, retryBackoff, retryCap)) {
-			return false
-		}
+	status, err := wk.coord.doJSON(ctx, http.MethodPost, "/api/v1/leases/"+leaseID+"/results",
+		resultsRequest{Results: []TaskResult{tr}}, nil)
+	switch {
+	case err == nil:
+		return true
+	case status == http.StatusGone:
+		wk.logf("lease %s: gone, result for %s discarded", leaseID, tr.Task)
+	default: // rejected or unreachable for good: the lease expires, the work requeues
+		wk.logf("lease %s: submitting %s failed: %v", leaseID, tr.Task, err)
 	}
-}
-
-// post performs one JSON POST. The returned status is non-zero whenever
-// an HTTP response arrived, so callers can branch on 410 vs transport
-// failure.
-func (wk *Worker) post(ctx context.Context, path string, in, out any) (int, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return 0, fmt.Errorf("srv: encode %s: %w", path, err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, wk.base+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, fmt.Errorf("srv: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := wk.hc.Do(req)
-	if err != nil {
-		return 0, fmt.Errorf("srv: POST %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return resp.StatusCode, fmt.Errorf("srv: POST %s: %s: %s", path, resp.Status, errBody(resp.Body))
-	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("srv: decode %s response: %w", path, err)
-		}
-	} else {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for connection reuse
-	}
-	return resp.StatusCode, nil
-}
-
-// key computes the point's store key locally — the same content hash
-// the coordinator uses, but never trusted off the wire.
-func (wk *Worker) key(cfg dragonfly.Config) string {
-	if wk.store == nil {
-		return ""
-	}
-	return wk.store.Key(cfg)
-}
-
-func (wk *Worker) storeGet(key string) (dragonfly.Result, bool) {
-	if wk.store == nil || key == "" {
-		return dragonfly.Result{}, false
-	}
-	return wk.store.Get(key)
-}
-
-func (wk *Worker) storePut(key string, cfg dragonfly.Config, res dragonfly.Result) {
-	if wk.store == nil || key == "" {
-		return
-	}
-	if err := wk.store.Put(key, cfg, res); err != nil {
-		wk.logf("store put %s: %v", key[:12], err)
-	}
+	return false
 }

@@ -63,21 +63,21 @@ type Runner interface {
 	Run(ctx context.Context, camp exp.Campaign, opt exp.Options) ([]exp.Outcome, error)
 }
 
-// exec runs the campaign and folds the outcomes into series. The campaign
-// must be series-major: len(series)*pointsPer points, the outcomes of
-// series si occupying indices [si*pointsPer, (si+1)*pointsPer) — the
-// layout exp.Matrix generates when the series axes precede the x axis.
-// The returned error joins every per-point failure; the series are
-// complete (failed points carry their error) even when it is non-nil.
-func exec(camp exp.Campaign, series []Series, pointsPer int, opt Options) ([]Series, error) {
+// Run executes a campaign under the sweep options — in-process on
+// exp.Run, or on opt.Remote — and returns the outcomes in campaign
+// order. The returned error joins any campaign-level failure with every
+// per-point failure; the outcomes are complete (failed points carry
+// their error) even when it is non-nil.
+func Run(camp exp.Campaign, opt Options) ([]exp.Outcome, error) {
 	eopt := exp.Options{
 		Workers:        opt.Parallelism,
 		Cache:          opt.Cache,
 		JSONL:          opt.JSONL,
 		CanonicalJSONL: true,
 	}
+	run := exp.Run
 	if opt.Remote != nil {
-		eopt.Cache = nil
+		run, eopt.Cache = opt.Remote.Run, nil
 	}
 	if opt.Progress != nil {
 		eopt.Progress = func(pr exp.Progress) {
@@ -89,19 +89,24 @@ func exec(camp exp.Campaign, series []Series, pointsPer int, opt Options) ([]Ser
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	run := exp.Run
-	if opt.Remote != nil {
-		run = opt.Remote.Run
-	}
 	outs, runErr := run(ctx, camp, eopt)
+	if err := errors.Join(runErr, exp.PointErrors(outs)); err != nil {
+		return outs, fmt.Errorf("sweep: %w", err)
+	}
+	return outs, nil
+}
+
+// exec runs the campaign and folds the outcomes into series. The campaign
+// must be series-major: len(series)*pointsPer points, the outcomes of
+// series si occupying indices [si*pointsPer, (si+1)*pointsPer) — the
+// layout exp.Matrix generates when the series axes precede the x axis.
+func exec(camp exp.Campaign, series []Series, pointsPer int, opt Options) ([]Series, error) {
+	outs, err := Run(camp, opt)
 	for _, o := range outs {
 		si, pi := o.Index/pointsPer, o.Index%pointsPer
 		series[si].Points[pi] = Point{X: o.Point.X, Result: o.Result, Err: o.Err}
 	}
-	if err := errors.Join(runErr, exp.PointErrors(outs)); err != nil {
-		return series, fmt.Errorf("sweep: %w", err)
-	}
-	return series, nil
+	return series, err
 }
 
 // newSeries allocates one empty curve per name, pointsPer points each.

@@ -182,3 +182,38 @@ func TestSweepCancellation(t *testing.T) {
 		t.Fatal("canceled point has no error")
 	}
 }
+
+// remoteStub is a Runner that records the options it was handed.
+type remoteStub struct{ got exp.Options }
+
+func (r *remoteStub) Run(ctx context.Context, camp exp.Campaign, opt exp.Options) ([]exp.Outcome, error) {
+	r.got = opt
+	outs := make([]exp.Outcome, len(camp.Points))
+	for i := range outs {
+		outs[i] = exp.Outcome{Index: i, Point: camp.Points[i]}
+	}
+	return outs, nil
+}
+
+// TestRunRemoteDropsLocalCache pins the option mapping every sweep and
+// paperfigs' transient figure share: a remote run executes on the
+// Runner, in canonical JSONL mode, and never consults the local cache —
+// the server has its own store.
+func TestRunRemoteDropsLocalCache(t *testing.T) {
+	cache, err := exp.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := &remoteStub{}
+	camp := exp.NewMatrix(tinyBase()).Mechanisms(dragonfly.Minimal).Loads(0.1, 0.3).Campaign("stub")
+	outs, err := Run(camp, Options{Parallelism: 3, Cache: cache, Remote: remote})
+	if err != nil || len(outs) != 2 {
+		t.Fatalf("Run = %d outcomes, %v", len(outs), err)
+	}
+	if remote.got.Cache != nil || !remote.got.CanonicalJSONL || remote.got.Workers != 3 {
+		t.Fatalf("remote run got options %+v", remote.got)
+	}
+	if hits, misses := cache.Stats(); hits+misses != 0 {
+		t.Fatalf("remote run touched the local cache: %d hits, %d misses", hits, misses)
+	}
+}
