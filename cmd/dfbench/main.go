@@ -38,7 +38,6 @@ import (
 	"os/signal"
 	"runtime"
 	"sort"
-	"time"
 
 	dragonfly "repro"
 	"repro/internal/cliutil"
@@ -169,85 +168,11 @@ func main() {
 		Measure:    *measure,
 	}
 
-	// The custom runner times the stepping loop itself (build excluded)
-	// and keeps the fastest of -reps repetitions: the simulation is
-	// deterministic, so repetitions only sample scheduler and cache noise
-	// and the minimum is the cleanest estimate.
-	walls := make([]float64, len(camp.Points))
-	cycles := make([]int64, len(camp.Points))
-	allocBytes := make([]uint64, len(camp.Points))
-	allocs := make([]uint64, len(camp.Points))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	opt := exp.Options{
-		Workers: *par,
-		Run: func(ctx context.Context, index int, p exp.Point) (dragonfly.Result, error) {
-			var best dragonfly.Result
-			var ms0, ms1 runtime.MemStats
-			for i := 0; i < *reps; i++ {
-				sim, err := dragonfly.Prepare(p.Config)
-				if err != nil {
-					return dragonfly.Result{}, err
-				}
-				// Allocation accounting brackets the stepping phase only
-				// (Prepare excluded); both ReadMemStats probes sit outside
-				// the wall-clock window.
-				runtime.ReadMemStats(&ms0)
-				start := time.Now()
-				res, err := sim.RunContext(ctx)
-				wall := time.Since(start).Seconds()
-				if err != nil {
-					return dragonfly.Result{}, err
-				}
-				runtime.ReadMemStats(&ms1)
-				if i == 0 || wall < walls[index] {
-					// Cycles actually simulated: warmup+measure unless a
-					// watchdog ended the run early, in which case the
-					// throughput covers the truncated run.
-					walls[index], cycles[index], best = wall, sim.Cycles(), res
-					allocBytes[index] = ms1.TotalAlloc - ms0.TotalAlloc
-					allocs[index] = ms1.Mallocs - ms0.Mallocs
-				}
-			}
-			return best, nil
-		},
-	}
-	if *verbose {
-		opt.Progress = func(pr exp.Progress) {
-			o := pr.Outcome
-			if o.Err != nil {
-				fmt.Fprintf(os.Stderr, "[%d/%d] %s: %v\n", pr.Done, pr.Total, o.Point.Series, o.Err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s: %.0f cycles/s\n",
-				pr.Done, pr.Total, o.Point.Series, float64(cycles[o.Index])/walls[o.Index])
-		}
-	}
-	outs, runErr := exp.Run(ctx, camp, opt)
-	cliutil.FatalIf(runErr)
-	cliutil.FatalIf(exp.PointErrors(outs))
-	for _, o := range outs {
-		cfg, res := o.Point.Config, o.Result
-		rep.Points = append(rep.Points, Point{
-			H:         cfg.H,
-			Flow:      cfg.FlowControl.String(),
-			Mechanism: res.Mechanism,
-			Pattern:   res.Pattern,
-			Load:      cfg.Load,
-			Workers:   cfg.Workers,
-
-			Cycles:       cycles[o.Index],
-			WallSeconds:  walls[o.Index],
-			CyclesPerSec: float64(cycles[o.Index]) / walls[o.Index],
-			PhitsMoved:   res.PhitsMoved,
-			PhitsPerSec:  float64(res.PhitsMoved) / walls[o.Index],
-			AllocBytes:   allocBytes[o.Index],
-			Allocs:       allocs[o.Index],
-
-			AcceptedLoad: res.AcceptedLoad,
-			Deadlock:     res.Deadlock,
-		})
-	}
+	pts, err := runTimed(ctx, camp, *par, *reps, false, *verbose)
+	cliutil.FatalIf(err)
+	rep.Points = pts
 
 	if *scale {
 		pts, err := runScale(ctx, *reps, *verbose)
@@ -308,50 +233,38 @@ func runScale(ctx context.Context, reps int, verbose bool) ([]Point, error) {
 			func(c *dragonfly.Config, i int) { c.Workers = workerSet[i] }).
 		Campaign("dfbench-scale")
 
-	walls := make([]float64, len(camp.Points))
-	cycles := make([]int64, len(camp.Points))
-	heap := make([]uint64, len(camp.Points))
+	// Strictly one point at a time: a second h=16 network in flight would
+	// double the peak heap and corrupt both timings.
+	return runTimed(ctx, camp, 1, reps, true, verbose)
+}
+
+// runTimed drives camp through exp.Run with cliutil.BestOf as the point
+// runner — the stepping loop timed on its own (Prepare excluded), fastest
+// of reps — and returns one report row per point, in campaign order.
+// liveHeap adds heap_bytes to every row.
+func runTimed(ctx context.Context, camp exp.Campaign, par, reps int, liveHeap, verbose bool) ([]Point, error) {
+	timed := make([]cliutil.Timed, len(camp.Points))
 	opt := exp.Options{
-		// Strictly one point at a time: a second h=16 network in flight
-		// would double the peak heap and corrupt both timings.
-		Workers: 1,
+		Workers: par,
 		Run: func(ctx context.Context, index int, p exp.Point) (dragonfly.Result, error) {
-			var best dragonfly.Result
-			var ms runtime.MemStats
-			for i := 0; i < reps; i++ {
-				sim, err := dragonfly.Prepare(p.Config)
-				if err != nil {
-					return dragonfly.Result{}, err
-				}
-				start := time.Now()
-				res, err := sim.RunContext(ctx)
-				wall := time.Since(start).Seconds()
-				if err != nil {
-					return dragonfly.Result{}, err
-				}
-				// Live heap with the simulator still reachable: what the
-				// network state costs, lazily-allocated buffers included.
-				runtime.GC()
-				runtime.ReadMemStats(&ms)
-				if i == 0 || wall < walls[index] {
-					walls[index], cycles[index], best = wall, sim.Cycles(), res
-					heap[index] = ms.HeapAlloc
-				}
-				runtime.KeepAlive(sim)
-			}
-			return best, nil
+			var err error
+			timed[index], err = cliutil.BestOf(ctx, p.Config, reps, liveHeap)
+			return timed[index].Result, err
 		},
 	}
 	if verbose {
 		opt.Progress = func(pr exp.Progress) {
 			o := pr.Outcome
 			if o.Err != nil {
-				fmt.Fprintf(os.Stderr, "[scale %d/%d] %s: %v\n", pr.Done, pr.Total, o.Point.Series, o.Err)
+				fmt.Fprintf(os.Stderr, "[%s %d/%d] %s: %v\n", camp.Name, pr.Done, pr.Total, o.Point.Series, o.Err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "[scale %d/%d] %s: %.0f cycles/s, %.0f MiB\n",
-				pr.Done, pr.Total, o.Point.Series,
-				float64(cycles[o.Index])/walls[o.Index], float64(heap[o.Index])/(1<<20))
+			tm := timed[o.Index]
+			fmt.Fprintf(os.Stderr, "[%s %d/%d] %s: %.0f cycles/s", camp.Name, pr.Done, pr.Total, o.Point.Series, tm.CyclesPerSec())
+			if liveHeap {
+				fmt.Fprintf(os.Stderr, ", %.0f MiB", float64(tm.HeapBytes)/(1<<20))
+			}
+			fmt.Fprintln(os.Stderr)
 		}
 	}
 	outs, err := exp.Run(ctx, camp, opt)
@@ -361,29 +274,35 @@ func runScale(ctx context.Context, reps int, verbose bool) ([]Point, error) {
 	if err := exp.PointErrors(outs); err != nil {
 		return nil, err
 	}
-	pts := make([]Point, 0, len(outs))
-	for _, o := range outs {
-		cfg, res := o.Point.Config, o.Result
-		pts = append(pts, Point{
-			H:         cfg.H,
-			Flow:      cfg.FlowControl.String(),
-			Mechanism: res.Mechanism,
-			Pattern:   res.Pattern,
-			Load:      cfg.Load,
-			Workers:   cfg.Workers,
-
-			Cycles:       cycles[o.Index],
-			WallSeconds:  walls[o.Index],
-			CyclesPerSec: float64(cycles[o.Index]) / walls[o.Index],
-			PhitsMoved:   res.PhitsMoved,
-			PhitsPerSec:  float64(res.PhitsMoved) / walls[o.Index],
-			HeapBytes:    heap[o.Index],
-
-			AcceptedLoad: res.AcceptedLoad,
-			Deadlock:     res.Deadlock,
-		})
+	pts := make([]Point, len(outs))
+	for i, o := range outs {
+		pts[i] = newPoint(o.Point.Config, timed[o.Index])
 	}
 	return pts, nil
+}
+
+// newPoint builds the report row of one timed point.
+func newPoint(cfg dragonfly.Config, tm cliutil.Timed) Point {
+	return Point{
+		H:         cfg.H,
+		Flow:      cfg.FlowControl.String(),
+		Mechanism: tm.Result.Mechanism,
+		Pattern:   tm.Result.Pattern,
+		Load:      cfg.Load,
+		Workers:   cfg.Workers,
+
+		Cycles:       tm.Cycles,
+		WallSeconds:  tm.WallSeconds,
+		CyclesPerSec: tm.CyclesPerSec(),
+		PhitsMoved:   tm.Result.PhitsMoved,
+		PhitsPerSec:  float64(tm.Result.PhitsMoved) / tm.WallSeconds,
+		AllocBytes:   tm.AllocBytes,
+		Allocs:       tm.Allocs,
+		HeapBytes:    tm.HeapBytes,
+
+		AcceptedLoad: tm.Result.AcceptedLoad,
+		Deadlock:     tm.Result.Deadlock,
+	}
 }
 
 // pointKey identifies a matrix point across reports.

@@ -22,7 +22,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -477,38 +476,17 @@ func (e *env) figScaling(ctx context.Context) error {
 			cfg.Traffic = dragonfly.Traffic{Kind: dragonfly.UN}
 			cfg.Load = 0.05
 			cfg.Workers = w
-			var best float64
-			var heap uint64
-			var res dragonfly.Result
-			for r := 0; r < scaleReps; r++ {
-				sim, err := dragonfly.Prepare(cfg)
-				if err != nil {
-					return err
-				}
-				start := time.Now()
-				rr, err := sim.RunContext(ctx)
-				wall := time.Since(start).Seconds()
-				if err != nil {
-					return err
-				}
-				// Live heap with the simulator still reachable: the
-				// resident cost of the network state, lazy buffers
-				// included.
-				var ms runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&ms)
-				if r == 0 || wall < best {
-					best, heap, res = wall, ms.HeapAlloc, rr
-					cps[[2]int{h, w}] = float64(sim.Cycles()) / wall
-				}
-				runtime.KeepAlive(sim)
+			tm, err := cliutil.BestOf(ctx, cfg, scaleReps, true)
+			if err != nil {
+				return err
 			}
+			cps[[2]int{h, w}] = tm.CyclesPerSec()
 			if w == 1 {
-				bytesPerNode[h] = float64(heap) / float64(nodes)
+				bytesPerNode[h] = float64(tm.HeapBytes) / float64(nodes)
 			}
 			if e.opt.Progress != nil {
 				e.opt.Progress(fmt.Sprintf("scaling h=%d w=%d", h, w),
-					sweep.Point{X: float64(h), Result: res})
+					sweep.Point{X: float64(h), Result: tm.Result})
 			}
 		}
 	}

@@ -26,9 +26,10 @@
 package dragonfly
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -429,111 +430,27 @@ type Config struct {
 	Watchdog int64
 }
 
-// Result is the digest of one run; fields mirror the paper's reported
-// metrics.
-type Result struct {
-	Mechanism   string
-	Pattern     string
-	FlowControl string
-	OfferedLoad float64 // phits/(node·cycle)
+// The result types are aliases of the engine's own: a run's digest reaches
+// the caller, the caches and the wire exactly as the engine wrote it, with
+// no per-point translation. Their fields are documented once, on the
+// aliased types — `go doc repro/internal/metrics Result` and friends.
 
-	AcceptedLoad      float64 // phits/(node·cycle) delivered
-	AvgTotalLatency   float64 // generation -> delivery, cycles
-	AvgNetworkLatency float64 // injection -> delivery, cycles
-	P50Latency        float64
-	P99Latency        float64
+// Result is the digest of one run; its fields mirror the paper's reported
+// metrics (accepted load, latencies, misroute rates, burst drain time) plus
+// the packet-conservation counters. Fields: see metrics.Result.
+type Result = metrics.Result
 
-	AvgLocalHops       float64
-	AvgGlobalHops      float64
-	LocalMisrouteRate  float64 // local misroutes per delivered packet
-	GlobalMisrouteRate float64 // Valiant commitments per delivered packet
-	EscapeHopRate      float64 // OFAR escape-ring hops per delivered packet
+// Window is one fixed-width snapshot of a run's Timeline. Fields: see
+// metrics.Window.
+type Window = metrics.Window
 
-	Delivered     int64
-	Generated     int64
-	InjectionLost int64
-	// Suppressed counts generation events suppressed at the source
-	// because the node's router was dead at the time — parked capacity,
-	// separate from in-network drops (always zero without router
-	// failures). Conservation: Generated == Injected + InjectionLost +
-	// Suppressed.
-	Suppressed int64 `json:",omitempty"`
-	// FaultDrops counts packets discarded in-network because link
-	// failures left them without a surviving route (always zero on
-	// fault-free runs).
-	FaultDrops int64
-	Cycles     int64
-	Nodes      int
-
-	// PhitsMoved is the total number of crossbar phit movements over the
-	// whole run (warmup included) — the engine's raw unit of work.
-	PhitsMoved int64
-
-	LocalLinkUtil  float64
-	GlobalLinkUtil float64
-
-	// ConsumptionCycles is the burst drain time (burst runs only).
-	ConsumptionCycles int64
-	// Deadlock reports that the watchdog detected no forward progress.
-	Deadlock bool
-
-	// Timeline is the windowed time series of the run (nil unless
-	// Config.WindowCycles was positive).
-	Timeline *Timeline `json:",omitempty"`
-	// PhaseDigests summarizes each workload phase separately (nil for
-	// single-phase runs).
-	PhaseDigests []PhaseDigest `json:",omitempty"`
-}
-
-// Window is one fixed-width snapshot of a run's Timeline: the packets
-// delivered (and generation events) in [Start, End) on the absolute
-// simulation clock, warmup included.
-type Window struct {
-	Start int64
-	End   int64
-
-	AcceptedLoad       float64 // phits/(node·cycle) delivered in the window
-	AvgTotalLatency    float64 // of packets delivered in the window; 0 when none
-	P99Latency         float64
-	LocalMisrouteRate  float64
-	GlobalMisrouteRate float64
-
-	Delivered     int64
-	Generated     int64
-	InjectionLost int64
-	Suppressed    int64 `json:",omitempty"`
-	FaultDrops    int64
-}
-
-// Timeline is a run's windowed time series — the raw material of the
-// transient traffic-change figures.
-type Timeline struct {
-	WindowCycles int64
-	Windows      []Window
-}
+// Timeline is a run's windowed time series, present in a Result when
+// Config.WindowCycles is positive. Fields: see metrics.Timeline.
+type Timeline = metrics.Timeline
 
 // PhaseDigest summarizes the packets generated during one workload phase,
-// wherever in the run they were delivered. AcceptedLoad normalizes by the
-// phase's activity span and its job's node count.
-type PhaseDigest struct {
-	Index int
-	Label string
-	Nodes int
-	Start int64
-	End   int64
-
-	AcceptedLoad       float64
-	AvgTotalLatency    float64
-	AvgNetworkLatency  float64
-	LocalMisrouteRate  float64
-	GlobalMisrouteRate float64
-
-	Generated     int64
-	InjectionLost int64
-	Suppressed    int64 `json:",omitempty"`
-	Delivered     int64
-	FaultDrops    int64
-}
+// wherever in the run they were delivered. Fields: see metrics.PhaseDigest.
+type PhaseDigest = metrics.PhaseDigest
 
 // normalize fills defaults; it returns a copy.
 func (c Config) normalize() Config {
@@ -601,6 +518,13 @@ func (c Config) Validate() error {
 	c = c.normalize()
 	if c.H < 1 {
 		return fmt.Errorf("dragonfly: h must be >= 1, got %d", c.H)
+	}
+	if c.H > ScaleH16 {
+		// Checked here, before anything is sized from H: the workload tables
+		// alone grow as h⁴, so an absurd H would exhaust memory in Prepare
+		// long before the engine's own port check could reject it.
+		return fmt.Errorf("dragonfly: h=%d: %d ports per router exceeds the 63-port activity-mask limit (h <= %d)",
+			c.H, 4*c.H-1, ScaleH16)
 	}
 	if c.WindowCycles < 0 {
 		return fmt.Errorf("dragonfly: negative WindowCycles %d", c.WindowCycles)
@@ -861,8 +785,10 @@ func (c Config) Canonical() Config {
 	}
 	if c.Faults.empty() {
 		c.Faults = nil // a pristine network hashes like no spec at all
-	} else {
-		c.Faults = c.Faults.canonical(c.H)
+	} else if p, err := topology.New(c.H); err == nil {
+		// (An H with no topology keeps the spec as spelled; Validate rejects
+		// such a config, so nothing is ever keyed on it.)
+		c.Faults = c.Faults.canonical(p)
 	}
 	if !c.Faults.dynamic() {
 		// Staleness only delays the routing view of mid-run changes;
@@ -886,146 +812,86 @@ func canonicalLink(p *topology.P, l LinkID) LinkID {
 	return l
 }
 
-// canonical returns the spec with links named from their lower-id end,
-// duplicates removed, links sorted, events ordered by (cycle, link, kills
-// first) — the order compile feeds the engine — and router, bundle and
-// flap lists normalized, deduplicated and sorted, so two spellings of one
-// scenario hash and simulate identically.
-func (f *FaultSpec) canonical(h int) *FaultSpec {
-	out := &FaultSpec{GlobalFraction: f.GlobalFraction, LocalFraction: f.LocalFraction}
-	p, err := topology.New(h)
-	if err != nil {
-		out.Links = append([]LinkID(nil), f.Links...)
-		out.Events = append([]FaultEvent(nil), f.Events...)
-		out.Routers = append([]RouterFault(nil), f.Routers...)
-		out.Bundles = append([]BundleFault(nil), f.Bundles...)
-		out.Flaps = append([]FlapSpec(nil), f.Flaps...)
-		return out
+// sortedCopy returns a copy of in with every element passed through norm
+// and the result ordered by order (which must break every tie, so equal
+// means identical) — the one shape every FaultSpec list takes on its way to
+// canonical form. Lists whose exact duplicates are mere spelling pass the
+// result through slices.Compact.
+func sortedCopy[T any](in []T, norm func(T) T, order func(a, b T) int) []T {
+	if len(in) == 0 {
+		return nil
 	}
-	seen := make(map[LinkID]bool, len(f.Links))
-	for _, l := range f.Links {
-		cl := canonicalLink(p, l)
-		if !seen[cl] {
-			seen[cl] = true
-			out.Links = append(out.Links, cl)
-		}
+	out := make([]T, len(in))
+	for i, v := range in {
+		out[i] = norm(v)
 	}
-	sort.Slice(out.Links, func(i, j int) bool {
-		a, b := out.Links[i], out.Links[j]
-		if a.Router != b.Router {
-			return a.Router < b.Router
-		}
-		return a.Port < b.Port
-	})
-	if len(f.Events) > 0 {
-		out.Events = make([]FaultEvent, len(f.Events))
-		for i, ev := range f.Events {
-			ev.Link = canonicalLink(p, ev.Link)
-			out.Events[i] = ev
-		}
-		sort.SliceStable(out.Events, func(i, j int) bool {
-			a, b := out.Events[i], out.Events[j]
-			if a.At != b.At {
-				return a.At < b.At
-			}
-			if a.Link.Router != b.Link.Router {
-				return a.Link.Router < b.Link.Router
-			}
-			if a.Link.Port != b.Link.Port {
-				return a.Link.Port < b.Link.Port
-			}
-			return !a.Repair && b.Repair
-		})
-	}
-	if len(f.Routers) > 0 {
-		rs := make([]RouterFault, len(f.Routers))
-		for i, rf := range f.Routers {
-			if rf.At < 0 {
-				rf.At = 0 // "failed from the start" has one spelling
-			}
-			rs[i] = rf
-		}
-		sort.Slice(rs, func(i, j int) bool {
-			a, b := rs[i], rs[j]
-			if a.Router != b.Router {
-				return a.Router < b.Router
-			}
-			if a.At != b.At {
-				return a.At < b.At
-			}
-			return a.Until < b.Until
-		})
-		for i, rf := range rs {
-			if i == 0 || rf != rs[i-1] {
-				out.Routers = append(out.Routers, rf)
-			}
-		}
-	}
-	if len(f.Bundles) > 0 {
-		bs := make([]BundleFault, len(f.Bundles))
-		for i, b := range f.Bundles {
-			if b.First > b.Last {
-				b.First, b.Last = b.Last, b.First
-			}
-			if b.At < 0 {
-				b.At = 0
-			}
-			bs[i] = b
-		}
-		sort.Slice(bs, func(i, j int) bool {
-			a, b := bs[i], bs[j]
-			if a.Group != b.Group {
-				return a.Group < b.Group
-			}
-			if a.First != b.First {
-				return a.First < b.First
-			}
-			if a.Last != b.Last {
-				return a.Last < b.Last
-			}
-			if a.At != b.At {
-				return a.At < b.At
-			}
-			return a.Until < b.Until
-		})
-		for i, b := range bs {
-			if i == 0 || b != bs[i-1] {
-				out.Bundles = append(out.Bundles, b)
-			}
-		}
-	}
-	if len(f.Flaps) > 0 {
-		fs := make([]FlapSpec, len(f.Flaps))
-		for i, fl := range f.Flaps {
-			fl.Link = canonicalLink(p, fl.Link)
-			fs[i] = fl
-		}
-		sort.Slice(fs, func(i, j int) bool {
-			a, b := fs[i], fs[j]
-			if a.Link.Router != b.Link.Router {
-				return a.Link.Router < b.Link.Router
-			}
-			if a.Link.Port != b.Link.Port {
-				return a.Link.Port < b.Link.Port
-			}
-			if a.At != b.At {
-				return a.At < b.At
-			}
-			if a.Period != b.Period {
-				return a.Period < b.Period
-			}
-			if a.Down != b.Down {
-				return a.Down < b.Down
-			}
-			return a.Count < b.Count
-		})
-		for i, fl := range fs {
-			if i == 0 || fl != fs[i-1] {
-				out.Flaps = append(out.Flaps, fl)
-			}
-		}
-	}
+	slices.SortFunc(out, order)
 	return out
+}
+
+// compareLinks orders links by router, then port.
+func compareLinks(a, b LinkID) int {
+	return cmp.Or(cmp.Compare(a.Router, b.Router), cmp.Compare(a.Port, b.Port))
+}
+
+// compareEvents is the order fault events reach the engine in: by cycle,
+// then router, then port (WholeRouter, -1, sorts first), a kill before a
+// repair of the same link in the same cycle.
+func compareEvents(a, b engine.FaultEvent) int {
+	killFirst := 0
+	if a.Repair != b.Repair {
+		killFirst = -1
+		if a.Repair {
+			killFirst = 1
+		}
+	}
+	return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Router, b.Router), cmp.Compare(a.Port, b.Port), killFirst)
+}
+
+// engine spells a link event the engine's way.
+func (ev FaultEvent) engine() engine.FaultEvent {
+	return engine.FaultEvent{At: ev.At, Repair: ev.Repair, Router: ev.Link.Router, Port: ev.Link.Port}
+}
+
+// canonical returns the spec with links named from their lower-id end,
+// duplicates removed, links sorted, events ordered as compile feeds them to
+// the engine (exact-duplicate events are kept: applying one twice is
+// harmless, and cache keys have always counted both), and router, bundle
+// and flap lists normalized, deduplicated and sorted, so two spellings of
+// one scenario hash and simulate identically. p must be the topology of
+// the spec's Config.H.
+func (f *FaultSpec) canonical(p *topology.P) *FaultSpec {
+	link := func(l LinkID) LinkID { return canonicalLink(p, l) }
+	return &FaultSpec{
+		GlobalFraction: f.GlobalFraction,
+		LocalFraction:  f.LocalFraction,
+		Links:          slices.Compact(sortedCopy(f.Links, link, compareLinks)),
+		Events: sortedCopy(f.Events,
+			func(ev FaultEvent) FaultEvent { ev.Link = link(ev.Link); return ev },
+			func(a, b FaultEvent) int { return compareEvents(a.engine(), b.engine()) }),
+		Routers: slices.Compact(sortedCopy(f.Routers,
+			// "Failed from the start" has one spelling: cycle 0.
+			func(rf RouterFault) RouterFault { rf.At = max(rf.At, 0); return rf },
+			func(a, b RouterFault) int {
+				return cmp.Or(cmp.Compare(a.Router, b.Router), cmp.Compare(a.At, b.At), cmp.Compare(a.Until, b.Until))
+			})),
+		Bundles: slices.Compact(sortedCopy(f.Bundles,
+			func(b BundleFault) BundleFault {
+				b.First, b.Last = min(b.First, b.Last), max(b.First, b.Last)
+				b.At = max(b.At, 0)
+				return b
+			},
+			func(a, b BundleFault) int {
+				return cmp.Or(cmp.Compare(a.Group, b.Group), cmp.Compare(a.First, b.First), cmp.Compare(a.Last, b.Last),
+					cmp.Compare(a.At, b.At), cmp.Compare(a.Until, b.Until))
+			})),
+		Flaps: slices.Compact(sortedCopy(f.Flaps,
+			func(fl FlapSpec) FlapSpec { fl.Link = link(fl.Link); return fl },
+			func(a, b FlapSpec) int {
+				return cmp.Or(compareLinks(a.Link, b.Link), cmp.Compare(a.At, b.At), cmp.Compare(a.Period, b.Period),
+					cmp.Compare(a.Down, b.Down), cmp.Compare(a.Count, b.Count))
+			})),
+	}
 }
 
 // partitionError renders the witness of a failed connectivity probe: the
@@ -1044,7 +910,7 @@ func partitionError(set *topology.FaultSet, a, b int, when string) error {
 // the whole schedule checked for connectivity (a partitioned network
 // cannot be simulated meaningfully, so such configs are rejected here).
 func (f *FaultSpec) compile(p *topology.P, seed uint64) (*topology.FaultSet, []engine.FaultEvent, error) {
-	cf := f.canonical(p.H)
+	cf := f.canonical(p)
 	set := topology.NewFaultSet(p)
 	if cf.GlobalFraction > 0 || cf.LocalFraction > 0 {
 		if err := topology.RandomFaults(set, cf.GlobalFraction, cf.LocalFraction, seed); err != nil {
@@ -1102,24 +968,11 @@ func (f *FaultSpec) compile(p *topology.P, seed uint64) (*topology.FaultSet, []e
 		}
 	}
 	for _, ev := range cf.Events {
-		link(ev.At, ev.Repair, ev.Link.Router, ev.Link.Port)
+		evs = append(evs, ev.engine())
 	}
-	// Merge order mirrors the canonical event order — (cycle, router, port
-	// with whole-router events first, kills before repairs) — so every
-	// expansion of one scenario feeds the engine the same stream.
-	sort.SliceStable(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Router != b.Router {
-			return a.Router < b.Router
-		}
-		if a.Port != b.Port {
-			return a.Port < b.Port
-		}
-		return !a.Repair && b.Repair
-	})
+	// Merge order is the canonical event order, so every expansion of one
+	// scenario feeds the engine the same stream.
+	slices.SortFunc(evs, compareEvents)
 	if a, b, part := set.Partition(); part {
 		return nil, nil, partitionError(set, a, b, "fault set would")
 	}
@@ -1153,20 +1006,20 @@ func (f *FaultSpec) compile(p *topology.P, seed uint64) (*topology.FaultSet, []e
 	return set, evs, nil
 }
 
-// Build validates the configuration and assembles the simulator inputs.
-// Most callers use Run; Build is exposed for tools that need the topology.
-func (c Config) build() (engine.Config, *topology.P, error) {
+// build validates the configuration and assembles the engine's inputs:
+// topology, compiled workload and compiled fault schedule.
+func (c Config) build() (engine.Config, error) {
 	c = c.normalize()
 	if err := c.Validate(); err != nil {
-		return engine.Config{}, nil, err
+		return engine.Config{}, err
 	}
 	p, err := topology.New(c.H)
 	if err != nil {
-		return engine.Config{}, nil, err
+		return engine.Config{}, err
 	}
 	w, err := c.buildWorkload(p)
 	if err != nil {
-		return engine.Config{}, nil, err
+		return engine.Config{}, err
 	}
 	ec := engine.Config{
 		Topo: p,
@@ -1196,12 +1049,12 @@ func (c Config) build() (engine.Config, *topology.P, error) {
 	if !c.Faults.empty() {
 		fs, evs, err := c.Faults.compile(p, c.Seed)
 		if err != nil {
-			return engine.Config{}, nil, err
+			return engine.Config{}, err
 		}
 		ec.Faults = fs
 		ec.FaultEvents = evs
 	}
-	return ec, p, nil
+	return ec, nil
 }
 
 // buildWorkload assembles the compiled traffic.Workload behind whichever
@@ -1273,19 +1126,22 @@ func buildPattern(p *topology.P, tr Traffic) (traffic.Pattern, error) {
 	return nil, fmt.Errorf("dragonfly: unknown traffic kind %d", tr.Kind)
 }
 
-// Sim is a prepared simulation: topology built, buffers and link rings
-// allocated, ready to run exactly once. Prepare/Run separate construction
+// Sim is a prepared simulation: topology, routing tables and routers built,
+// ready to run exactly once (per-VC buffers and link rings are allocated
+// lazily, on first use during the run). Prepare/Run separate construction
 // cost from stepping cost so tools (cmd/dfbench in particular) can time
-// the engine without the allocator.
+// the two apart.
 type Sim struct {
 	sim *engine.Sim
-	cfg Config
+	// offered becomes Result.OfferedLoad: the engine sees a compiled
+	// workload, not the load it was asked for.
+	offered float64
 }
 
 // Prepare validates the configuration and builds the network without
 // running it.
 func Prepare(c Config) (*Sim, error) {
-	ec, _, err := c.build()
+	ec, err := c.build()
 	if err != nil {
 		return nil, err
 	}
@@ -1293,7 +1149,7 @@ func Prepare(c Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sim{sim: es, cfg: c.normalize()}, nil
+	return &Sim{sim: es, offered: c.normalize().offeredLoad()}, nil
 }
 
 // Run executes the prepared simulation; like the package-level Run it can
@@ -1306,13 +1162,11 @@ func (s *Sim) Run() (Result, error) {
 // every 1024 cycles and aborts the run with ctx's error, so campaign
 // drivers can stop a simulation mid-point.
 func (s *Sim) RunContext(ctx context.Context) (Result, error) {
-	m, err := s.sim.RunContext(ctx)
+	res, err := s.sim.RunContext(ctx)
 	if err != nil {
 		return Result{}, err
 	}
-	res := fromMetrics(m, s.cfg)
-	res.Timeline = timelineFromMetrics(s.sim.Timeline())
-	res.PhaseDigests = phasesFromMetrics(s.sim.PhaseDigests())
+	res.OfferedLoad = s.offered
 	return res, nil
 }
 
@@ -1347,60 +1201,6 @@ func NetworkSize(h int) (routers, nodes, groups int, err error) {
 	return p.Routers, p.Nodes, p.Groups, nil
 }
 
-// timelineFromMetrics mirrors the internal timeline into the public type.
-func timelineFromMetrics(t *metrics.Timeline) *Timeline {
-	if t == nil {
-		return nil
-	}
-	out := &Timeline{WindowCycles: t.WindowCycles, Windows: make([]Window, len(t.Windows))}
-	for i, w := range t.Windows {
-		out.Windows[i] = Window{
-			Start:              w.Start,
-			End:                w.End,
-			AcceptedLoad:       w.AcceptedLoad,
-			AvgTotalLatency:    w.AvgTotalLatency,
-			P99Latency:         w.P99Latency,
-			LocalMisrouteRate:  w.LocalMisrouteRate,
-			GlobalMisrouteRate: w.GlobalMisrouteRate,
-			Delivered:          w.Delivered,
-			Generated:          w.Generated,
-			InjectionLost:      w.InjectionLost,
-			Suppressed:         w.Suppressed,
-			FaultDrops:         w.FaultDrops,
-		}
-	}
-	return out
-}
-
-// phasesFromMetrics mirrors the internal per-phase digests into the public
-// type.
-func phasesFromMetrics(ds []metrics.PhaseDigest) []PhaseDigest {
-	if len(ds) == 0 {
-		return nil
-	}
-	out := make([]PhaseDigest, len(ds))
-	for i, d := range ds {
-		out[i] = PhaseDigest{
-			Index:              d.Index,
-			Label:              d.Label,
-			Nodes:              d.Nodes,
-			Start:              d.Start,
-			End:                d.End,
-			AcceptedLoad:       d.AcceptedLoad,
-			AvgTotalLatency:    d.AvgTotalLatency,
-			AvgNetworkLatency:  d.AvgNetworkLatency,
-			LocalMisrouteRate:  d.LocalMisrouteRate,
-			GlobalMisrouteRate: d.GlobalMisrouteRate,
-			Generated:          d.Generated,
-			InjectionLost:      d.InjectionLost,
-			Suppressed:         d.Suppressed,
-			Delivered:          d.Delivered,
-			FaultDrops:         d.FaultDrops,
-		}
-	}
-	return out
-}
-
 // offeredLoad is the load reported in Result.OfferedLoad: the configured
 // load for classic and one-phase configurations, zero for multi-phase
 // workloads (whose per-phase loads live in the phase digests).
@@ -1412,35 +1212,4 @@ func (c Config) offeredLoad() float64 {
 		return ph.Load
 	}
 	return 0
-}
-
-func fromMetrics(m metrics.Result, c Config) Result {
-	return Result{
-		Mechanism:          m.Mechanism,
-		Pattern:            m.Pattern,
-		FlowControl:        engine.FlowControl(c.FlowControl).String(),
-		OfferedLoad:        c.offeredLoad(),
-		AcceptedLoad:       m.AcceptedLoad,
-		AvgTotalLatency:    m.AvgTotalLatency,
-		AvgNetworkLatency:  m.AvgNetworkLatency,
-		P50Latency:         m.P50Latency,
-		P99Latency:         m.P99Latency,
-		AvgLocalHops:       m.AvgLocalHops,
-		AvgGlobalHops:      m.AvgGlobalHops,
-		LocalMisrouteRate:  m.LocalMisrouteRate,
-		GlobalMisrouteRate: m.GlobalMisrouteRate,
-		EscapeHopRate:      m.EscapeHopRate,
-		Delivered:          m.Delivered,
-		Generated:          m.Generated,
-		InjectionLost:      m.InjectionLost,
-		Suppressed:         m.Suppressed,
-		FaultDrops:         m.FaultDrops,
-		PhitsMoved:         m.PhitsMoved,
-		Cycles:             m.Cycles,
-		Nodes:              m.Nodes,
-		LocalLinkUtil:      m.LocalLinkUtil,
-		GlobalLinkUtil:     m.GlobalLinkUtil,
-		ConsumptionCycles:  m.ConsumptionCycles,
-		Deadlock:           m.Deadlock,
-	}
 }

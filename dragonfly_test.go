@@ -129,6 +129,24 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsH: Validate is the admission check of every front door,
+// so it must itself refuse sizes the engine cannot run — H=400 used to pass
+// and then exhaust memory inside Prepare.
+func TestValidateBoundsH(t *testing.T) {
+	for _, tc := range []struct {
+		h  int
+		ok bool
+	}{{dragonfly.ScaleH16, true}, {dragonfly.ScaleH16 + 1, false}, {400, false}} {
+		err := dragonfly.Config{H: tc.h, Load: 0.1}.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("Validate(H=%d) = %v, want ok=%v", tc.h, err, tc.ok)
+		}
+	}
+	if _, err := dragonfly.Prepare(dragonfly.Config{H: 400, Load: 0.1}); err == nil {
+		t.Error("Prepare accepted H=400")
+	}
+}
+
 func TestTrafficNames(t *testing.T) {
 	cases := []struct {
 		tr   dragonfly.Traffic

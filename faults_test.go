@@ -1,6 +1,7 @@
 package dragonfly_test
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	dragonfly "repro"
 	"repro/internal/exp"
+	"repro/internal/topology"
 )
 
 // TestFaultSpecValidation covers the new Config.Faults checks.
@@ -245,6 +247,106 @@ func TestFaultCanonicalFixedPoint(t *testing.T) {
 	}
 	if len(once.Faults.Flaps) != 1 {
 		t.Fatalf("duplicate flap survived canonicalization: %+v", once.Faults.Flaps)
+	}
+}
+
+// TestFaultCanonicalSpellings feeds every list of a FaultSpec through
+// Canonical in permuted, duplicated and reversed-end spellings and demands
+// the exact bytes of the reference spelling's canonical JSON — the cache
+// key material — plus the order compile relies on: events sorted by cycle,
+// then link, a same-cycle kill before its repair.
+func TestFaultCanonicalSpellings(t *testing.T) {
+	p := topology.MustNew(2)
+	far := func(l dragonfly.LinkID) dragonfly.LinkID {
+		r, port := p.LinkTarget(l.Router, l.Port)
+		return dragonfly.LinkID{Router: r, Port: port}
+	}
+	// Links named from their higher-id end, so the canonical form must
+	// rename every one of them.
+	la, lb, lc := far(dragonfly.LinkID{Router: 0, Port: 0}), far(dragonfly.LinkID{Router: 2, Port: 3}), far(dragonfly.LinkID{Router: 5, Port: 1})
+	kill := func(at int64, l dragonfly.LinkID) dragonfly.FaultEvent { return dragonfly.FaultEvent{At: at, Link: l} }
+	repair := func(at int64, l dragonfly.LinkID) dragonfly.FaultEvent {
+		return dragonfly.FaultEvent{At: at, Repair: true, Link: l}
+	}
+	flap := func(l dragonfly.LinkID, at int64) dragonfly.FlapSpec {
+		return dragonfly.FlapSpec{Link: l, At: at, Period: 200, Down: 50, Count: 3}
+	}
+	ref := dragonfly.FaultSpec{
+		Links:   []dragonfly.LinkID{far(la), far(lb), far(lc)},
+		Events:  []dragonfly.FaultEvent{kill(300, far(lb)), kill(700, far(la)), repair(700, far(la)), kill(700, far(lc)), repair(900, far(lb))},
+		Routers: []dragonfly.RouterFault{{Router: 4}, {Router: 9, At: 500}, {Router: 9, At: 500, Until: 800}},
+		Bundles: []dragonfly.BundleFault{{Group: 1, First: 0, Last: 2}, {Group: 1, First: 1, Last: 3, At: 250}, {Group: 6, At: 400, Until: 600}},
+		Flaps:   []dragonfly.FlapSpec{flap(far(la), 100), flap(far(la), 150), flap(far(lc), 100)},
+	}
+	canonJSON := func(f dragonfly.FaultSpec) string {
+		cfg := fast(dragonfly.OLM)
+		cfg.Load = 0.3
+		cfg.Faults = &f
+		buf, err := json.Marshal(cfg.Canonical())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(buf)
+	}
+	want := canonJSON(ref)
+
+	cases := []struct {
+		name  string
+		tweak func(f *dragonfly.FaultSpec)
+	}{
+		{"links permuted", func(f *dragonfly.FaultSpec) {
+			f.Links = []dragonfly.LinkID{far(lc), far(la), far(lb)}
+		}},
+		{"links reversed ends", func(f *dragonfly.FaultSpec) { f.Links = []dragonfly.LinkID{la, lb, lc} }},
+		{"links duplicated under both names", func(f *dragonfly.FaultSpec) {
+			f.Links = []dragonfly.LinkID{lb, far(la), far(lb), lc, la, lb}
+		}},
+		{"events permuted", func(f *dragonfly.FaultSpec) {
+			f.Events = []dragonfly.FaultEvent{repair(900, far(lb)), kill(700, far(lc)), repair(700, far(la)), kill(700, far(la)), kill(300, far(lb))}
+		}},
+		{"events reversed ends, repair listed before its kill", func(f *dragonfly.FaultSpec) {
+			f.Events = []dragonfly.FaultEvent{repair(700, la), kill(700, la), kill(700, lc), repair(900, lb), kill(300, lb)}
+		}},
+		{"routers permuted, duplicated, negative start", func(f *dragonfly.FaultSpec) {
+			f.Routers = []dragonfly.RouterFault{{Router: 9, At: 500, Until: 800}, {Router: 4, At: -7}, {Router: 9, At: 500}, {Router: 4}, {Router: 9, At: 500, Until: 800}}
+		}},
+		{"bundles permuted, duplicated, reversed range", func(f *dragonfly.FaultSpec) {
+			f.Bundles = []dragonfly.BundleFault{{Group: 6, At: 400, Until: 600}, {Group: 1, First: 3, Last: 1, At: 250}, {Group: 1, First: 2, Last: 0, At: -1}, {Group: 1, First: 0, Last: 2}, {Group: 6, At: 400, Until: 600}}
+		}},
+		{"flaps permuted, duplicated, reversed ends", func(f *dragonfly.FaultSpec) {
+			f.Flaps = []dragonfly.FlapSpec{flap(lc, 100), flap(la, 150), flap(far(la), 100), flap(la, 100), flap(far(lc), 100)}
+		}},
+	}
+	for _, tc := range cases {
+		f := ref
+		tc.tweak(&f)
+		if got := canonJSON(f); got != want {
+			t.Errorf("%s: canonical JSON differs from the reference spelling:\n got: %s\nwant: %s", tc.name, got, want)
+		}
+	}
+
+	cfg := fast(dragonfly.OLM)
+	cfg.Load = 0.3
+	cfg.Faults = &ref
+	cf := cfg.Canonical().Faults
+	wantEvents := []dragonfly.FaultEvent{kill(300, far(lb)), kill(700, far(la)), repair(700, far(la)), kill(700, far(lc)), repair(900, far(lb))}
+	if !reflect.DeepEqual(cf.Events, wantEvents) {
+		t.Errorf("canonical event order is not (cycle, link, kill before repair):\n got: %+v\nwant: %+v", cf.Events, wantEvents)
+	}
+	if len(cf.Links) != 3 || len(cf.Routers) != 3 || len(cf.Bundles) != 3 || len(cf.Flaps) != 3 {
+		t.Errorf("canonical form lost or kept the wrong entries: %+v", cf)
+	}
+	// Exact-duplicate events are the one list Canonical does not compact:
+	// applying an event twice is harmless, and the key of such a spelling
+	// has always included both copies.
+	dup := ref
+	dup.Events = append([]dragonfly.FaultEvent{kill(300, lb)}, ref.Events...)
+	cfg.Faults = &dup
+	if got := len(cfg.Canonical().Faults.Events); got != len(ref.Events)+1 {
+		t.Errorf("canonical form has %d events for %d listed (duplicates are kept)", got, len(ref.Events)+1)
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("reference fault spec does not validate: %v", err)
 	}
 }
 

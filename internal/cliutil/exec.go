@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"time"
 
+	dragonfly "repro"
 	"repro/internal/exp"
 	"repro/internal/exp/srv"
 	"repro/internal/sweep"
@@ -94,4 +96,62 @@ func (e *Exec) Finish(ctx context.Context, w io.Writer) error {
 		return e.jsonlFile.Close()
 	}
 	return nil
+}
+
+// Timed is one configuration's fastest timed run: the measurement dfbench
+// (fixed and -scale matrices) and paperfigs' scaling figure report.
+type Timed struct {
+	Result      dragonfly.Result
+	Cycles      int64   // cycles actually simulated: a watchdog may end a run early
+	WallSeconds float64 // RunContext only; Prepare is outside the window
+
+	// AllocBytes and Allocs are the heap traffic of the stepping phase
+	// (runtime.MemStats deltas around RunContext).
+	AllocBytes, Allocs uint64
+	// HeapBytes is the live heap after the run, measured after a forced GC
+	// with the simulator still reachable — the resident cost of the network
+	// state, lazily allocated buffers included. Zero unless asked for.
+	HeapBytes uint64
+}
+
+// CyclesPerSec is the simulated-cycle throughput of the timed run.
+func (t Timed) CyclesPerSec() float64 { return float64(t.Cycles) / t.WallSeconds }
+
+// BestOf prepares and runs cfg reps times and returns the fastest run. The
+// simulation is deterministic, so repetitions only sample scheduler and
+// cache noise and the minimum is the cleanest estimate. Every probe
+// (ReadMemStats, and the GC behind liveHeap) sits outside the wall-clock
+// window. Callers wanting clean numbers run one BestOf at a time.
+func BestOf(ctx context.Context, cfg dragonfly.Config, reps int, liveHeap bool) (Timed, error) {
+	var best Timed
+	var before, after runtime.MemStats
+	for i := 0; i < max(reps, 1); i++ {
+		sim, err := dragonfly.Prepare(cfg)
+		if err != nil {
+			return Timed{}, err
+		}
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		res, err := sim.RunContext(ctx)
+		wall := time.Since(start).Seconds()
+		if err != nil {
+			return Timed{}, err
+		}
+		if liveHeap {
+			runtime.GC()
+		}
+		runtime.ReadMemStats(&after)
+		if i == 0 || wall < best.WallSeconds {
+			best = Timed{
+				Result: res, Cycles: sim.Cycles(), WallSeconds: wall,
+				AllocBytes: after.TotalAlloc - before.TotalAlloc,
+				Allocs:     after.Mallocs - before.Mallocs,
+			}
+			if liveHeap {
+				best.HeapBytes = after.HeapAlloc
+			}
+		}
+		runtime.KeepAlive(sim)
+	}
+	return best, nil
 }

@@ -6,7 +6,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	dragonfly "repro"
 )
 
 // TestExecFlagsWiring: the shared execution flags open exactly what
@@ -51,5 +54,38 @@ func TestExecFlagsWiring(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "unused")); err == nil {
 		t.Fatal("-cache directory opened despite -remote")
+	}
+}
+
+// TestBestOf: the shared timed runner reports the run actually simulated,
+// takes the heap probe only when asked, and surfaces Prepare errors.
+func TestBestOf(t *testing.T) {
+	cfg := dragonfly.PaperVCT(2)
+	cfg.LatLocal, cfg.LatGlobal = 4, 16
+	cfg.Warmup, cfg.Measure, cfg.Load = 100, 300, 0.2
+	plain, err := BestOf(context.Background(), cfg, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dragonfly.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain.Result, want) {
+		t.Fatalf("timed result differs from a plain run:\n got: %+v\nwant: %+v", plain.Result, want)
+	}
+	if plain.Cycles != 400 || plain.WallSeconds <= 0 || plain.CyclesPerSec() <= 0 || plain.Allocs == 0 {
+		t.Fatalf("implausible timing: %+v", plain)
+	}
+	if plain.HeapBytes != 0 {
+		t.Fatalf("heap probed without being asked: %d", plain.HeapBytes)
+	}
+	heap, err := BestOf(context.Background(), cfg, 0, true) // reps < 1 still runs once
+	if err != nil || heap.HeapBytes == 0 {
+		t.Fatalf("live-heap run: %+v, %v", heap, err)
+	}
+	cfg.H = -1
+	if _, err := BestOf(context.Background(), cfg, 1, false); err == nil {
+		t.Fatal("invalid config accepted")
 	}
 }

@@ -130,9 +130,6 @@ func NewTables(spec Spec, cfg Config) (*Tables, error) {
 // Spec returns the mechanism the tables were computed for.
 func (t *Tables) Spec() Spec { return t.spec }
 
-// Routes returns the underlying topology-level route table.
-func (t *Tables) Routes() *topology.RouteTable { return t.rt }
-
 // pairAllowed answers AllowedHops(i, k, j) by table lookup; mechanisms
 // without a pair restriction always allow.
 func (t *Tables) pairAllowed(i, k, j int) bool {

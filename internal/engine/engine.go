@@ -68,15 +68,13 @@ type Config struct {
 	// execution are bit-identical by contract.
 	Workers int
 
-	// Workload, when non-nil, drives injection: each node follows the
-	// phase schedule of its workload job. When nil, Pattern and Process
-	// describe the classic single-phase workload over all nodes.
+	// Workload drives injection: each node follows the phase schedule of
+	// its workload job (traffic.NewSingleWorkload wraps the classic one
+	// pattern, one process, all nodes case).
 	Workload *traffic.Workload
-	Pattern  traffic.Pattern
-	Process  traffic.Process
 
-	// WindowCycles, when positive, collects a metrics.Timeline of
-	// fixed-width windows over the whole run (see Sim.Timeline).
+	// WindowCycles, when positive, adds a Timeline of fixed-width windows
+	// over the whole run to the Result.
 	WindowCycles int64
 
 	// Faults, when non-nil, is the initial set of failed links (the engine
@@ -149,8 +147,8 @@ func (c *Config) validate() error {
 	if c.Topo == nil {
 		return fmt.Errorf("engine: nil topology")
 	}
-	if c.Workload == nil && (c.Pattern == nil || c.Process == nil) {
-		return fmt.Errorf("engine: a workload or a traffic pattern and process are required")
+	if c.Workload == nil {
+		return fmt.Errorf("engine: nil workload")
 	}
 	if c.WindowCycles < 0 {
 		return fmt.Errorf("engine: negative metrics window %d", c.WindowCycles)
@@ -321,9 +319,6 @@ type Sim struct {
 
 	cycle int64
 	ran   bool
-
-	timeline     *metrics.Timeline
-	phaseDigests []metrics.PhaseDigest
 }
 
 // New builds the network: routers, buffers, link rings and routing
@@ -366,12 +361,6 @@ func New(cfg Config) (*Sim, error) {
 	}
 
 	w := cfg.Workload
-	if w == nil {
-		w, err = traffic.NewSingleWorkload(cfg.Pattern, cfg.Process, p.Nodes)
-		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
-	}
 	// Effective worker count: more workers than CPUs only adds barrier
 	// latency (results are identical at any width, so the clamp is free),
 	// and more workers than routers leaves some idle.
@@ -571,10 +560,6 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// rebuildRouteView recomputes the routing-view fault tables from scratch
-// out of the current physical fault state: the full recomputation a fabric
-// manager performs at boot. Mid-run events use the incremental
-// applyRouteView instead.
 // viewRouterDead reports whether the routing view (stale by
 // Config.StaleCycles after fault events) considers router r entirely
 // failed. Link-level faults never report true here.
@@ -586,6 +571,10 @@ func (s *Sim) viewRouterDead(r int) bool {
 	return f.RouterDown(r)
 }
 
+// rebuildRouteView recomputes the routing-view fault tables from scratch
+// out of the current physical fault state: the full recomputation a fabric
+// manager performs at boot. Mid-run events use the incremental
+// applyRouteView instead.
 func (s *Sim) rebuildRouteView() {
 	p := s.topo
 	rpg := p.RoutersPerGroup
@@ -832,10 +821,6 @@ func (s *Sim) tryFastForward(limit int64) {
 	}
 }
 
-// FastForwarded returns the number of cycles the quiet-cycle fast-forward
-// skipped (for tests and tooling). Valid after Run.
-func (s *Sim) FastForwarded() int64 { return s.ffJumped }
-
 // lastDelivery returns the latest delivery cycle across routers.
 func (s *Sim) lastDelivery() int64 {
 	var last int64 = -1
@@ -911,13 +896,14 @@ func (s *Sim) RunContext(ctx context.Context) (metrics.Result, error) {
 		p.Routers*p.LocalPorts, p.Routers*p.GlobalPorts)
 	res.Mechanism = s.cfg.Spec.String()
 	res.Pattern = s.workload.Name()
+	res.FlowControl = s.cfg.Flow.String()
 	res.Deadlock = deadlock
 	res.PhitsMoved, _, _ = s.totals()
 	if s.workload.Finite() {
 		res.ConsumptionCycles = s.lastDelivery()
 	}
-	s.timeline = sheet.Timeline(s.cycle, p.Nodes)
-	s.phaseDigests = sheet.PhaseDigests(s.phaseInfos(), s.cycle)
+	res.Timeline = sheet.Timeline(s.cycle, p.Nodes)
+	res.PhaseDigests = sheet.PhaseDigests(s.phaseInfos(), s.cycle)
 	return res, nil
 }
 
@@ -939,14 +925,6 @@ func (s *Sim) phaseInfos() []metrics.PhaseInfo {
 	}
 	return infos
 }
-
-// Timeline returns the windowed time series of the finished run, or nil
-// when Config.WindowCycles was zero. Valid after Run.
-func (s *Sim) Timeline() *metrics.Timeline { return s.timeline }
-
-// PhaseDigests returns the per-phase digests of the finished run, or nil
-// for single-phase workloads. Valid after Run.
-func (s *Sim) PhaseDigests() []metrics.PhaseDigest { return s.phaseDigests }
 
 // runSteady runs warmup then measurement, returning true on deadlock.
 func (s *Sim) runSteady(ctx context.Context, step func()) (bool, error) {

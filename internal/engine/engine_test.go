@@ -30,11 +30,24 @@ func testConfig(t *testing.T, h int, spec core.Spec, load float64) Config {
 		LatLocal:    4,
 		LatGlobal:   16,
 		Seed:        12345,
-		Pattern:     traffic.NewUniform(p),
-		Process:     proc,
+		Workload:    single(t, p, nil, proc),
 		Warmup:      1500,
 		Measure:     3000,
 	}
+}
+
+// single compiles the classic workload — one pattern (uniform when nil)
+// driven by one process on every node — the only form the engine accepts.
+func single(t testing.TB, p *topology.P, pattern traffic.Pattern, proc traffic.Process) *traffic.Workload {
+	t.Helper()
+	if pattern == nil {
+		pattern = traffic.NewUniform(p)
+	}
+	w, err := traffic.NewSingleWorkload(pattern, proc, p.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 func run(t *testing.T, cfg Config) metrics.Result {
@@ -99,7 +112,7 @@ func TestWormholeMechanismsDeliver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Process = proc
+		cfg.Workload = single(t, cfg.Topo, nil, proc)
 		res := run(t, cfg)
 		if res.Deadlock {
 			t.Errorf("%v/WH: deadlock", spec)
@@ -136,9 +149,9 @@ func TestValidationErrors(t *testing.T) {
 		t.Error("nil topology accepted")
 	}
 	cfg = good
-	cfg.Pattern = nil
+	cfg.Workload = nil
 	if _, err := New(cfg); err == nil {
-		t.Error("nil pattern accepted")
+		t.Error("nil workload accepted")
 	}
 	cfg = good
 	cfg.PacketPhits = -1
@@ -236,7 +249,7 @@ func TestBurstDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Process = burst
+	cfg.Workload = single(t, cfg.Topo, nil, burst)
 	cfg.Warmup, cfg.Measure = 0, 0
 	cfg.MaxCycles = 200000
 	res := run(t, cfg)
@@ -296,7 +309,7 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Process = proc
+	cfg.Workload = single(t, cfg.Topo, nil, proc)
 	cfg.Warmup = 0
 	cfg.Measure = 100000
 	cfg.Watchdog = 2000
@@ -326,8 +339,7 @@ func TestEjectionBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Process = burst
-	cfg.Pattern = singleSink{}
+	cfg.Workload = single(t, cfg.Topo, singleSink{}, burst)
 	cfg.Warmup, cfg.Measure = 0, 0
 	cfg.MaxCycles = 500000
 	res := run(t, cfg)
@@ -361,7 +373,7 @@ func TestInjectionLossAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Process = proc
+	cfg.Workload = single(t, cfg.Topo, nil, proc)
 	res := run(t, cfg)
 	if res.InjectionLost == 0 {
 		t.Fatal("no injection losses under 2.0 offered load")
@@ -376,7 +388,7 @@ func BenchmarkCycleH2UniformRLM(b *testing.B) {
 	proc, _ := traffic.NewBernoulli(0.3, 8)
 	cfg := Config{
 		Topo: p, Spec: core.RLM, Flow: VCT, PacketPhits: 8,
-		Seed: 1, Pattern: traffic.NewUniform(p), Process: proc,
+		Seed: 1, Workload: single(b, p, nil, proc),
 		Warmup: 0, Measure: 1,
 	}
 	sim, err := New(cfg)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -47,7 +48,7 @@ func TestFaultConservationAllMechanisms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Process = burst
+			cfg.Workload = single(t, cfg.Topo, nil, burst)
 			cfg.Warmup, cfg.Measure = 0, 0
 			cfg.MaxCycles = 400000
 			sim, err := New(cfg)
@@ -140,7 +141,7 @@ func TestParkedRouterConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Process = burst
+			cfg.Workload = single(t, cfg.Topo, nil, burst)
 			cfg.Warmup, cfg.Measure = 0, 0
 			cfg.MaxCycles = 400000
 			sim, err := New(cfg)
@@ -241,7 +242,7 @@ func TestDynamicKillAndRepair(t *testing.T) {
 	if res.FaultDrops == 0 {
 		t.Fatal("no fault drops during the outage")
 	}
-	tl := sim.Timeline()
+	tl := res.Timeline
 	if tl == nil {
 		t.Fatal("no timeline")
 	}
@@ -277,7 +278,7 @@ func TestEmptyFaultSetInert(t *testing.T) {
 		cfg := testConfig(t, 2, spec, 0.25)
 		cfg.Faults = topology.NewFaultSet(cfg.Topo)
 		armed := run(t, cfg)
-		if plain != armed {
+		if !reflect.DeepEqual(plain, armed) {
 			t.Fatalf("%v: empty fault set changed the result:\n  plain: %+v\n  armed: %+v", spec, plain, armed)
 		}
 	}
@@ -341,7 +342,7 @@ func TestStaleCyclesDelayFaultView(t *testing.T) {
 		if res.FaultDrops == 0 {
 			t.Fatal("no fault drops; the scenario proves nothing")
 		}
-		for _, w := range sim.Timeline().Windows {
+		for _, w := range res.Timeline.Windows {
 			// One window of slack: a drop claimed at cycle c drains its
 			// phits through the sink and is recorded a few cycles later.
 			if w.End <= kill+stale {

@@ -16,7 +16,7 @@ func TestCreditConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Process = burst
+	cfg.Workload = single(t, cfg.Topo, nil, burst)
 	cfg.Warmup, cfg.Measure = 0, 0
 	cfg.MaxCycles = 300000
 	sim, err := New(cfg)
@@ -76,7 +76,7 @@ func TestWormholePacketSpansRouters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Process = proc
+	cfg.Workload = single(t, cfg.Topo, nil, proc)
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -146,8 +146,7 @@ func TestInjectionQueueFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Process = burst
-	cfg.Pattern = fixedPair{}
+	cfg.Workload = single(t, cfg.Topo, fixedPair{}, burst)
 	cfg.Warmup, cfg.Measure = 0, 0
 	cfg.MaxCycles = 100000
 	res := run(t, cfg)

@@ -37,12 +37,11 @@ func TestOFARUsesEscapeUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Process = proc
 	pat, err := traffic.NewAdversarialGlobal(cfg.Topo, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Pattern = pat
+	cfg.Workload = single(t, cfg.Topo, pat, proc)
 	cfg.BufLocal, cfg.BufGlobal = 16, 48 // tighten to force escapes
 	cfg.Warmup, cfg.Measure = 0, 8000
 	cfg.Watchdog = 4000

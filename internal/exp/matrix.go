@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"strings"
 
 	dragonfly "repro"
@@ -94,15 +93,6 @@ func (m *Matrix) GlobalPercents(pcts ...float64) *Matrix {
 	return m.XAxis(pcts, func(c *dragonfly.Config, x float64) {
 		c.Traffic = dragonfly.Traffic{Kind: dragonfly.MIX, GlobalPercent: x}
 	})
-}
-
-// Thresholds appends a series axis over misrouting thresholds (fractions;
-// 0.45 = the paper's 45%).
-func (m *Matrix) Thresholds(ths ...float64) *Matrix {
-	vals := append([]float64(nil), ths...)
-	return m.Axis(len(vals),
-		func(i int) string { return fmt.Sprintf("th=%.0f%%", vals[i]*100) },
-		func(c *dragonfly.Config, i int) { c.Threshold = vals[i] })
 }
 
 // Points generates the cross product.

@@ -281,6 +281,20 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := ts.client.Submit(context.Background(), bad); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+	// A size past the engine's limit must die at admission with a 400: once
+	// enqueued, Prepare's allocation would kill every worker that leases it.
+	huge := tinyCampaign()
+	huge.Points[0].Config.H = 400
+	_, err := ts.client.Submit(context.Background(), huge)
+	if err == nil || !strings.Contains(err.Error(), "400 Bad Request") {
+		t.Fatalf("H=400 submit: %v, want a 400", err)
+	}
+	if n := len(ts.srv.statuses()); n != 0 {
+		t.Fatalf("%d campaigns registered after rejected submits", n)
+	}
+	if st := ts.srv.queue.Stats(); st.QueuedPoints != 0 || st.ActiveLeases != 0 {
+		t.Fatalf("rejected submit enqueued work: %+v", st)
+	}
 }
 
 // TestSSEReplayAfterCompletion: subscribing to a finished campaign's

@@ -7,11 +7,7 @@
 // merges them at the end of the run, so the hot path never takes a lock.
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // latencyBuckets is the number of linear histogram buckets; latencies at or
 // beyond latencyMax fall in the overflow bucket.
@@ -353,15 +349,16 @@ func (s *Sheet) LatencyPercentile(q float64) float64 {
 	return math.Inf(1)
 }
 
-// Window is one fixed-width snapshot of a run's Timeline. Rates with no
-// deliveries in the window report zero (not NaN) so timelines serialize
-// cleanly.
+// Window is one fixed-width snapshot of a run's Timeline: the packets
+// delivered (and generation events) in [Start, End) on the absolute
+// simulation clock, warmup included. Rates with no deliveries in the window
+// report zero (not NaN) so timelines serialize cleanly.
 type Window struct {
 	Start int64 // first cycle of the window
 	End   int64 // one past the last cycle covered
 
 	AcceptedLoad       float64 // phits/(node·cycle) delivered in the window
-	AvgTotalLatency    float64 // of packets delivered in the window
+	AvgTotalLatency    float64 // of packets delivered in the window; 0 when none
 	P99Latency         float64
 	LocalMisrouteRate  float64 // local misroutes per packet delivered in the window
 	GlobalMisrouteRate float64
@@ -369,12 +366,13 @@ type Window struct {
 	Delivered     int64
 	Generated     int64
 	InjectionLost int64
-	Suppressed    int64
+	Suppressed    int64 `json:",omitempty"`
 	FaultDrops    int64
 }
 
-// Timeline is the windowed time series of a run: the whole run (warmup
-// included) cut into fixed-width windows, the last one possibly shorter.
+// Timeline is the windowed time series of a run — the raw material of the
+// transient traffic-change figures: the whole run (warmup included) cut
+// into fixed-width windows, the last one possibly shorter.
 type Timeline struct {
 	WindowCycles int64
 	Windows      []Window
@@ -408,7 +406,7 @@ type PhaseDigest struct {
 
 	Generated     int64
 	InjectionLost int64
-	Suppressed    int64
+	Suppressed    int64 `json:",omitempty"`
 	Delivered     int64
 	FaultDrops    int64
 }
@@ -498,15 +496,18 @@ func (s *Sheet) PhaseDigests(infos []PhaseInfo, totalCycles int64) []PhaseDigest
 	return out
 }
 
-// Result is the digest of one simulation run.
+// Result is the digest of one simulation run; its fields mirror the
+// paper's reported metrics. It is the public API's result type (package
+// dragonfly aliases it) and the payload of every cache entry, canonical
+// JSONL record and dragonsrv response, so its field names, order and
+// omitempty tags are a wire format: result_pin_test.go pins the bytes.
 type Result struct {
 	Mechanism   string  // routing mechanism name
-	Pattern     string  // traffic pattern name
-	OfferedLoad float64 // phits/(node*cycle) requested
-	Cycles      int64   // measured cycles
-	Nodes       int
+	Pattern     string  // traffic pattern name (workload label for phased runs)
+	FlowControl string  // "VCT" or "WH"
+	OfferedLoad float64 // phits/(node·cycle) requested; 0 for multi-phase workloads
 
-	AcceptedLoad      float64 // phits/(node*cycle) delivered
+	AcceptedLoad      float64 // phits/(node·cycle) delivered
 	AvgTotalLatency   float64 // generation -> delivery, cycles
 	AvgNetworkLatency float64 // injection -> delivery, cycles
 	P50Latency        float64
@@ -515,31 +516,45 @@ type Result struct {
 	AvgLocalHops       float64
 	AvgGlobalHops      float64
 	LocalMisrouteRate  float64 // local misroutes per delivered packet
-	GlobalMisrouteRate float64 // global misroutes per delivered packet
+	GlobalMisrouteRate float64 // Valiant commitments per delivered packet
 	EscapeHopRate      float64 // OFAR escape-ring hops per delivered packet
 
 	Delivered     int64
 	Generated     int64
 	InjectionLost int64
-	// Suppressed counts generation events suppressed because the source
-	// node's router was dead at the time (zero without router failures).
-	Suppressed int64
-	// FaultDrops counts packets discarded in-network because link failures
-	// left them without a surviving route (zero on fault-free runs).
+	// Suppressed counts generation events suppressed at the source
+	// because the node's router was dead at the time — parked capacity,
+	// separate from in-network drops (always zero without router
+	// failures). Conservation: Generated == Injected + InjectionLost +
+	// Suppressed.
+	Suppressed int64 `json:",omitempty"`
+	// FaultDrops counts packets discarded in-network because link
+	// failures left them without a surviving route (always zero on
+	// fault-free runs).
 	FaultDrops int64
+	Cycles     int64 // measured cycles (the whole run for burst workloads)
+	Nodes      int
 
-	// PhitsMoved counts every crossbar phit movement over the whole run
-	// (warmup included), the engine's raw unit of work; benchmark
-	// harnesses divide it by wall time.
+	// PhitsMoved is the total number of crossbar phit movements over the
+	// whole run (warmup included) — the engine's raw unit of work;
+	// benchmark harnesses divide it by wall time.
 	PhitsMoved int64
 
 	LocalLinkUtil  float64 // mean phits/cycle per local link
 	GlobalLinkUtil float64 // mean phits/cycle per global link
 
-	// Burst experiments only: cycle at which the last packet drained.
+	// ConsumptionCycles is the burst drain time: the cycle at which the
+	// last packet was delivered (burst runs only).
 	ConsumptionCycles int64
+	// Deadlock reports that the watchdog detected no forward progress.
+	Deadlock bool
 
-	Deadlock bool // the watchdog fired
+	// Timeline is the windowed time series of the run, nil unless a
+	// window width was configured (dragonfly.Config.WindowCycles > 0).
+	Timeline *Timeline `json:",omitempty"`
+	// PhaseDigests summarizes each workload phase separately (nil for
+	// single-phase runs, whose one digest would duplicate the Result).
+	PhaseDigests []PhaseDigest `json:",omitempty"`
 }
 
 // Digest converts a Sheet into a Result given the measurement window and
@@ -576,25 +591,4 @@ func Digest(s *Sheet, cycles int64, nodes, localLinks, globalLinks int) Result {
 		r.GlobalLinkUtil = float64(s.GlobalLinkPhits) / float64(cycles) / float64(globalLinks)
 	}
 	return r
-}
-
-// String renders the headline numbers on one line.
-func (r Result) String() string {
-	return fmt.Sprintf("%s/%s load=%.3f accepted=%.4f lat=%.1f netlat=%.1f delivered=%d",
-		r.Mechanism, r.Pattern, r.OfferedLoad, r.AcceptedLoad,
-		r.AvgTotalLatency, r.AvgNetworkLatency, r.Delivered)
-}
-
-// Series is a named sequence of results, typically one mechanism swept over
-// a parameter; it renders figure data files.
-type Series struct {
-	Name    string
-	Results []Result
-}
-
-// SortByOffered orders the series by offered load.
-func (s *Series) SortByOffered() {
-	sort.Slice(s.Results, func(i, j int) bool {
-		return s.Results[i].OfferedLoad < s.Results[j].OfferedLoad
-	})
 }

@@ -219,18 +219,6 @@ func TestPhaseDigestRates(t *testing.T) {
 	}
 }
 
-func TestSeriesSort(t *testing.T) {
-	s := Series{Name: "x", Results: []Result{
-		{OfferedLoad: 0.5}, {OfferedLoad: 0.1}, {OfferedLoad: 0.3},
-	}}
-	s.SortByOffered()
-	for i := 1; i < len(s.Results); i++ {
-		if s.Results[i-1].OfferedLoad > s.Results[i].OfferedLoad {
-			t.Fatalf("series not sorted: %+v", s.Results)
-		}
-	}
-}
-
 // TestFaultDropAccounting: fault drops land in the run counters, the
 // covering timeline window, and the generating phase's digest, and they
 // survive Merge like every other counter.

@@ -192,15 +192,3 @@ func WriteTimelineDAT(w io.Writer, metric TimelineMetric, series []TimelineSerie
 	}
 	return nil
 }
-
-// Saturation returns the highest accepted load seen in a series — the
-// paper's "maximum throughput" summary number.
-func Saturation(s Series) float64 {
-	best := 0.0
-	for _, p := range s.Points {
-		if p.Result.AcceptedLoad > best {
-			best = p.Result.AcceptedLoad
-		}
-	}
-	return best
-}

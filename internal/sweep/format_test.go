@@ -151,20 +151,6 @@ func TestWriteMarkdownAnnotatesDeadlock(t *testing.T) {
 	}
 }
 
-func TestSaturation(t *testing.T) {
-	s := Series{Points: []Point{
-		{Result: dragonfly.Result{AcceptedLoad: 0.2}},
-		{Result: dragonfly.Result{AcceptedLoad: 0.45}},
-		{Result: dragonfly.Result{AcceptedLoad: 0.41}},
-	}}
-	if got := Saturation(s); got != 0.45 {
-		t.Fatalf("saturation %v", got)
-	}
-	if got := Saturation(Series{}); got != 0 {
-		t.Fatalf("empty series saturation %v", got)
-	}
-}
-
 func TestWriteTimelineDAT(t *testing.T) {
 	tl := &dragonfly.Timeline{WindowCycles: 100, Windows: []dragonfly.Window{
 		{Start: 0, End: 100, AcceptedLoad: 0.2, AvgTotalLatency: 120, P99Latency: 256},
