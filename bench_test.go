@@ -7,6 +7,7 @@ package dragonfly_test
 // whole evaluation. cmd/paperfigs produces the full-resolution series.
 
 import (
+	"context"
 	"testing"
 
 	dragonfly "repro"
@@ -285,4 +286,45 @@ func BenchmarkEngineParallel(b *testing.B) {
 			}
 		})
 	}
+}
+
+// campaignPoint is the kind of point a sweep is made of hundreds of: a
+// short low-load run whose network costs more to build than to step.
+func campaignPoint(h int) dragonfly.Config {
+	cfg := benchBase(h, dragonfly.VCT)
+	cfg.Mechanism = dragonfly.RLM
+	cfg.Load = 0.1
+	cfg.Warmup, cfg.Measure = 100, 200
+	return cfg
+}
+
+// benchPoints runs b.N campaign points, each with its own seed, through
+// run, and reports allocations: the pair below is the per-point price of a
+// fresh network against a re-initialised one.
+func benchPoints(b *testing.B, run func(dragonfly.Config) (dragonfly.Result, error)) {
+	for _, h := range []int{2, 3} {
+		b.Run(fmtH(h), func(b *testing.B) {
+			cfg := campaignPoint(h)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = uint64(i + 1)
+				if _, err := run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRun is one campaign point the one-shot way: dragonfly.Run
+// builds the network, steps it and throws it away.
+func BenchmarkRun(b *testing.B) { benchPoints(b, dragonfly.Run) }
+
+// BenchmarkRunnerReuse is the same points on one Runner, as every campaign
+// lane runs them: the network is built once and re-initialised per point.
+func BenchmarkRunnerReuse(b *testing.B) {
+	var lane dragonfly.Runner
+	benchPoints(b, func(cfg dragonfly.Config) (dragonfly.Result, error) {
+		return lane.RunContext(context.Background(), cfg)
+	})
 }

@@ -1127,10 +1127,10 @@ func buildPattern(p *topology.P, tr Traffic) (traffic.Pattern, error) {
 }
 
 // Sim is a prepared simulation: topology, routing tables and routers built,
-// ready to run exactly once (per-VC buffers and link rings are allocated
-// lazily, on first use during the run). Prepare/Run separate construction
-// cost from stepping cost so tools (cmd/dfbench in particular) can time
-// the two apart.
+// ready to run once (per-VC buffers and link rings are allocated lazily,
+// on first use during the run). Prepare/Run separate construction cost
+// from stepping cost so tools (cmd/dfbench in particular) can time the two
+// apart; to run many configurations on one allocation, use a Runner.
 type Sim struct {
 	sim *engine.Sim
 	// offered becomes Result.OfferedLoad: the engine sees a compiled
@@ -1141,15 +1141,8 @@ type Sim struct {
 // Prepare validates the configuration and builds the network without
 // running it.
 func Prepare(c Config) (*Sim, error) {
-	ec, err := c.build()
-	if err != nil {
-		return nil, err
-	}
-	es, err := engine.New(ec)
-	if err != nil {
-		return nil, err
-	}
-	return &Sim{sim: es, offered: c.normalize().offeredLoad()}, nil
+	var r Runner
+	return r.prepare(c)
 }
 
 // Run executes the prepared simulation; like the package-level Run it can
@@ -1175,6 +1168,63 @@ func (s *Sim) RunContext(ctx context.Context) (Result, error) {
 // run away from the nominal warmup+measure window.
 func (s *Sim) Cycles() int64 { return s.sim.Cycle() }
 
+// Runner runs configurations one after another on one network allocation:
+// the lane of a campaign. It keeps the network of the last configuration
+// that ran to completion; when the next one has the same shape — the same
+// h, VC counts, buffer sizes, packet size, injection queue depth, link
+// latencies, effective Workers, job and tracked-phase counts — the
+// network is re-initialised in place instead of being rebuilt, whatever
+// else changed (mechanism, flow control, traffic, load, faults, seed, run
+// length). A different shape releases the old network before the new one
+// is built, so a Runner never holds two. Results are those of Run, bit for
+// bit, and never alias the Runner's memory.
+//
+// The zero value is ready to use. A Runner must not be used from more than
+// one goroutine at a time; give each concurrent lane its own.
+type Runner struct {
+	sim *engine.Sim // the network of the last completed run, nil when none
+}
+
+// prepare builds c's simulation on the Runner's network, which it takes
+// out of the Runner: only a run that completes puts it back, so an
+// invalid configuration, a canceled run or a panic all leave the Runner
+// empty and the next configuration on a fresh network.
+func (r *Runner) prepare(c Config) (*Sim, error) {
+	es := r.sim
+	r.sim = nil
+	ec, err := c.build()
+	if err != nil {
+		return nil, err
+	}
+	if es == nil {
+		es = new(engine.Sim)
+	}
+	if err := es.Init(ec); err != nil {
+		return nil, err
+	}
+	return &Sim{sim: es, offered: c.normalize().offeredLoad()}, nil
+}
+
+// RunContext runs one configuration, reusing the Runner's network when c
+// has its shape. Cancellation works as in Sim.RunContext.
+func (r *Runner) RunContext(ctx context.Context, c Config) (Result, error) {
+	s, err := r.prepare(c)
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := s.RunContext(ctx)
+	if err != nil {
+		return Result{}, err
+	}
+	r.sim = s.sim
+	return res, nil
+}
+
+// Release drops the Runner's network, returning its memory to the
+// collector; the next run builds a fresh one. Idle lanes call it so they
+// do not sit on a large fabric.
+func (r *Runner) Release() { r.sim = nil }
+
 // Run executes one experiment and returns its metrics. Deadlocks detected
 // by the watchdog are reported via Result.Deadlock rather than an error so
 // sweeps can record them.
@@ -1182,13 +1232,11 @@ func Run(c Config) (Result, error) {
 	return RunContext(context.Background(), c)
 }
 
-// RunContext is Run with cooperative cancellation (see Sim.RunContext).
+// RunContext is Run with cooperative cancellation (see Sim.RunContext): a
+// Runner used once.
 func RunContext(ctx context.Context, c Config) (Result, error) {
-	s, err := Prepare(c)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.RunContext(ctx)
+	var r Runner
+	return r.RunContext(ctx, c)
 }
 
 // NetworkSize returns (routers, nodes, groups) for a given h, for sizing

@@ -48,16 +48,6 @@ type adaptive struct {
 	tab  *Tables
 
 	cands []Decision // scratch arena, reused across calls (one instance/router)
-
-	// fracs[port] caches float64(occ)/float64(cap) for every legal
-	// occupancy of the port's downstream buffer (View.Capacity is constant
-	// per port for the life of a view), replacing the division and the
-	// Capacity query of the trigger evaluation with one indexed load. The
-	// values are computed by the exact division they replace, so the
-	// lookups are bit-identical. Built lazily per port; slices are shared
-	// across ports of equal capacity via byCap.
-	fracs [][]float64
-	byCap map[int][]float64
 }
 
 func newAdaptive(spec Spec, tab *Tables) *adaptive {
@@ -68,41 +58,7 @@ func newAdaptive(spec Spec, tab *Tables) *adaptive {
 		spec:  spec,
 		tab:   tab,
 		cands: make([]Decision, 0, tab.h+tab.cfg.RemoteCandidates+tab.rpg),
-		fracs: make([][]float64, tab.cfg.Topo.Ports),
 	}
-}
-
-// fracAt returns occ normalized to the capacity of (port, vc) through the
-// per-port lookup table, building it on first use.
-func (a *adaptive) fracAt(v View, port, vc, occ int) float64 {
-	t := a.fracs[port]
-	if t == nil {
-		c := v.Capacity(port, vc)
-		if c <= 0 {
-			return 0
-		}
-		if a.byCap == nil {
-			a.byCap = make(map[int][]float64, 2)
-		}
-		t = a.byCap[c]
-		if t == nil {
-			t = make([]float64, c+1)
-			for o := 1; o <= c; o++ {
-				t[o] = float64(o) / float64(c)
-			}
-			a.byCap[c] = t
-		}
-		a.fracs[port] = t
-	}
-	if occ >= 0 && occ < len(t) {
-		return t[occ]
-	}
-	// Out-of-range occupancy (possible only for synthetic test views):
-	// fall back to the recomputing division.
-	if c := v.Capacity(port, vc); c > 0 {
-		return float64(occ) / float64(c)
-	}
-	return 0
 }
 
 func (a *adaptive) Name() string { return a.spec.String() }
@@ -270,5 +226,5 @@ func (a *adaptive) liveGlobalDetour(v View, st *PacketState, idx, g int) bool {
 // the limit and claimable right now.
 func (a *adaptive) eligible(v View, port, vc, size int, limit float64) bool {
 	occ, claim := v.OccClaim(port, vc, size)
-	return a.fracAt(v, port, vc, occ) < limit && claim
+	return a.tab.fracAt(v, port, vc, occ) < limit && claim
 }

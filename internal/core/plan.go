@@ -96,6 +96,13 @@ func (p *Plan) reset() {
 	*p = Plan{HeadSeq: p.HeadSeq, Epoch: p.Epoch, own: own, localBuf: buf, prevIdx: -1}
 }
 
+// Invalidate returns the plan to its zero, never-valid state (the engine's
+// epochs start at 1), retaining the candidate backing arrays: what a
+// re-initialised simulation does to every cached plan of the previous run.
+func (p *Plan) Invalidate() {
+	*p = Plan{own: p.own[:0], localBuf: p.localBuf[:0]}
+}
+
 // BuildPlan implements Algorithm for the adaptive mechanisms.
 func (a *adaptive) BuildPlan(v View, st *PacketState, router, size int, r *rng.PCG, p *Plan) {
 	t := a.tab
@@ -219,7 +226,7 @@ func (a *adaptive) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision 
 	// The minimal output is not available this cycle: evaluate the
 	// misrouting trigger (see the commentary in adaptive.go; the trigger
 	// math here is identical, over the precomputed candidate geometry).
-	minFrac := a.fracAt(v, minPort, minVC, minOcc)
+	minFrac := a.tab.fracAt(v, minPort, minVC, minOcc)
 	if qOcc, qCap := v.CurrentQueue(); qCap > 0 {
 		if f := float64(qOcc) / float64(qCap); f > minFrac {
 			minFrac = f

@@ -96,6 +96,13 @@ type Config struct {
 	// global-misrouting candidates in addition to the router's own
 	// global ports. Negative disables remote sampling entirely.
 	RemoteCandidates int
+
+	// BufLocal and BufGlobal are the downstream buffer capacities, in
+	// phits, behind local and global output ports. When positive, the
+	// tables precompute the occupancy fractions the misrouting trigger
+	// compares (see Tables.fracAt); zero leaves the trigger dividing,
+	// which is what synthetic test views of unknown capacity get.
+	BufLocal, BufGlobal int
 }
 
 // View is the window a routing algorithm has onto its router. All methods
@@ -117,8 +124,8 @@ type View interface {
 	Occupancy(port, vc int) int
 	// Capacity returns the downstream buffer capacity, in phits. It must
 	// be constant for the lifetime of the view and identical across the
-	// VCs of one port (true of any real router; the adaptive mechanisms
-	// cache per-port occupancy-fraction tables keyed on it).
+	// VCs of one port (true of any real router; the shared tables hold
+	// per-port occupancy fractions for the capacities in Config).
 	Capacity(port, vc int) int
 	// MinState bundles the minimal-output queries of one trigger
 	// evaluation — Occupancy, CanClaim and CanStart of (port, vc) — into

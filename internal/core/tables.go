@@ -47,6 +47,14 @@ type Tables struct {
 	// pairOK, flattened [rpg][rpg][rpg], answers AllowedHops(i, k, j) by
 	// lookup; nil for mechanisms without a pair restriction (always true).
 	pairOK []bool
+
+	// fracs[port][occ] is float64(occ)/float64(capacity) for every legal
+	// occupancy of the buffer behind output port (Config.BufLocal or
+	// BufGlobal by port class; ports of equal capacity share one row).
+	// The values are computed by the exact division they replace, so the
+	// trigger's lookups are bit-identical to dividing. Nil rows — ejection
+	// ports, or a Config without capacities — fall back to the division.
+	fracs [][]float64
 }
 
 // NewTables validates cfg, fills its defaults, and computes the table set
@@ -124,7 +132,47 @@ func NewTables(spec Spec, cfg Config) (*Tables, error) {
 			}
 		}
 	}
+	if cfg.BufLocal > 0 || cfg.BufGlobal > 0 {
+		row := func(c int) []float64 {
+			if c <= 0 {
+				return nil
+			}
+			r := make([]float64, c+1)
+			for o := 1; o <= c; o++ {
+				r[o] = float64(o) / float64(c)
+			}
+			return r
+		}
+		local := row(cfg.BufLocal)
+		global := local
+		if cfg.BufGlobal != cfg.BufLocal {
+			global = row(cfg.BufGlobal)
+		}
+		t.fracs = make([][]float64, p.Ports)
+		for port := 0; port < p.EjectPortBase(); port++ {
+			t.fracs[port] = local
+			if p.IsGlobalPort(port) {
+				t.fracs[port] = global
+			}
+		}
+	}
 	return t, nil
+}
+
+// fracAt returns occ normalized to the capacity of output (port, vc): one
+// indexed load from the shared table when the tables were built with the
+// buffer capacities, the recomputing division otherwise (synthetic views,
+// out-of-range occupancies). Read-only: the routing path writes nothing.
+func (t *Tables) fracAt(v View, port, vc, occ int) float64 {
+	if port < len(t.fracs) {
+		if row := t.fracs[port]; uint(occ) < uint(len(row)) {
+			return row[occ]
+		}
+	}
+	if c := v.Capacity(port, vc); c > 0 {
+		return float64(occ) / float64(c)
+	}
+	return 0
 }
 
 // Spec returns the mechanism the tables were computed for.

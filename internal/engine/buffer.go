@@ -43,13 +43,19 @@ func ringEntries(capacityPhits, packetPhits int) int {
 	return capacityPhits/packetPhits + 3
 }
 
-// init sizes the buffer: capacity in phits and ring size in entries (see
-// ringEntries). The ring itself is allocated by the first push.
+// init fixes the buffer's dimensions: capacity in phits and ring size in
+// entries (see ringEntries). The ring itself is allocated by the first push.
 func (b *vcBuffer) init(capacityPhits, entN int) {
 	b.capacity = int32(capacityPhits)
 	b.entN = int32(entN)
-	b.head = 0
-	b.count = 0
+}
+
+// reset empties the buffer for a new run. A ring an earlier run grew is
+// cleared and kept, so a re-initialised simulation does not pay the first
+// touch again.
+func (b *vcBuffer) reset() {
+	clear(b.entries)
+	*b = vcBuffer{capacity: b.capacity, entN: b.entN, entries: b.entries}
 }
 
 // empty reports whether no packet is present.

@@ -25,6 +25,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -243,24 +244,47 @@ const (
 	rebalanceInterval = 1024
 )
 
-// Sim is an instantiated simulation. A Sim runs once; build a new one per
-// experiment point.
+// shape is everything about a configuration that sizes memory, and nothing
+// else: two configurations of equal shape run on the same allocation,
+// whatever their mechanism, flow control, traffic, faults, seed or length.
+// It is comparable, so "can this Sim be re-initialised for that config" is
+// one ==.
+type shape struct {
+	topo                topology.P // by value: a dragonfly is a function of h
+	localVCs, globalVCs int        // per local / global port: VC buffers, credits, transfers, plans
+	bufLocal, bufGlobal int        // phits per VC: entry-ring sizes
+	packetPhits         int        // entry-ring sizes, injection queue capacity
+	injQueuePackets     int
+	latLocal, latGlobal int // link ring and arrival-slot ring lengths
+	workers             int // effective stepping width: sheets, progress counters, atomic vs plain arrival masks
+	jobs                int // workload jobs: per-router and fast-forward phase cursors
+	phases              int // tracked workload phases: per-sheet phase cells
+}
+
+// Sim is an instantiated simulation: an allocation sized by a shape (see
+// allocate) holding the state of one configuration (see init). A Sim runs
+// once per Init; Init on a Sim that already ran re-initialises it in place
+// when the next configuration has the same shape.
 type Sim struct {
 	cfg      Config
+	shape    shape
 	topo     *topology.P
 	tab      *core.Tables // routing tables shared by every router's Algorithm
 	routers  []router
 	workload *traffic.Workload
 
+	// arrSlots is the one arena behind every router's arrival schedule.
+	arrSlots []arrivalSlot
+
 	pbEnabled   bool
 	pbPublished [][]bool
 	pbNext      [][]bool
 
-	// workers is the effective parallel width: Config.Workers clamped to
-	// runtime.GOMAXPROCS(0) and the router count at build time.
-	workers  int
-	sheets   []metrics.Sheet // one per worker
-	progress []progress      // one per worker
+	// One sheet and one progress block per effective worker (shape.workers:
+	// Config.Workers clamped to runtime.GOMAXPROCS(0) and the router count
+	// when the fabric was allocated).
+	sheets   []metrics.Sheet
+	progress []progress
 
 	// shards and assign belong to the parallel executor: assign[w] lists
 	// the shard indices worker w steps. Both are mutated only in the
@@ -318,18 +342,37 @@ type Sim struct {
 	routeEpoch uint64
 
 	cycle int64
-	ran   bool
+	ready bool // Init succeeded and Run has not started
 }
 
-// New builds the network: routers, buffers, link rings and routing
-// instances.
+// New builds the network for cfg: Init on the zero Sim.
 func New(cfg Config) (*Sim, error) {
+	s := new(Sim)
+	if err := s.Init(cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Init makes s a simulation of cfg at cycle 0, ready to Run — whatever s
+// was before: the zero Sim, or one whose run completed, was canceled or
+// panicked. Fresh and recycled Sims take the same path: allocate by shape
+// when s has no fabric of cfg's shape (dropping the one it has first, so
+// two fabrics never coexist), then init, which alone writes initial
+// state. Results do not depend on what s held. On error s is unchanged.
+func (s *Sim) Init(cfg Config) error {
 	cfg.setDefaults()
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return err
+	}
+	if s.topo != nil && *s.topo == *cfg.Topo {
+		// Same dragonfly: keep our P, so an unchanged (Spec, Routing)
+		// compares equal below.
+		cfg.Topo = s.topo
 	}
 	p := cfg.Topo
 	cfg.Routing.Topo = p
+	cfg.Routing.BufLocal, cfg.Routing.BufGlobal = cfg.BufLocal, cfg.BufGlobal
 	if cfg.Routing.RemoteCandidates == 0 {
 		cfg.Routing.RemoteCandidates = 2
 	}
@@ -342,98 +385,83 @@ func New(cfg Config) (*Sim, error) {
 		cfg.Routing.PBThreshold = 0.35
 	}
 	// One shared table set per simulation: minimal next-hop rows, the
-	// global-port matrix and the pair-restricted detour candidate lists
-	// are computed here once and consulted read-only by every router.
-	tab, err := core.NewTables(cfg.Spec, cfg.Routing)
-	if err != nil {
-		return nil, err
+	// global-port matrix, the pair-restricted detour candidate lists and
+	// the occupancy-fraction rows are computed once and consulted
+	// read-only by every router. They depend on (Spec, Routing) alone.
+	tab := s.tab
+	if tab == nil || s.cfg.Spec != cfg.Spec || s.cfg.Routing != cfg.Routing {
+		var err error
+		if tab, err = core.NewTables(cfg.Spec, cfg.Routing); err != nil {
+			return err
+		}
 	}
 	probe := tab.NewAlgorithm()
 	if probe.RequiresVCT() && cfg.Flow != VCT {
-		return nil, fmt.Errorf("engine: %s requires VCT flow control", probe.Name())
+		return fmt.Errorf("engine: %s requires VCT flow control", probe.Name())
 	}
 	localVCs, globalVCs := probe.LocalVCs(), probe.GlobalVCs()
 	if localVCs > 16 || globalVCs > 16 {
 		// router.claimVCs holds one claimable bit per VC in a uint16;
 		// without this guard a wider algorithm would silently lose heads.
-		return nil, fmt.Errorf("engine: %d/%d VCs per port exceeds the 16-VC activity-mask limit",
+		return fmt.Errorf("engine: %d/%d VCs per port exceeds the 16-VC activity-mask limit",
 			localVCs, globalVCs)
 	}
 
-	w := cfg.Workload
 	// Effective worker count: more workers than CPUs only adds barrier
 	// latency (results are identical at any width, so the clamp is free),
 	// and more workers than routers leaves some idle.
-	workers := cfg.Workers
-	if mp := runtime.GOMAXPROCS(0); workers > mp {
-		workers = mp
-	}
-	if workers > p.Routers {
-		workers = p.Routers
-	}
-	s := &Sim{
-		cfg:        cfg,
-		topo:       p,
-		tab:        tab,
-		workload:   w,
-		pbEnabled:  cfg.Spec == core.PB,
-		routers:    make([]router, p.Routers),
-		workers:    workers,
-		sheets:     make([]metrics.Sheet, workers),
-		progress:   make([]progress, workers),
-		ffCursor:   make([]int32, len(w.Jobs)),
-		routeEpoch: 1, // zero-valued plans are invalid by construction
-	}
-	if cfg.Faults != nil || len(cfg.FaultEvents) > 0 {
-		s.faulted = true
-		if cfg.Faults != nil {
-			s.faults = cfg.Faults.Clone()
-		} else {
-			s.faults = topology.NewFaultSet(p)
-		}
-	}
+	workers := min(cfg.Workers, runtime.GOMAXPROCS(0), p.Routers)
 	// Per-phase digests only earn their keep on multi-phase workloads; a
 	// one-phase digest would duplicate the main Result.
-	trackedPhases := 0
-	if w.TotalPhases() > 1 {
-		trackedPhases = w.TotalPhases()
+	phases := 0
+	if n := cfg.Workload.TotalPhases(); n > 1 {
+		phases = n
 	}
-	for i := range s.sheets {
-		s.sheets[i].Configure(cfg.WindowCycles, trackedPhases)
+	sh := shape{
+		topo:     *p,
+		localVCs: localVCs, globalVCs: globalVCs,
+		bufLocal: cfg.BufLocal, bufGlobal: cfg.BufGlobal,
+		packetPhits: cfg.PacketPhits, injQueuePackets: cfg.InjQueuePackets,
+		latLocal: cfg.LatLocal, latGlobal: cfg.LatGlobal,
+		workers: workers, jobs: len(cfg.Workload.Jobs), phases: phases,
 	}
-	if s.pbEnabled {
-		s.pbPublished = make([][]bool, p.Groups)
-		s.pbNext = make([][]bool, p.Groups)
-		for g := range s.pbPublished {
-			s.pbPublished[g] = make([]bool, p.ChannelsPerGrp)
-			s.pbNext[g] = make([]bool, p.ChannelsPerGrp)
-		}
+	if sh != s.shape {
+		*s = Sim{} // drop the old fabric before building the next
+		s.allocate(sh, p)
 	}
+	s.init(cfg, tab)
+	return nil
+}
+
+// allocate builds the fabric of a shape: routers, ports, VC buffer
+// headers, credit and transfer slots, plan slots, RNG streams, link
+// headers and their wiring, the arrival-slot arena, sheets and progress
+// blocks. It fixes dimensions and pointers only; every value a run starts
+// from is written by init.
+func (s *Sim) allocate(sh shape, p *topology.P) {
+	s.shape = sh
+	s.topo = p
+	s.routers = make([]router, p.Routers)
+	s.sheets = make([]metrics.Sheet, sh.workers)
+	s.progress = make([]progress, sh.workers)
+	s.ffCursor = make([]int32, sh.jobs)
 
 	// One arena for every router's arrival-schedule slots, laid out in
 	// router (and therefore shard) order: the cross-worker-written slots
 	// stay out of the router structs' cache lines, and building a large
 	// fabric costs one allocation instead of one per router.
-	maxLat := cfg.LatLocal
-	if cfg.LatGlobal > maxLat {
-		maxLat = cfg.LatGlobal
-	}
-	slotsPer := arrivalSlotCount(maxLat)
-	arrSlots := make([]arrivalSlot, p.Routers*slotsPer)
+	slotsPer := arrivalSlotCount(max(sh.latLocal, sh.latGlobal))
+	s.arrSlots = make([]arrivalSlot, p.Routers*slotsPer)
 
 	for id := range s.routers {
 		r := &s.routers[id]
 		r.id = id
 		r.group = int32(p.GroupOf(id))
 		r.eng = s
-		r.flow = cfg.Flow
-		r.sheet = &s.sheets[0]
-		r.prog = &s.progress[0]
-		r.alg = tab.NewAlgorithm()
-		r.routeRand = rng.New(cfg.Seed, uint64(id)*2+1)
+		r.routeRand = new(rng.PCG)
 		r.nodeRand = make([]*rng.PCG, p.H)
 		for k := range r.nodeRand {
-			r.nodeRand[k] = rng.New(cfg.Seed, uint64(p.NodeID(id, k))*2+2_000_000)
+			r.nodeRand[k] = new(rng.PCG)
 		}
 		// One extra output port (index p.Ports) is the fault-drop sink: a
 		// linkless pseudo-output that drains unroutable packets through
@@ -442,17 +470,16 @@ func New(cfg Config) (*Sim, error) {
 		// hold for faulted runs. Fault-free runs never claim it.
 		r.in = make([]inPort, p.Ports)
 		r.out = make([]outPort, p.Ports+1)
-		r.pktSize = cfg.PacketPhits
-		r.needHeadFull = probe.UsesHeadArrival()
+		r.pktSize = sh.packetPhits
 		// Router-wide backing arrays for all ports' credit counters,
 		// transfer slots, input VC buffers and head plans: the claim and
 		// streaming paths then walk contiguous memory instead of one
 		// allocation per port. VC entry rings are allocated lazily on
 		// first use (see vcBuffer), so a buffer no traffic ever reaches
 		// costs only its header — the bulk of a large fabric's idle state.
-		linkVCs := p.LocalPorts*localVCs + p.GlobalPorts*globalVCs
+		linkVCs := p.LocalPorts*sh.localVCs + p.GlobalPorts*sh.globalVCs
 		inVCs := linkVCs + p.H
-		injCap := cfg.InjQueuePackets * cfg.PacketPhits
+		injCap := sh.injQueuePackets * sh.packetPhits
 		creditsAll := make([]int32, linkVCs)
 		transfersAll := make([]transfer, linkVCs+p.H+1)
 		vcsAll := make([]vcBuffer, inVCs)
@@ -463,34 +490,37 @@ func New(cfg Config) (*Sim, error) {
 		takeVCs := func(n, capPhits int) []vcBuffer {
 			vcs := vcsAll[vcOff : vcOff+n : vcOff+n]
 			vcOff += n
-			entN := ringEntries(capPhits, cfg.PacketPhits)
+			entN := ringEntries(capPhits, sh.packetPhits)
 			for i := range vcs {
 				vcs[i].init(capPhits, entN)
 			}
 			return vcs
 		}
 		r.claimVCs = make([]uint16, p.Ports)
-		r.phaseCur = make([]int32, len(w.Jobs))
+		r.phaseCur = make([]int32, sh.jobs)
 		r.nodePhase = make([]nodePhase, p.H)
-		r.arrivals.init(arrSlots[id*slotsPer:(id+1)*slotsPer:(id+1)*slotsPer], workers <= 1)
+		r.arrivals.init(s.arrSlots[id*slotsPer:(id+1)*slotsPer:(id+1)*slotsPer], sh.workers <= 1)
 		off := 0
 		for port := 0; port < p.Ports; port++ {
 			r.planOff[port] = int32(vcOff)
+			op := &r.out[port]
 			switch {
 			case p.IsLocalPort(port):
-				r.in[port].vcs = takeVCs(localVCs, cfg.BufLocal)
-				r.out[port] = makeOutPort(creditsAll[off:off+localVCs:off+localVCs],
-					transfersAll[off:off+localVCs:off+localVCs], cfg.BufLocal)
-				off += localVCs
+				r.in[port].vcs = takeVCs(sh.localVCs, sh.bufLocal)
+				op.credits = creditsAll[off : off+sh.localVCs : off+sh.localVCs]
+				op.transfers = transfersAll[off : off+sh.localVCs : off+sh.localVCs]
+				op.capacity = int32(sh.bufLocal)
+				off += sh.localVCs
 			case p.IsGlobalPort(port):
-				r.in[port].vcs = takeVCs(globalVCs, cfg.BufGlobal)
-				r.out[port] = makeOutPort(creditsAll[off:off+globalVCs:off+globalVCs],
-					transfersAll[off:off+globalVCs:off+globalVCs], cfg.BufGlobal)
-				r.out[port].global = true
-				off += globalVCs
+				r.in[port].vcs = takeVCs(sh.globalVCs, sh.bufGlobal)
+				op.credits = creditsAll[off : off+sh.globalVCs : off+sh.globalVCs]
+				op.transfers = transfersAll[off : off+sh.globalVCs : off+sh.globalVCs]
+				op.capacity = int32(sh.bufGlobal)
+				op.global = true
+				off += sh.globalVCs
 			default: // injection (input) / ejection (output)
 				r.in[port].vcs = takeVCs(1, injCap)
-				r.out[port].transfers = transfersAll[linkVCs+port-p.EjectPortBase():][:1:1]
+				op.transfers = transfersAll[linkVCs+port-p.EjectPortBase():][:1:1]
 			}
 		}
 	}
@@ -501,9 +531,9 @@ func New(cfg Config) (*Sim, error) {
 	for id := range s.routers {
 		r := &s.routers[id]
 		for port := 0; port < p.EjectPortBase(); port++ {
-			lat := cfg.LatLocal
+			lat := sh.latLocal
 			if p.IsGlobalPort(port) {
-				lat = cfg.LatGlobal
+				lat = sh.latGlobal
 			}
 			l := newLink(lat)
 			r.out[port].link = l
@@ -515,7 +545,64 @@ func New(cfg Config) (*Sim, error) {
 			l.creditPort = int16(port)
 		}
 	}
-	if s.faulted {
+}
+
+// init writes the cycle-0 state of a run of cfg over the allocation: the
+// only code that does, for a fresh Sim and a recycled one alike. The
+// allocation (and whatever rings and plan arenas an earlier run grew)
+// stays; every other field of the Sim and of each router returns to its
+// zero value before the configuration is applied, so nothing a previous
+// run left — mid-flight packets, credits, transfers, cached plans, fault
+// state, shard pins — can reach this one. Per-router algorithms are
+// rebuilt only when the tables changed.
+func (s *Sim) init(cfg Config, tab *core.Tables) {
+	newTab := tab != s.tab
+	*s = Sim{
+		shape: s.shape, topo: s.topo, routers: s.routers, arrSlots: s.arrSlots,
+		sheets: s.sheets, progress: s.progress, ffCursor: s.ffCursor,
+		pbPublished: s.pbPublished, pbNext: s.pbNext,
+
+		cfg:        cfg,
+		tab:        tab,
+		workload:   cfg.Workload,
+		pbEnabled:  cfg.Spec == core.PB,
+		routeEpoch: 1, // zero-valued plans are invalid by construction
+	}
+	p := s.topo
+	clear(s.progress)
+	clear(s.ffCursor)
+	clear(s.arrSlots)
+	for i := range s.sheets {
+		s.sheets[i].Configure(cfg.WindowCycles, s.shape.phases)
+	}
+	if s.pbEnabled {
+		if s.pbPublished == nil {
+			s.pbPublished = make([][]bool, p.Groups)
+			s.pbNext = make([][]bool, p.Groups)
+			for g := range s.pbPublished {
+				s.pbPublished[g] = make([]bool, p.ChannelsPerGrp)
+				s.pbNext[g] = make([]bool, p.ChannelsPerGrp)
+			}
+		}
+		for g := range s.pbPublished {
+			clear(s.pbPublished[g])
+			clear(s.pbNext[g])
+		}
+	}
+	for id := range s.routers {
+		r := &s.routers[id]
+		if newTab {
+			r.alg = tab.NewAlgorithm()
+		}
+		r.reset(cfg.Flow, cfg.Seed)
+	}
+	if cfg.Faults != nil || len(cfg.FaultEvents) > 0 {
+		s.faulted = true
+		if cfg.Faults != nil {
+			s.faults = cfg.Faults.Clone()
+		} else {
+			s.faults = topology.NewFaultSet(p)
+		}
 		// Fold events already due at cycle 0 into the initial state, then
 		// mirror the masks into the routers. Initial faults are known at
 		// boot: the routing-view tables start from the same state (no
@@ -557,7 +644,7 @@ func New(cfg Config) (*Sim, error) {
 			}
 		}
 	}
-	return s, nil
+	s.ready = true
 }
 
 // viewRouterDead reports whether the routing view (stale by
@@ -681,18 +768,6 @@ func (s *Sim) applyFaultEvents() {
 		// old view into its candidate geometry, so force rebuilds.
 		s.routeEpoch++
 	}
-}
-
-func makeOutPort(credits []int32, transfers []transfer, capacity int) outPort {
-	op := outPort{
-		credits:   credits,
-		transfers: transfers,
-		capacity:  int32(capacity),
-	}
-	for v := range op.credits {
-		op.credits[v] = int32(capacity)
-	}
-	return op
 }
 
 // stepCycle advances the whole network one cycle, serially.
@@ -855,15 +930,16 @@ const ctxCheckMask = 1<<10 - 1
 // ctx every 1024 cycles and aborts with ctx's error, so an orchestrator
 // can stop a campaign mid-point.
 func (s *Sim) RunContext(ctx context.Context) (metrics.Result, error) {
-	if s.ran {
-		return metrics.Result{}, fmt.Errorf("engine: Sim.Run called twice")
+	if !s.ready {
+		return metrics.Result{}, fmt.Errorf("engine: Sim.Run called twice (a Sim runs once per Init)")
 	}
-	s.ran = true
+	s.ready = false
 
-	var stop func()
 	step := s.stepCycle
-	if s.workers > 1 {
+	if s.shape.workers > 1 {
+		var stop func()
 		step, stop = s.startWorkers()
+		// stop joins the workers: a Sim that returned from Run is quiescent.
 		defer stop()
 	}
 
@@ -879,11 +955,7 @@ func (s *Sim) RunContext(ctx context.Context) (metrics.Result, error) {
 	}
 
 	var sheet metrics.Sheet
-	trackedPhases := 0
-	if s.workload.TotalPhases() > 1 {
-		trackedPhases = s.workload.TotalPhases()
-	}
-	sheet.Configure(s.cfg.WindowCycles, trackedPhases)
+	sheet.Configure(s.cfg.WindowCycles, s.shape.phases)
 	for i := range s.sheets {
 		sheet.Merge(&s.sheets[i])
 	}
@@ -1142,7 +1214,7 @@ func (s *Sim) rebalanceShards() {
 // group-aligned when possible) so rebalanceShards can shift load at a
 // finer grain than whole worker ranges.
 func (s *Sim) startWorkers() (step func(), stop func()) {
-	n := s.workers
+	n := s.shape.workers
 	sc := n * shardsPerWorker
 	if sc > len(s.routers) {
 		sc = len(s.routers)
@@ -1162,8 +1234,11 @@ func (s *Sim) startWorkers() (step func(), stop func()) {
 	b := &cycleBarrier{}
 	// Shard set 0 runs on the calling goroutine, so only n-1 workers are
 	// launched and no goroutine ever just spins through a whole cycle.
+	var running sync.WaitGroup
 	for w := 1; w < n; w++ {
+		running.Add(1)
 		go func(w int) {
+			defer running.Done()
 			var seen uint64
 			for {
 				seen = b.await(&b.startGen, seen)
@@ -1202,9 +1277,13 @@ func (s *Sim) startWorkers() (step func(), stop func()) {
 			s.rebalanceShards()
 		}
 	}
+	// stop releases the workers one last time with quit raised and waits
+	// for every one of them to return, so no goroutine outlives the run
+	// and the Sim's memory has a single owner again.
 	stop = func() {
 		b.quit.Store(true)
 		b.startGen.Add(1)
+		running.Wait()
 	}
 	return step, stop
 }

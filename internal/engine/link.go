@@ -74,7 +74,7 @@ func arrivalSlotCount(maxLatency int) int {
 // init points the schedule at its slot ring — a slice of the simulation's
 // shard-ordered slot arena, so the cross-worker-written slots of all
 // routers live in one allocation away from the routers' single-writer hot
-// state.
+// state. The arena's owner clears the slots between runs.
 func (s *arrivalSchedule) init(slots []arrivalSlot, serial bool) {
 	s.slots = slots
 	s.mask = int64(len(slots) - 1)
@@ -152,6 +152,13 @@ func newLink(latency int) *link {
 		latency: latency,
 		mask:    int64(n - 1),
 	}
+}
+
+// reset empties the rings for a new run, keeping the ones an earlier run
+// grew.
+func (l *link) reset() {
+	clear(l.phits)
+	clear(l.credits)
 }
 
 // sendPhit schedules a phit to arrive at now+latency.

@@ -171,6 +171,52 @@ type router struct {
 	lastDeliveryCycle int64
 }
 
+// reset returns the router to cycle 0 of a run: the allocation (ports,
+// buffers, plan slots, RNG streams, wiring) stays, every other field goes
+// back to its zero value, and then the run's flow control, seed and the
+// traits of r.alg are applied — full credits, empty buffers and rings, no
+// transfers, no valid plan, re-seeded streams, pinned to worker 0.
+func (r *router) reset(flow FlowControl, seed uint64) {
+	e := r.eng
+	*r = router{
+		id: r.id, group: r.group, eng: e, alg: r.alg,
+		in: r.in, out: r.out, routeRand: r.routeRand, nodeRand: r.nodeRand,
+		arrivals: r.arrivals, claimVCs: r.claimVCs, phaseCur: r.phaseCur, nodePhase: r.nodePhase,
+		plans: r.plans, planOff: r.planOff, pktSize: r.pktSize,
+
+		flow:         flow,
+		needHeadFull: r.alg.UsesHeadArrival(),
+		sheet:        &e.sheets[0],
+		prog:         &e.progress[0],
+	}
+	r.routeRand.Seed(seed, uint64(r.id)*2+1)
+	for k, nr := range r.nodeRand {
+		nr.Seed(seed, uint64(e.topo.NodeID(r.id, k))*2+2_000_000)
+	}
+	for i := range r.in {
+		for v := range r.in[i].vcs {
+			r.in[i].vcs[v].reset()
+		}
+	}
+	for i := range r.out {
+		op := &r.out[i]
+		for v := range op.credits {
+			op.credits[v] = op.capacity
+		}
+		clear(op.transfers)
+		op.activeVCs, op.nActive, op.rr = 0, 0, 0
+		if op.link != nil {
+			op.link.reset()
+		}
+	}
+	for i := range r.plans {
+		r.plans[i].Invalidate()
+	}
+	clear(r.claimVCs)
+	clear(r.phaseCur)
+	clear(r.nodePhase)
+}
+
 // view adapts the router to core.View during routing evaluation.
 func (r *router) CanClaim(port, vc, size int) bool {
 	op := &r.out[port]

@@ -11,8 +11,9 @@ import (
 	dragonfly "repro"
 )
 
-// Options configure a campaign run. The zero value runs every point with
-// dragonfly.RunContext on a GOMAXPROCS-wide pool, no cache, no output.
+// Options configure a campaign run. The zero value runs every point on a
+// GOMAXPROCS-wide pool, one dragonfly.Runner per pool goroutine, no cache,
+// no output.
 type Options struct {
 	// Workers bounds the number of concurrently executing points
 	// (default GOMAXPROCS). This is across-point parallelism; it
@@ -51,8 +52,10 @@ type Options struct {
 	Cache *Cache
 
 	// Run overrides how a point is executed (benchmark harnesses time
-	// the engine themselves). Default: dragonfly.RunContext(ctx, cfg).
-	// The index is the point's campaign index.
+	// the engine themselves). Default: RunContext(ctx, cfg) on the pool
+	// goroutine's own dragonfly.Runner, which re-initialises one network
+	// across consecutive points of the same shape. The index is the
+	// point's campaign index.
 	Run func(ctx context.Context, index int, p Point) (dragonfly.Result, error)
 }
 
@@ -96,13 +99,6 @@ func Run(ctx context.Context, camp Campaign, opt Options) ([]Outcome, error) {
 			outs[i].Point.Config.Seed = PointSeed(opt.SeedBase, i)
 		}
 	}
-	runFn := opt.Run
-	if runFn == nil {
-		runFn = func(ctx context.Context, _ int, p Point) (dragonfly.Result, error) {
-			return dragonfly.RunContext(ctx, p.Config)
-		}
-	}
-
 	var (
 		mu        sync.Mutex // serializes progress + JSONL emission
 		done      int
@@ -156,6 +152,15 @@ func Run(ctx context.Context, camp Campaign, opt Options) ([]Outcome, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Each pool goroutine is one lane: it owns one Runner, so
+			// consecutive points of one network shape share an allocation.
+			var lane dragonfly.Runner
+			runFn := opt.Run
+			if runFn == nil {
+				runFn = func(ctx context.Context, _ int, p Point) (dragonfly.Result, error) {
+					return lane.RunContext(ctx, p.Config)
+				}
+			}
 			for i := range jobs {
 				o := &outs[i]
 				if err := ctx.Err(); err != nil {

@@ -115,7 +115,8 @@ type Server struct {
 	nextID    int
 	wg        sync.WaitGroup // running campaign executors
 
-	// runSim executes one simulation; tests stub it to control timing.
+	// runSim, when non-nil, replaces a local puller's own Runner; tests
+	// stub it to control timing.
 	runSim func(ctx context.Context, cfg dragonfly.Config) (dragonfly.Result, error)
 }
 
@@ -147,7 +148,6 @@ func New(cfg Config) (*Server, error) {
 		runCtx:     ctx,
 		runCancel:  cancel,
 		campaigns:  make(map[string]*campaign),
-		runSim:     dragonfly.RunContext,
 	}
 	for i := 0; i < workers; i++ {
 		s.localWG.Add(1)
@@ -163,8 +163,16 @@ func New(cfg Config) (*Server, error) {
 // queue — so no heartbeats are needed.
 func (s *Server) localPuller() {
 	defer s.localWG.Done()
+	// One lane, one Runner: consecutive points of one network shape share
+	// an allocation. When nothing is ready the network is released before
+	// blocking, so an idle coordinator does not sit on a fabric.
+	var lane dragonfly.Runner
 	for {
-		l, err := s.queue.WaitClaim(s.runCtx, "local", 1, time.Hour, true)
+		l, err := s.queue.Claim("local", 1, true)
+		if err == nil && l == nil {
+			lane.Release()
+			l, err = s.queue.WaitClaim(s.runCtx, "local", 1, time.Hour, true)
+		}
 		if err != nil {
 			return // draining or shut down
 		}
@@ -172,7 +180,11 @@ func (s *Server) localPuller() {
 			continue
 		}
 		for _, t := range l.Tasks {
-			res, err := s.runSim(s.runCtx, t.Config)
+			run := lane.RunContext
+			if s.runSim != nil {
+				run = s.runSim
+			}
+			res, err := run(s.runCtx, t.Config)
 			s.queue.Complete(l.ID, t.ID, queue.Outcome{Result: res, Err: err}) //nolint:errcheck // local leases cannot expire
 		}
 	}

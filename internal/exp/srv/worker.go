@@ -40,8 +40,8 @@ type Worker struct {
 
 	executed atomic.Int64 // simulations actually run (store hits excluded)
 
-	// runSim executes one simulation; tests stub it to inject crashes
-	// and stalls.
+	// runSim, when non-nil, replaces the pull loops' own Runners; tests
+	// stub it to inject crashes and stalls.
 	runSim func(ctx context.Context, cfg dragonfly.Config) (dragonfly.Result, error)
 }
 
@@ -78,14 +78,13 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, fmt.Errorf("srv: WorkerConfig.Name is required")
 	}
 	w := &Worker{
-		coord:  NewClient(cfg.Coordinator),
-		name:   cfg.Name,
-		store:  cfg.Store,
-		sims:   cfg.Sims,
-		batch:  cfg.Batch,
-		poll:   cfg.Poll,
-		log:    cfg.Log,
-		runSim: dragonfly.RunContext,
+		coord: NewClient(cfg.Coordinator),
+		name:  cfg.Name,
+		store: cfg.Store,
+		sims:  cfg.Sims,
+		batch: cfg.Batch,
+		poll:  cfg.Poll,
+		log:   cfg.Log,
 	}
 	if w.sims <= 0 {
 		w.sims = runtime.GOMAXPROCS(0)
@@ -124,8 +123,10 @@ func (wk *Worker) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// pull is one claim-execute loop.
+// pull is one claim-execute loop: one lane, which owns one Runner, so
+// consecutive leased points of one network shape share an allocation.
 func (wk *Worker) pull(ctx context.Context) {
+	var lane dragonfly.Runner
 	fails := 0
 	for ctx.Err() == nil {
 		var grant LeaseGrant
@@ -139,6 +140,7 @@ func (wk *Worker) pull(ctx context.Context) {
 			// Coordinator unreachable, restarting, or draining: back off
 			// and rejoin. The delay is jittered so a fleet does not
 			// stampede a coordinator that just came back.
+			lane.Release()
 			fails++
 			wk.logf("claim failed (attempt %d): %v", fails, err)
 			if !sleepCtx(ctx, queue.Backoff(fails-1, retryBackoff, retryCap)) {
@@ -148,16 +150,23 @@ func (wk *Worker) pull(ctx context.Context) {
 		}
 		fails = 0
 		if grant.ID == "" {
-			continue // long poll found no work; ask again
+			// The long poll found no work: ask again, but do not sit on
+			// a fabric (an h=16 one is gigabytes) while idle.
+			lane.Release()
+			continue
 		}
-		wk.execute(ctx, grant)
+		wk.execute(ctx, &lane, grant)
 	}
 }
 
 // execute runs one lease's points, submitting each outcome as it
 // finishes. A lost lease (410 anywhere) abandons the rest: the
 // coordinator has already requeued them.
-func (wk *Worker) execute(ctx context.Context, g LeaseGrant) {
+func (wk *Worker) execute(ctx context.Context, lane *dragonfly.Runner, g LeaseGrant) {
+	run := lane.RunContext
+	if wk.runSim != nil {
+		run = wk.runSim
+	}
 	lctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	go wk.heartbeat(lctx, cancel, g)
@@ -170,7 +179,7 @@ func (wk *Worker) execute(ctx context.Context, g LeaseGrant) {
 		// same content hash the coordinator uses, but never trusted off
 		// the wire.
 		res, hit, err := exp.Resolve(lctx, wk.store, "", t.Config,
-			func() (dragonfly.Result, error) { return wk.runSim(lctx, t.Config) },
+			func() (dragonfly.Result, error) { return run(lctx, t.Config) },
 			func(perr error) { wk.logf("store put: %v", perr) })
 		if lctx.Err() != nil {
 			return // lease lost or shutting down mid-sim: report nothing

@@ -149,17 +149,18 @@ type Sheet struct {
 	phaseCells  []phaseCell
 }
 
-// Configure sets the Timeline window width (0 disables windows) and the
-// number of workload phases tracked by per-phase digests (0 disables
-// them). Call it once, before recording.
+// Configure readies the sheet for a run: every counter zero, the Timeline
+// window width set (0 disables windows) and phases workload phases tracked
+// by per-phase digests (0 disables them). A sheet that already served a
+// run keeps the window and phase storage it grew and clears it.
 func (s *Sheet) Configure(windowWidth int64, phases int) {
-	s.windowWidth = windowWidth
-	s.windows = nil
-	if phases > 0 {
-		s.phaseCells = make([]phaseCell, phases)
-	} else {
-		s.phaseCells = nil
+	cells := s.phaseCells
+	if cap(cells) < phases {
+		cells = make([]phaseCell, phases)
 	}
+	cells = cells[:phases]
+	clear(cells)
+	*s = Sheet{windowWidth: windowWidth, windows: s.windows[:0], phaseCells: cells}
 }
 
 // windowAt returns the cell covering cycle, growing the lazy window slice
