@@ -328,3 +328,28 @@ func BenchmarkRunnerReuse(b *testing.B) {
 		return lane.RunContext(context.Background(), cfg)
 	})
 }
+
+// BenchmarkRunWorkers2HalfIdle is the uneven-load parallel path in one
+// number: an h=4 network whose first half runs a UN job while the second
+// half idles, 2,000 cycles at two engine workers — the case the fixed
+// striped partition exists for.
+func BenchmarkRunWorkers2HalfIdle(b *testing.B) {
+	cfg := benchBase(4, dragonfly.VCT)
+	cfg.Mechanism = dragonfly.OLM
+	_, nodes, _, err := dragonfly.NetworkSize(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Workload = []dragonfly.JobSpec{{
+		FirstNode: 0, LastNode: nodes/2 - 1,
+		Phases: []dragonfly.PhaseSpec{{Traffic: dragonfly.Traffic{Kind: dragonfly.UN}, Load: 0.2}},
+	}}
+	cfg.Warmup, cfg.Measure = 500, 1500
+	cfg.Workers = 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := dragonfly.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -16,7 +16,8 @@
 // streams advance deterministically). Progress totals for the watchdog
 // are maintained incrementally per worker instead of being re-summed
 // over all routers every cycle, and the parallel executor synchronizes
-// cycles with an atomic generation barrier over group-contiguous shards.
+// cycles with an atomic generation barrier over a fixed partition of
+// group-contiguous router ranges.
 package engine
 
 import (
@@ -24,7 +25,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -213,10 +213,10 @@ type FaultEvent struct {
 
 // progress holds one worker's incrementally-maintained progress counters.
 // The per-cycle watchdog reads their sum instead of re-scanning every
-// router. occ and inflight are deltas: routers may migrate between workers
-// when shards rebalance, so one worker's counter can go negative — only
-// the sum over all workers is meaningful (and exact). Padded so workers
-// never share a cache line.
+// router. inflight is a delta — the sender's worker counts a phit or credit
+// up, the receiver's counts it down — so one worker's value can go negative
+// and only the sum over all workers is meaningful (and exact). Padded so
+// workers never share a cache line.
 type progress struct {
 	moved     int64 // crossbar phit movements (all-time)
 	live      int64 // injected minus delivered packets
@@ -226,23 +226,12 @@ type progress struct {
 	_         [3]int64
 }
 
-// simShard is one contiguous router range of the parallel executor. The
-// owning worker accumulates activity (routers seen with buffered work per
-// cycle); the serial section periodically reassigns shards to workers by
-// that observed load (see rebalanceShards).
-type simShard struct {
-	lo, hi   int
-	activity int64
-}
-
-const (
-	// shardsPerWorker decouples shard granularity from worker count:
-	// more, smaller shards give the load balancer room to move work
-	// without splitting dragonfly groups.
-	shardsPerWorker = 4
-	// rebalanceInterval is the cycle period of shard reassignment.
-	rebalanceInterval = 1024
-)
+// rangesPerWorker is how many contiguous router ranges each worker steps.
+// The ranges are dealt round-robin, so a job that occupies one contiguous
+// part of the machine (the one load imbalance the workloads produce) still
+// lands on every worker; one range per group measured no faster at h=8
+// (docs/PERFORMANCE.md).
+const rangesPerWorker = 4
 
 // shape is everything about a configuration that sizes memory, and nothing
 // else: two configurations of equal shape run on the same allocation,
@@ -256,7 +245,7 @@ type shape struct {
 	packetPhits         int        // entry-ring sizes, injection queue capacity
 	injQueuePackets     int
 	latLocal, latGlobal int // link ring and arrival-slot ring lengths
-	workers             int // effective stepping width: sheets, progress counters, atomic vs plain arrival masks
+	workers             int // effective stepping width: stripes, sheets, progress counters, packet lists, atomic vs plain arrival masks
 	jobs                int // workload jobs: per-router and fast-forward phase cursors
 	phases              int // tracked workload phases: per-sheet phase cells
 }
@@ -280,18 +269,15 @@ type Sim struct {
 	pbPublished [][]bool
 	pbNext      [][]bool
 
-	// One sheet and one progress block per effective worker (shape.workers:
-	// Config.Workers clamped to runtime.GOMAXPROCS(0) and the router count
-	// when the fabric was allocated).
+	// The partition: worker w of shape.workers (Config.Workers clamped to
+	// runtime.GOMAXPROCS(0) and the router count when the fabric was
+	// allocated) steps the router ranges [bounds[i], bounds[i+1]) with
+	// i % workers == w, and owns one sheet, one progress block and one
+	// packet list. All of it is fixed by allocate.
+	bounds   []int
 	sheets   []metrics.Sheet
 	progress []progress
-
-	// shards and assign belong to the parallel executor: assign[w] lists
-	// the shard indices worker w steps. Both are mutated only in the
-	// serial section between cycles (rebalanceShards); the cycle barrier
-	// publishes the updates to the workers.
-	shards []simShard
-	assign [][]int32
+	pkts     []packetList
 
 	// Quiet-cycle fast-forward state: ffCursor holds per-job phase
 	// cursors for the eligibility scan, ffRescanAt suppresses rescans
@@ -435,19 +421,33 @@ func (s *Sim) Init(cfg Config) error {
 
 // allocate builds the fabric of a shape: routers, ports, VC buffer
 // headers, credit and transfer slots, plan slots, RNG streams, link
-// headers and their wiring, the arrival-slot arena, sheets and progress
-// blocks. It fixes dimensions and pointers only; every value a run starts
-// from is written by init.
+// headers and their wiring, the arrival-slot arena, and the partition of
+// the routers over the workers with each worker's sheet, progress block and
+// packet list. It fixes dimensions and pointers only; every value a run
+// starts from is written by init.
 func (s *Sim) allocate(sh shape, p *topology.P) {
 	s.shape = sh
 	s.topo = p
 	s.routers = make([]router, p.Routers)
 	s.sheets = make([]metrics.Sheet, sh.workers)
 	s.progress = make([]progress, sh.workers)
+	s.pkts = make([]packetList, sh.workers)
 	s.ffCursor = make([]int32, sh.jobs)
 
+	// The partition is a function of the shape alone: contiguous ranges,
+	// dealt round-robin. A router never changes workers, which is what
+	// lets sheets, progress counters and packet lists go unsynchronized.
+	s.bounds = rangeBounds(p, min(sh.workers*rangesPerWorker, p.Routers))
+	for i := 0; i+1 < len(s.bounds); i++ {
+		w := i % sh.workers
+		for id := s.bounds[i]; id < s.bounds[i+1]; id++ {
+			r := &s.routers[id]
+			r.sheet, r.prog, r.pkts = &s.sheets[w], &s.progress[w], &s.pkts[w]
+		}
+	}
+
 	// One arena for every router's arrival-schedule slots, laid out in
-	// router (and therefore shard) order: the cross-worker-written slots
+	// router (and therefore range) order: the cross-worker-written slots
 	// stay out of the router structs' cache lines, and building a large
 	// fabric costs one allocation instead of one per router.
 	slotsPer := arrivalSlotCount(max(sh.latLocal, sh.latGlobal))
@@ -549,18 +549,18 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 
 // init writes the cycle-0 state of a run of cfg over the allocation: the
 // only code that does, for a fresh Sim and a recycled one alike. The
-// allocation (and whatever rings and plan arenas an earlier run grew)
-// stays; every other field of the Sim and of each router returns to its
-// zero value before the configuration is applied, so nothing a previous
-// run left — mid-flight packets, credits, transfers, cached plans, fault
-// state, shard pins — can reach this one. Per-router algorithms are
-// rebuilt only when the tables changed.
+// allocation (and whatever rings, plan arenas and free packets an earlier
+// run grew) stays; every other field of the Sim and of each router returns
+// to its zero value before the configuration is applied, so nothing a
+// previous run left — mid-flight packets, credits, transfers, cached plans,
+// fault state — can reach this one. Per-router algorithms are rebuilt only
+// when the tables changed.
 func (s *Sim) init(cfg Config, tab *core.Tables) {
 	newTab := tab != s.tab
 	*s = Sim{
 		shape: s.shape, topo: s.topo, routers: s.routers, arrSlots: s.arrSlots,
-		sheets: s.sheets, progress: s.progress, ffCursor: s.ffCursor,
-		pbPublished: s.pbPublished, pbNext: s.pbNext,
+		bounds: s.bounds, sheets: s.sheets, progress: s.progress, pkts: s.pkts,
+		ffCursor: s.ffCursor, pbPublished: s.pbPublished, pbNext: s.pbNext,
 
 		cfg:        cfg,
 		tab:        tab,
@@ -1091,26 +1091,24 @@ func (s *Sim) runBurst(ctx context.Context, step func()) (bool, error) {
 	return true, nil
 }
 
-// shardBounds partitions the routers into n contiguous shards. When
-// possible the boundaries fall on dragonfly group boundaries, so the
-// densely-communicating routers of one group (complete local-link graph)
-// stay in one worker's cache.
-func (s *Sim) shardBounds(n int) []int {
+// rangeBounds cuts p's routers into n contiguous ranges. When possible the
+// boundaries fall on dragonfly group boundaries, so the densely-
+// communicating routers of one group (complete local-link graph) stay in
+// one worker's cache.
+func rangeBounds(p *topology.P, n int) []int {
 	bounds := make([]int, n+1)
-	if g := s.topo.Groups; n <= g {
-		for w := 0; w <= n; w++ {
-			bounds[w] = (w * g / n) * s.topo.RoutersPerGroup
-		}
-	} else {
-		for w := 0; w <= n; w++ {
-			bounds[w] = w * len(s.routers) / n
+	for i := range bounds {
+		if n <= p.Groups {
+			bounds[i] = (i * p.Groups / n) * p.RoutersPerGroup
+		} else {
+			bounds[i] = i * p.Routers / n
 		}
 	}
 	return bounds
 }
 
 // cycleBarrier synchronizes the per-cycle lockstep between the main loop
-// and the shard workers with two atomic generation counters instead of
+// and the workers with two atomic generation counters instead of
 // per-worker channel operations: the main loop bumps startGen to release
 // every worker for one cycle, and the last worker to finish bumps doneGen.
 // Waiters spin briefly and then yield, so the barrier stays correct (if
@@ -1134,106 +1132,25 @@ func (b *cycleBarrier) await(gen *atomic.Uint64, last uint64) uint64 {
 	}
 }
 
-// stepShards steps every router of worker w's assigned shards for the
-// current cycle, accumulating per-shard activity (routers holding buffered
-// work) for the load balancer.
-func (s *Sim) stepShards(w int) {
+// stepRanges steps every router of worker w's ranges for the current
+// cycle, in ascending router order.
+func (s *Sim) stepRanges(w int) {
 	cycle := s.cycle
-	for _, si := range s.assign[w] {
-		sh := &s.shards[si]
-		act := int64(0)
-		for i := sh.lo; i < sh.hi; i++ {
-			if s.routers[i].occupied != 0 {
-				act++
-			}
-			s.routers[i].step(cycle)
-		}
-		sh.activity += act
-	}
-}
-
-// pinShards points every router's metrics sheet and progress counters at
-// its owning worker's. Called before stepping starts and after every
-// reassignment, always in the serial section: sheet merging and the
-// progress deltas are order-independent sums, so re-pinning mid-run never
-// changes results.
-func (s *Sim) pinShards() {
-	for w := range s.assign {
-		for _, si := range s.assign[w] {
-			sh := &s.shards[si]
-			for i := sh.lo; i < sh.hi; i++ {
-				s.routers[i].sheet = &s.sheets[w]
-				s.routers[i].prog = &s.progress[w]
-			}
+	for i := w; i+1 < len(s.bounds); i += s.shape.workers {
+		for id := s.bounds[i]; id < s.bounds[i+1]; id++ {
+			s.routers[id].step(cycle)
 		}
 	}
 }
 
-// rebalanceShards reassigns shards to workers by observed activity:
-// longest-processing-time-first over the accumulated per-shard counters,
-// ties broken by shard index so the assignment is deterministic. The
-// counters then decay by half, making the signal a moving average that
-// follows workload phase changes. Runs only in the serial section.
-func (s *Sim) rebalanceShards() {
-	n := len(s.assign)
-	order := make([]int32, len(s.shards))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return s.shards[order[a]].activity > s.shards[order[b]].activity
-	})
-	load := make([]int64, n)
-	for w := range s.assign {
-		s.assign[w] = s.assign[w][:0]
-	}
-	for _, si := range order {
-		min := 0
-		for w := 1; w < n; w++ {
-			if load[w] < load[min] {
-				min = w
-			}
-		}
-		// The +1 keeps zero-activity shards spreading round-robin instead
-		// of all piling onto one worker after an idle stretch.
-		load[min] += s.shards[si].activity + 1
-		s.assign[min] = append(s.assign[min], si)
-		s.shards[si].activity >>= 1
-	}
-	for w := range s.assign {
-		// Ascending shard order keeps each worker walking router memory
-		// forward even when its shards are scattered.
-		sort.Slice(s.assign[w], func(a, b int) bool { return s.assign[w][a] < s.assign[w][b] })
-	}
-	s.pinShards()
-}
-
-// startWorkers launches persistent shard workers and returns a step
-// function driving one barrier-synchronized cycle, plus a stop function.
-// Shard count is decoupled from worker count (shardsPerWorker per worker,
-// group-aligned when possible) so rebalanceShards can shift load at a
-// finer grain than whole worker ranges.
+// startWorkers launches the persistent workers and returns a step function
+// driving one barrier-synchronized cycle, plus a stop function. Who steps
+// what was fixed by allocate; this only starts the goroutines.
 func (s *Sim) startWorkers() (step func(), stop func()) {
 	n := s.shape.workers
-	sc := n * shardsPerWorker
-	if sc > len(s.routers) {
-		sc = len(s.routers)
-	}
-	bounds := s.shardBounds(sc)
-	s.shards = make([]simShard, sc)
-	for i := range s.shards {
-		s.shards[i] = simShard{lo: bounds[i], hi: bounds[i+1]}
-	}
-	s.assign = make([][]int32, n)
-	for w := 0; w < n; w++ {
-		for si := w * sc / n; si < (w+1)*sc/n; si++ {
-			s.assign[w] = append(s.assign[w], int32(si))
-		}
-	}
-	s.pinShards()
 	b := &cycleBarrier{}
-	// Shard set 0 runs on the calling goroutine, so only n-1 workers are
-	// launched and no goroutine ever just spins through a whole cycle.
+	// Worker 0's ranges run on the calling goroutine, so only n-1 workers
+	// are launched and no goroutine ever just spins through a whole cycle.
 	var running sync.WaitGroup
 	for w := 1; w < n; w++ {
 		running.Add(1)
@@ -1245,7 +1162,7 @@ func (s *Sim) startWorkers() (step func(), stop func()) {
 				if b.quit.Load() {
 					return
 				}
-				s.stepShards(w)
+				s.stepRanges(w)
 				if b.arrived.Add(1) == int32(n-1) {
 					b.arrived.Store(0)
 					b.doneGen.Add(1)
@@ -1260,22 +1177,14 @@ func (s *Sim) startWorkers() (step func(), stop func()) {
 			// serially than to wake and re-join every worker. The workers
 			// stay parked in await; the next barrier release publishes
 			// whatever this goroutine wrote.
-			for i := range s.routers {
-				s.routers[i].step(s.cycle)
-			}
-			s.finishCycle()
+			s.stepCycle()
 			return
 		}
 		done := b.doneGen.Load()
 		b.startGen.Add(1)
-		s.stepShards(0)
-		if n > 1 {
-			b.await(&b.doneGen, done)
-		}
+		s.stepRanges(0)
+		b.await(&b.doneGen, done)
 		s.finishCycle()
-		if s.cycle&(rebalanceInterval-1) == 0 {
-			s.rebalanceShards()
-		}
 	}
 	// stop releases the workers one last time with quit raised and waits
 	// for every one of them to return, so no goroutine outlives the run

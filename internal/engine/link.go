@@ -72,7 +72,7 @@ func arrivalSlotCount(maxLatency int) int {
 }
 
 // init points the schedule at its slot ring — a slice of the simulation's
-// shard-ordered slot arena, so the cross-worker-written slots of all
+// router-ordered slot arena, so the cross-worker-written slots of all
 // routers live in one allocation away from the routers' single-writer hot
 // state. The arena's owner clears the slots between runs.
 func (s *arrivalSchedule) init(slots []arrivalSlot, serial bool) {

@@ -283,7 +283,7 @@ func TestInitErrorLeavesSimUnchanged(t *testing.T) {
 }
 
 // TestStopJoinsWorkers: when a parallel run returns — normally or on
-// cancellation — its shard workers have exited, so the goroutine count is
+// cancellation — its workers have exited, so the goroutine count is
 // back at the baseline and the Sim can be re-initialised. Under -race this
 // is also the check that a 2-worker Sim re-initialised on the spot shares
 // nothing with the goroutines of its previous run.

@@ -70,11 +70,12 @@ type router struct {
 
 	flow FlowControl // cached from Config for the per-phit hot paths
 
-	// sheet and prog are the metrics sheet and progress counters of the
-	// worker that owns this router's shard; pinned before Run stepping
-	// starts and never written by any other worker.
+	// sheet, prog and pkts are the metrics sheet, progress counters and
+	// free packets of the worker that steps this router: pinned by
+	// Sim.allocate, carried through reset, never touched by another worker.
 	sheet *metrics.Sheet
 	prog  *progress
+	pkts  *packetList
 
 	// Activity tracking.
 	//
@@ -83,7 +84,7 @@ type router struct {
 	// (they know the arrival cycle at send time); step drains the current
 	// cycle's slot and skips the absorb scan entirely when it is empty.
 	// The slots are the only cross-router-written state; they live in the
-	// simulation's shard-ordered slot arena (this header is read-only
+	// simulation's router-ordered slot arena (this header is read-only
 	// after construction), so remote workers' writes never invalidate the
 	// cache lines of this struct's single-writer hot fields.
 	arrivals arrivalSchedule
@@ -175,19 +176,18 @@ type router struct {
 // buffers, plan slots, RNG streams, wiring) stays, every other field goes
 // back to its zero value, and then the run's flow control, seed and the
 // traits of r.alg are applied — full credits, empty buffers and rings, no
-// transfers, no valid plan, re-seeded streams, pinned to worker 0.
+// transfers, no valid plan, re-seeded streams.
 func (r *router) reset(flow FlowControl, seed uint64) {
 	e := r.eng
 	*r = router{
 		id: r.id, group: r.group, eng: e, alg: r.alg,
 		in: r.in, out: r.out, routeRand: r.routeRand, nodeRand: r.nodeRand,
+		sheet: r.sheet, prog: r.prog, pkts: r.pkts,
 		arrivals: r.arrivals, claimVCs: r.claimVCs, phaseCur: r.phaseCur, nodePhase: r.nodePhase,
 		plans: r.plans, planOff: r.planOff, pktSize: r.pktSize,
 
 		flow:         flow,
 		needHeadFull: r.alg.UsesHeadArrival(),
-		sheet:        &e.sheets[0],
-		prog:         &e.progress[0],
 	}
 	r.routeRand.Seed(seed, uint64(r.id)*2+1)
 	for k, nr := range r.nodeRand {
@@ -283,8 +283,7 @@ func (r *router) Capacity(port, vc int) int { return int(r.out[port].capacity) }
 
 // GlobalCongested implements core.View.
 func (r *router) GlobalCongested(k int) bool {
-	g := r.eng.topo.GroupOf(r.id)
-	return r.eng.pbPublished[g][k]
+	return r.eng.pbPublished[r.group][k]
 }
 
 // CurrentQueue implements core.View.
@@ -510,7 +509,7 @@ func (r *router) inject(cycle int64) {
 			}
 			continue // finite processes retry next cycle
 		}
-		pkt := newPacket()
+		pkt := r.pkts.get()
 		pkt.ID = int64(r.id)<<32 | r.pktSeq
 		r.pktSeq++
 		pkt.Size = int32(e.cfg.PacketPhits)
@@ -635,7 +634,7 @@ func (r *router) trySendPhit(cycle int64, port, vc int) bool {
 func (r *router) dropPacket(cycle int64, pkt *Packet) {
 	r.sheet.RecordFaultDrop(cycle, int(pkt.Phase))
 	r.prog.live--
-	freePacket(pkt)
+	r.pkts.put(pkt)
 }
 
 // deliver finalizes a packet at its ejection port.
@@ -650,7 +649,7 @@ func (r *router) deliver(cycle int64, pkt *Packet) {
 		int(st.LocalMisCount), int(st.GlobalMisCount), int(st.EscapeHops))
 	r.prog.live--
 	r.lastDeliveryCycle = cycle
-	freePacket(pkt)
+	r.pkts.put(pkt)
 }
 
 // makeClaims routes unclaimed head packets and allocates output VCs. Only
@@ -835,9 +834,8 @@ func (r *router) publishPB() {
 		return
 	}
 	topo := e.topo
-	g := topo.GroupOf(r.id)
 	idx := topo.IndexInGroup(r.id)
-	next := e.pbNext[g]
+	next := e.pbNext[r.group]
 	for port := topo.GlobalPortBase(); port < topo.EjectPortBase(); port++ {
 		op := &r.out[port]
 		var occ, cap int32
