@@ -353,3 +353,28 @@ func BenchmarkRunWorkers2HalfIdle(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunFaultedStale is the benchmark's faulted family (see
+// benchmark/workloads.go, transient_faults) as one Go benchmark: h=3 OLM at
+// load 0.2 under 5% failed global links, a timed router outage and ten flap
+// periods, the routing view 200 cycles stale — fault events, the second
+// fault set and epoch-driven plan rebuilds on every cycle of the run.
+func BenchmarkRunFaultedStale(b *testing.B) {
+	cfg := benchBase(3, dragonfly.VCT)
+	cfg.Mechanism = dragonfly.OLM
+	cfg.Load = 0.2
+	cfg.Warmup, cfg.Measure, cfg.StaleCycles = 1000, 9000, 200
+	cfg.Faults = &dragonfly.FaultSpec{
+		GlobalFraction: 0.05,
+		Routers:        []dragonfly.RouterFault{{Router: 5, At: 3000, Until: 6000}},
+		Flaps: []dragonfly.FlapSpec{{
+			Link: dragonfly.LinkID{Router: 0, Port: 5}, At: 2000, Period: 400, Down: 100, Count: 10,
+		}},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := dragonfly.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -508,10 +508,26 @@ func (c Config) singlePhase() *PhaseSpec {
 	return &jobs[0].Phases[0]
 }
 
+// maxCycles bounds every cycle-valued field of a Config. Nothing simulates
+// 2^40 cycles, and below it every sum formed from these fields — an event's
+// At plus StaleCycles, a flap's At + Count×Period, the defaulted MaxCycles
+// of 50×(Warmup+Measure+20000) — stays inside int64.
+const maxCycles = int64(1) << 40
+
+// checkCycles rejects a cycle count or cycle number outside [0, maxCycles];
+// where and field name it in the error.
+func checkCycles(where, field string, v int64) error {
+	if v < 0 || v > maxCycles {
+		return fmt.Errorf("dragonfly: %s: %s %d outside [0, %d]", where, field, v, maxCycles)
+	}
+	return nil
+}
+
 // Validate rejects inconsistent configurations with a descriptive error
-// before any network is built: out-of-range offered loads, Load and
-// BurstPackets both set, adversarial offsets outside the topology, unknown
-// traffic kinds, overlapping workload jobs and malformed phase schedules.
+// before any network is built: cycle counts outside [0, 2^40], out-of-range
+// offered loads, Load and BurstPackets both set, adversarial offsets outside
+// the topology, unknown traffic kinds, overlapping workload jobs and
+// malformed phase schedules.
 // Run, Prepare and the CLIs all call it; it is exported so tools can check
 // configurations they are about to store or enqueue.
 func (c Config) Validate() error {
@@ -526,11 +542,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dragonfly: h=%d: %d ports per router exceeds the 63-port activity-mask limit (h <= %d)",
 			c.H, 4*c.H-1, ScaleH16)
 	}
-	if c.WindowCycles < 0 {
-		return fmt.Errorf("dragonfly: negative WindowCycles %d", c.WindowCycles)
-	}
-	if c.StaleCycles < 0 {
-		return fmt.Errorf("dragonfly: negative StaleCycles %d", c.StaleCycles)
+	if err := cmp.Or(
+		checkCycles("config", "Warmup", c.Warmup), checkCycles("config", "Measure", c.Measure),
+		checkCycles("config", "MaxCycles", c.MaxCycles), checkCycles("config", "Watchdog", c.Watchdog),
+		checkCycles("config", "WindowCycles", c.WindowCycles), checkCycles("config", "StaleCycles", c.StaleCycles),
+	); err != nil {
+		return err
 	}
 	if len(c.Phases) > 0 && len(c.Workload) > 0 {
 		return fmt.Errorf("dragonfly: Phases and Workload are mutually exclusive")
@@ -568,16 +585,14 @@ func (c Config) Validate() error {
 			}
 		}
 		for i, ev := range f.Events {
-			if ev.At < 0 {
-				return fmt.Errorf("dragonfly: fault event %d at negative cycle %d", i, ev.At)
-			}
-			if err := checkLink(ev.Link, fmt.Sprintf("fault event %d", i)); err != nil {
+			where := fmt.Sprintf("fault event %d", i)
+			if err := cmp.Or(checkCycles(where, "At", ev.At), checkLink(ev.Link, where)); err != nil {
 				return err
 			}
 		}
 		checkOutage := func(at, until int64, where string) error {
-			if at < 0 {
-				return fmt.Errorf("dragonfly: %s at negative cycle %d", where, at)
+			if err := cmp.Or(checkCycles(where, "At", at), checkCycles(where, "Until", until)); err != nil {
+				return err
 			}
 			if until != 0 && until <= at {
 				return fmt.Errorf("dragonfly: %s repairs at cycle %d, not after its failure at %d",
@@ -620,13 +635,12 @@ func (c Config) Validate() error {
 			if err := checkLink(fl.Link, where); err != nil {
 				return err
 			}
-			// The cycle bound keeps the expanded schedule (At + Count*Period)
-			// comfortably inside int64 for any allowed Count.
-			const maxFlapCycle = int64(1) << 40
-			if fl.At < 0 || fl.At > maxFlapCycle || fl.Period <= 0 || fl.Period > maxFlapCycle ||
-				fl.Down <= 0 || fl.Down >= fl.Period {
-				return fmt.Errorf("dragonfly: %s needs At >= 0 and 0 < Down < Period (at %d, period %d, down %d)",
-					where, fl.At, fl.Period, fl.Down)
+			if err := checkCycles(where, "At", fl.At); err != nil {
+				return err
+			}
+			if fl.Period > maxCycles || fl.Down <= 0 || fl.Down >= fl.Period {
+				return fmt.Errorf("dragonfly: %s needs 0 < Down < Period <= %d (period %d, down %d)",
+					where, maxCycles, fl.Period, fl.Down)
 			}
 			if fl.Count < 1 || fl.Count > 100000 {
 				return fmt.Errorf("dragonfly: %s repeats %d times (want 1..100000)", where, fl.Count)
@@ -674,9 +688,11 @@ func (c Config) Validate() error {
 				return fmt.Errorf("dragonfly: %s: offered load %v outside (0, 1]", where, ph.Load)
 			}
 			last := pi == len(job.Phases)-1
-			if ph.Duration < 0 || (!last && ph.Duration == 0) {
-				return fmt.Errorf("dragonfly: %s: duration %d (non-final phases need a positive duration)",
-					where, ph.Duration)
+			if err := checkCycles(where, "Duration", ph.Duration); err != nil {
+				return err
+			}
+			if !last && ph.Duration == 0 {
+				return fmt.Errorf("dragonfly: %s: non-final phases need a positive duration", where)
 			}
 		}
 	}
@@ -983,11 +999,7 @@ func (f *FaultSpec) compile(p *topology.P, seed uint64) (*topology.FaultSet, []e
 		// validation work stays O(distinct states), not O(events).
 		checked := map[string]bool{probe.StateKey(): true}
 		for i, ev := range evs {
-			if ev.Port == engine.WholeRouter {
-				probe.SetRouter(ev.Router, !ev.Repair)
-			} else {
-				probe.SetLink(ev.Router, ev.Port, !ev.Repair)
-			}
+			probe.Apply(ev.Router, ev.Port, !ev.Repair)
 			// The engine applies every event due at one cycle before any
 			// routing runs, so only the state at each cycle boundary must
 			// stay connected — probe it after the last event of each At.

@@ -458,6 +458,72 @@ func TestStaleCyclesConfig(t *testing.T) {
 	}
 }
 
+// TestCycleFieldBounds: every cycle-valued field of a Config is confined to
+// [0, 2^40] by Validate. Out of it a run misbehaves rather than fails: a
+// negative Measure reports Cycles < 0 (and would be cached as truth), a huge
+// StaleCycles wraps an event's At + StaleCycles negative so the routing view
+// learns of a kill before it happens, a huge Measure makes the defaulted
+// MaxCycles negative. These configs arrive over POST /api/v1/campaigns.
+func TestCycleFieldBounds(t *testing.T) {
+	link := dragonfly.LinkID{Router: 0, Port: 0}
+	faults := func(c *dragonfly.Config, f dragonfly.FaultSpec) { c.Faults = &f }
+	fields := []struct {
+		name string
+		set  func(c *dragonfly.Config, v int64)
+	}{
+		{"Warmup", func(c *dragonfly.Config, v int64) { c.Warmup = v }},
+		{"Measure", func(c *dragonfly.Config, v int64) { c.Measure = v }},
+		{"MaxCycles", func(c *dragonfly.Config, v int64) { c.MaxCycles = v }},
+		{"Watchdog", func(c *dragonfly.Config, v int64) { c.Watchdog = v }},
+		{"WindowCycles", func(c *dragonfly.Config, v int64) { c.WindowCycles = v }},
+		{"StaleCycles", func(c *dragonfly.Config, v int64) { c.StaleCycles = v }},
+		{"PhaseSpec.Duration", func(c *dragonfly.Config, v int64) {
+			c.Load = 0
+			c.Phases = []dragonfly.PhaseSpec{{Load: 0.2, Duration: v}}
+		}},
+		{"FaultEvent.At", func(c *dragonfly.Config, v int64) {
+			faults(c, dragonfly.FaultSpec{Events: []dragonfly.FaultEvent{{At: v, Link: link}}})
+		}},
+		{"RouterFault.At", func(c *dragonfly.Config, v int64) {
+			faults(c, dragonfly.FaultSpec{Routers: []dragonfly.RouterFault{{Router: 3, At: v}}})
+		}},
+		{"RouterFault.Until", func(c *dragonfly.Config, v int64) {
+			faults(c, dragonfly.FaultSpec{Routers: []dragonfly.RouterFault{{Router: 3, Until: v}}})
+		}},
+		{"BundleFault.At", func(c *dragonfly.Config, v int64) {
+			faults(c, dragonfly.FaultSpec{Bundles: []dragonfly.BundleFault{{Group: 1, At: v}}})
+		}},
+		{"BundleFault.Until", func(c *dragonfly.Config, v int64) {
+			faults(c, dragonfly.FaultSpec{Bundles: []dragonfly.BundleFault{{Group: 1, Until: v}}})
+		}},
+		{"FlapSpec.At", func(c *dragonfly.Config, v int64) {
+			faults(c, dragonfly.FaultSpec{Flaps: []dragonfly.FlapSpec{{Link: link, At: v, Period: 100, Down: 10, Count: 2}}})
+		}},
+		{"FlapSpec.Period", func(c *dragonfly.Config, v int64) {
+			faults(c, dragonfly.FaultSpec{Flaps: []dragonfly.FlapSpec{{Link: link, Period: v, Down: 1, Count: 2}}})
+		}},
+	}
+	const limit = int64(1) << 40
+	for _, f := range fields {
+		for _, v := range []int64{math.MinInt64, -7, -1, limit + 1, math.MaxInt64 / 40, math.MaxInt64} {
+			cfg := fast(dragonfly.Minimal)
+			cfg.Load = 0.2
+			f.set(&cfg, v)
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("%s = %d accepted", f.name, v)
+			}
+		}
+		for _, v := range []int64{2, limit} {
+			cfg := fast(dragonfly.Minimal)
+			cfg.Load = 0.2
+			f.set(&cfg, v)
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("%s = %d rejected: %v", f.name, v, err)
+			}
+		}
+	}
+}
+
 // TestDegradedRunConservation: with a whole-router failure plus a flapping
 // global channel, the public Result must still account every generation
 // event — delivered, fault-dropped, lost at injection, suppressed at a

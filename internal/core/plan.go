@@ -17,7 +17,7 @@
 //
 // The engine keeps one Plan per input (port, VC) and invalidates it when
 // the buffer's head changes (vcBuffer.headSeq) or when fault events
-// recompute the routing-view tables (the engine's route epoch) — the
+// reach the routing view (the engine's route epoch) — the
 // fabric-manager model: tables are recomputed on topology changes, and the
 // per-packet data path only consults them. Crucially, replay never touches
 // the Packet, whose cache lines dominated the old per-cycle re-evaluation.

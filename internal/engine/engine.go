@@ -90,13 +90,13 @@ type Config struct {
 
 	// StaleCycles delays the *routing view* of every fault event by this
 	// many cycles: a link killed (or repaired) at cycle C changes flow
-	// control immediately, but the routing-view tables the mechanisms
-	// consult (LinkDown/RouteDown/LocalDown) are only recomputed at cycle
+	// control immediately, but the fault set the mechanisms consult
+	// (LinkDown/RouteDown/LocalDown/PortDead) only absorbs it at cycle
 	// C+StaleCycles — modeling a fabric manager that needs time to detect
 	// the event, broadcast it, and recompute routing tables. Zero (the
-	// default) recomputes in the same serial section the event applies
-	// in, which is bit-identical to instantaneous link-state knowledge.
-	// Initial faults are always known at boot and never stale.
+	// default) is instantaneous link-state knowledge: the view is the
+	// physical set itself. Initial faults are always known at boot and
+	// never stale.
 	StaleCycles int64
 
 	Warmup  int64 // steady-state: cycles before measurement starts
@@ -198,7 +198,7 @@ func (c *Config) validate() error {
 // WholeRouter, used as a FaultEvent.Port, marks a whole-router event:
 // every link port of Router fails (or, with Repair, recovers) as one
 // event, and the router's attached nodes are parked (released) with it.
-const WholeRouter = -1
+const WholeRouter = topology.WholeRouter
 
 // FaultEvent is one scheduled link state change: the full-duplex link on
 // (Router, Port) fails (or, with Repair, comes back) at the start of cycle
@@ -295,36 +295,25 @@ type Sim struct {
 	faulted   bool
 	nextFault int // index of the first unapplied Config.FaultEvents entry
 
+	// view is the link state the routing mechanisms see (core.View's
+	// LinkDown/PortDead/RouteDown/LocalDown read it): faults itself while
+	// the view cannot lag — Config.StaleCycles == 0, or no event left after
+	// the boot fold — and otherwise a clone that absorbs every event
+	// StaleCycles late, in the same serial section.
+	view           *topology.FaultSet
+	nextRouteFault int // first Config.FaultEvents entry the view has not absorbed
+
 	// hopLimit, when positive, drops any packet whose hop count exceeds
 	// it (the livelock guard for whole-router failures); zero for
 	// fault-free and link-only fault runs, whose behavior it must not
 	// touch.
 	hopLimit int32
 
-	// viewFaults shadows faults at the routing view's (possibly stale)
-	// event horizon, so the view loop can tell real link-state changes
-	// from no-ops — a repair landing under a still-dead endpoint router
-	// must not revive the link in the routing tables. Only allocated when
-	// events remain after the boot-time fold.
-	viewFaults *topology.FaultSet
-
-	// Routing-view fault tables: the link state the routing mechanisms
-	// see, recomputed incrementally in the serial section when (possibly
-	// stale) fault events apply. routeDown is the global-channel matrix,
-	// flattened [Groups x Groups]; localDown is the per-group local-link
-	// matrix, flattened [Groups x RPG x RPG]; per-router port masks live
-	// in router.routeDead. With Config.StaleCycles == 0 the view tracks
-	// the physical state exactly (updated in the same serial section), so
-	// results are bit-identical to instantaneous link-state knowledge.
-	routeDown      []bool
-	localDown      []bool
-	nextRouteFault int // first Config.FaultEvents entry the view has not absorbed
-
-	// routeEpoch numbers the routing-view recomputations: it bumps
-	// whenever fault events change the view, invalidating every router's
-	// cached head plans (which bake the fault view into their candidate
-	// geometry). Fault-free runs keep epoch 1 forever, so plans live
-	// until their head packet moves on.
+	// routeEpoch numbers the routing view's changes: it bumps once per
+	// serial section in which the view absorbed fault events, invalidating
+	// every router's cached head plans (which bake the fault view into
+	// their candidate geometry). Fault-free runs keep epoch 1 forever, so
+	// plans live until their head packet moves on.
 	routeEpoch uint64
 
 	cycle int64
@@ -605,26 +594,22 @@ func (s *Sim) init(cfg Config, tab *core.Tables) {
 		}
 		// Fold events already due at cycle 0 into the initial state, then
 		// mirror the masks into the routers. Initial faults are known at
-		// boot: the routing-view tables start from the same state (no
-		// staleness applies), and the folded events are absorbed by the
-		// view too so the stale queue never replays them.
-		for s.nextFault < len(cfg.FaultEvents) && cfg.FaultEvents[s.nextFault].At <= 0 {
-			ev := cfg.FaultEvents[s.nextFault]
-			if ev.Port == WholeRouter {
-				s.faults.SetRouter(ev.Router, !ev.Repair)
-			} else {
-				s.faults.SetLink(ev.Router, ev.Port, !ev.Repair)
-			}
-			s.nextFault++
+		// boot: the routing view starts from the same state (no staleness
+		// applies), and the folded events are absorbed by the view too so
+		// the stale queue never replays them.
+		evs := cfg.FaultEvents
+		for ; s.nextFault < len(evs) && evs[s.nextFault].At <= 0; s.nextFault++ {
+			ev := evs[s.nextFault]
+			s.faults.Apply(ev.Router, ev.Port, !ev.Repair)
 		}
 		s.nextRouteFault = s.nextFault
 		for id := range s.routers {
 			s.routers[id].deadPorts = s.faults.PortMask(id)
 			s.routers[id].parked = s.faults.RouterDown(id)
 		}
-		s.rebuildRouteView()
-		if s.nextRouteFault < len(cfg.FaultEvents) {
-			s.viewFaults = s.faults.Clone()
+		s.view = s.faults
+		if cfg.StaleCycles > 0 && s.nextFault < len(evs) {
+			s.view = s.faults.Clone()
 		}
 		// Livelock guard, armed only for whole-router failures: a dead
 		// router severs OFAR's escape ring (losing its delivery
@@ -636,7 +621,7 @@ func (s *Sim) init(cfg Config, tab *core.Tables) {
 		if s.faults.DownRouters() > 0 {
 			s.hopLimit = int32(4*(p.Routers+p.Groups) + 64)
 		} else {
-			for _, ev := range cfg.FaultEvents[s.nextFault:] {
+			for _, ev := range evs[s.nextFault:] {
 				if ev.Port == WholeRouter {
 					s.hopLimit = int32(4*(p.Routers+p.Groups) + 64)
 					break
@@ -647,68 +632,6 @@ func (s *Sim) init(cfg Config, tab *core.Tables) {
 	s.ready = true
 }
 
-// viewRouterDead reports whether the routing view (stale by
-// Config.StaleCycles after fault events) considers router r entirely
-// failed. Link-level faults never report true here.
-func (s *Sim) viewRouterDead(r int) bool {
-	f := s.viewFaults
-	if f == nil {
-		f = s.faults
-	}
-	return f.RouterDown(r)
-}
-
-// rebuildRouteView recomputes the routing-view fault tables from scratch
-// out of the current physical fault state: the full recomputation a fabric
-// manager performs at boot. Mid-run events use the incremental
-// applyRouteView instead.
-func (s *Sim) rebuildRouteView() {
-	p := s.topo
-	rpg := p.RoutersPerGroup
-	s.routeDown = make([]bool, p.Groups*p.Groups)
-	s.localDown = make([]bool, p.Groups*rpg*rpg)
-	for id := range s.routers {
-		mask := s.faults.PortMask(id)
-		s.routers[id].routeDead = mask
-		for port := 0; mask != 0; port++ {
-			if mask&(1<<uint(port)) == 0 {
-				continue
-			}
-			mask &^= 1 << uint(port)
-			s.applyRouteView(id, port, true)
-		}
-	}
-}
-
-// applyRouteView folds one link state change into the routing-view tables:
-// the two endpoint routers' port masks, and the global-channel or
-// local-link matrix entry for both directions of the full-duplex link.
-// This is the incremental table recomputation a fault broadcast triggers;
-// it runs only in the serial section between cycles.
-func (s *Sim) applyRouteView(router, port int, down bool) {
-	p := s.topo
-	rr, rp := p.LinkTarget(router, port)
-	bit, rbit := uint64(1)<<uint(port), uint64(1)<<uint(rp)
-	if down {
-		s.routers[router].routeDead |= bit
-		s.routers[rr].routeDead |= rbit
-	} else {
-		s.routers[router].routeDead &^= bit
-		s.routers[rr].routeDead &^= rbit
-	}
-	if p.IsGlobalPort(port) {
-		g, tg := p.GroupOf(router), p.GroupOf(rr)
-		s.routeDown[g*p.Groups+tg] = down
-		s.routeDown[tg*p.Groups+g] = down
-	} else {
-		rpg := p.RoutersPerGroup
-		g := p.GroupOf(router)
-		i, j := p.IndexInGroup(router), p.IndexInGroup(rr)
-		s.localDown[(g*rpg+i)*rpg+j] = down
-		s.localDown[(g*rpg+j)*rpg+i] = down
-	}
-}
-
 // pendingFaultEvents reports whether any fault event still awaits either
 // its physical application or its (possibly stale) routing-view one.
 func (s *Sim) pendingFaultEvents() bool {
@@ -716,56 +639,33 @@ func (s *Sim) pendingFaultEvents() bool {
 }
 
 // applyFaultEvents applies every fault event due at the current cycle —
-// physically (dead-port masks gating flow control) at event time, and to
-// the routing-view tables StaleCycles later. Only called from the serial
-// section between cycles.
+// to the physical set (and the dead-port masks gating flow control) at event
+// time, and to the routing view StaleCycles later. Only called from the
+// serial section between cycles.
 func (s *Sim) applyFaultEvents() {
-	for s.nextFault < len(s.cfg.FaultEvents) {
-		ev := s.cfg.FaultEvents[s.nextFault]
-		if ev.At > s.cycle {
-			break
+	evs := s.cfg.FaultEvents
+	for ; s.nextFault < len(evs) && evs[s.nextFault].At <= s.cycle; s.nextFault++ {
+		ev := evs[s.nextFault]
+		changed := s.faults.Apply(ev.Router, ev.Port, !ev.Repair)
+		r := &s.routers[ev.Router]
+		r.deadPorts, r.parked = s.faults.PortMask(ev.Router), s.faults.RouterDown(ev.Router)
+		for m := changed; m != 0; m &= m - 1 {
+			far, _ := s.topo.LinkTarget(ev.Router, bits.TrailingZeros64(m))
+			s.routers[far].deadPorts = s.faults.PortMask(far)
 		}
-		if ev.Port == WholeRouter {
-			changed := s.faults.SetRouter(ev.Router, !ev.Repair)
-			s.routers[ev.Router].parked = !ev.Repair
-			s.routers[ev.Router].deadPorts = s.faults.PortMask(ev.Router)
-			for m := changed; m != 0; m &= m - 1 {
-				rr, _ := s.topo.LinkTarget(ev.Router, bits.TrailingZeros64(m))
-				s.routers[rr].deadPorts = s.faults.PortMask(rr)
-			}
-		} else {
-			s.faults.SetLink(ev.Router, ev.Port, !ev.Repair)
-			s.routers[ev.Router].deadPorts = s.faults.PortMask(ev.Router)
-			rr, _ := s.topo.LinkTarget(ev.Router, ev.Port)
-			s.routers[rr].deadPorts = s.faults.PortMask(rr)
-		}
-		s.nextFault++
 	}
-	viewChanged := false
-	for s.nextRouteFault < len(s.cfg.FaultEvents) {
-		ev := s.cfg.FaultEvents[s.nextRouteFault]
-		if ev.At+s.cfg.StaleCycles > s.cycle {
-			break
+	absorbed := false
+	for ; s.nextRouteFault < len(evs) && evs[s.nextRouteFault].At+s.cfg.StaleCycles <= s.cycle; s.nextRouteFault++ {
+		if s.view != s.faults {
+			ev := evs[s.nextRouteFault]
+			s.view.Apply(ev.Router, ev.Port, !ev.Repair)
 		}
-		// The shadow set decides which links actually changed state: a
-		// whole-router event touches only the ports with no other reason
-		// to be down, and a link repair under a dead endpoint is a no-op.
-		// Every processed event still counts as a view change below, so a
-		// same-cycle burst coalesces into one epoch bump (one plan
-		// rebuild) regardless of its composition.
-		if ev.Port == WholeRouter {
-			for m := s.viewFaults.SetRouter(ev.Router, !ev.Repair); m != 0; m &= m - 1 {
-				s.applyRouteView(ev.Router, bits.TrailingZeros64(m), !ev.Repair)
-			}
-		} else if s.viewFaults.SetLink(ev.Router, ev.Port, !ev.Repair) {
-			s.applyRouteView(ev.Router, ev.Port, !ev.Repair)
-		}
-		s.nextRouteFault++
-		viewChanged = true
+		absorbed = true
 	}
-	if viewChanged {
-		// The routing tables changed: every cached head plan baked the
-		// old view into its candidate geometry, so force rebuilds.
+	if absorbed {
+		// Every cached head plan baked the old view into its candidate
+		// geometry: force rebuilds. One bump per serial section, whatever
+		// the burst of events held, so it costs one plan rebuild.
 		s.routeEpoch++
 	}
 }
@@ -807,7 +707,7 @@ func (s *Sim) totals() (moved, live, generated int64) {
 // credits in flight on any link. Both sums are maintained incrementally
 // per worker, so the check is O(workers). When true, the next cycle can
 // only run injection (and Piggybacking cooldown publishes) — the premise
-// behind both barrier elision and the quiet-cycle fast-forward.
+// behind the quiet-cycle fast-forward.
 func (s *Sim) fabricEmpty() bool {
 	var occ, inflight int64
 	for i := range s.progress {
@@ -943,13 +843,7 @@ func (s *Sim) RunContext(ctx context.Context) (metrics.Result, error) {
 		defer stop()
 	}
 
-	var deadlock bool
-	var err error
-	if s.workload.Finite() {
-		deadlock, err = s.runBurst(ctx, step)
-	} else {
-		deadlock, err = s.runSteady(ctx, step)
-	}
+	deadlock, err := s.run(ctx, step)
 	if err != nil {
 		return metrics.Result{}, err
 	}
@@ -998,73 +892,35 @@ func (s *Sim) phaseInfos() []metrics.PhaseInfo {
 	return infos
 }
 
-// runSteady runs warmup then measurement, returning true on deadlock.
-func (s *Sim) runSteady(ctx context.Context, step func()) (bool, error) {
-	var lastMoved int64
-	quiet := int64(0)
-	total := s.cfg.Warmup + s.cfg.Measure
-	for s.cycle < total {
+// run steps the simulation to its end and reports whether it deadlocked.
+// A steady workload runs warmup then measurement, the sheets reset at the
+// boundary; a finite one runs until every packet drained, and one that has
+// not by MaxCycles is reported as a deadlock, like the watchdog's verdict.
+func (s *Sim) run(ctx context.Context, step func()) (deadlock bool, err error) {
+	finite := s.workload.Finite()
+	end := s.cfg.Warmup + s.cfg.Measure
+	if finite {
+		end = s.cfg.MaxCycles
+	}
+	target, lastChange := s.workload.Total(), s.workload.LastChange()
+	var lastMoved, lastGenerated, quiet int64
+	for s.cycle < end {
 		if s.cycle&ctxCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
 				return false, fmt.Errorf("engine: canceled at cycle %d: %w", s.cycle, err)
 			}
 		}
-		if s.cycle == s.cfg.Warmup {
+		if !finite && s.cycle == s.cfg.Warmup {
 			s.resetSheets()
 		}
 		step()
-		moved, live, _ := s.totals()
-		if moved == lastMoved && live > 0 {
-			quiet++
-			if quiet >= s.cfg.Watchdog {
-				return true, nil
-			}
-		} else {
-			quiet = 0
-		}
-		lastMoved = moved
-		if live == 0 && s.fabricEmpty() {
-			// Provably-dead span: jump to the next possible event, never
-			// past the warmup boundary (resetSheets must run exactly there)
-			// or the end of the run.
-			bound := total
-			if s.cycle < s.cfg.Warmup {
-				bound = s.cfg.Warmup
-			}
-			s.tryFastForward(bound)
-		}
-	}
-	return false, nil
-}
-
-// runBurst runs a finite workload until every packet drained, returning
-// true on deadlock (or on exceeding MaxCycles, which is reported the same
-// way since the network failed to drain).
-func (s *Sim) runBurst(ctx context.Context, step func()) (bool, error) {
-	target := s.workload.Total()
-	lastChange := s.workload.LastChange()
-	var lastMoved, lastGenerated int64
-	quiet := int64(0)
-	for s.cycle < s.cfg.MaxCycles {
-		if s.cycle&ctxCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return false, fmt.Errorf("engine: canceled at cycle %d: %w", s.cycle, err)
-			}
-		}
-		step()
 		moved, live, generated := s.totals()
-		if live == 0 {
-			if generated >= target {
-				return false, nil
-			}
-			// A burst phase cut short by its duration leaves the declared
-			// target unreachable. Once the phase set is static (past the
-			// last transition), an empty network that generates nothing
-			// for a full cycle can never generate again — the run is
-			// drained, not deadlocked.
-			if generated == lastGenerated && s.cycle > lastChange {
-				return false, nil
-			}
+		// Drained: everything declared was generated, or — a burst phase cut
+		// short by its duration leaves that unreachable — the phase set is
+		// static (past the last transition) and an empty network generated
+		// nothing for a full cycle, so it never will again.
+		if finite && live == 0 && (generated >= target || (generated == lastGenerated && s.cycle > lastChange)) {
+			return false, nil
 		}
 		if moved == lastMoved && live > 0 {
 			quiet++
@@ -1074,21 +930,23 @@ func (s *Sim) runBurst(ctx context.Context, step func()) (bool, error) {
 		} else {
 			quiet = 0
 		}
-		lastMoved = moved
-		lastGenerated = generated
-		if live == 0 && s.cycle <= lastChange && s.fabricEmpty() {
-			// Quiet gap between finite phases: jump to the next phase
-			// transition. Never past the last transition — the cut-short
+		lastMoved, lastGenerated = moved, generated
+		if live == 0 && s.fabricEmpty() {
+			// Provably-dead span: jump to the next possible event. Never
+			// past the warmup boundary (resetSheets must run exactly there),
+			// nor past a finite workload's last transition — the cut-short
 			// drain detection above must observe the cycles beyond it
 			// exactly as the cycle-by-cycle path would.
-			bound := lastChange
-			if s.cfg.MaxCycles < bound {
-				bound = s.cfg.MaxCycles
+			limit := end
+			if finite {
+				limit = min(lastChange, end)
+			} else if s.cycle < s.cfg.Warmup {
+				limit = s.cfg.Warmup
 			}
-			s.tryFastForward(bound)
+			s.tryFastForward(limit)
 		}
 	}
-	return true, nil
+	return finite, nil
 }
 
 // rangeBounds cuts p's routers into n contiguous ranges. When possible the
@@ -1171,15 +1029,6 @@ func (s *Sim) startWorkers() (step func(), stop func()) {
 		}(w)
 	}
 	step = func() {
-		if s.fabricEmpty() {
-			// Barrier elision: with nothing buffered and nothing in
-			// flight, this cycle is injection-only — cheaper to step
-			// serially than to wake and re-join every worker. The workers
-			// stay parked in await; the next barrier release publishes
-			// whatever this goroutine wrote.
-			s.stepCycle()
-			return
-		}
 		done := b.doneGen.Load()
 		b.startGen.Add(1)
 		s.stepRanges(0)

@@ -26,11 +26,11 @@ func fabricState(s *Sim) []int64 {
 		return 0
 	}
 	out = append(out, s.cycle, int64(s.routeEpoch), int64(s.nextFault), int64(s.nextRouteFault),
-		int64(s.hopLimit), s.ffRescanAt, s.ffJumped, b2i(s.faulted), b2i(s.viewFaults != nil))
+		int64(s.hopLimit), s.ffRescanAt, s.ffJumped, b2i(s.faulted), b2i(s.view != s.faults))
 	for i := range s.routers {
 		r := &s.routers[i]
 		out = append(out, int64(r.occupied), int64(r.claimPorts), int64(r.xferPorts),
-			int64(r.deadPorts), int64(r.routeDead), b2i(r.parked), int64(r.pbCooldown),
+			int64(r.deadPorts), b2i(r.parked), int64(r.pbCooldown),
 			r.phaseRefreshAt, r.pktSeq, r.lastDeliveryCycle, r.rrCycle, r.rrVal,
 			int64(r.routeRand.Uint32()))
 		for k := range r.nodeRand {
@@ -90,6 +90,10 @@ func sameAt(t *testing.T, when string, fresh, recycled *Sim) {
 	}
 	if !reflect.DeepEqual(sheetDigests(fresh), sheetDigests(recycled)) {
 		t.Fatalf("%s: sheets of the recycled Sim differ from a fresh one", when)
+	}
+	if fresh.faulted && (fresh.faults.StateKey() != recycled.faults.StateKey() ||
+		fresh.view.StateKey() != recycled.view.StateKey()) {
+		t.Fatalf("%s: fault sets of the recycled Sim differ from a fresh one", when)
 	}
 }
 

@@ -104,11 +104,6 @@ type router struct {
 	// finish (and their credits keep flowing): a kill takes effect for
 	// flow control immediately and the committed traffic drains.
 	deadPorts uint64
-	// routeDead is the routing view of deadPorts: the mask the routing
-	// mechanisms consult through core.View.LinkDown. It lags deadPorts by
-	// Config.StaleCycles on every fault event (identical when zero),
-	// modeling stale fabric-manager link state.
-	routeDead uint64
 	// parked is true while this router is failed as a whole: its attached
 	// nodes suppress generation (counted separately from drops) and
 	// packets arriving for them are diverted to the drop sink. Tracks the
@@ -299,38 +294,28 @@ func (r *router) HeadFullyArrived() bool { return r.curHeadFull }
 // fault-free hot path stays exactly the pre-fault one.
 func (r *router) Faulty() bool { return r.eng.faulted }
 
-// LinkDown implements core.View: the routing view of this router's failed
-// output ports (stale by Config.StaleCycles after fault events).
-func (r *router) LinkDown(port int) bool { return r.routeDead&(1<<uint(port)) != 0 }
+// LinkDown, PortDead, RouteDown and LocalDown implement core.View's fault
+// queries as reads of the engine's routing view (see Sim.view), which lags
+// the physical state by Config.StaleCycles after fault events. The
+// mechanisms only ask when Faulty.
 
-// PortDead implements core.View: whether the far-end router of this
-// output port has failed entirely under the (possibly stale) routing
-// view. Link-level faults never report true here.
+// LinkDown reports whether this router's output port drives a failed link.
+func (r *router) LinkDown(port int) bool { return r.eng.view.Down(r.id, port) }
+
+// PortDead reports whether the far-end router of this output port has
+// failed entirely. Link-level faults never report true here.
 func (r *router) PortDead(port int) bool {
 	far, _ := r.eng.topo.LinkTarget(r.id, port)
-	return r.eng.viewRouterDead(far)
+	return r.eng.view.RouterDown(far)
 }
 
-// RouteDown implements core.View: the routing-view table of the single
-// global channel from group g to group tg — one indexed load into the
-// matrix the engine recomputes when (possibly stale) fault events apply.
-func (r *router) RouteDown(g, tg int) bool {
-	e := r.eng
-	if e.routeDown == nil {
-		return false
-	}
-	return e.routeDown[g*e.topo.Groups+tg]
-}
+// RouteDown reports whether the global channel from group g to tg is down.
+func (r *router) RouteDown(g, tg int) bool { return r.eng.view.RouteDown(g, tg) }
 
-// LocalDown implements core.View: the routing-view table of the local link
-// between router indices i and j of this router's group.
+// LocalDown reports whether the local link between router indices i and j
+// of this router's group is down.
 func (r *router) LocalDown(i, j int) bool {
-	e := r.eng
-	if e.localDown == nil {
-		return false
-	}
-	rpg := e.topo.RoutersPerGroup
-	return e.localDown[(int(r.group)*rpg+i)*rpg+j]
+	return r.eng.view.LocalRouteDown(int(r.group), i, j)
 }
 
 // markClaimable records that input (port, vc) now has an unclaimed head.
@@ -725,7 +710,7 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 			plan.Eject = true
 			plan.EjectPort = int16(pkt.St.DstEject)
 			plan.DestDead = false
-		} else if e.faulted && (e.viewRouterDead(int(pkt.St.DstRouter)) ||
+		} else if e.faulted && (e.view.RouterDown(int(pkt.St.DstRouter)) ||
 			(e.hopLimit > 0 && int32(pkt.St.LocalHops)+int32(pkt.St.GlobalHops) > e.hopLimit)) {
 			// The routing view knows the destination router failed
 			// entirely — no route can ever deliver this packet — or the

@@ -4,18 +4,23 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/rng"
 )
 
+// WholeRouter, passed as a port to Apply, names the router as a whole
+// instead of one of its links.
+const WholeRouter = -1
+
 // FaultSet tracks which links and routers of a dragonfly are failed. Link
 // state is one output-port bitmask per router. A link is a full-duplex
 // physical channel: failing it always removes both directions, so the masks
-// of the two endpoint routers stay symmetric. The engine mirrors these
-// masks into its routers and consults them on every route evaluation; the
-// routing mechanisms see them through core.View (link-state knowledge, the
-// information a subnet manager broadcasting failed links would give
-// recomputed routing tables).
+// of the two endpoint routers stay symmetric. The engine holds the physical
+// state in one FaultSet and the routing mechanisms' possibly stale view of
+// it in another (the same one when the view cannot lag); they query it
+// through core.View (link-state knowledge, the information a subnet manager
+// broadcasting failed links would give recomputed routing tables).
 //
 // Faults are layered: the effective state of a link is down when the link
 // itself was failed (SetLink) or when either endpoint router is dead
@@ -31,6 +36,10 @@ type FaultSet struct {
 	down     []uint64 // effective per-router mask: link failed or an endpoint dead
 	linkDown []uint64 // explicitly failed links only (SetLink layer)
 	dead     []bool   // whole-router failures (SetRouter layer)
+	// channelDown answers RouteDown with one load: [Groups x Groups], true
+	// where the single global channel between two groups is effectively
+	// down. setEffective keeps it in step with down.
+	channelDown []bool
 
 	downGlobal  int // effectively failed global links (both directions = one)
 	downLocal   int // effectively failed local links
@@ -40,10 +49,11 @@ type FaultSet struct {
 // NewFaultSet returns an all-alive fault set for topology p.
 func NewFaultSet(p *P) *FaultSet {
 	return &FaultSet{
-		p:        p,
-		down:     make([]uint64, p.Routers),
-		linkDown: make([]uint64, p.Routers),
-		dead:     make([]bool, p.Routers),
+		p:           p,
+		down:        make([]uint64, p.Routers),
+		linkDown:    make([]uint64, p.Routers),
+		dead:        make([]bool, p.Routers),
+		channelDown: make([]bool, p.Groups*p.Groups),
 	}
 }
 
@@ -52,23 +62,17 @@ func (f *FaultSet) Topology() *P { return f.p }
 
 // Clone returns an independent copy.
 func (f *FaultSet) Clone() *FaultSet {
-	c := &FaultSet{
-		p:           f.p,
-		down:        make([]uint64, len(f.down)),
-		linkDown:    make([]uint64, len(f.linkDown)),
-		dead:        make([]bool, len(f.dead)),
-		downGlobal:  f.downGlobal,
-		downLocal:   f.downLocal,
-		downRouters: f.downRouters,
-	}
-	copy(c.down, f.down)
-	copy(c.linkDown, f.linkDown)
-	copy(c.dead, f.dead)
-	return c
+	c := *f
+	c.down = slices.Clone(f.down)
+	c.linkDown = slices.Clone(f.linkDown)
+	c.dead = slices.Clone(f.dead)
+	c.channelDown = slices.Clone(f.channelDown)
+	return &c
 }
 
 // setEffective flips the effective state of the link (r, port)—(rr, rp) and
-// keeps the per-class counters in step. The caller guarantees the state
+// keeps the per-class counters and the channel matrix in step: the one
+// place effective link state changes. The caller guarantees the state
 // actually changes.
 func (f *FaultSet) setEffective(r, port, rr, rp int, down bool) {
 	bit, rbit := uint64(1)<<uint(port), uint64(1)<<uint(rp)
@@ -83,6 +87,9 @@ func (f *FaultSet) setEffective(r, port, rr, rp int, down bool) {
 	}
 	if f.p.IsGlobalPort(port) {
 		f.downGlobal += delta
+		g, tg := f.p.GroupOf(r), f.p.GroupOf(rr)
+		f.channelDown[g*f.p.Groups+tg] = down
+		f.channelDown[tg*f.p.Groups+g] = down
 	} else {
 		f.downLocal += delta
 	}
@@ -94,8 +101,7 @@ func (f *FaultSet) setEffective(r, port, rr, rp int, down bool) {
 // ports, which have no link. The return value reports whether the
 // effective state of the link changed: repairing or failing a link whose
 // endpoint router is dead records the explicit state but leaves the link
-// effectively down, so callers mirroring the set into a routing view can
-// key on it.
+// effectively down.
 func (f *FaultSet) SetLink(r, port int, down bool) bool {
 	if !f.p.IsLocalPort(port) && !f.p.IsGlobalPort(port) {
 		panic(fmt.Sprintf("topology: SetLink(%d, %d): not a link port", r, port))
@@ -151,6 +157,19 @@ func (f *FaultSet) SetRouter(r int, down bool) uint64 {
 	return changed
 }
 
+// Apply is SetRouter(r, down) when port is WholeRouter and SetLink(r, port,
+// down) otherwise: the one interpretation of a fault event's (router, port)
+// pair. It returns r's ports whose effective link state changed.
+func (f *FaultSet) Apply(r, port int, down bool) uint64 {
+	if port == WholeRouter {
+		return f.SetRouter(r, down)
+	}
+	if f.SetLink(r, port, down) {
+		return 1 << uint(port)
+	}
+	return 0
+}
+
 // Down reports whether the link on output port of router r is effectively
 // failed (explicitly, or via a dead endpoint router).
 func (f *FaultSet) Down(r, port int) bool {
@@ -180,14 +199,7 @@ func (f *FaultSet) Empty() bool {
 // RouteDown reports whether the single global channel from group g to group
 // tg is failed. It is the group-pair reachability question every mechanism
 // asks when steering toward a remote group.
-func (f *FaultSet) RouteDown(g, tg int) bool {
-	if g == tg {
-		return false
-	}
-	k := f.p.ChannelToGroup(g, tg)
-	idx, port := f.p.GlobalPortOfChannel(k)
-	return f.Down(f.p.RouterID(g, idx), port)
-}
+func (f *FaultSet) RouteDown(g, tg int) bool { return f.channelDown[g*f.p.Groups+tg] }
 
 // LocalRouteDown reports whether the local link between router indices i
 // and j of group is failed.

@@ -1,6 +1,10 @@
 package topology
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/rng"
+)
 
 func TestFaultSetSymmetry(t *testing.T) {
 	p := MustNew(2)
@@ -148,5 +152,67 @@ func TestFaultSetClone(t *testing.T) {
 	}
 	if !c.Down(0, 0) || c.DownLocal() != 2 {
 		t.Fatal("clone lost state")
+	}
+}
+
+// TestFaultSetApplyMatchesDefinition drives Apply with a seeded random mix
+// of link kills and repairs, router kills and revivals (so repairs land
+// under dead endpoints) and after every call checks the derived state
+// against its definition: RouteDown(g, tg) is Down of the global port that
+// owns the channel — the div/mod chain the channel matrix replaces — and is
+// symmetric; Apply's return is the router's port mask before XOR after; a
+// Clone is indistinguishable and independent.
+func TestFaultSetApplyMatchesDefinition(t *testing.T) {
+	for _, h := range []int{2, 3} {
+		p := MustNew(h)
+		routeDownByDefinition := func(f *FaultSet, when string) {
+			t.Helper()
+			for g := 0; g < p.Groups; g++ {
+				for tg := 0; tg < p.Groups; tg++ {
+					want := false
+					if g != tg {
+						idx, port := p.GlobalPortOfChannel(p.ChannelToGroup(g, tg))
+						want = f.Down(p.RouterID(g, idx), port)
+					}
+					if got := f.RouteDown(g, tg); got != want || got != f.RouteDown(tg, g) {
+						t.Fatalf("h=%d %s: RouteDown(%d,%d) = %v (reverse %v), owning port down = %v",
+							h, when, g, tg, got, f.RouteDown(tg, g), want)
+					}
+				}
+			}
+		}
+		f := NewFaultSet(p)
+		r := rng.New(uint64(h), 77)
+		for step := 0; step < 400; step++ {
+			router, port := r.Intn(p.Routers), r.Intn(p.EjectPortBase())
+			if r.Intn(4) == 0 {
+				port = WholeRouter
+			}
+			down := r.Intn(2) == 0
+			before := f.PortMask(router)
+			changed := f.Apply(router, port, down)
+			if want := before ^ f.PortMask(router); changed != want {
+				t.Fatalf("h=%d step %d: Apply(%d, %d, %v) = %#x, masks changed by %#x",
+					h, step, router, port, down, changed, want)
+			}
+			routeDownByDefinition(f, "after Apply")
+
+			c := f.Clone()
+			key := f.StateKey()
+			if c.StateKey() != key {
+				t.Fatalf("h=%d step %d: clone's StateKey differs", h, step)
+			}
+			routeDownByDefinition(c, "clone")
+			// The clone shares nothing: a write to it leaves f alone.
+			c.Apply(router, WholeRouter, !c.RouterDown(router))
+			routeDownByDefinition(c, "written clone")
+			if f.StateKey() != key {
+				t.Fatalf("h=%d step %d: a write to the clone reached the original's masks", h, step)
+			}
+			routeDownByDefinition(f, "after a write to its clone")
+		}
+		if f.Empty() {
+			t.Fatalf("h=%d: the random walk ended on a pristine set (suspicious)", h)
+		}
 	}
 }

@@ -9,8 +9,8 @@
 // immutable after NewRouteTable, so one instance is shared read-only by
 // every router of a simulation (and by every worker of the parallel
 // executor) without synchronization. Fault state deliberately lives
-// elsewhere: the engine keeps its own fault-view tables and recomputes
-// them incrementally when links die or recover (see internal/engine).
+// elsewhere: in FaultSet, which the engine holds twice — the physical
+// state and the routing mechanisms' view of it (see internal/engine).
 package topology
 
 // MinHop is one entry of the minimal-route table: the next-hop output port

@@ -113,7 +113,9 @@ func (p *P) IsEjectPort(port int) bool {
 // router index to within the same group. It panics if from == to.
 func (p *P) LocalPort(from, to int) int {
 	if from == to {
-		panic(fmt.Sprintf("topology: LocalPort(%d, %d) within one router", from, to))
+		// A constant message keeps LocalPort inlinable (FaultSet.LocalRouteDown
+		// sits under every routing-plan build of a faulted run).
+		panic("topology: LocalPort from a router index to itself")
 	}
 	if to < from {
 		return to
