@@ -326,11 +326,13 @@ func (f *FaultSpec) dynamic() bool {
 }
 
 // Config describes one simulation experiment. Zero fields take the paper's
-// defaults (see the field comments).
+// defaults; the field comments are the one written list of them. Every run
+// simulates Canonical() of its Config (Workers aside), so the defaults a
+// run uses are exactly those its cache key hashes.
 type Config struct {
 	// H is the dragonfly sizing parameter: groups of 2h routers,
 	// 2h²+1 groups, h nodes per router. The paper evaluates h=8
-	// (16,512 nodes); h=4 is a fast reduced-scale default.
+	// (16,512 nodes); the default, 4, is a fast reduced scale.
 	H int
 
 	// Mechanism selects the routing mechanism under test (default
@@ -346,14 +348,14 @@ type Config struct {
 	PacketPhits int
 
 	// Threshold is the misrouting trigger percentage expressed as a
-	// fraction (default 0.45, the paper's choice).
+	// fraction (default 0.45, the paper's choice, for any value <= 0).
 	Threshold float64
 	// PBThreshold is Piggybacking's congestion-bit occupancy fraction
-	// (default 0.35).
+	// (default 0.35 for any value <= 0).
 	PBThreshold float64
 	// RemoteCandidates is how many remote global channels are sampled as
-	// additional global-misrouting candidates (default 2; -1 restricts
-	// global misrouting to the router's own global ports).
+	// additional global-misrouting candidates (default 2; a negative value
+	// restricts global misrouting to the router's own global ports).
 	RemoteCandidates int
 
 	BufLocal        int // phits per local VC buffer (default 32)
@@ -452,7 +454,8 @@ type Timeline = metrics.Timeline
 // wherever in the run they were delivered. Fields: see metrics.PhaseDigest.
 type PhaseDigest = metrics.PhaseDigest
 
-// normalize fills defaults; it returns a copy.
+// normalize returns a copy of c with the paper's defaults filled in (see
+// the Config field comments): the one place they are written.
 func (c Config) normalize() Config {
 	if c.H == 0 {
 		c.H = 4
@@ -464,11 +467,41 @@ func (c Config) normalize() Config {
 			c.PacketPhits = 8
 		}
 	}
+	if c.Threshold <= 0 {
+		c.Threshold = 0.45
+	}
+	if c.PBThreshold <= 0 {
+		c.PBThreshold = 0.35
+	}
+	if c.RemoteCandidates == 0 {
+		c.RemoteCandidates = 2
+	}
+	if c.BufLocal == 0 {
+		c.BufLocal = 32
+	}
+	if c.BufGlobal == 0 {
+		c.BufGlobal = 256
+	}
+	if c.InjQueuePackets == 0 {
+		c.InjQueuePackets = 16
+	}
+	if c.LatLocal == 0 {
+		c.LatLocal = 10
+	}
+	if c.LatGlobal == 0 {
+		c.LatGlobal = 100
+	}
 	if c.Warmup == 0 {
 		c.Warmup = 3000
 	}
 	if c.Measure == 0 {
 		c.Measure = 6000
+	}
+	if c.Watchdog == 0 {
+		c.Watchdog = 20000
+	}
+	if c.MaxCycles == 0 {
+		c.MaxCycles = 50 * (c.Warmup + c.Measure + 20000)
 	}
 	return c
 }
@@ -531,6 +564,15 @@ func checkCycles(where, field string, v int64) error {
 // Run, Prepare and the CLIs all call it; it is exported so tools can check
 // configurations they are about to store or enqueue.
 func (c Config) Validate() error {
+	// Bounded as given, before normalize: the defaulted MaxCycles of a
+	// legal Warmup near the bound lies past it.
+	if err := cmp.Or(
+		checkCycles("config", "Warmup", c.Warmup), checkCycles("config", "Measure", c.Measure),
+		checkCycles("config", "MaxCycles", c.MaxCycles), checkCycles("config", "Watchdog", c.Watchdog),
+		checkCycles("config", "WindowCycles", c.WindowCycles), checkCycles("config", "StaleCycles", c.StaleCycles),
+	); err != nil {
+		return err
+	}
 	c = c.normalize()
 	if c.H < 1 {
 		return fmt.Errorf("dragonfly: h must be >= 1, got %d", c.H)
@@ -541,13 +583,6 @@ func (c Config) Validate() error {
 		// long before the engine's own port check could reject it.
 		return fmt.Errorf("dragonfly: h=%d: %d ports per router exceeds the 63-port activity-mask limit (h <= %d)",
 			c.H, 4*c.H-1, ScaleH16)
-	}
-	if err := cmp.Or(
-		checkCycles("config", "Warmup", c.Warmup), checkCycles("config", "Measure", c.Measure),
-		checkCycles("config", "MaxCycles", c.MaxCycles), checkCycles("config", "Watchdog", c.Watchdog),
-		checkCycles("config", "WindowCycles", c.WindowCycles), checkCycles("config", "StaleCycles", c.StaleCycles),
-	); err != nil {
-		return err
 	}
 	if len(c.Phases) > 0 && len(c.Workload) > 0 {
 		return fmt.Errorf("dragonfly: Phases and Workload are mutually exclusive")
@@ -723,41 +758,9 @@ func canonicalTraffic(tr Traffic) Traffic {
 // Traffic/Load/BurstPackets trio, while genuinely phased workloads land in
 // Workload form with explicit node ranges — so equivalent spellings share
 // cache entries. Result caches (internal/exp) hash the canonical form as
-// their key.
+// their key, and every run simulates it.
 func (c Config) Canonical() Config {
 	c = c.normalize()
-	// Mirror the engine's and router core's own defaulting so that a
-	// zero field and its explicit default hash identically.
-	if c.Threshold <= 0 {
-		c.Threshold = 0.45
-	}
-	if c.PBThreshold <= 0 {
-		c.PBThreshold = 0.35
-	}
-	if c.RemoteCandidates == 0 {
-		c.RemoteCandidates = 2
-	}
-	if c.BufLocal == 0 {
-		c.BufLocal = 32
-	}
-	if c.BufGlobal == 0 {
-		c.BufGlobal = 256
-	}
-	if c.InjQueuePackets == 0 {
-		c.InjQueuePackets = 16
-	}
-	if c.LatLocal == 0 {
-		c.LatLocal = 10
-	}
-	if c.LatGlobal == 0 {
-		c.LatGlobal = 100
-	}
-	if c.Watchdog == 0 {
-		c.Watchdog = 20000
-	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 50 * (c.Warmup + c.Measure + 20000)
-	}
 	if c.WindowCycles < 0 {
 		c.WindowCycles = 0
 	}
@@ -850,29 +853,15 @@ func compareLinks(a, b LinkID) int {
 	return cmp.Or(cmp.Compare(a.Router, b.Router), cmp.Compare(a.Port, b.Port))
 }
 
-// compareEvents is the order fault events reach the engine in: by cycle,
-// then router, then port (WholeRouter, -1, sorts first), a kill before a
-// repair of the same link in the same cycle.
-func compareEvents(a, b engine.FaultEvent) int {
-	killFirst := 0
-	if a.Repair != b.Repair {
-		killFirst = -1
-		if a.Repair {
-			killFirst = 1
-		}
-	}
-	return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Router, b.Router), cmp.Compare(a.Port, b.Port), killFirst)
-}
-
-// engine spells a link event the engine's way.
-func (ev FaultEvent) engine() engine.FaultEvent {
-	return engine.FaultEvent{At: ev.At, Repair: ev.Repair, Router: ev.Link.Router, Port: ev.Link.Port}
+// event spells a link event the schedule's way.
+func (ev FaultEvent) event() topology.Event {
+	return topology.Event{At: ev.At, Repair: ev.Repair, Router: ev.Link.Router, Port: ev.Link.Port}
 }
 
 // canonical returns the spec with links named from their lower-id end,
-// duplicates removed, links sorted, events ordered as compile feeds them to
-// the engine (exact-duplicate events are kept: applying one twice is
-// harmless, and cache keys have always counted both), and router, bundle
+// duplicates removed, links sorted, events in topology.CompareEvents order
+// (exact-duplicate events are kept: applying one twice is harmless, and
+// cache keys have always counted both), and router, bundle
 // and flap lists normalized, deduplicated and sorted, so two spellings of
 // one scenario hash and simulate identically. p must be the topology of
 // the spec's Config.H.
@@ -884,7 +873,7 @@ func (f *FaultSpec) canonical(p *topology.P) *FaultSpec {
 		Links:          slices.Compact(sortedCopy(f.Links, link, compareLinks)),
 		Events: sortedCopy(f.Events,
 			func(ev FaultEvent) FaultEvent { ev.Link = link(ev.Link); return ev },
-			func(a, b FaultEvent) int { return compareEvents(a.engine(), b.engine()) }),
+			func(a, b FaultEvent) int { return topology.CompareEvents(a.event(), b.event()) }),
 		Routers: slices.Compact(sortedCopy(f.Routers,
 			// "Failed from the start" has one spelling: cycle 0.
 			func(rf RouterFault) RouterFault { rf.At = max(rf.At, 0); return rf },
@@ -910,50 +899,40 @@ func (f *FaultSpec) canonical(p *topology.P) *FaultSpec {
 	}
 }
 
-// partitionError renders the witness of a failed connectivity probe: the
-// first unreachable live router pair, or the everything-failed case.
-func partitionError(set *topology.FaultSet, a, b int, when string) error {
-	if a < 0 {
-		return fmt.Errorf("dragonfly: %s fail every router", when)
-	}
-	return fmt.Errorf("dragonfly: %s partition the network: router %d cannot reach router %d (%d global, %d local links down, %d routers failed)",
-		when, a, b, set.DownGlobal(), set.DownLocal(), set.DownRouters())
-}
-
-// compile builds the engine's initial fault set and event list: fractions
-// drawn from seed, explicit links and failed-from-start routers/bundles
-// applied, scheduled outages and flaps expanded into the event stream, and
-// the whole schedule checked for connectivity (a partitioned network
-// cannot be simulated meaningfully, so such configs are rejected here).
-func (f *FaultSpec) compile(p *topology.P, seed uint64) (*topology.FaultSet, []engine.FaultEvent, error) {
-	cf := f.canonical(p)
+// compile expands the spec into its fault schedule: fractions drawn from
+// seed, explicit links and failed-from-start routers and bundles in the boot
+// set, scheduled outages, flaps and events in the event list.
+// topology.NewSchedule orders the events and rejects a timeline that
+// partitions the network, which cannot be simulated meaningfully. f is
+// canonical: build compiles Canonical()'s spec.
+func (f *FaultSpec) compile(p *topology.P, seed uint64) (*topology.Schedule, error) {
 	set := topology.NewFaultSet(p)
-	if cf.GlobalFraction > 0 || cf.LocalFraction > 0 {
-		if err := topology.RandomFaults(set, cf.GlobalFraction, cf.LocalFraction, seed); err != nil {
-			return nil, nil, fmt.Errorf("dragonfly: %w", err)
+	if f.GlobalFraction > 0 || f.LocalFraction > 0 {
+		if err := topology.RandomFaults(set, f.GlobalFraction, f.LocalFraction, seed); err != nil {
+			return nil, fmt.Errorf("dragonfly: %w", err)
 		}
 	}
-	for _, l := range cf.Links {
+	for _, l := range f.Links {
 		set.SetLink(l.Router, l.Port, true)
 	}
-	var evs []engine.FaultEvent
-	link := func(at int64, repair bool, router, port int) {
-		evs = append(evs, engine.FaultEvent{At: at, Repair: repair, Router: router, Port: port})
+	var evs []topology.Event
+	event := func(at int64, repair bool, router, port int) {
+		evs = append(evs, topology.Event{At: at, Repair: repair, Router: router, Port: port})
 	}
 	router := func(r int, at, until int64) {
 		if at <= 0 {
 			set.SetRouter(r, true)
 		} else {
-			evs = append(evs, engine.FaultEvent{At: at, Router: r, Port: engine.WholeRouter})
+			event(at, false, r, topology.WholeRouter)
 		}
 		if until > 0 {
-			evs = append(evs, engine.FaultEvent{At: until, Repair: true, Router: r, Port: engine.WholeRouter})
+			event(until, true, r, topology.WholeRouter)
 		}
 	}
-	for _, rf := range cf.Routers {
+	for _, rf := range f.Routers {
 		router(rf.Router, rf.At, rf.Until)
 	}
-	for _, b := range cf.Bundles {
+	for _, b := range f.Bundles {
 		if b.First == 0 && b.Last == 0 {
 			// Whole-group blackout: the routers go down with their
 			// global-channel bundle (see BundleFault).
@@ -968,63 +947,36 @@ func (f *FaultSpec) compile(p *topology.P, seed uint64) (*topology.FaultSet, []e
 				if b.At <= 0 {
 					set.SetLink(r, port, true)
 				} else {
-					link(b.At, false, r, port)
+					event(b.At, false, r, port)
 				}
 				if b.Until > 0 {
-					link(b.Until, true, r, port)
+					event(b.Until, true, r, port)
 				}
 			}
 		}
 	}
-	for _, fl := range cf.Flaps {
+	for _, fl := range f.Flaps {
 		for k := 0; k < fl.Count; k++ {
 			at := fl.At + int64(k)*fl.Period
-			link(at, false, fl.Link.Router, fl.Link.Port)
-			link(at+fl.Down, true, fl.Link.Router, fl.Link.Port)
+			event(at, false, fl.Link.Router, fl.Link.Port)
+			event(at+fl.Down, true, fl.Link.Router, fl.Link.Port)
 		}
 	}
-	for _, ev := range cf.Events {
-		evs = append(evs, ev.engine())
+	for _, ev := range f.Events {
+		evs = append(evs, ev.event())
 	}
-	// Merge order is the canonical event order, so every expansion of one
-	// scenario feeds the engine the same stream.
-	slices.SortFunc(evs, compareEvents)
-	if a, b, part := set.Partition(); part {
-		return nil, nil, partitionError(set, a, b, "fault set would")
-	}
-	if len(evs) > 0 {
-		probe := set.Clone()
-		// Identical intermediate states share one connectivity probe: a
-		// flap schedule alternates between a handful of states, so the
-		// validation work stays O(distinct states), not O(events).
-		checked := map[string]bool{probe.StateKey(): true}
-		for i, ev := range evs {
-			probe.Apply(ev.Router, ev.Port, !ev.Repair)
-			// The engine applies every event due at one cycle before any
-			// routing runs, so only the state at each cycle boundary must
-			// stay connected — probe it after the last event of each At.
-			if i+1 < len(evs) && evs[i+1].At == ev.At {
-				continue
-			}
-			if key := probe.StateKey(); !checked[key] {
-				checked[key] = true
-				if a, b, part := probe.Partition(); part {
-					return nil, nil, fmt.Errorf("%w at cycle %d",
-						partitionError(probe, a, b, "fault events"), ev.At)
-				}
-			}
-		}
-	}
-	return set, evs, nil
+	return topology.NewSchedule(set, evs)
 }
 
-// build validates the configuration and assembles the engine's inputs:
-// topology, compiled workload and compiled fault schedule.
+// build validates the configuration and assembles the engine's inputs from
+// Canonical() with Workers restored — the configuration the cache key
+// hashes: topology, compiled workload and compiled fault schedule.
 func (c Config) build() (engine.Config, error) {
-	c = c.normalize()
 	if err := c.Validate(); err != nil {
 		return engine.Config{}, err
 	}
+	workers := c.Workers
+	c = c.Canonical()
 	p, err := topology.New(c.H)
 	if err != nil {
 		return engine.Config{}, err
@@ -1049,7 +1001,7 @@ func (c Config) build() (engine.Config, error) {
 		LatLocal:        c.LatLocal,
 		LatGlobal:       c.LatGlobal,
 		Seed:            c.Seed,
-		Workers:         c.Workers,
+		Workers:         workers,
 		Workload:        w,
 		WindowCycles:    c.WindowCycles,
 		StaleCycles:     c.StaleCycles,
@@ -1058,13 +1010,10 @@ func (c Config) build() (engine.Config, error) {
 		MaxCycles:       c.MaxCycles,
 		Watchdog:        c.Watchdog,
 	}
-	if !c.Faults.empty() {
-		fs, evs, err := c.Faults.compile(p, c.Seed)
-		if err != nil {
+	if c.Faults != nil { // Canonical drops a pristine spec
+		if ec.Faults, err = c.Faults.compile(p, c.Seed); err != nil {
 			return engine.Config{}, err
 		}
-		ec.Faults = fs
-		ec.FaultEvents = evs
 	}
 	return ec, nil
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -13,19 +12,18 @@ import (
 // faultedDeterminismConfig arms a config with a degraded topology plus
 // mid-run kill and repair events, so the fault paths (drop sink, dead-port
 // masks, cycle-boundary event application) face the worker-count check.
-func faultedDeterminismConfig(t *testing.T, cfg Config) Config {
+func faultedDeterminismConfig(t *testing.T, cfg Config, extra ...topology.Event) Config {
 	t.Helper()
 	f := topology.NewFaultSet(cfg.Topo)
 	if err := topology.RandomFaults(f, 0.2, 0.05, 11); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Faults = f
 	gp := cfg.Topo.GlobalPortBase()
-	cfg.FaultEvents = []FaultEvent{
+	cfg.Faults = schedule(t, cfg.Topo, f, append([]topology.Event{
 		{At: 1800, Router: 5, Port: gp},
 		{At: 2600, Router: 1, Port: 0},
 		{At: 3400, Repair: true, Router: 5, Port: gp},
-	}
+	}, extra...)...)
 	cfg.WindowCycles = 300 // exercise window merging (incl. FaultDrops)
 	return cfg
 }
@@ -36,20 +34,18 @@ func faultedDeterminismConfig(t *testing.T, cfg Config) Config {
 // storms of same-cycle plan invalidations face the worker-count check.
 func routerFaultedDeterminismConfig(t *testing.T, cfg Config) Config {
 	t.Helper()
-	cfg = faultedDeterminismConfig(t, cfg)
 	gp := cfg.Topo.GlobalPortBase()
-	events := append(cfg.FaultEvents,
-		FaultEvent{At: 1500, Router: 7, Port: WholeRouter},
-		FaultEvent{At: 3200, Repair: true, Router: 7, Port: WholeRouter})
+	events := []topology.Event{
+		{At: 1500, Router: 7, Port: topology.WholeRouter},
+		{At: 3200, Repair: true, Router: 7, Port: topology.WholeRouter},
+	}
 	for k := int64(0); k < 4; k++ { // four flap periods on router 2's first global port
 		at := 1600 + 300*k
 		events = append(events,
-			FaultEvent{At: at, Router: 2, Port: gp},
-			FaultEvent{At: at + 150, Repair: true, Router: 2, Port: gp})
+			topology.Event{At: at, Router: 2, Port: gp},
+			topology.Event{At: at + 150, Repair: true, Router: 2, Port: gp})
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	cfg.FaultEvents = events
-	return cfg
+	return faultedDeterminismConfig(t, cfg, events...)
 }
 
 // TestDeterminismAcrossWorkerCounts is the guardrail for the package's
@@ -180,10 +176,8 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 			if serial.Faults != nil && a.FaultDrops == 0 {
 				t.Fatal("no fault drops; the faulted comparison proved nothing")
 			}
-			for _, ev := range serial.FaultEvents {
-				if ev.Port == WholeRouter && !ev.Repair && a.Suppressed == 0 {
-					t.Fatal("no suppressed injections; the router-failure comparison proved nothing")
-				}
+			if serial.Faults != nil && serial.Faults.RouterFaults && a.Suppressed == 0 {
+				t.Fatal("no suppressed injections; the router-failure comparison proved nothing")
 			}
 		})
 	}

@@ -48,18 +48,18 @@ const ResultsVersion = 2
 type Config struct {
 	Topo *topology.P
 	Spec core.Spec
-	// Routing carries the misrouting trigger parameters; Routing.Topo is
-	// filled from Topo automatically.
+	// Routing carries the misrouting trigger parameters; Routing.Topo and
+	// the buffer sizes are filled from this Config automatically.
 	Routing core.Config
 
 	Flow        FlowControl
-	PacketPhits int // packet size (8 for the paper's VCT runs, 80 for WH)
+	PacketPhits int // packet size in phits
 
-	BufLocal        int // phits per local input VC (paper: 32)
-	BufGlobal       int // phits per global input VC (paper: 256)
+	BufLocal        int // phits per local input VC
+	BufGlobal       int // phits per global input VC
 	InjQueuePackets int // injection queue depth in packets
-	LatLocal        int // local link latency in cycles (paper: 10)
-	LatGlobal       int // global link latency in cycles (paper: 100)
+	LatLocal        int // local link latency in cycles
+	LatGlobal       int // global link latency in cycles
 
 	Seed uint64
 	// Workers is the requested parallel-stepping width; <=1 runs serially.
@@ -78,15 +78,14 @@ type Config struct {
 	// over the whole run to the Result.
 	WindowCycles int64
 
-	// Faults, when non-nil, is the initial set of failed links (the engine
-	// works on a private clone). FaultEvents lists mid-run link kills and
-	// repairs, sorted by cycle; they are applied in the serial section
-	// between cycles, so routing only ever observes fault state that is
-	// constant within a cycle — which keeps worker-count determinism.
-	// Configurations with neither are completely unaffected: the fault
-	// queries short-circuit and results stay bit-identical.
-	Faults      *topology.FaultSet
-	FaultEvents []FaultEvent
+	// Faults, when non-nil, is the fault timeline: the boot state (the
+	// engine works on a private clone) and the mid-run kills and repairs,
+	// applied in the serial section between cycles, so routing only ever
+	// observes fault state that is constant within a cycle — which keeps
+	// worker-count determinism. Configurations without one are completely
+	// unaffected: the fault queries short-circuit and results stay
+	// bit-identical.
+	Faults *topology.Schedule
 
 	// StaleCycles delays the *routing view* of every fault event by this
 	// many cycles: a link killed (or repaired) at cycle C changes flow
@@ -102,8 +101,8 @@ type Config struct {
 	Warmup  int64 // steady-state: cycles before measurement starts
 	Measure int64 // steady-state: measured cycles
 
-	MaxCycles int64 // burst mode safety bound (0 = 50x warm+measure)
-	Watchdog  int64 // quiet cycles before declaring deadlock (0 = 20000)
+	MaxCycles int64 // burst mode safety bound
+	Watchdog  int64 // quiet cycles before declaring deadlock
 
 	// NoFastForward disables the whole-fabric quiet-cycle fast-forward
 	// (see Sim.tryFastForward). The fast-forward is bit-identical by
@@ -112,38 +111,8 @@ type Config struct {
 	NoFastForward bool
 }
 
-// setDefaults fills unset fields with the paper's defaults.
-func (c *Config) setDefaults() {
-	if c.PacketPhits == 0 {
-		c.PacketPhits = 8
-	}
-	if c.BufLocal == 0 {
-		c.BufLocal = 32
-	}
-	if c.BufGlobal == 0 {
-		c.BufGlobal = 256
-	}
-	if c.InjQueuePackets == 0 {
-		c.InjQueuePackets = 16
-	}
-	if c.LatLocal == 0 {
-		c.LatLocal = 10
-	}
-	if c.LatGlobal == 0 {
-		c.LatGlobal = 100
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.Watchdog == 0 {
-		c.Watchdog = 20000
-	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 50 * (c.Warmup + c.Measure + 20000)
-	}
-}
-
-// validate rejects configurations the mechanisms cannot support.
+// validate rejects configurations the mechanisms cannot support. The engine
+// fills no defaults: every size, latency and bound must be given.
 func (c *Config) validate() error {
 	if c.Topo == nil {
 		return fmt.Errorf("engine: nil topology")
@@ -154,8 +123,12 @@ func (c *Config) validate() error {
 	if c.WindowCycles < 0 {
 		return fmt.Errorf("engine: negative metrics window %d", c.WindowCycles)
 	}
-	if c.PacketPhits < 1 {
-		return fmt.Errorf("engine: packet size %d phits", c.PacketPhits)
+	if min(c.PacketPhits, c.BufLocal, c.BufGlobal, c.InjQueuePackets, c.LatLocal, c.LatGlobal) < 1 {
+		return fmt.Errorf("engine: packet size %d, buffers %d/%d, injection queue %d and latencies %d/%d must be positive",
+			c.PacketPhits, c.BufLocal, c.BufGlobal, c.InjQueuePackets, c.LatLocal, c.LatGlobal)
+	}
+	if c.Watchdog < 1 || c.MaxCycles < 1 {
+		return fmt.Errorf("engine: watchdog %d and MaxCycles %d must be positive", c.Watchdog, c.MaxCycles)
 	}
 	if c.Topo.Ports > 63 {
 		// The activity bitmasks (router.claimPorts, router.xferPorts)
@@ -164,27 +137,12 @@ func (c *Config) validate() error {
 		// (16,416 routers, 262,656 nodes).
 		return fmt.Errorf("engine: %d ports per router exceeds the 63-port activity-mask limit", c.Topo.Ports)
 	}
-	if c.Faults != nil && c.Faults.Topology().Routers != c.Topo.Routers {
-		return fmt.Errorf("engine: fault set describes a %d-router topology, network has %d",
-			c.Faults.Topology().Routers, c.Topo.Routers)
+	if c.Faults != nil && c.Faults.Boot.Topology().Routers != c.Topo.Routers {
+		return fmt.Errorf("engine: fault schedule describes a %d-router topology, network has %d",
+			c.Faults.Boot.Topology().Routers, c.Topo.Routers)
 	}
 	if c.StaleCycles < 0 {
 		return fmt.Errorf("engine: negative StaleCycles %d", c.StaleCycles)
-	}
-	prevAt := int64(0)
-	for i, ev := range c.FaultEvents {
-		if ev.At < prevAt {
-			return fmt.Errorf("engine: fault events out of order (event %d at cycle %d after %d)",
-				i, ev.At, prevAt)
-		}
-		prevAt = ev.At
-		if ev.Router < 0 || ev.Router >= c.Topo.Routers {
-			return fmt.Errorf("engine: fault event %d names no router (router %d)", i, ev.Router)
-		}
-		if ev.Port != WholeRouter && !(c.Topo.IsLocalPort(ev.Port) || c.Topo.IsGlobalPort(ev.Port)) {
-			return fmt.Errorf("engine: fault event %d names no link (router %d port %d)",
-				i, ev.Router, ev.Port)
-		}
 	}
 	if c.Flow == VCT {
 		if c.BufLocal < c.PacketPhits || c.BufGlobal < c.PacketPhits {
@@ -193,22 +151,6 @@ func (c *Config) validate() error {
 		}
 	}
 	return nil
-}
-
-// WholeRouter, used as a FaultEvent.Port, marks a whole-router event:
-// every link port of Router fails (or, with Repair, recovers) as one
-// event, and the router's attached nodes are parked (released) with it.
-const WholeRouter = topology.WholeRouter
-
-// FaultEvent is one scheduled link state change: the full-duplex link on
-// (Router, Port) fails (or, with Repair, comes back) at the start of cycle
-// At. Port WholeRouter fails or revives the whole router instead. Events
-// at or before cycle 0 are folded into the initial fault set.
-type FaultEvent struct {
-	At     int64
-	Repair bool
-	Router int
-	Port   int
 }
 
 // progress holds one worker's incrementally-maintained progress counters.
@@ -288,25 +230,29 @@ type Sim struct {
 	ffJumped   int64
 
 	// faults is the live link-failure state (a private clone of
-	// Config.Faults), mutated only between cycles; faulted is true as soon
-	// as a run has or can develop failed links, and gates every fault
-	// query so fault-free runs keep their exact pre-fault behavior.
+	// Config.Faults.Boot), mutated only between cycles; faulted is true as
+	// soon as a run has a fault schedule, and gates every fault query so
+	// fault-free runs keep their exact pre-fault behavior.
 	faults    *topology.FaultSet
 	faulted   bool
-	nextFault int // index of the first unapplied Config.FaultEvents entry
+	events    []topology.Event // Config.Faults.Events; nil without a schedule
+	nextFault int              // index of the first unapplied event
 
 	// view is the link state the routing mechanisms see (core.View's
 	// LinkDown/PortDead/RouteDown/LocalDown read it): faults itself while
-	// the view cannot lag — Config.StaleCycles == 0, or no event left after
-	// the boot fold — and otherwise a clone that absorbs every event
-	// StaleCycles late, in the same serial section.
+	// the view cannot lag — Config.StaleCycles == 0, or no mid-run event —
+	// and otherwise a clone that absorbs every event StaleCycles late, in
+	// the same serial section.
 	view           *topology.FaultSet
-	nextRouteFault int // first Config.FaultEvents entry the view has not absorbed
+	nextRouteFault int // first event the view has not absorbed; never past nextFault
 
 	// hopLimit, when positive, drops any packet whose hop count exceeds
-	// it (the livelock guard for whole-router failures); zero for
-	// fault-free and link-only fault runs, whose behavior it must not
-	// touch.
+	// it: the livelock guard, armed only for schedules with RouterFaults.
+	// A dead router severs OFAR's escape ring (losing its delivery
+	// guarantee) and can leave adaptive mechanisms bouncing a packet
+	// between live routers indefinitely; the budget is several full
+	// escape-ring laps. Fault-free and link-only runs keep it zero, so
+	// their behavior is untouched.
 	hopLimit int32
 
 	// routeEpoch numbers the routing view's changes: it bumps once per
@@ -336,7 +282,6 @@ func New(cfg Config) (*Sim, error) {
 // two fabrics never coexist), then init, which alone writes initial
 // state. Results do not depend on what s held. On error s is unchanged.
 func (s *Sim) Init(cfg Config) error {
-	cfg.setDefaults()
 	if err := cfg.validate(); err != nil {
 		return err
 	}
@@ -348,17 +293,6 @@ func (s *Sim) Init(cfg Config) error {
 	p := cfg.Topo
 	cfg.Routing.Topo = p
 	cfg.Routing.BufLocal, cfg.Routing.BufGlobal = cfg.BufLocal, cfg.BufGlobal
-	if cfg.Routing.RemoteCandidates == 0 {
-		cfg.Routing.RemoteCandidates = 2
-	}
-	// Mirror core.New's defaults here: the engine reads these fields
-	// itself (publishPB uses PBThreshold).
-	if cfg.Routing.Threshold <= 0 {
-		cfg.Routing.Threshold = 0.45
-	}
-	if cfg.Routing.PBThreshold <= 0 {
-		cfg.Routing.PBThreshold = 0.35
-	}
 	// One shared table set per simulation: minimal next-hop rows, the
 	// global-port matrix, the pair-restricted detour candidate lists and
 	// the occupancy-fraction rows are computed once and consulted
@@ -385,7 +319,7 @@ func (s *Sim) Init(cfg Config) error {
 	// Effective worker count: more workers than CPUs only adds barrier
 	// latency (results are identical at any width, so the clamp is free),
 	// and more workers than routers leaves some idle.
-	workers := min(cfg.Workers, runtime.GOMAXPROCS(0), p.Routers)
+	workers := max(1, min(cfg.Workers, runtime.GOMAXPROCS(0), p.Routers))
 	// Per-phase digests only earn their keep on multi-phase workloads; a
 	// one-phase digest would duplicate the main Result.
 	phases := 0
@@ -585,65 +519,38 @@ func (s *Sim) init(cfg Config, tab *core.Tables) {
 		}
 		r.reset(cfg.Flow, cfg.Seed)
 	}
-	if cfg.Faults != nil || len(cfg.FaultEvents) > 0 {
+	if sched := cfg.Faults; sched != nil {
+		// Boot faults are known at boot: the routing view starts from the
+		// same state, whatever the staleness.
 		s.faulted = true
-		if cfg.Faults != nil {
-			s.faults = cfg.Faults.Clone()
-		} else {
-			s.faults = topology.NewFaultSet(p)
-		}
-		// Fold events already due at cycle 0 into the initial state, then
-		// mirror the masks into the routers. Initial faults are known at
-		// boot: the routing view starts from the same state (no staleness
-		// applies), and the folded events are absorbed by the view too so
-		// the stale queue never replays them.
-		evs := cfg.FaultEvents
-		for ; s.nextFault < len(evs) && evs[s.nextFault].At <= 0; s.nextFault++ {
-			ev := evs[s.nextFault]
-			s.faults.Apply(ev.Router, ev.Port, !ev.Repair)
-		}
-		s.nextRouteFault = s.nextFault
+		s.faults = sched.Boot.Clone()
+		s.events = sched.Events
 		for id := range s.routers {
 			s.routers[id].deadPorts = s.faults.PortMask(id)
 			s.routers[id].parked = s.faults.RouterDown(id)
 		}
 		s.view = s.faults
-		if cfg.StaleCycles > 0 && s.nextFault < len(evs) {
+		if cfg.StaleCycles > 0 && len(s.events) > 0 {
 			s.view = s.faults.Clone()
 		}
-		// Livelock guard, armed only for whole-router failures: a dead
-		// router severs OFAR's escape ring (losing its delivery
-		// guarantee) and can leave adaptive mechanisms bouncing a packet
-		// between live routers indefinitely. Packets exceeding a budget
-		// of several full escape-ring laps are shed as fault drops.
-		// Pure link faults leave the guard off, so legacy fault configs
-		// run bit-identically to builds without it.
-		if s.faults.DownRouters() > 0 {
+		if sched.RouterFaults {
 			s.hopLimit = int32(4*(p.Routers+p.Groups) + 64)
-		} else {
-			for _, ev := range evs[s.nextFault:] {
-				if ev.Port == WholeRouter {
-					s.hopLimit = int32(4*(p.Routers+p.Groups) + 64)
-					break
-				}
-			}
 		}
 	}
 	s.ready = true
 }
 
-// pendingFaultEvents reports whether any fault event still awaits either
-// its physical application or its (possibly stale) routing-view one.
-func (s *Sim) pendingFaultEvents() bool {
-	return s.nextFault < len(s.cfg.FaultEvents) || s.nextRouteFault < len(s.cfg.FaultEvents)
-}
+// pendingFaultEvents reports whether any fault event still awaits its
+// (possibly stale) routing-view application — and therefore, possibly, its
+// physical one.
+func (s *Sim) pendingFaultEvents() bool { return s.nextRouteFault < len(s.events) }
 
 // applyFaultEvents applies every fault event due at the current cycle —
 // to the physical set (and the dead-port masks gating flow control) at event
 // time, and to the routing view StaleCycles later. Only called from the
 // serial section between cycles.
 func (s *Sim) applyFaultEvents() {
-	evs := s.cfg.FaultEvents
+	evs := s.events
 	for ; s.nextFault < len(evs) && evs[s.nextFault].At <= s.cycle; s.nextFault++ {
 		ev := evs[s.nextFault]
 		changed := s.faults.Apply(ev.Router, ev.Port, !ev.Repair)
@@ -764,15 +671,11 @@ func (s *Sim) tryFastForward(limit int64) {
 			target = nc
 		}
 	}
-	if s.nextFault < len(s.cfg.FaultEvents) {
-		if at := s.cfg.FaultEvents[s.nextFault].At; at < target {
-			target = at
-		}
+	if s.nextFault < len(s.events) {
+		target = min(target, s.events[s.nextFault].At)
 	}
-	if s.nextRouteFault < len(s.cfg.FaultEvents) {
-		if at := s.cfg.FaultEvents[s.nextRouteFault].At + s.cfg.StaleCycles; at < target {
-			target = at
-		}
+	if s.nextRouteFault < len(s.events) {
+		target = min(target, s.events[s.nextRouteFault].At+s.cfg.StaleCycles)
 	}
 	if target <= s.cycle+1 {
 		return

@@ -11,8 +11,11 @@ import (
 	"repro/internal/traffic"
 )
 
-// testConfig builds a small, fast configuration; callers override fields.
-func testConfig(t *testing.T, h int, spec core.Spec, load float64) Config {
+// testConfig builds a small, fast configuration — the paper's routing
+// parameters and buffer sizes over short links — and is the one place the
+// engine tests spell every field the engine requires; callers override
+// fields.
+func testConfig(t testing.TB, h int, spec core.Spec, load float64) Config {
 	t.Helper()
 	p, err := topology.New(h)
 	if err != nil {
@@ -23,16 +26,22 @@ func testConfig(t *testing.T, h int, spec core.Spec, load float64) Config {
 		t.Fatal(err)
 	}
 	return Config{
-		Topo:        p,
-		Spec:        spec,
-		Flow:        VCT,
-		PacketPhits: 8,
-		LatLocal:    4,
-		LatGlobal:   16,
-		Seed:        12345,
-		Workload:    single(t, p, nil, proc),
-		Warmup:      1500,
-		Measure:     3000,
+		Topo:            p,
+		Spec:            spec,
+		Routing:         core.Config{Threshold: 0.45, PBThreshold: 0.35, RemoteCandidates: 2},
+		Flow:            VCT,
+		PacketPhits:     8,
+		BufLocal:        32,
+		BufGlobal:       256,
+		InjQueuePackets: 16,
+		LatLocal:        4,
+		LatGlobal:       16,
+		Seed:            12345,
+		Workload:        single(t, p, nil, proc),
+		Warmup:          1500,
+		Measure:         3000,
+		MaxCycles:       1_000_000,
+		Watchdog:        20000,
 	}
 }
 
@@ -157,6 +166,23 @@ func TestValidationErrors(t *testing.T) {
 	cfg.PacketPhits = -1
 	if _, err := New(cfg); err == nil {
 		t.Error("negative packet size accepted")
+	}
+	// The engine fills no defaults: a zero size, latency or bound is an
+	// error, not the paper's value.
+	for name, zero := range map[string]func(c *Config){
+		"BufLocal":        func(c *Config) { c.BufLocal = 0 },
+		"BufGlobal":       func(c *Config) { c.BufGlobal = 0 },
+		"InjQueuePackets": func(c *Config) { c.InjQueuePackets = 0 },
+		"LatLocal":        func(c *Config) { c.LatLocal = 0 },
+		"LatGlobal":       func(c *Config) { c.LatGlobal = -10 },
+		"Watchdog":        func(c *Config) { c.Watchdog = 0 },
+		"MaxCycles":       func(c *Config) { c.MaxCycles = 0 },
+	} {
+		cfg = good
+		zero(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("non-positive %s accepted", name)
+		}
 	}
 }
 
@@ -384,13 +410,9 @@ func TestInjectionLossAccounting(t *testing.T) {
 }
 
 func BenchmarkCycleH2UniformRLM(b *testing.B) {
-	p, _ := topology.New(2)
-	proc, _ := traffic.NewBernoulli(0.3, 8)
-	cfg := Config{
-		Topo: p, Spec: core.RLM, Flow: VCT, PacketPhits: 8,
-		Seed: 1, Workload: single(b, p, nil, proc),
-		Warmup: 0, Measure: 1,
-	}
+	cfg := testConfig(b, 2, core.RLM, 0.3)
+	cfg.LatLocal, cfg.LatGlobal = 10, 100
+	cfg.Seed, cfg.Warmup, cfg.Measure = 1, 0, 1
 	sim, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -399,5 +421,5 @@ func BenchmarkCycleH2UniformRLM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim.stepCycle()
 	}
-	b.ReportMetric(float64(p.Routers), "routers")
+	b.ReportMetric(float64(cfg.Topo.Routers), "routers")
 }

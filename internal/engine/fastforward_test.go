@@ -110,12 +110,10 @@ func TestFastForwardBitIdentity(t *testing.T) {
 func TestFastForwardFaultHorizons(t *testing.T) {
 	build := func(noFF bool) Config {
 		cfg := sparseBurstConfig(t, 1, noFF)
-		cfg.Faults = topology.NewFaultSet(cfg.Topo)
 		gp := cfg.Topo.GlobalPortBase()
-		cfg.FaultEvents = []FaultEvent{
-			{At: 2500, Router: 3, Port: gp},               // inside the first gap
-			{At: 8200, Repair: true, Router: 3, Port: gp}, // inside the second
-		}
+		cfg.Faults = schedule(t, cfg.Topo, nil,
+			topology.Event{At: 2500, Router: 3, Port: gp},               // inside the first gap
+			topology.Event{At: 8200, Repair: true, Router: 3, Port: gp}) // inside the second
 		cfg.StaleCycles = 700 // view horizon lands in a gap too
 		return cfg
 	}

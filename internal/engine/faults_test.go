@@ -10,6 +10,20 @@ import (
 	"repro/internal/traffic"
 )
 
+// schedule compiles a boot fault set and events into the engine's fault
+// timeline; a nil boot is the pristine network of p.
+func schedule(t *testing.T, p *topology.P, boot *topology.FaultSet, events ...topology.Event) *topology.Schedule {
+	t.Helper()
+	if boot == nil {
+		boot = topology.NewFaultSet(p)
+	}
+	s, err := topology.NewSchedule(boot, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // faultedConfig is testConfig plus a seeded degraded topology: 15% of
 // global and 5% of local links down, with one extra mid-run kill/repair
 // pair so the dynamic path is exercised too.
@@ -20,14 +34,10 @@ func faultedConfig(t *testing.T, spec core.Spec, load float64) Config {
 	if err := topology.RandomFaults(f, 0.15, 0.05, 99); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Connected() {
-		t.Fatal("test fault set partitions the network; pick another seed")
-	}
-	cfg.Faults = f
-	cfg.FaultEvents = []FaultEvent{
-		{At: 500, Router: 3, Port: cfg.Topo.GlobalPortBase()},
-		{At: 1200, Repair: true, Router: 3, Port: cfg.Topo.GlobalPortBase()},
-	}
+	gp := cfg.Topo.GlobalPortBase()
+	cfg.Faults = schedule(t, cfg.Topo, f,
+		topology.Event{At: 500, Router: 3, Port: gp},
+		topology.Event{At: 1200, Repair: true, Router: 3, Port: gp})
 	return cfg
 }
 
@@ -135,8 +145,7 @@ func TestParkedRouterConservation(t *testing.T) {
 			cfg := testConfig(t, 2, spec, 0)
 			f := topology.NewFaultSet(cfg.Topo)
 			f.SetRouter(3, true)
-			cfg.Faults = f
-			cfg.FaultEvents = []FaultEvent{{At: 300, Router: 8, Port: WholeRouter}}
+			cfg.Faults = schedule(t, cfg.Topo, f, topology.Event{At: 300, Router: 8, Port: topology.WholeRouter})
 			burst, err := traffic.NewBurst(10, cfg.Topo.Nodes)
 			if err != nil {
 				t.Fatal(err)
@@ -197,7 +206,7 @@ func TestAdaptiveRetainsLoadUnderFaults(t *testing.T) {
 		if err := topology.RandomFaults(f, 0.2, 0, 4); err != nil {
 			t.Fatal(err)
 		}
-		cfg.Faults = f
+		cfg.Faults = schedule(t, cfg.Topo, f)
 		return run(t, cfg)
 	}
 	minimal := runSpec(core.Minimal)
@@ -224,10 +233,9 @@ func TestDynamicKillAndRepair(t *testing.T) {
 	cfg.WindowCycles = 500
 	kill, repair := int64(2000), int64(4000)
 	port := cfg.Topo.GlobalPortBase()
-	cfg.FaultEvents = []FaultEvent{
-		{At: kill, Router: 0, Port: port},
-		{At: repair, Repair: true, Router: 0, Port: port},
-	}
+	cfg.Faults = schedule(t, cfg.Topo, nil,
+		topology.Event{At: kill, Router: 0, Port: port},
+		topology.Event{At: repair, Repair: true, Router: 0, Port: port})
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -276,34 +284,11 @@ func TestEmptyFaultSetInert(t *testing.T) {
 	for _, spec := range []core.Spec{core.Minimal, core.Valiant, core.PB, core.OLM, core.OFAR} {
 		plain := run(t, testConfig(t, 2, spec, 0.25))
 		cfg := testConfig(t, 2, spec, 0.25)
-		cfg.Faults = topology.NewFaultSet(cfg.Topo)
+		cfg.Faults = schedule(t, cfg.Topo, nil)
 		armed := run(t, cfg)
 		if !reflect.DeepEqual(plain, armed) {
 			t.Fatalf("%v: empty fault set changed the result:\n  plain: %+v\n  armed: %+v", spec, plain, armed)
 		}
-	}
-}
-
-// TestKilledThenRepairedBeforeTrafficInert: a link killed at cycle 0 and
-// repaired before any packet could reach it leaves no trace beyond the
-// (deterministic) routing decisions taken while it was down.
-func TestFaultEventValidation(t *testing.T) {
-	good := testConfig(t, 2, core.Minimal, 0.1)
-
-	cfg := good
-	cfg.FaultEvents = []FaultEvent{{At: 100, Router: 0, Port: 0}, {At: 50, Router: 0, Port: 0}}
-	if _, err := New(cfg); err == nil {
-		t.Error("out-of-order fault events accepted")
-	}
-	cfg = good
-	cfg.FaultEvents = []FaultEvent{{At: 10, Router: 0, Port: good.Topo.EjectPortBase()}}
-	if _, err := New(cfg); err == nil {
-		t.Error("fault event on an ejection port accepted")
-	}
-	cfg = good
-	cfg.FaultEvents = []FaultEvent{{At: 10, Router: good.Topo.Routers, Port: 0}}
-	if _, err := New(cfg); err == nil {
-		t.Error("fault event on an out-of-range router accepted")
 	}
 }
 
@@ -324,9 +309,7 @@ func TestStaleCyclesDelayFaultView(t *testing.T) {
 		cfg.Warmup, cfg.Measure = 0, 8000
 		cfg.WindowCycles = window
 		cfg.StaleCycles = staleCycles
-		cfg.FaultEvents = []FaultEvent{
-			{At: kill, Router: 0, Port: cfg.Topo.GlobalPortBase()},
-		}
+		cfg.Faults = schedule(t, cfg.Topo, nil, topology.Event{At: kill, Router: 0, Port: cfg.Topo.GlobalPortBase()})
 		return cfg
 	}
 	dropsBy := func(cfg Config) (early, late int64) {

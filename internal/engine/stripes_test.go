@@ -257,7 +257,11 @@ func TestPhasedBurstAllocationRepeats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Config{Topo: p, Spec: core.OLM, Flow: VCT, Seed: 1, Workload: w, WindowCycles: 500}
+		cfg := testConfig(t, 3, core.OLM, 0)
+		cfg.LatLocal, cfg.LatGlobal = 10, 100
+		cfg.Seed, cfg.Workload, cfg.WindowCycles = 1, w, 500
+		cfg.Warmup, cfg.Measure = 0, 0
+		return cfg
 	}
 	var lo, hi uint64
 	for i := 0; i < 5; i++ {

@@ -12,23 +12,23 @@ import (
 // sees: two folded at boot, a link killed and then repaired under a router
 // that died in between, that router's outage, a same-cycle burst, and four
 // flap periods on a global channel.
-func viewEvents(p *topology.P) []FaultEvent {
+func viewEvents(p *topology.P) []topology.Event {
 	gp := p.GlobalPortBase()
-	evs := []FaultEvent{
+	evs := []topology.Event{
 		{At: 0, Router: 3, Port: 1},
-		{At: 0, Router: 9, Port: WholeRouter},
+		{At: 0, Router: 9, Port: topology.WholeRouter},
 		{At: 40, Router: 7, Port: 0},
-		{At: 100, Router: 7, Port: WholeRouter},
+		{At: 100, Router: 7, Port: topology.WholeRouter},
 		{At: 150, Router: 12, Port: gp},
 		{At: 150, Router: 20, Port: 2},
 		{At: 200, Repair: true, Router: 7, Port: 0},
-		{At: 260, Repair: true, Router: 7, Port: WholeRouter},
-		{At: 300, Repair: true, Router: 9, Port: WholeRouter},
+		{At: 260, Repair: true, Router: 7, Port: topology.WholeRouter},
+		{At: 300, Repair: true, Router: 9, Port: topology.WholeRouter},
 	}
 	for k := int64(0); k < 4; k++ {
 		evs = append(evs,
-			FaultEvent{At: 320 + 40*k, Router: 2, Port: gp},
-			FaultEvent{At: 335 + 40*k, Repair: true, Router: 2, Port: gp})
+			topology.Event{At: 320 + 40*k, Router: 2, Port: gp},
+			topology.Event{At: 335 + 40*k, Repair: true, Router: 2, Port: gp})
 	}
 	return evs
 }
@@ -48,14 +48,15 @@ func TestRoutingViewIsEventsStaleCyclesAgo(t *testing.T) {
 		t.Run(fmt.Sprintf("stale=%d/bootOnly=%v", tc.stale, tc.bootOnly), func(t *testing.T) {
 			cfg := testConfig(t, 2, core.OLM, 0.2)
 			p := cfg.Topo
-			cfg.Faults = topology.NewFaultSet(p)
-			if err := topology.RandomFaults(cfg.Faults, 0.1, 0.05, 5); err != nil {
+			boot := topology.NewFaultSet(p)
+			if err := topology.RandomFaults(boot, 0.1, 0.05, 5); err != nil {
 				t.Fatal(err)
 			}
-			cfg.FaultEvents = viewEvents(p)
+			events := viewEvents(p)
 			if tc.bootOnly {
-				cfg.FaultEvents = cfg.FaultEvents[:2]
+				events = events[:2]
 			}
+			cfg.Faults = schedule(t, p, boot, events...)
 			cfg.StaleCycles = tc.stale
 			s, err := New(cfg)
 			if err != nil {
@@ -68,12 +69,12 @@ func TestRoutingViewIsEventsStaleCyclesAgo(t *testing.T) {
 			// replay is the definition: the configured set, then in order
 			// every event already due at boot or whose horizon has passed.
 			replay := func(lag, cycle int64) string {
-				f := cfg.Faults.Clone()
-				for _, ev := range cfg.FaultEvents {
+				f := boot.Clone()
+				for _, ev := range events {
 					if ev.At > 0 && ev.At+lag > cycle {
 						continue
 					}
-					if ev.Port == WholeRouter {
+					if ev.Port == topology.WholeRouter {
 						f.SetRouter(ev.Router, !ev.Repair)
 					} else {
 						f.SetLink(ev.Router, ev.Port, !ev.Repair)
@@ -90,7 +91,7 @@ func TestRoutingViewIsEventsStaleCyclesAgo(t *testing.T) {
 				if got := s.view.StateKey(); got != replay(tc.stale, c) {
 					t.Fatalf("cycle %d: routing view is not the events with At+%d <= cycle", c, tc.stale)
 				}
-				for _, ev := range cfg.FaultEvents {
+				for _, ev := range events {
 					if ev.At > 0 && ev.At+tc.stale == c {
 						epoch++ // once, however many the section absorbed
 						break

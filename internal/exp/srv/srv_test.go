@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -187,10 +188,13 @@ func TestDrainMidCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newTestServer(t, Config{Store: store, SimWorkers: 1, JSONLDir: jsonlDir})
-	started := make(chan struct{})
+	started := make(chan dragonfly.Config, 1)
 	release := make(chan struct{})
 	ts.srv.runSim = func(ctx context.Context, cfg dragonfly.Config) (dragonfly.Result, error) {
-		close(started)
+		select {
+		case started <- cfg:
+		default: // a second simulation: the Executed check below reports it
+		}
 		<-release
 		return dragonfly.Result{Mechanism: cfg.Mechanism.String(), Delivered: 99}, nil
 	}
@@ -200,7 +204,13 @@ func TestDrainMidCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started // point 0 is mid-simulation
+	// Whichever point the one simulation lane claimed first is in flight;
+	// nothing promises it is point 0.
+	key := store.Key(<-started)
+	inFlight := slices.IndexFunc(camp.Points, func(p exp.Point) bool { return store.Key(p.Config) == key })
+	if inFlight < 0 {
+		t.Fatal("the simulated config is no point of the campaign")
+	}
 
 	drained := make(chan error, 1)
 	go func() { drained <- ts.srv.Drain(context.Background()) }()
@@ -229,13 +239,13 @@ func TestDrainMidCampaign(t *testing.T) {
 	}
 
 	// The in-flight point's result persisted to the store.
-	key := store.Key(camp.Points[0].Config)
 	if res, ok := store.Get(key); !ok || res.Delivered != 99 {
-		t.Fatalf("in-flight result not persisted: ok=%v %+v", ok, res)
+		t.Fatalf("in-flight point %d's result not persisted: ok=%v %+v", inFlight, ok, res)
 	}
 
-	// The JSONL mirror is well-formed: every line self-contained, no
-	// torn final line; point 0 carries its result, the rest ErrDraining.
+	// The JSONL mirror is well-formed: every line self-contained, no torn
+	// final line; the in-flight point carries its result, the rest
+	// ErrDraining.
 	buf, err := os.ReadFile(filepath.Join(jsonlDir, id+".jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +264,7 @@ func TestDrainMidCampaign(t *testing.T) {
 			t.Fatalf("JSONL line %d carries index %d", lines, rec.Index)
 		}
 		switch {
-		case rec.Index == 0:
+		case rec.Index == inFlight:
 			if rec.Result == nil || rec.Result.Delivered != 99 {
 				t.Fatalf("in-flight point's line lost its result: %+v", rec)
 			}

@@ -9,17 +9,19 @@ import (
 	"repro/internal/rng"
 )
 
-// WholeRouter, passed as a port to Apply, names the router as a whole
-// instead of one of its links.
+// WholeRouter, passed as a port to Apply or as an Event's Port, names the
+// router as a whole instead of one of its links.
 const WholeRouter = -1
 
 // FaultSet tracks which links and routers of a dragonfly are failed. Link
 // state is one output-port bitmask per router. A link is a full-duplex
 // physical channel: failing it always removes both directions, so the masks
-// of the two endpoint routers stay symmetric. The engine holds the physical
-// state in one FaultSet and the routing mechanisms' possibly stale view of
-// it in another (the same one when the view cannot lag); they query it
-// through core.View (link-state knowledge, the information a subnet manager
+// of the two endpoint routers stay symmetric. A run's fault timeline is a
+// Schedule (schedule.go): a boot FaultSet plus the events that change it,
+// checked for connectivity once, here. The engine holds the physical state
+// in one FaultSet and the routing mechanisms' possibly stale view of it in
+// another (the same one when the view cannot lag); they query it through
+// core.View (link-state knowledge, the information a subnet manager
 // broadcasting failed links would give recomputed routing tables).
 //
 // Faults are layered: the effective state of a link is down when the link
@@ -267,20 +269,11 @@ func (f *FaultSet) Partition() (a, b int, partitioned bool) {
 	return 0, 0, false // unreachable: the counts guarantee a witness
 }
 
-// Connected reports whether every live router can still reach every other
-// over the surviving links. Configurations that fail this check cannot be
-// simulated meaningfully (some traffic has no path at all), so callers
-// reject them up front.
-func (f *FaultSet) Connected() bool {
-	_, _, partitioned := f.Partition()
-	return !partitioned
-}
-
 // StateKey returns an exact byte encoding of the effective fault state
 // (link masks plus dead-router flags). Two sets over the same topology
-// share a key iff they are indistinguishable to routing, so event-schedule
-// validators can dedupe connectivity checks across repeated states — flap
-// schedules revisit the same handful of states thousands of times.
+// share a key iff they are indistinguishable to routing, so NewSchedule can
+// dedupe connectivity checks across repeated states — flap schedules
+// revisit the same handful of states thousands of times.
 func (f *FaultSet) StateKey() string {
 	buf := make([]byte, 0, 8*len(f.down)+(len(f.dead)+7)/8)
 	for _, m := range f.down {

@@ -68,20 +68,21 @@ func TestFaultSetRouteQueries(t *testing.T) {
 func TestFaultSetConnected(t *testing.T) {
 	p := MustNew(1) // 3 groups of 2 routers, 1 local link each
 	f := NewFaultSet(p)
-	if !f.Connected() {
+	connected := func() bool { _, _, part := f.Partition(); return !part }
+	if !connected() {
 		t.Fatal("pristine network reported disconnected")
 	}
 	// Cut every link of router 0: its local link and its global channel.
 	f.SetLink(0, 0, true)
-	if !f.Connected() {
+	if !connected() {
 		t.Fatal("one cut should leave the net connected")
 	}
 	f.SetLink(0, p.GlobalPortBase(), true)
-	if f.Connected() {
+	if connected() {
 		t.Fatal("isolated router not detected")
 	}
 	f.SetLink(0, 0, false)
-	if !f.Connected() {
+	if !connected() {
 		t.Fatal("repair did not reconnect")
 	}
 }
