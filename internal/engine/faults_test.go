@@ -100,10 +100,8 @@ func TestFaultConservationAllMechanisms(t *testing.T) {
 				r := &sim.routers[i]
 				for port := range r.out {
 					op := &r.out[port]
-					for vc := range op.transfers {
-						if op.transfers[vc].active {
-							t.Fatalf("router %d out(%d,%d): dangling transfer", r.id, port, vc)
-						}
+					if op.activeVCs != 0 {
+						t.Fatalf("router %d out %d: dangling transfers %b", r.id, port, op.activeVCs)
 					}
 					if op.link == nil {
 						continue

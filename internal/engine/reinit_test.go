@@ -45,7 +45,7 @@ func fabricState(s *Sim) []int64 {
 		}
 		for p := range r.out {
 			op := &r.out[p]
-			out = append(out, int64(op.activeVCs), int64(op.nActive), int64(op.rr))
+			out = append(out, int64(op.activeVCs), int64(op.rr))
 			for v := range op.credits {
 				out = append(out, int64(op.credits[v]))
 			}

@@ -10,10 +10,10 @@ import (
 	"repro/internal/traffic"
 )
 
-// transfer is an active output-VC allocation: the head packet of input VC
-// (inPort, inVC) streams through this output VC until its tail passes.
+// transfer is an output-VC allocation: the head packet of input VC
+// (inPort, inVC) streams through this output VC until its tail passes. A
+// slot is live exactly while its bit is set in outPort.activeVCs.
 type transfer struct {
-	active bool
 	inPort int16
 	inVC   int8
 	pkt    *Packet
@@ -29,11 +29,10 @@ type outPort struct {
 	credits   []int32 // per VC; unused for ejection
 	capacity  int32   // downstream buffer capacity per VC (phits)
 	transfers []transfer
-	// activeVCs mirrors transfers[vc].active as a bitmask, so CanClaim's
-	// busy check costs one load from this struct instead of a pointer
-	// chase into the transfer slots.
+	// activeVCs has one bit per VC whose transfer slot is live — the only
+	// record of it — so CanClaim's busy check costs one load from this
+	// struct instead of a pointer chase into the transfer slots.
 	activeVCs uint16
-	nActive   int8 // transfers currently active on this port
 	rr        int  // round-robin cursor over VCs
 	global    bool // link class, for statistics
 }
@@ -199,7 +198,7 @@ func (r *router) reset(flow FlowControl, seed uint64) {
 			op.credits[v] = op.capacity
 		}
 		clear(op.transfers)
-		op.activeVCs, op.nActive, op.rr = 0, 0, 0
+		op.activeVCs, op.rr = 0, 0
 		if op.link != nil {
 			op.link.reset()
 		}
@@ -588,11 +587,9 @@ func (r *router) trySendPhit(cycle int64, port, vc int) bool {
 		r.prog.inflight++
 	}
 	if tail {
-		t.active = false
 		t.pkt = nil
 		op.activeVCs &^= 1 << uint(vc)
-		op.nActive--
-		if op.nActive == 0 {
+		if op.activeVCs == 0 {
 			r.xferPorts &^= 1 << uint(port)
 		}
 		r.occupied--
@@ -777,9 +774,8 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 		core.CommitHop(e.topo, &pkt.St, r.id, dec)
 	}
 	op := &r.out[outPortIdx]
-	op.transfers[outVC] = transfer{active: true, inPort: int16(port), inVC: int8(vc), pkt: pkt}
+	op.transfers[outVC] = transfer{inPort: int16(port), inVC: int8(vc), pkt: pkt}
 	op.activeVCs |= 1 << uint(outVC)
-	op.nActive++
 	r.xferPorts |= 1 << uint(outPortIdx)
 	if op.link != nil && r.flow == VCT {
 		// Atomic whole-packet credit reservation: downstream free space

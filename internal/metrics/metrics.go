@@ -5,6 +5,9 @@
 //
 // Collection is shard-friendly: the engine keeps one Sheet per worker and
 // merges them at the end of the run, so the hot path never takes a lock.
+// The run totals, each Timeline window and each workload phase are cuts
+// of one packet accounting: they share one counter set, merged by one
+// function and turned into rates by one, so a new counter is added once.
 package metrics
 
 import "math"
@@ -21,37 +24,74 @@ const (
 // footprint small enough to keep one histogram per window per worker.
 const windowBuckets = 256
 
-// windowCell accumulates the per-window counters behind one Timeline
-// window. Cells are indexed by cycle/width from the start of the run
-// (warmup included), so transient figures can show the warmup tail too.
-type windowCell struct {
-	Delivered      int64
+// counts is the packet accounting every view of a run shares: the run
+// totals (Sheet), each Timeline window and each workload phase keep one.
+// A counter added here is merged and digested by all three at once.
+type counts struct {
+	Generated      int64 // packets created by the traffic process
+	InjectionLost  int64 // generation events dropped: injection queue full
+	Suppressed     int64 // generation events suppressed: source node parked
+	Injected       int64 // packets accepted into an injection queue
+	Delivered      int64 // packets fully consumed at their destination
+	FaultDrops     int64 // packets discarded in-network: no surviving route
 	PhitsDelivered int64
-	Generated      int64
-	InjectionLost  int64
-	Suppressed     int64
-	FaultDrops     int64
 
-	TotalLatencySum float64
-	LocalMis        int64
-	GlobalMis       int64
+	// Latency sums, in cycles, over delivered packets.
+	TotalLatencySum   float64 // generation -> delivery
+	NetworkLatencySum float64 // injection -> delivery
 
-	latHist [windowBuckets + 1]int32
+	LocalMis  int64 // local misroutes of delivered packets
+	GlobalMis int64 // global misroutes (Valiant detours) of delivered packets
 }
 
-func (c *windowCell) merge(o *windowCell) {
-	c.Delivered += o.Delivered
-	c.PhitsDelivered += o.PhitsDelivered
+// add adds o into c.
+func (c *counts) add(o *counts) {
 	c.Generated += o.Generated
 	c.InjectionLost += o.InjectionLost
 	c.Suppressed += o.Suppressed
+	c.Injected += o.Injected
+	c.Delivered += o.Delivered
 	c.FaultDrops += o.FaultDrops
+	c.PhitsDelivered += o.PhitsDelivered
 	c.TotalLatencySum += o.TotalLatencySum
+	c.NetworkLatencySum += o.NetworkLatencySum
 	c.LocalMis += o.LocalMis
 	c.GlobalMis += o.GlobalMis
-	for i := range c.latHist {
-		c.latHist[i] += o.latHist[i]
+}
+
+// deliver accounts one delivered packet.
+func (c *counts) deliver(phits int, totalLat, netLat int64, localMis, globalMis int) {
+	c.Delivered++
+	c.PhitsDelivered += int64(phits)
+	c.TotalLatencySum += float64(totalLat)
+	c.NetworkLatencySum += float64(netLat)
+	c.LocalMis += int64(localMis)
+	c.GlobalMis += int64(globalMis)
+}
+
+// rates derives the accepted load in phits/(node·cycle) over span cycles
+// and nodes nodes, and the per-delivery latency and misroute averages.
+// Each is zero where its divisor is, so digests serialize cleanly.
+func (c *counts) rates(span int64, nodes int) (load, avgTotal, avgNet, localMis, globalMis float64) {
+	if span > 0 && nodes > 0 {
+		load = float64(c.PhitsDelivered) / float64(span) / float64(nodes)
 	}
+	if c.Delivered > 0 {
+		d := float64(c.Delivered)
+		avgTotal = c.TotalLatencySum / d
+		avgNet = c.NetworkLatencySum / d
+		localMis = float64(c.LocalMis) / d
+		globalMis = float64(c.GlobalMis) / d
+	}
+	return
+}
+
+// windowCell accumulates one Timeline window. Cells are indexed by
+// cycle/width from the start of the run (warmup included), so transient
+// figures can show the warmup tail too.
+type windowCell struct {
+	counts
+	latHist [windowBuckets + 1]int32
 }
 
 // p99 approximates the window's 99th-percentile latency as the upper bound
@@ -78,56 +118,13 @@ func (c *windowCell) p99() float64 {
 	return latencyMax
 }
 
-// phaseCell accumulates the counters behind one per-phase digest. Packets
-// are attributed to the phase that generated them, whenever they deliver.
-type phaseCell struct {
-	Generated      int64
-	InjectionLost  int64
-	Suppressed     int64
-	Injected       int64
-	Delivered      int64
-	FaultDrops     int64
-	PhitsDelivered int64
-
-	TotalLatencySum   float64
-	NetworkLatencySum float64
-	LocalMis          int64
-	GlobalMis         int64
-}
-
-func (c *phaseCell) merge(o *phaseCell) {
-	c.Generated += o.Generated
-	c.InjectionLost += o.InjectionLost
-	c.Suppressed += o.Suppressed
-	c.Injected += o.Injected
-	c.Delivered += o.Delivered
-	c.FaultDrops += o.FaultDrops
-	c.PhitsDelivered += o.PhitsDelivered
-	c.TotalLatencySum += o.TotalLatencySum
-	c.NetworkLatencySum += o.NetworkLatencySum
-	c.LocalMis += o.LocalMis
-	c.GlobalMis += o.GlobalMis
-}
-
 // Sheet accumulates raw counters during a measurement window.
 // The zero value is ready to use.
 type Sheet struct {
-	Generated      int64 // packets created by the traffic process
-	InjectionLost  int64 // generation events dropped: injection queue full
-	Suppressed     int64 // generation events suppressed: source node parked
-	Injected       int64 // packets accepted into an injection queue
-	Delivered      int64 // packets fully consumed at their destination
-	FaultDrops     int64 // packets discarded in-network: no surviving route
-	PhitsDelivered int64
-
-	// Latency sums, in cycles, over delivered packets.
-	TotalLatencySum   float64 // generation -> delivery
-	NetworkLatencySum float64 // injection -> delivery
+	counts
 
 	LocalHops  int64 // local-link hops of delivered packets
 	GlobalHops int64 // global-link hops of delivered packets
-	LocalMis   int64 // local misroutes of delivered packets
-	GlobalMis  int64 // global misroutes (Valiant detours) of delivered packets
 	EscapeHops int64 // OFAR escape-ring hops of delivered packets
 
 	// Histogram of total latency (linear buckets of width
@@ -143,10 +140,11 @@ type Sheet struct {
 	// Reset: the timeline and the per-phase digests deliberately span the
 	// whole run, warmup included, because the transients they exist to
 	// show (a pattern switch, a burst landing) do not respect the
-	// warmup/measurement boundary.
+	// warmup/measurement boundary. Packets are attributed to the phase
+	// that generated them, whenever they deliver.
 	windowWidth int64
 	windows     []windowCell
-	phaseCells  []phaseCell
+	phaseCells  []counts
 }
 
 // Configure readies the sheet for a run: every counter zero, the Timeline
@@ -156,7 +154,7 @@ type Sheet struct {
 func (s *Sheet) Configure(windowWidth int64, phases int) {
 	cells := s.phaseCells
 	if cap(cells) < phases {
-		cells = make([]phaseCell, phases)
+		cells = make([]counts, phases)
 	}
 	cells = cells[:phases]
 	clear(cells)
@@ -175,7 +173,7 @@ func (s *Sheet) windowAt(cycle int64) *windowCell {
 
 // phaseAt returns the cell of workload-global phase id, or nil when phase
 // tracking is off or the id is out of range.
-func (s *Sheet) phaseAt(phase int) *phaseCell {
+func (s *Sheet) phaseAt(phase int) *counts {
 	if phase < 0 || phase >= len(s.phaseCells) {
 		return nil
 	}
@@ -186,14 +184,9 @@ func (s *Sheet) phaseAt(phase int) *phaseCell {
 // in workload phase (pass cycle 0 / phase -1 when neither windows nor
 // phases are configured).
 func (s *Sheet) RecordDelivery(cycle int64, phase int, phits int, totalLat, netLat int64, localHops, globalHops, localMis, globalMis, escapeHops int) {
-	s.Delivered++
-	s.PhitsDelivered += int64(phits)
-	s.TotalLatencySum += float64(totalLat)
-	s.NetworkLatencySum += float64(netLat)
+	s.deliver(phits, totalLat, netLat, localMis, globalMis)
 	s.LocalHops += int64(localHops)
 	s.GlobalHops += int64(globalHops)
-	s.LocalMis += int64(localMis)
-	s.GlobalMis += int64(globalMis)
 	s.EscapeHops += int64(escapeHops)
 	b := int(totalLat) * latencyBuckets / latencyMax
 	if b >= latencyBuckets || b < 0 {
@@ -202,11 +195,7 @@ func (s *Sheet) RecordDelivery(cycle int64, phase int, phits int, totalLat, netL
 	s.latHist[b]++
 	if s.windowWidth > 0 {
 		w := s.windowAt(cycle)
-		w.Delivered++
-		w.PhitsDelivered += int64(phits)
-		w.TotalLatencySum += float64(totalLat)
-		w.LocalMis += int64(localMis)
-		w.GlobalMis += int64(globalMis)
+		w.deliver(phits, totalLat, netLat, localMis, globalMis)
 		wb := int(totalLat) * windowBuckets / latencyMax
 		if wb >= windowBuckets || wb < 0 {
 			wb = windowBuckets
@@ -214,12 +203,7 @@ func (s *Sheet) RecordDelivery(cycle int64, phase int, phits int, totalLat, netL
 		w.latHist[wb]++
 	}
 	if c := s.phaseAt(phase); c != nil {
-		c.Delivered++
-		c.PhitsDelivered += int64(phits)
-		c.TotalLatencySum += float64(totalLat)
-		c.NetworkLatencySum += float64(netLat)
-		c.LocalMis += int64(localMis)
-		c.GlobalMis += int64(globalMis)
+		c.deliver(phits, totalLat, netLat, localMis, globalMis)
 	}
 }
 
@@ -229,7 +213,9 @@ func (s *Sheet) RecordInjected(cycle int64, phase int) {
 	s.Generated++
 	s.Injected++
 	if s.windowWidth > 0 {
-		s.windowAt(cycle).Generated++
+		w := s.windowAt(cycle)
+		w.Generated++
+		w.Injected++
 	}
 	if c := s.phaseAt(phase); c != nil {
 		c.Generated++
@@ -283,19 +269,9 @@ func (s *Sheet) RecordSuppressed(cycle int64, phase int) {
 
 // Merge adds other into s.
 func (s *Sheet) Merge(other *Sheet) {
-	s.Generated += other.Generated
-	s.InjectionLost += other.InjectionLost
-	s.Suppressed += other.Suppressed
-	s.Injected += other.Injected
-	s.Delivered += other.Delivered
-	s.FaultDrops += other.FaultDrops
-	s.PhitsDelivered += other.PhitsDelivered
-	s.TotalLatencySum += other.TotalLatencySum
-	s.NetworkLatencySum += other.NetworkLatencySum
+	s.add(&other.counts)
 	s.LocalHops += other.LocalHops
 	s.GlobalHops += other.GlobalHops
-	s.LocalMis += other.LocalMis
-	s.GlobalMis += other.GlobalMis
 	s.EscapeHops += other.EscapeHops
 	s.LocalLinkPhits += other.LocalLinkPhits
 	s.GlobalLinkPhits += other.GlobalLinkPhits
@@ -306,12 +282,14 @@ func (s *Sheet) Merge(other *Sheet) {
 		s.windows = append(s.windows, windowCell{})
 	}
 	for i := range other.windows {
-		s.windows[i].merge(&other.windows[i])
-	}
-	for i := range other.phaseCells {
-		if i < len(s.phaseCells) {
-			s.phaseCells[i].merge(&other.phaseCells[i])
+		w, o := &s.windows[i], &other.windows[i]
+		w.add(&o.counts)
+		for b := range w.latHist {
+			w.latHist[b] += o.latHist[b]
 		}
+	}
+	for i := range min(len(s.phaseCells), len(other.phaseCells)) {
+		s.phaseCells[i].add(&other.phaseCells[i])
 	}
 }
 
@@ -319,11 +297,7 @@ func (s *Sheet) Merge(other *Sheet) {
 // Window and phase accumulators survive: the Timeline and the per-phase
 // digests span the whole run by design.
 func (s *Sheet) Reset() {
-	*s = Sheet{
-		windowWidth: s.windowWidth,
-		windows:     s.windows,
-		phaseCells:  s.phaseCells,
-	}
+	*s = Sheet{windowWidth: s.windowWidth, windows: s.windows, phaseCells: s.phaseCells}
 }
 
 // LatencyPercentile returns an approximation (bucket upper bound) of the
@@ -421,18 +395,12 @@ func (s *Sheet) Timeline(totalCycles int64, nodes int) *Timeline {
 	if s.windowWidth <= 0 {
 		return nil
 	}
-	n := int((totalCycles + s.windowWidth - 1) / s.windowWidth)
-	if n < len(s.windows) {
-		n = len(s.windows)
-	}
+	n := max(int((totalCycles+s.windowWidth-1)/s.windowWidth), len(s.windows))
 	t := &Timeline{WindowCycles: s.windowWidth, Windows: make([]Window, n)}
 	for i := range t.Windows {
 		w := &t.Windows[i]
 		w.Start = int64(i) * s.windowWidth
-		w.End = w.Start + s.windowWidth
-		if w.End > totalCycles {
-			w.End = totalCycles
-		}
+		w.End = min(w.Start+s.windowWidth, totalCycles)
 		if i >= len(s.windows) {
 			continue
 		}
@@ -442,16 +410,8 @@ func (s *Sheet) Timeline(totalCycles int64, nodes int) *Timeline {
 		w.InjectionLost = c.InjectionLost
 		w.Suppressed = c.Suppressed
 		w.FaultDrops = c.FaultDrops
-		if span := w.End - w.Start; span > 0 && nodes > 0 {
-			w.AcceptedLoad = float64(c.PhitsDelivered) / float64(span) / float64(nodes)
-		}
-		if c.Delivered > 0 {
-			d := float64(c.Delivered)
-			w.AvgTotalLatency = c.TotalLatencySum / d
-			w.P99Latency = c.p99()
-			w.LocalMisrouteRate = float64(c.LocalMis) / d
-			w.GlobalMisrouteRate = float64(c.GlobalMis) / d
-		}
+		w.AcceptedLoad, w.AvgTotalLatency, _, w.LocalMisrouteRate, w.GlobalMisrouteRate = c.rates(w.End-w.Start, nodes)
+		w.P99Latency = c.p99()
 	}
 	return t
 }
@@ -482,17 +442,8 @@ func (s *Sheet) PhaseDigests(infos []PhaseInfo, totalCycles int64) []PhaseDigest
 			if info.Duration > 0 && info.Start+info.Duration < totalCycles {
 				d.End = info.Start + info.Duration
 			}
-			if span := d.End - d.Start; span > 0 && info.Nodes > 0 {
-				d.AcceptedLoad = float64(c.PhitsDelivered) / float64(span) / float64(info.Nodes)
-			}
 		}
-		if c.Delivered > 0 {
-			n := float64(c.Delivered)
-			d.AvgTotalLatency = c.TotalLatencySum / n
-			d.AvgNetworkLatency = c.NetworkLatencySum / n
-			d.LocalMisrouteRate = float64(c.LocalMis) / n
-			d.GlobalMisrouteRate = float64(c.GlobalMis) / n
-		}
+		d.AcceptedLoad, d.AvgTotalLatency, d.AvgNetworkLatency, d.LocalMisrouteRate, d.GlobalMisrouteRate = c.rates(d.End-d.Start, d.Nodes)
 	}
 	return out
 }
@@ -570,17 +521,11 @@ func Digest(s *Sheet, cycles int64, nodes, localLinks, globalLinks int) Result {
 		Suppressed:    s.Suppressed,
 		FaultDrops:    s.FaultDrops,
 	}
-	if cycles > 0 && nodes > 0 {
-		r.AcceptedLoad = float64(s.PhitsDelivered) / float64(cycles) / float64(nodes)
-	}
+	r.AcceptedLoad, r.AvgTotalLatency, r.AvgNetworkLatency, r.LocalMisrouteRate, r.GlobalMisrouteRate = s.rates(cycles, nodes)
 	if s.Delivered > 0 {
 		d := float64(s.Delivered)
-		r.AvgTotalLatency = s.TotalLatencySum / d
-		r.AvgNetworkLatency = s.NetworkLatencySum / d
 		r.AvgLocalHops = float64(s.LocalHops) / d
 		r.AvgGlobalHops = float64(s.GlobalHops) / d
-		r.LocalMisrouteRate = float64(s.LocalMis) / d
-		r.GlobalMisrouteRate = float64(s.GlobalMis) / d
 		r.EscapeHopRate = float64(s.EscapeHops) / d
 		r.P50Latency = s.LatencyPercentile(50)
 		r.P99Latency = s.LatencyPercentile(99)

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -263,5 +264,113 @@ func TestFaultDropAccounting(t *testing.T) {
 	}
 	if tl := s.Timeline(300, 10); tl.Windows[2].FaultDrops != 2 {
 		t.Fatal("Reset wiped the window accumulators")
+	}
+}
+
+// event is one Record* call of a synthetic run.
+type event struct {
+	kind                     int // 0 delivery, 1 injected, 2 fault drop, 3 injection lost, 4 suppressed
+	cycle                    int64
+	phase                    int
+	totalLat, netLat         int64
+	lHops, gHops, lMis, gMis int
+}
+
+// eventStream draws n events of all five kinds over cycles [0, cycles)
+// and phases [0, phases), with integer latencies so every float sum is
+// exact whatever order it is added in.
+func eventStream(seed int64, n int, cycles int64, phases int) []event {
+	r := rand.New(rand.NewSource(seed))
+	evs := make([]event, n)
+	for i := range evs {
+		lat := int64(20 + r.Intn(3000))
+		evs[i] = event{
+			kind: r.Intn(5), cycle: r.Int63n(cycles), phase: r.Intn(phases),
+			totalLat: lat, netLat: lat - int64(r.Intn(20)),
+			lHops: r.Intn(4), gHops: r.Intn(2), lMis: r.Intn(2), gMis: r.Intn(2),
+		}
+	}
+	return evs
+}
+
+func (s *Sheet) record(e *event) {
+	switch e.kind {
+	case 0:
+		s.RecordDelivery(e.cycle, e.phase, 8, e.totalLat, e.netLat, e.lHops, e.gHops, e.lMis, e.gMis, 0)
+	case 1:
+		s.RecordInjected(e.cycle, e.phase)
+	case 2:
+		s.RecordFaultDrop(e.cycle, e.phase)
+	case 3:
+		s.RecordInjectionLost(e.cycle, e.phase)
+	default:
+		s.RecordSuppressed(e.cycle, e.phase)
+	}
+}
+
+// viewTotals sums the sheet's windows and its phases.
+func viewTotals(s *Sheet) (windows, phases counts) {
+	for i := range s.windows {
+		windows.add(&s.windows[i].counts)
+	}
+	for i := range s.phaseCells {
+		phases.add(&s.phaseCells[i])
+	}
+	return windows, phases
+}
+
+// TestSheetViewsAgree: the run totals, the Timeline windows and the phase
+// cells are three cuts of one accounting, so every counter summed over
+// the windows and over the phases equals the run total — for a sheet fed
+// directly and for a merge of two.
+func TestSheetViewsAgree(t *testing.T) {
+	const cycles, width, phases = 5000, 250, 6
+	sheets := make([]Sheet, 2)
+	for i := range sheets {
+		s := &sheets[i]
+		s.Configure(width, phases)
+		evs := eventStream(int64(i+1), 20000, cycles, phases)
+		for j := range evs {
+			s.record(&evs[j])
+		}
+		if s.Generated != s.Injected+s.InjectionLost+s.Suppressed || s.Delivered == 0 || s.NetworkLatencySum == 0 {
+			t.Fatalf("sheet %d: degenerate stream %+v", i, s.counts)
+		}
+	}
+	want := sheets[0].counts
+	want.add(&sheets[1].counts)
+	check := func(name string, s *Sheet) {
+		t.Helper()
+		w, p := viewTotals(s)
+		if w != s.counts || p != s.counts {
+			t.Fatalf("%s: run %+v\nwindows %+v\nphases %+v", name, s.counts, w, p)
+		}
+	}
+	check("sheet 0", &sheets[0])
+	check("sheet 1", &sheets[1])
+	sheets[0].Merge(&sheets[1])
+	check("merged", &sheets[0])
+	if sheets[0].counts != want {
+		t.Fatalf("merged run %+v, want %+v", sheets[0].counts, want)
+	}
+}
+
+// BenchmarkRecord times one Record* call of the TestSheetViewsAgree
+// stream, with windows and phases on and with both off.
+func BenchmarkRecord(b *testing.B) {
+	evs := eventStream(1, 1<<14, 5000, 6)
+	for _, bc := range []struct {
+		name   string
+		width  int64
+		phases int
+	}{{"windows+phases", 250, 6}, {"plain", 0, 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := new(Sheet)
+			s.Configure(bc.width, bc.phases)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.record(&evs[i&(len(evs)-1)])
+			}
+		})
 	}
 }

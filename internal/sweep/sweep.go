@@ -204,27 +204,15 @@ func DegradationSweep(base dragonfly.Config, mechanisms []dragonfly.Mechanism, s
 	if len(mechanisms) == 0 || len(severities) == 0 {
 		return nil, fmt.Errorf("sweep: empty mechanism or severity list")
 	}
-	h := base.H
-	if h == 0 {
-		h = 4 // Config's documented default
-	}
-	p, err := topology.New(h)
+	canon := base.Canonical() // the defaulted H, Warmup and Measure
+	p, err := topology.New(canon.H)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	warmup, measure := base.Warmup, base.Measure
-	if warmup == 0 {
-		warmup = 3000
-	}
-	if measure == 0 {
-		measure = 6000
-	}
-	idx, port := p.GlobalPortOfChannel(p.ChannelToGroup(0, h))
+	idx, port := p.GlobalPortOfChannel(p.ChannelToGroup(0, canon.H))
 	flapLink := dragonfly.LinkID{Router: p.RouterID(0, idx), Port: port}
-	period := measure / 8
-	if period < 4 {
-		period = 4 // keep 0 < Down < Period for toy measurement windows
-	}
+	// max keeps 0 < Down < Period for toy measurement windows.
+	period := max(canon.Measure/8, 4)
 	xs := make([]float64, len(severities))
 	for i, s := range severities {
 		xs[i] = float64(s)
@@ -243,7 +231,7 @@ func DegradationSweep(base dragonfly.Config, mechanisms []dragonfly.Mechanism, s
 			}
 			spec.Flaps = []dragonfly.FlapSpec{{
 				Link:   flapLink,
-				At:     warmup + period/2,
+				At:     canon.Warmup + period/2,
 				Period: period,
 				Down:   period / 2,
 				Count:  s,

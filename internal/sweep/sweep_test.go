@@ -10,6 +10,7 @@ import (
 
 	dragonfly "repro"
 	"repro/internal/exp"
+	"repro/internal/topology"
 )
 
 func tinyBase() dragonfly.Config {
@@ -183,11 +184,15 @@ func TestSweepCancellation(t *testing.T) {
 	}
 }
 
-// remoteStub is a Runner that records the options it was handed.
-type remoteStub struct{ got exp.Options }
+// remoteStub is a Runner that records the campaign and options it was
+// handed and simulates nothing.
+type remoteStub struct {
+	camp exp.Campaign
+	got  exp.Options
+}
 
 func (r *remoteStub) Run(ctx context.Context, camp exp.Campaign, opt exp.Options) ([]exp.Outcome, error) {
-	r.got = opt
+	r.camp, r.got = camp, opt
 	outs := make([]exp.Outcome, len(camp.Points))
 	for i := range outs {
 		outs[i] = exp.Outcome{Index: i, Point: camp.Points[i]}
@@ -215,5 +220,66 @@ func TestRunRemoteDropsLocalCache(t *testing.T) {
 	}
 	if hits, misses := cache.Stats(); hits+misses != 0 {
 		t.Fatalf("remote run touched the local cache: %d hits, %d misses", hits, misses)
+	}
+}
+
+// degradationCampaign returns the points DegradationSweep builds for base
+// at the given severities, captured by a Runner that simulates nothing.
+func degradationCampaign(t *testing.T, base dragonfly.Config, severities []int) []exp.Point {
+	t.Helper()
+	remote := &remoteStub{}
+	if _, err := DegradationSweep(base, []dragonfly.Mechanism{dragonfly.OLM}, severities, Options{Remote: remote}); err != nil {
+		t.Fatal(err)
+	}
+	if len(remote.camp.Points) != len(severities) {
+		t.Fatalf("%d points for %d severities", len(remote.camp.Points), len(severities))
+	}
+	return remote.camp.Points
+}
+
+// TestDegradationSweepCampaign pins the fault timeline each severity
+// builds: the defaulted shape comes from Config's own defaults, severity 0
+// is pristine, and severity s fails router index 0 of groups 1..s and
+// flaps group 0's channel to group h s times across the measured window.
+func TestDegradationSweepCampaign(t *testing.T) {
+	severities := []int{0, 1, 2, 3}
+	zero := degradationCampaign(t, dragonfly.Config{}, severities)
+	explicit := degradationCampaign(t, dragonfly.Config{H: 4, Warmup: 3000, Measure: 6000}, severities)
+	for i := range zero {
+		if a, b := zero[i].Config.Canonical(), explicit[i].Config.Canonical(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("severity %d: zero base %+v, explicit defaults %+v", severities[i], a.Faults, b.Faults)
+		}
+	}
+
+	for _, base := range []dragonfly.Config{{}, tinyBase(), {H: 2, Warmup: 10, Measure: 16}} {
+		canon := base.Canonical()
+		p := topology.MustNew(canon.H)
+		period := max(canon.Measure/8, 4)
+		for i, pt := range degradationCampaign(t, base, severities) {
+			s, f := severities[i], pt.Config.Faults
+			if s == 0 {
+				if f != nil {
+					t.Fatalf("H=%d severity 0 has faults %+v", canon.H, f)
+				}
+				continue
+			}
+			if f == nil || len(f.Routers) != s || len(f.Flaps) != 1 {
+				t.Fatalf("H=%d severity %d: faults %+v", canon.H, s, f)
+			}
+			for g, rf := range f.Routers {
+				if rf != (dragonfly.RouterFault{Router: p.RouterID(g+1, 0)}) {
+					t.Fatalf("H=%d severity %d: router fault %d is %+v", canon.H, s, g, rf)
+				}
+			}
+			fl := f.Flaps[0]
+			remote, _ := p.LinkTarget(fl.Link.Router, fl.Link.Port)
+			if !p.IsGlobalPort(fl.Link.Port) || p.GroupOf(fl.Link.Router) != 0 || p.GroupOf(remote) != canon.H {
+				t.Fatalf("H=%d severity %d: flapped link %+v is not group 0's channel to group h", canon.H, s, fl.Link)
+			}
+			want := dragonfly.FlapSpec{Link: fl.Link, At: canon.Warmup + period/2, Period: period, Down: period / 2, Count: s}
+			if fl != want {
+				t.Fatalf("H=%d severity %d: flap %+v, want %+v", canon.H, s, fl, want)
+			}
+		}
 	}
 }
