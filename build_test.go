@@ -110,8 +110,10 @@ func TestBuildRunsCanonicalConfig(t *testing.T) {
 // FuzzConfigJSON decodes arbitrary JSON into a Config — the shape every
 // campaign submission arrives in — and checks the properties build relies
 // on: Validate never panics; for a valid config Canonical is a fixed point
-// whose result validates; and build, which simulates the canonical form,
-// does not panic.
+// whose result validates; build, which simulates the canonical form, does
+// not panic; and at h ≤ 2, cut to at most 300 steady and 2,000 burst
+// cycles, the config runs without panicking — whatever Validate admits, a
+// worker must survive.
 func FuzzConfigJSON(f *testing.F) {
 	link := LinkID{Router: 1, Port: 3}
 	for _, c := range []Config{
@@ -129,6 +131,7 @@ func FuzzConfigJSON(f *testing.F) {
 			Flaps:          []FlapSpec{{Link: LinkID{Router: 4, Port: 4}, At: 100, Period: 200, Down: 50, Count: 3}},
 		}},
 		{H: 2, FlowControl: WH, Workload: []JobSpec{{FirstNode: 0, LastNode: 35, Phases: []PhaseSpec{{BurstPackets: 5}}}}},
+		{H: 2, Load: 0.1, FlowControl: 7}, // validated, then overflowed a credit counter mid-run
 	} {
 		buf, err := json.Marshal(c)
 		if err != nil {
@@ -152,5 +155,10 @@ func FuzzConfigJSON(f *testing.F) {
 			t.Fatalf("the canonical form of a valid config does not validate: %v", err)
 		}
 		c.build() //nolint:errcheck // a partitioning fault timeline is an error, not a panic
+		if canon.H <= 2 {
+			canon.Warmup, canon.Measure = min(canon.Warmup, 100), min(canon.Measure, 200)
+			canon.MaxCycles = min(canon.MaxCycles, 2000)
+			Run(canon) //nolint:errcheck // errors are fine; a panic fails the fuzz target
+		}
 	})
 }

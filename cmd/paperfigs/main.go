@@ -476,7 +476,7 @@ func (e *env) figScaling(ctx context.Context) error {
 			cfg.Traffic = dragonfly.Traffic{Kind: dragonfly.UN}
 			cfg.Load = 0.05
 			cfg.Workers = w
-			tm, err := cliutil.BestOf(ctx, cfg, scaleReps, true)
+			tm, err := cliutil.BestOf(ctx, cfg, scaleReps)
 			if err != nil {
 				return err
 			}

@@ -76,11 +76,11 @@ func ParseMechanism(name string) (Mechanism, error) {
 // RequiresVCT reports whether the mechanism only works under virtual
 // cut-through flow control (true for OLM and for OFAR, whose escape-ring
 // bubble needs whole-packet buffering).
-func (m Mechanism) RequiresVCT() bool { return m == OLM || m == OFAR }
+func (m Mechanism) RequiresVCT() bool { return m.spec().RequiresVCT() }
 
 // VCs returns the number of virtual channels the mechanism needs on local
 // and global ports ("3/2" for everything but PAR-6/2's "6/2").
-func (m Mechanism) VCs() (local, global int) { return core.VCsFor(m.spec()) }
+func (m Mechanism) VCs() (local, global int) { return m.spec().VCs() }
 
 // FlowControl selects the link-level flow control.
 type FlowControl int
@@ -557,10 +557,10 @@ func checkCycles(where, field string, v int64) error {
 }
 
 // Validate rejects inconsistent configurations with a descriptive error
-// before any network is built: cycle counts outside [0, 2^40], out-of-range
-// offered loads, Load and BurstPackets both set, adversarial offsets outside
-// the topology, unknown traffic kinds, overlapping workload jobs and
-// malformed phase schedules.
+// before any network is built: cycle counts outside [0, 2^40], unknown
+// mechanisms and flow controls, out-of-range offered loads, Load and
+// BurstPackets both set, adversarial offsets outside the topology, unknown
+// traffic kinds, overlapping workload jobs and malformed phase schedules.
 // Run, Prepare and the CLIs all call it; it is exported so tools can check
 // configurations they are about to store or enqueue.
 func (c Config) Validate() error {
@@ -583,6 +583,12 @@ func (c Config) Validate() error {
 		// long before the engine's own port check could reject it.
 		return fmt.Errorf("dragonfly: h=%d: %d ports per router exceeds the 63-port activity-mask limit (h <= %d)",
 			c.H, 4*c.H-1, ScaleH16)
+	}
+	if !slices.Contains(Mechanisms, c.Mechanism) {
+		return fmt.Errorf("dragonfly: unknown mechanism %d", int(c.Mechanism))
+	}
+	if c.FlowControl != VCT && c.FlowControl != WH {
+		return fmt.Errorf("dragonfly: unknown flow control %d", int(c.FlowControl))
 	}
 	if len(c.Phases) > 0 && len(c.Workload) > 0 {
 		return fmt.Errorf("dragonfly: Phases and Workload are mutually exclusive")
@@ -1090,8 +1096,9 @@ func buildPattern(p *topology.P, tr Traffic) (traffic.Pattern, error) {
 // Sim is a prepared simulation: topology, routing tables and routers built,
 // ready to run once (per-VC buffers and link rings are allocated lazily,
 // on first use during the run). Prepare/Run separate construction cost
-// from stepping cost so tools (cmd/dfbench in particular) can time the two
-// apart; to run many configurations on one allocation, use a Runner.
+// from stepping cost so tools (the benchmark's direct door, paperfigs'
+// scaling figure) can time the two apart; to run many configurations on
+// one allocation, use a Runner.
 type Sim struct {
 	sim *engine.Sim
 	// offered becomes Result.OfferedLoad: the engine sees a compiled

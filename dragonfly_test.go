@@ -147,6 +147,22 @@ func TestValidateBoundsH(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnknownEnums: a mechanism or flow control outside the
+// roster must die at admission. FlowControl 7 used to validate and then
+// panic mid-run on a credit overflow; Mechanism 42 failed only in Prepare.
+func TestValidateRejectsUnknownEnums(t *testing.T) {
+	for _, c := range []dragonfly.Config{
+		{H: 2, Load: 0.1, FlowControl: 7},
+		{H: 2, Load: 0.1, FlowControl: -1},
+		{H: 2, Load: 0.1, Mechanism: 42},
+		{H: 2, Load: 0.1, Mechanism: -1},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("Validate accepted mechanism %d, flow control %d", int(c.Mechanism), int(c.FlowControl))
+		}
+	}
+}
+
 func TestTrafficNames(t *testing.T) {
 	cases := []struct {
 		tr   dragonfly.Traffic

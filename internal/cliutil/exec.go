@@ -98,19 +98,16 @@ func (e *Exec) Finish(ctx context.Context, w io.Writer) error {
 	return nil
 }
 
-// Timed is one configuration's fastest timed run: the measurement dfbench
-// (fixed and -scale matrices) and paperfigs' scaling figure report.
+// Timed is one configuration's fastest timed run: the measurement
+// paperfigs' scaling figure reports.
 type Timed struct {
 	Result      dragonfly.Result
 	Cycles      int64   // cycles actually simulated: a watchdog may end a run early
 	WallSeconds float64 // RunContext only; Prepare is outside the window
 
-	// AllocBytes and Allocs are the heap traffic of the stepping phase
-	// (runtime.MemStats deltas around RunContext).
-	AllocBytes, Allocs uint64
 	// HeapBytes is the live heap after the run, measured after a forced GC
 	// with the simulator still reachable — the resident cost of the network
-	// state, lazily allocated buffers included. Zero unless asked for.
+	// state, lazily allocated buffers included.
 	HeapBytes uint64
 }
 
@@ -119,37 +116,27 @@ func (t Timed) CyclesPerSec() float64 { return float64(t.Cycles) / t.WallSeconds
 
 // BestOf prepares and runs cfg reps times and returns the fastest run. The
 // simulation is deterministic, so repetitions only sample scheduler and
-// cache noise and the minimum is the cleanest estimate. Every probe
-// (ReadMemStats, and the GC behind liveHeap) sits outside the wall-clock
-// window. Callers wanting clean numbers run one BestOf at a time.
-func BestOf(ctx context.Context, cfg dragonfly.Config, reps int, liveHeap bool) (Timed, error) {
+// cache noise and the minimum is the cleanest estimate. The heap probe
+// (a GC, then ReadMemStats) sits outside the wall-clock window. Callers
+// wanting clean numbers run one BestOf at a time.
+func BestOf(ctx context.Context, cfg dragonfly.Config, reps int) (Timed, error) {
 	var best Timed
-	var before, after runtime.MemStats
+	var mem runtime.MemStats
 	for i := 0; i < max(reps, 1); i++ {
 		sim, err := dragonfly.Prepare(cfg)
 		if err != nil {
 			return Timed{}, err
 		}
-		runtime.ReadMemStats(&before)
 		start := time.Now()
 		res, err := sim.RunContext(ctx)
 		wall := time.Since(start).Seconds()
 		if err != nil {
 			return Timed{}, err
 		}
-		if liveHeap {
-			runtime.GC()
-		}
-		runtime.ReadMemStats(&after)
+		runtime.GC()
+		runtime.ReadMemStats(&mem)
 		if i == 0 || wall < best.WallSeconds {
-			best = Timed{
-				Result: res, Cycles: sim.Cycles(), WallSeconds: wall,
-				AllocBytes: after.TotalAlloc - before.TotalAlloc,
-				Allocs:     after.Mallocs - before.Mallocs,
-			}
-			if liveHeap {
-				best.HeapBytes = after.HeapAlloc
-			}
+			best = Timed{Result: res, Cycles: sim.Cycles(), WallSeconds: wall, HeapBytes: mem.HeapAlloc}
 		}
 		runtime.KeepAlive(sim)
 	}

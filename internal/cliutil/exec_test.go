@@ -57,13 +57,13 @@ func TestExecFlagsWiring(t *testing.T) {
 	}
 }
 
-// TestBestOf: the shared timed runner reports the run actually simulated,
-// takes the heap probe only when asked, and surfaces Prepare errors.
+// TestBestOf: the timed runner reports the run actually simulated with its
+// live heap, runs at least once, and surfaces Prepare errors.
 func TestBestOf(t *testing.T) {
 	cfg := dragonfly.PaperVCT(2)
 	cfg.LatLocal, cfg.LatGlobal = 4, 16
 	cfg.Warmup, cfg.Measure, cfg.Load = 100, 300, 0.2
-	plain, err := BestOf(context.Background(), cfg, 2, false)
+	best, err := BestOf(context.Background(), cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,21 +71,18 @@ func TestBestOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain.Result, want) {
-		t.Fatalf("timed result differs from a plain run:\n got: %+v\nwant: %+v", plain.Result, want)
+	if !reflect.DeepEqual(best.Result, want) {
+		t.Fatalf("timed result differs from a plain run:\n got: %+v\nwant: %+v", best.Result, want)
 	}
-	if plain.Cycles != 400 || plain.WallSeconds <= 0 || plain.CyclesPerSec() <= 0 || plain.Allocs == 0 {
-		t.Fatalf("implausible timing: %+v", plain)
+	if best.Cycles != 400 || best.WallSeconds <= 0 || best.CyclesPerSec() <= 0 || best.HeapBytes == 0 {
+		t.Fatalf("implausible timing: %+v", best)
 	}
-	if plain.HeapBytes != 0 {
-		t.Fatalf("heap probed without being asked: %d", plain.HeapBytes)
-	}
-	heap, err := BestOf(context.Background(), cfg, 0, true) // reps < 1 still runs once
-	if err != nil || heap.HeapBytes == 0 {
-		t.Fatalf("live-heap run: %+v, %v", heap, err)
+	once, err := BestOf(context.Background(), cfg, 0) // reps < 1 still runs once
+	if err != nil || once.Cycles != 400 || once.HeapBytes == 0 {
+		t.Fatalf("reps 0: %+v, %v", once, err)
 	}
 	cfg.H = -1
-	if _, err := BestOf(context.Background(), cfg, 1, false); err == nil {
+	if _, err := BestOf(context.Background(), cfg, 1); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

@@ -61,20 +61,6 @@ func newAdaptive(spec Spec, tab *Tables) *adaptive {
 	}
 }
 
-func (a *adaptive) Name() string { return a.spec.String() }
-func (a *adaptive) Spec() Spec   { return a.spec }
-
-func (a *adaptive) LocalVCs() int {
-	if a.spec == PAR62 {
-		return 6
-	}
-	return 3
-}
-
-func (a *adaptive) GlobalVCs() int        { return 2 }
-func (a *adaptive) RequiresVCT() bool     { return a.spec == OLM }
-func (a *adaptive) UsesHeadArrival() bool { return a.spec == OFAR }
-
 // localVC returns the VC for a minimal (or forced) local hop.
 func (a *adaptive) localVC(st *PacketState) int {
 	switch a.spec {

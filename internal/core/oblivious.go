@@ -24,13 +24,6 @@ type oblivious struct {
 	tab  *Tables
 }
 
-func (o *oblivious) Name() string          { return o.spec.String() }
-func (o *oblivious) Spec() Spec            { return o.spec }
-func (o *oblivious) LocalVCs() int         { return 3 }
-func (o *oblivious) GlobalVCs() int        { return 2 }
-func (o *oblivious) RequiresVCT() bool     { return false }
-func (o *oblivious) UsesHeadArrival() bool { return false }
-
 // Route implements Algorithm as one-shot build-plus-replay; see BuildPlan
 // and RoutePlanned in plan.go for the decision procedure.
 func (o *oblivious) Route(v View, st *PacketState, router, size int, r *rng.PCG) Decision {

@@ -153,7 +153,7 @@ func TestMinimalNeverMisroutes(t *testing.T) {
 	r := rng.New(31, 1)
 	var st PacketState
 	st.Init(p, p.NodeID(0, 0), p.NodeID(p.Routers-1, 0))
-	blockMinimal(v, p, alg, &st, 0)
+	blockMinimal(v, p, Minimal, &st, 0)
 	for i := 0; i < 20; i++ {
 		dec := alg.Route(v, &st, 0, 8, r)
 		if !dec.Wait {

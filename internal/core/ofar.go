@@ -44,12 +44,6 @@ func newOFAR(tab *Tables) *ofar {
 	return o
 }
 
-func (o *ofar) Name() string      { return OFAR.String() }
-func (o *ofar) Spec() Spec        { return OFAR }
-func (o *ofar) LocalVCs() int     { return 3 }
-func (o *ofar) GlobalVCs() int    { return 2 }
-func (o *ofar) RequiresVCT() bool { return true }
-
 // Route implements Algorithm as one-shot build-plus-replay: the adaptive
 // network first (minimal, then the misrouting trigger), then the escape
 // ring under bubble flow control; see BuildPlan and RoutePlanned in

@@ -184,12 +184,10 @@ func TestOFARLeavesRingWhenAdaptiveFrees(t *testing.T) {
 }
 
 func TestOFARRequiresVCT(t *testing.T) {
-	p := topology.MustNew(2)
-	alg := mustAlg(t, OFAR, p)
-	if !alg.RequiresVCT() {
+	if !OFAR.RequiresVCT() {
 		t.Fatal("OFAR must require VCT (bubble flow control)")
 	}
-	l, g := alg.LocalVCs(), alg.GlobalVCs()
+	l, g := OFAR.VCs()
 	if l != 3 || g != 2 {
 		t.Fatalf("OFAR VCs %d/%d, want 3/2", l, g)
 	}

@@ -34,36 +34,60 @@ const (
 	OFAR        // escape-ring predecessor (García et al. ICPP 2012)
 )
 
+// traits is what a mechanism is, apart from how it decides. specTraits,
+// indexed by Spec, is the one place these facts are written.
+type traits struct {
+	name                string
+	localVCs, globalVCs int
+	vct                 bool // deadlock free only under virtual cut-through
+	headArrival         bool // decisions consult View.HeadFullyArrived
+}
+
+var specTraits = [...]traits{
+	Minimal:     {name: "Minimal", localVCs: 3, globalVCs: 2},
+	Valiant:     {name: "Valiant", localVCs: 3, globalVCs: 2},
+	PB:          {name: "PiggyBacking", localVCs: 3, globalVCs: 2},
+	PAR62:       {name: "PAR-6/2", localVCs: 6, globalVCs: 2},
+	RLM:         {name: "RLM", localVCs: 3, globalVCs: 2},
+	OLM:         {name: "OLM", localVCs: 3, globalVCs: 2, vct: true},
+	RLMSignOnly: {name: "RLM-signonly", localVCs: 3, globalVCs: 2},
+	OFAR:        {name: "OFAR", localVCs: 3, globalVCs: 2, vct: true, headArrival: true},
+}
+
+// traits returns s's row; an unknown Spec has the zero row.
+func (s Spec) traits() traits {
+	if uint(s) < uint(len(specTraits)) {
+		return specTraits[s]
+	}
+	return traits{}
+}
+
 // String returns the paper's name for the mechanism.
 func (s Spec) String() string {
-	switch s {
-	case Minimal:
-		return "Minimal"
-	case Valiant:
-		return "Valiant"
-	case PB:
-		return "PiggyBacking"
-	case PAR62:
-		return "PAR-6/2"
-	case RLM:
-		return "RLM"
-	case OLM:
-		return "OLM"
-	case RLMSignOnly:
-		return "RLM-signonly"
-	case OFAR:
-		return "OFAR"
+	if name := s.traits().name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("Spec(%d)", int(s))
 }
 
-// specByName maps mechanism names back to their Spec. Built once at
-// package init: ParseSpec sits on the campaign and CLI parse paths, where
-// the old per-call loop rebuilt every name string each time.
+// VCs returns the virtual-channel counts the mechanism needs on local and
+// global ports: 6/2 for PAR-6/2, 3/2 for the others.
+func (s Spec) VCs() (local, global int) { t := s.traits(); return t.localVCs, t.globalVCs }
+
+// RequiresVCT reports whether the mechanism is deadlock free only under
+// virtual cut-through flow control (OLM, and OFAR's escape-ring bubble).
+func (s Spec) RequiresVCT() bool { return s.traits().vct }
+
+// UsesHeadArrival reports whether the mechanism's decisions consult
+// View.HeadFullyArrived (OFAR's store-and-forward escape ring), so a caller
+// caching view state across retries must refresh that bit every time.
+func (s Spec) UsesHeadArrival() bool { return s.traits().headArrival }
+
+// specByName maps mechanism names back to their Spec.
 var specByName = func() map[string]Spec {
-	m := make(map[string]Spec, int(OFAR)+1)
-	for s := Minimal; s <= OFAR; s++ {
-		m[s.String()] = s
+	m := make(map[string]Spec, len(specTraits))
+	for s, t := range specTraits {
+		m[t.name] = Spec(s)
 	}
 	return m
 }()
@@ -265,24 +289,9 @@ func (st *PacketState) targetGroup() int {
 	return int(st.DstGroup)
 }
 
-// Algorithm routes head packets at one router.
+// Algorithm routes head packets at one router; what it needs of the engine
+// is on its Spec (VCs, RequiresVCT, UsesHeadArrival).
 type Algorithm interface {
-	// Name returns the mechanism name.
-	Name() string
-	// Spec returns the mechanism identifier.
-	Spec() Spec
-	// LocalVCs and GlobalVCs return the virtual-channel counts the
-	// mechanism needs on local and global ports.
-	LocalVCs() int
-	GlobalVCs() int
-	// RequiresVCT reports whether the mechanism is only deadlock-free
-	// under virtual cut-through flow control (true for OLM).
-	RequiresVCT() bool
-	// UsesHeadArrival reports whether the decision paths consult
-	// View.HeadFullyArrived (true for OFAR's store-and-forward escape
-	// ring). Callers that cache view state across retries must refresh
-	// the head-arrival bit every evaluation when this is set.
-	UsesHeadArrival() bool
 	// Route evaluates the head packet of size phits sitting at router.
 	// It may be called repeatedly (every cycle) until the returned
 	// decision is claimed; it must not mutate st in ways that are not
@@ -313,15 +322,6 @@ func New(spec Spec, cfg Config) (Algorithm, error) {
 		return nil, err
 	}
 	return t.NewAlgorithm(), nil
-}
-
-// VCsFor returns the local and global VC counts mechanism spec needs,
-// without instantiating it.
-func VCsFor(spec Spec) (local, global int) {
-	if spec == PAR62 {
-		return 6, 2
-	}
-	return 3, 2
 }
 
 // CommitHop updates the packet state when the engine claims decision dec at

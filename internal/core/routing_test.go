@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -94,15 +95,38 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVCsFor pins every trait of every mechanism: name, VC budget, the VCT
+// requirement and head-arrival use — and the zero row of an unknown Spec.
 func TestVCsFor(t *testing.T) {
-	for s := Minimal; s <= RLMSignOnly; s++ {
-		l, g := VCsFor(s)
-		wantL := 3
-		if s == PAR62 {
-			wantL = 6
+	type row struct {
+		name        string
+		local       int
+		vct, arrive bool
+	}
+	want := map[Spec]row{
+		Minimal:     {"Minimal", 3, false, false},
+		Valiant:     {"Valiant", 3, false, false},
+		PB:          {"PiggyBacking", 3, false, false},
+		PAR62:       {"PAR-6/2", 6, false, false},
+		RLM:         {"RLM", 3, false, false},
+		OLM:         {"OLM", 3, true, false},
+		RLMSignOnly: {"RLM-signonly", 3, false, false},
+		OFAR:        {"OFAR", 3, true, true},
+	}
+	for s := Minimal; s <= OFAR; s++ {
+		w := want[s]
+		l, g := s.VCs()
+		if s.String() != w.name || l != w.local || g != 2 || s.RequiresVCT() != w.vct || s.UsesHeadArrival() != w.arrive {
+			t.Errorf("%v: %d/%d VCs, RequiresVCT %v, UsesHeadArrival %v; want %+v with 2 global VCs",
+				s, l, g, s.RequiresVCT(), s.UsesHeadArrival(), w)
 		}
-		if l != wantL || g != 2 {
-			t.Errorf("VCsFor(%v) = %d/%d, want %d/2", s, l, g, wantL)
+		if got, err := ParseSpec(w.name); err != nil || got != s {
+			t.Errorf("ParseSpec(%q) = %v, %v", w.name, got, err)
+		}
+	}
+	for _, s := range []Spec{-1, OFAR + 1} {
+		if l, g := s.VCs(); l != 0 || g != 0 || s.RequiresVCT() || s.UsesHeadArrival() || s.String() != fmt.Sprintf("Spec(%d)", int(s)) {
+			t.Errorf("unknown %v has traits %d/%d %v %v", s, l, g, s.RequiresVCT(), s.UsesHeadArrival())
 		}
 	}
 }
@@ -255,13 +279,11 @@ func TestAdaptiveMinimalWhenIdle(t *testing.T) {
 
 // blockMinimal makes the minimal output of st at router unclaimable and
 // congested, so the trigger considers candidates.
-func blockMinimal(v *fakeView, p *topology.P, alg Algorithm, st *PacketState, router int) {
+func blockMinimal(v *fakeView, p *topology.P, spec Spec, st *PacketState, router int) {
 	port, global, _ := minimalNext(p, st, router)
-	var vcs int
+	vcs, globalVCs := spec.VCs()
 	if global {
-		vcs = alg.GlobalVCs()
-	} else {
-		vcs = alg.LocalVCs()
+		vcs = globalVCs
 	}
 	for vc := 0; vc < vcs; vc++ {
 		v.blocked[[2]int{port, vc}] = true
@@ -285,7 +307,7 @@ func TestGlobalMisrouteTrigger(t *testing.T) {
 		dst := p.RouterID(dstGroup, 1)
 		var st PacketState
 		st.Init(p, p.NodeID(src, 0), p.NodeID(dst, 0))
-		blockMinimal(v, p, alg, &st, src)
+		blockMinimal(v, p, spec, &st, src)
 		dec := alg.Route(v, &st, src, 8, r)
 		if dec.Wait {
 			t.Fatalf("%v waited instead of misrouting", spec)
@@ -312,7 +334,7 @@ func TestLocalMisrouteInDestinationGroup(t *testing.T) {
 		// is allowed.
 		var st PacketState
 		st.Init(p, p.NodeID(0, 0), p.NodeID(1, 0))
-		blockMinimal(v, p, alg, &st, 0)
+		blockMinimal(v, p, spec, &st, 0)
 		dec := alg.Route(v, &st, 0, 8, r)
 		if dec.Wait {
 			t.Fatalf("%v waited instead of local misrouting", spec)
@@ -368,9 +390,10 @@ func TestNoLocalMisrouteInSourceGroupForRemoteTraffic(t *testing.T) {
 		dst := p.RouterID(dstGroup, 0)
 		var st PacketState
 		st.Init(p, p.NodeID(0, 0), p.NodeID(dst, 0))
-		blockMinimal(v, p, alg, &st, 0)
+		blockMinimal(v, p, spec, &st, 0)
+		_, globalVCs := spec.VCs()
 		for port := p.GlobalPortBase(); port < p.EjectPortBase(); port++ {
-			for vc := 0; vc < alg.GlobalVCs(); vc++ {
+			for vc := 0; vc < globalVCs; vc++ {
 				v.blocked[[2]int{port, vc}] = true
 			}
 		}
@@ -415,7 +438,7 @@ func TestOLMVCDiscipline(t *testing.T) {
 	cur := commitAndMove(p, &st, src, dec)
 
 	// Hop 2: block the minimal global port; expect a Valiant commit.
-	blockMinimal(v, p, alg, &st, cur)
+	blockMinimal(v, p, OLM, &st, cur)
 	dec = alg.Route(v, &st, cur, 8, r)
 	if dec.Wait || dec.Kind != KindGlobalMis {
 		t.Fatalf("hop 2: %+v", dec)
@@ -443,7 +466,7 @@ func TestOLMVCDiscipline(t *testing.T) {
 
 	// Intermediate group: block the minimal local exit; expect a local
 	// misroute on lVC1 and a forced hop on lVC2.
-	blockMinimal(v, p, alg, &st, cur)
+	blockMinimal(v, p, OLM, &st, cur)
 	dec = alg.Route(v, &st, cur, 8, r)
 	if dec.Wait {
 		t.Skip("intermediate arrival router owns the exit channel; geometry skip")
@@ -471,7 +494,7 @@ func TestOLMVCDiscipline(t *testing.T) {
 	// Destination group: block the direct port; expect a misroute on
 	// lVC2 (preferred) or lVC1, then the final hop on lVC3.
 	if int32(cur) != st.DstRouter {
-		blockMinimal(v, p, alg, &st, cur)
+		blockMinimal(v, p, OLM, &st, cur)
 		dec = alg.Route(v, &st, cur, 8, r)
 		if dec.Wait || dec.Kind != KindLocalMis {
 			t.Fatalf("destination misroute: %+v", dec)
@@ -516,7 +539,7 @@ func TestRLMForcedPairLegality(t *testing.T) {
 		}
 		var st PacketState
 		st.Init(p, p.NodeID(p.RouterID(0, i), 0), p.NodeID(p.RouterID(0, j), 0))
-		blockMinimal(v, p, alg, &st, p.RouterID(0, i))
+		blockMinimal(v, p, RLM, &st, p.RouterID(0, i))
 		// Randomly congest some other ports.
 		for n := 0; n < 5; n++ {
 			v.occupancy[[2]int{r.Intn(p.LocalPorts), 0}] = r.Intn(40)

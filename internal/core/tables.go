@@ -175,9 +175,6 @@ func (t *Tables) fracAt(v View, port, vc, occ int) float64 {
 	return 0
 }
 
-// Spec returns the mechanism the tables were computed for.
-func (t *Tables) Spec() Spec { return t.spec }
-
 // pairAllowed answers AllowedHops(i, k, j) by table lookup; mechanisms
 // without a pair restriction always allow.
 func (t *Tables) pairAllowed(i, k, j int) bool {

@@ -144,6 +144,9 @@ func (c *Config) validate() error {
 	if c.StaleCycles < 0 {
 		return fmt.Errorf("engine: negative StaleCycles %d", c.StaleCycles)
 	}
+	if c.Flow != VCT && c.Flow != WH {
+		return fmt.Errorf("engine: unknown flow control %v", c.Flow)
+	}
 	if c.Flow == VCT {
 		if c.BufLocal < c.PacketPhits || c.BufGlobal < c.PacketPhits {
 			return fmt.Errorf("engine: VCT needs buffers >= packet size (%d/%d < %d)",
@@ -304,11 +307,10 @@ func (s *Sim) Init(cfg Config) error {
 			return err
 		}
 	}
-	probe := tab.NewAlgorithm()
-	if probe.RequiresVCT() && cfg.Flow != VCT {
-		return fmt.Errorf("engine: %s requires VCT flow control", probe.Name())
+	if cfg.Spec.RequiresVCT() && cfg.Flow != VCT {
+		return fmt.Errorf("engine: %s requires VCT flow control", cfg.Spec)
 	}
-	localVCs, globalVCs := probe.LocalVCs(), probe.GlobalVCs()
+	localVCs, globalVCs := cfg.Spec.VCs()
 	if localVCs > 16 || globalVCs > 16 {
 		// router.claimVCs holds one claimable bit per VC in a uint16;
 		// without this guard a wider algorithm would silently lose heads.

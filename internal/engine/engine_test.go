@@ -167,6 +167,14 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("negative packet size accepted")
 	}
+	// Only VCT and WH consume credits; any other value would overflow them.
+	for _, flow := range []FlowControl{-1, WH + 1} {
+		cfg = good
+		cfg.Flow = flow
+		if _, err := New(cfg); err == nil {
+			t.Errorf("flow control %v accepted", flow)
+		}
+	}
 	// The engine fills no defaults: a zero size, latency or bound is an
 	// error, not the paper's value.
 	for name, zero := range map[string]func(c *Config){
@@ -298,13 +306,6 @@ type deadlockRing struct {
 	topo   *topology.P
 	router int // the router this instance was last planned at
 }
-
-func (d *deadlockRing) Name() string          { return "deadlock-ring" }
-func (d *deadlockRing) Spec() core.Spec       { return core.Spec(-1) }
-func (d *deadlockRing) LocalVCs() int         { return 1 }
-func (d *deadlockRing) GlobalVCs() int        { return 1 }
-func (d *deadlockRing) RequiresVCT() bool     { return false }
-func (d *deadlockRing) UsesHeadArrival() bool { return false }
 
 func (d *deadlockRing) Route(v core.View, st *core.PacketState, router, size int, r *rng.PCG) core.Decision {
 	idx := d.topo.IndexInGroup(router)

@@ -169,7 +169,7 @@ type router struct {
 // reset returns the router to cycle 0 of a run: the allocation (ports,
 // buffers, plan slots, RNG streams, wiring) stays, every other field goes
 // back to its zero value, and then the run's flow control, seed and the
-// traits of r.alg are applied — full credits, empty buffers and rings, no
+// traits of the run's mechanism are applied — full credits, empty buffers and rings, no
 // transfers, no valid plan, re-seeded streams.
 func (r *router) reset(flow FlowControl, seed uint64) {
 	e := r.eng
@@ -181,7 +181,7 @@ func (r *router) reset(flow FlowControl, seed uint64) {
 		plans: r.plans, planOff: r.planOff, pktSize: r.pktSize,
 
 		flow:         flow,
-		needHeadFull: r.alg.UsesHeadArrival(),
+		needHeadFull: e.cfg.Spec.UsesHeadArrival(),
 	}
 	r.routeRand.Seed(seed, uint64(r.id)*2+1)
 	for k, nr := range r.nodeRand {
@@ -765,7 +765,7 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 			outPortIdx, outVC = dec.Port, dec.VC
 			if !r.CanClaim(outPortIdx, outVC, size) {
 				panic(fmt.Sprintf("engine: %s routed to unclaimable (%d,%d) at router %d",
-					r.alg.Name(), outPortIdx, outVC, r.id))
+					e.cfg.Spec, outPortIdx, outVC, r.id))
 			}
 		}
 	}

@@ -299,6 +299,13 @@ func TestSubmitValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "400 Bad Request") {
 		t.Fatalf("H=400 submit: %v, want a 400", err)
 	}
+	// Likewise a flow control the engine has no credit rule for: admitted,
+	// it panicked the puller, and with it the process, mid-run.
+	flow := tinyCampaign()
+	flow.Points[0].Config.FlowControl = 7
+	if _, err := ts.client.Submit(context.Background(), flow); err == nil || !strings.Contains(err.Error(), "400 Bad Request") {
+		t.Fatalf("FlowControl 7 submit: %v, want a 400", err)
+	}
 	if n := len(ts.srv.statuses()); n != 0 {
 		t.Fatalf("%d campaigns registered after rejected submits", n)
 	}

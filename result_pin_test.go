@@ -1,8 +1,8 @@
 package dragonfly_test
 
 // Pins on the public result surface: the marshalled bytes of a Result, the
-// on-disk cache entry layout, and the one mechanism property the public
-// package restates instead of asking internal/core.
+// on-disk cache entry layout, and the one mechanism property the engine
+// enforces at build time.
 
 import (
 	"encoding/json"
@@ -12,9 +12,7 @@ import (
 	"testing"
 
 	dragonfly "repro"
-	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/topology"
 )
 
 // pinnedPlain is a Result with every always-present field set and all three
@@ -146,28 +144,21 @@ func parentCacheEntryIsAHit(t *testing.T) {
 	}
 }
 
-// TestRequiresVCTMatchesCore pins Mechanism.RequiresVCT — which answers
-// without building a network — to what the routing core reports for the
-// algorithm it actually instantiates.
+// TestRequiresVCTMatchesCore holds Mechanism.RequiresVCT — which answers
+// without building a network — to what the engine enforces: Prepare under
+// wormhole fails for exactly the mechanisms it names, and under virtual
+// cut-through for none.
 func TestRequiresVCTMatchesCore(t *testing.T) {
-	p, err := topology.New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(dragonfly.Mechanisms) != 8 {
 		t.Fatalf("roster has %d mechanisms, want 8", len(dragonfly.Mechanisms))
 	}
 	for _, m := range dragonfly.Mechanisms {
-		spec, err := core.ParseSpec(m.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		alg, err := core.New(spec, core.Config{Topo: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := m.RequiresVCT(), alg.RequiresVCT(); got != want {
-			t.Errorf("%s: Mechanism.RequiresVCT() = %v, core says %v", m, got, want)
+		for _, flow := range []dragonfly.FlowControl{dragonfly.VCT, dragonfly.WH} {
+			cfg := dragonfly.Config{H: 2, Mechanism: m, FlowControl: flow, Load: 0.1, Warmup: 10, Measure: 10}
+			_, err := dragonfly.Prepare(cfg)
+			if want := flow == dragonfly.WH && m.RequiresVCT(); (err != nil) != want {
+				t.Errorf("%s/%s: Prepare error %v, RequiresVCT %v", m, flow, err, m.RequiresVCT())
+			}
 		}
 	}
 }
