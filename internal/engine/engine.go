@@ -6,7 +6,12 @@
 //
 // All cross-router communication rides on time-indexed single-writer
 // single-reader rings, so a simulation can be executed by several workers
-// (one barrier per cycle) with results identical to serial execution.
+// with results identical to serial execution. Groups talk to each other
+// only over global links, so each group can run LatGlobal cycles ahead of
+// the others without seeing them: the run advances in blocks of up to
+// that many cycles (see Sim.blockMax), each worker taking one group at a
+// time through the whole block while its state is still in cache, with
+// one barrier per block.
 //
 // Stepping is activity-driven: senders record every phit and credit they
 // put in flight on the receiving router's per-cycle arrival schedule,
@@ -16,8 +21,8 @@
 // streams advance deterministically). Progress totals for the watchdog
 // are maintained incrementally per worker instead of being re-summed
 // over all routers every cycle, and the parallel executor synchronizes
-// cycles with an atomic generation barrier over a fixed partition of
-// group-contiguous router ranges.
+// blocks with an atomic generation barrier over a fixed partition of
+// group-aligned router ranges.
 package engine
 
 import (
@@ -64,9 +69,9 @@ type Config struct {
 	Seed uint64
 	// Workers is the requested parallel-stepping width; <=1 runs serially.
 	// The engine clamps it to runtime.GOMAXPROCS(0) (extra workers on an
-	// oversubscribed machine only pay barrier cost) and to the router
-	// count. The clamp never changes results: serial and N-worker
-	// execution are bit-identical by contract.
+	// oversubscribed machine only pay barrier cost) and to the group
+	// count (a worker steps whole groups). The clamp never changes
+	// results: serial and N-worker execution are bit-identical by contract.
 	Workers int
 
 	// Workload drives injection: each node follows the phase schedule of
@@ -157,11 +162,11 @@ func (c *Config) validate() error {
 }
 
 // progress holds one worker's incrementally-maintained progress counters.
-// The per-cycle watchdog reads their sum instead of re-scanning every
-// router. inflight is a delta — the sender's worker counts a phit or credit
-// up, the receiver's counts it down — so one worker's value can go negative
-// and only the sum over all workers is meaningful (and exact). Padded so
-// workers never share a cache line.
+// The watchdog and the fast-forward read their sum instead of re-scanning
+// every router. inflight is a delta — the sender's worker counts a phit or
+// credit up, the receiver's counts it down — so one worker's value can go
+// negative and only the sum over all workers is meaningful (and exact).
+// Padded so workers never share a cache line.
 type progress struct {
 	moved     int64 // crossbar phit movements (all-time)
 	live      int64 // injected minus delivered packets
@@ -171,10 +176,19 @@ type progress struct {
 	_         [3]int64
 }
 
-// rangesPerWorker is how many contiguous router ranges each worker steps.
-// The ranges are dealt round-robin, so a job that occupies one contiguous
-// part of the machine (the one load imbalance the workloads produce) still
-// lands on every worker; one range per group measured no faster at h=8
+// cycleDelta is one cycle of a block as one worker saw it: the phits its
+// routers moved and the change in their live packets, summed over the
+// groups it stepped. The run loop sums the workers' deltas to replay the
+// watchdog cycle by cycle.
+type cycleDelta struct {
+	moved, live int64
+}
+
+// rangesPerWorker is how many contiguous group ranges each worker steps
+// (fewer when the fabric has fewer groups). The ranges are dealt
+// round-robin, so a job that occupies one contiguous part of the machine
+// (the one load imbalance the workloads produce) still lands on every
+// worker; one range per group measured no faster at h=8
 // (docs/PERFORMANCE.md).
 const rangesPerWorker = 4
 
@@ -210,19 +224,34 @@ type Sim struct {
 	// arrSlots is the one arena behind every router's arrival schedule.
 	arrSlots []arrivalSlot
 
-	pbEnabled   bool
-	pbPublished [][]bool
-	pbNext      [][]bool
+	// pb holds each group's Piggybacking congestion bits, double-buffered
+	// by cycle parity: routing at cycle c reads pb[g][c&1] and the group's
+	// routers publish into pb[g][(c+1)&1], so each group's bits follow its
+	// own clock through a block.
+	pbEnabled bool
+	pb        [][2][]bool
 
 	// The partition: worker w of shape.workers (Config.Workers clamped to
-	// runtime.GOMAXPROCS(0) and the router count when the fabric was
-	// allocated) steps the router ranges [bounds[i], bounds[i+1]) with
-	// i % workers == w, and owns one sheet, one progress block and one
-	// packet list. All of it is fixed by allocate.
+	// runtime.GOMAXPROCS(0) and the group count when the fabric was
+	// allocated) steps the group-aligned router ranges [bounds[i],
+	// bounds[i+1]) with i % workers == w, and owns one sheet, one progress
+	// block, one packet list and one row of cycle deltas. All of it is
+	// fixed by allocate.
 	bounds   []int
 	sheets   []metrics.Sheet
 	progress []progress
 	pkts     []packetList
+	deltas   [][]cycleDelta
+
+	// blockMax is the longest block: min(LatGlobal, ring length -
+	// LatGlobal, arrival-ring length - LatGlobal). A group's routers step
+	// through a block together, but two groups may be up to a block apart
+	// in simulated time; only global links join them, and a global phit or
+	// credit sent in a block arrives after it (n <= LatGlobal) without
+	// lapping a ring slot its reader has yet to drain (n <= ring length -
+	// LatGlobal). No ring grows for it: 28 cycles at LatGlobal 100, 16 at
+	// 16, 1 at 1.
+	blockMax int
 
 	// Quiet-cycle fast-forward state: ffCursor holds per-job phase
 	// cursors for the eligibility scan, ffRescanAt suppresses rescans
@@ -320,8 +349,8 @@ func (s *Sim) Init(cfg Config) error {
 
 	// Effective worker count: more workers than CPUs only adds barrier
 	// latency (results are identical at any width, so the clamp is free),
-	// and more workers than routers leaves some idle.
-	workers := max(1, min(cfg.Workers, runtime.GOMAXPROCS(0), p.Routers))
+	// and more workers than groups leaves some idle.
+	workers := max(1, min(cfg.Workers, runtime.GOMAXPROCS(0), p.Groups))
 	// Per-phase digests only earn their keep on multi-phase workloads; a
 	// one-phase digest would duplicate the main Result.
 	phases := 0
@@ -359,10 +388,12 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 	s.pkts = make([]packetList, sh.workers)
 	s.ffCursor = make([]int32, sh.jobs)
 
-	// The partition is a function of the shape alone: contiguous ranges,
-	// dealt round-robin. A router never changes workers, which is what
-	// lets sheets, progress counters and packet lists go unsynchronized.
-	s.bounds = rangeBounds(p, min(sh.workers*rangesPerWorker, p.Routers))
+	// The partition is a function of the shape alone: contiguous ranges of
+	// whole groups, dealt round-robin. A router never changes workers,
+	// which is what lets sheets, progress counters and packet lists go
+	// unsynchronized, and a group never spans two, which is what lets a
+	// worker take it through a block alone.
+	s.bounds = rangeBounds(p, min(sh.workers*rangesPerWorker, p.Groups))
 	for i := 0; i+1 < len(s.bounds); i++ {
 		w := i % sh.workers
 		for id := s.bounds[i]; id < s.bounds[i+1]; id++ {
@@ -377,6 +408,12 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 	// fabric costs one allocation instead of one per router.
 	slotsPer := arrivalSlotCount(max(sh.latLocal, sh.latGlobal))
 	s.arrSlots = make([]arrivalSlot, p.Routers*slotsPer)
+
+	s.blockMax = min(sh.latGlobal, arrivalSlotCount(sh.latGlobal)-sh.latGlobal, slotsPer-sh.latGlobal)
+	s.deltas = make([][]cycleDelta, sh.workers)
+	for w := range s.deltas {
+		s.deltas[w] = make([]cycleDelta, s.blockMax)
+	}
 
 	for id := range s.routers {
 		r := &s.routers[id]
@@ -485,7 +522,7 @@ func (s *Sim) init(cfg Config, tab *core.Tables) {
 	*s = Sim{
 		shape: s.shape, topo: s.topo, routers: s.routers, arrSlots: s.arrSlots,
 		bounds: s.bounds, sheets: s.sheets, progress: s.progress, pkts: s.pkts,
-		ffCursor: s.ffCursor, pbPublished: s.pbPublished, pbNext: s.pbNext,
+		deltas: s.deltas, blockMax: s.blockMax, ffCursor: s.ffCursor, pb: s.pb,
 
 		cfg:        cfg,
 		tab:        tab,
@@ -501,17 +538,15 @@ func (s *Sim) init(cfg Config, tab *core.Tables) {
 		s.sheets[i].Configure(cfg.WindowCycles, s.shape.phases)
 	}
 	if s.pbEnabled {
-		if s.pbPublished == nil {
-			s.pbPublished = make([][]bool, p.Groups)
-			s.pbNext = make([][]bool, p.Groups)
-			for g := range s.pbPublished {
-				s.pbPublished[g] = make([]bool, p.ChannelsPerGrp)
-				s.pbNext[g] = make([]bool, p.ChannelsPerGrp)
+		if s.pb == nil {
+			s.pb = make([][2][]bool, p.Groups)
+			for g := range s.pb {
+				s.pb[g] = [2][]bool{make([]bool, p.ChannelsPerGrp), make([]bool, p.ChannelsPerGrp)}
 			}
 		}
-		for g := range s.pbPublished {
-			clear(s.pbPublished[g])
-			clear(s.pbNext[g])
+		for g := range s.pb {
+			clear(s.pb[g][0])
+			clear(s.pb[g][1])
 		}
 	}
 	for id := range s.routers {
@@ -579,21 +614,69 @@ func (s *Sim) applyFaultEvents() {
 	}
 }
 
-// stepCycle advances the whole network one cycle, serially.
-func (s *Sim) stepCycle() {
-	for i := range s.routers {
-		s.routers[i].step(s.cycle)
+// blockLen returns the length of the next block: at most blockMax, and
+// cut so that every duty of the serial section lands on a block boundary —
+// the end of the run, the warmup boundary, the next cancellation poll, the
+// next fault event and routing-view horizon — and so that the watchdog,
+// quiet for quiet cycles so far, can only fire on a block's last cycle. A
+// finite workload steps single cycles: its drain detection needs the exact
+// cycle.
+func (s *Sim) blockLen(end int64, finite bool, quiet int64) int {
+	if finite {
+		return 1
 	}
-	s.finishCycle()
+	n := min(int64(s.blockMax), end-s.cycle, s.cfg.Watchdog-quiet, ctxCheckMask+1-(s.cycle&ctxCheckMask))
+	if s.cycle < s.cfg.Warmup {
+		n = min(n, s.cfg.Warmup-s.cycle)
+	}
+	if s.nextFault < len(s.events) {
+		n = min(n, s.events[s.nextFault].At-s.cycle)
+	}
+	if s.nextRouteFault < len(s.events) {
+		n = min(n, s.events[s.nextRouteFault].At+s.cfg.StaleCycles-s.cycle)
+	}
+	return int(n)
 }
 
-// finishCycle performs the end-of-cycle bookkeeping shared by the serial
-// and parallel paths.
-func (s *Sim) finishCycle() {
-	if s.pbEnabled {
-		s.pbPublished, s.pbNext = s.pbNext, s.pbPublished
+// stepWorker takes worker w's ranges through the n cycles of the block
+// starting at s.cycle, one group at a time: a group's routers step in
+// ascending order through all n cycles before the next group starts, so
+// the group's state stays in cache for the whole block. Each cycle's
+// progress lands in the worker's cycle deltas.
+func (s *Sim) stepWorker(w, n int) {
+	c := s.cycle
+	prog := &s.progress[w]
+	deltas := s.deltas[w][:n]
+	clear(deltas)
+	rpg := s.topo.RoutersPerGroup
+	for i := w; i+1 < len(s.bounds); i += s.shape.workers {
+		for lo := s.bounds[i]; lo < s.bounds[i+1]; lo += rpg {
+			group := s.routers[lo : lo+rpg]
+			for k := range deltas {
+				moved, live := prog.moved, prog.live
+				for j := range group {
+					group[j].step(c + int64(k))
+				}
+				deltas[k].moved += prog.moved - moved
+				deltas[k].live += prog.live - live
+			}
+		}
 	}
-	s.cycle++
+}
+
+// stepBlock advances the whole network n cycles on the calling goroutine:
+// every worker's ranges in turn, then the serial section.
+func (s *Sim) stepBlock(n int) {
+	for w := range s.shape.workers {
+		s.stepWorker(w, n)
+	}
+	s.finishBlock(n)
+}
+
+// finishBlock is the serial section between blocks: the clock moves past
+// the block and the fault events due at the new cycle apply.
+func (s *Sim) finishBlock(n int) {
+	s.cycle += int64(n)
 	if s.pendingFaultEvents() {
 		s.applyFaultEvents()
 	}
@@ -695,7 +778,7 @@ func (s *Sim) tryFastForward(limit int64) {
 	s.ffJumped += target - s.cycle
 	s.cycle = target
 	// Fault events due exactly at the target apply now, in the same
-	// serial-section order finishCycle would have used.
+	// serial-section order finishBlock would have used.
 	if s.pendingFaultEvents() {
 		s.applyFaultEvents()
 	}
@@ -740,7 +823,7 @@ func (s *Sim) RunContext(ctx context.Context) (metrics.Result, error) {
 	}
 	s.ready = false
 
-	step := s.stepCycle
+	step := s.stepBlock
 	if s.shape.workers > 1 {
 		var stop func()
 		step, stop = s.startWorkers()
@@ -797,18 +880,19 @@ func (s *Sim) phaseInfos() []metrics.PhaseInfo {
 	return infos
 }
 
-// run steps the simulation to its end and reports whether it deadlocked.
-// A steady workload runs warmup then measurement, the sheets reset at the
-// boundary; a finite one runs until every packet drained, and one that has
-// not by MaxCycles is reported as a deadlock, like the watchdog's verdict.
-func (s *Sim) run(ctx context.Context, step func()) (deadlock bool, err error) {
+// run steps the simulation to its end, block by block (see blockLen), and
+// reports whether it deadlocked. A steady workload runs warmup then
+// measurement, the sheets reset at the boundary; a finite one runs until
+// every packet drained, and one that has not by MaxCycles is reported as a
+// deadlock, like the watchdog's verdict.
+func (s *Sim) run(ctx context.Context, step func(n int)) (deadlock bool, err error) {
 	finite := s.workload.Finite()
 	end := s.cfg.Warmup + s.cfg.Measure
 	if finite {
 		end = s.cfg.MaxCycles
 	}
 	target, lastChange := s.workload.Total(), s.workload.LastChange()
-	var lastMoved, lastGenerated, quiet int64
+	var lastGenerated, quiet int64
 	for s.cycle < end {
 		if s.cycle&ctxCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
@@ -818,8 +902,24 @@ func (s *Sim) run(ctx context.Context, step func()) (deadlock bool, err error) {
 		if !finite && s.cycle == s.cfg.Warmup {
 			s.resetSheets()
 		}
-		step()
-		moved, live, generated := s.totals()
+		_, live, _ := s.totals()
+		n := s.blockLen(end, finite, quiet)
+		step(n)
+		// The watchdog, cycle by cycle: quiet counts the cycles in a row
+		// that moved no phit while packets were live.
+		for k := range n {
+			var moved int64
+			for w := range s.deltas {
+				moved += s.deltas[w][k].moved
+				live += s.deltas[w][k].live
+			}
+			if moved == 0 && live > 0 {
+				quiet++
+			} else {
+				quiet = 0
+			}
+		}
+		_, live, generated := s.totals()
 		// Drained: everything declared was generated, or — a burst phase cut
 		// short by its duration leaves that unreachable — the phase set is
 		// static (past the last transition) and an empty network generated
@@ -827,15 +927,10 @@ func (s *Sim) run(ctx context.Context, step func()) (deadlock bool, err error) {
 		if finite && live == 0 && (generated >= target || (generated == lastGenerated && s.cycle > lastChange)) {
 			return false, nil
 		}
-		if moved == lastMoved && live > 0 {
-			quiet++
-			if quiet >= s.cfg.Watchdog {
-				return true, nil
-			}
-		} else {
-			quiet = 0
+		if quiet >= s.cfg.Watchdog {
+			return true, nil
 		}
-		lastMoved, lastGenerated = moved, generated
+		lastGenerated = generated
 		if live == 0 && s.fabricEmpty() {
 			// Provably-dead span: jump to the next possible event. Never
 			// past the warmup boundary (resetSheets must run exactly there),
@@ -854,37 +949,33 @@ func (s *Sim) run(ctx context.Context, step func()) (deadlock bool, err error) {
 	return finite, nil
 }
 
-// rangeBounds cuts p's routers into n contiguous ranges. When possible the
-// boundaries fall on dragonfly group boundaries, so the densely-
-// communicating routers of one group (complete local-link graph) stay in
-// one worker's cache.
+// rangeBounds cuts p's routers into n <= p.Groups contiguous ranges of
+// whole groups, so the densely-communicating routers of one group
+// (complete local-link graph) stay with one worker and in its cache.
 func rangeBounds(p *topology.P, n int) []int {
 	bounds := make([]int, n+1)
 	for i := range bounds {
-		if n <= p.Groups {
-			bounds[i] = (i * p.Groups / n) * p.RoutersPerGroup
-		} else {
-			bounds[i] = i * p.Routers / n
-		}
+		bounds[i] = (i * p.Groups / n) * p.RoutersPerGroup
 	}
 	return bounds
 }
 
-// cycleBarrier synchronizes the per-cycle lockstep between the main loop
-// and the workers with two atomic generation counters instead of
-// per-worker channel operations: the main loop bumps startGen to release
-// every worker for one cycle, and the last worker to finish bumps doneGen.
+// blockBarrier synchronizes the block lockstep between the main loop and
+// the workers with two atomic generation counters instead of per-worker
+// channel operations: the main loop sets n and bumps startGen to release
+// every worker for one block, and the last worker to finish bumps doneGen.
 // Waiters spin briefly and then yield, so the barrier stays correct (if
 // slower) even when workers outnumber CPUs.
-type cycleBarrier struct {
+type blockBarrier struct {
 	startGen atomic.Uint64
 	doneGen  atomic.Uint64
 	arrived  atomic.Int32
 	quit     atomic.Bool
+	n        int // the block's length; written before startGen is bumped
 }
 
 // await spins until gen differs from last, returning the new value.
-func (b *cycleBarrier) await(gen *atomic.Uint64, last uint64) uint64 {
+func (b *blockBarrier) await(gen *atomic.Uint64, last uint64) uint64 {
 	for spins := 0; ; spins++ {
 		if v := gen.Load(); v != last {
 			return v
@@ -895,27 +986,16 @@ func (b *cycleBarrier) await(gen *atomic.Uint64, last uint64) uint64 {
 	}
 }
 
-// stepRanges steps every router of worker w's ranges for the current
-// cycle, in ascending router order.
-func (s *Sim) stepRanges(w int) {
-	cycle := s.cycle
-	for i := w; i+1 < len(s.bounds); i += s.shape.workers {
-		for id := s.bounds[i]; id < s.bounds[i+1]; id++ {
-			s.routers[id].step(cycle)
-		}
-	}
-}
-
 // startWorkers launches the persistent workers and returns a step function
-// driving one barrier-synchronized cycle, plus a stop function. Who steps
+// driving one barrier-synchronized block, plus a stop function. Who steps
 // what was fixed by allocate; this only starts the goroutines.
-func (s *Sim) startWorkers() (step func(), stop func()) {
-	n := s.shape.workers
-	b := &cycleBarrier{}
-	// Worker 0's ranges run on the calling goroutine, so only n-1 workers
-	// are launched and no goroutine ever just spins through a whole cycle.
+func (s *Sim) startWorkers() (step func(n int), stop func()) {
+	workers := s.shape.workers
+	b := &blockBarrier{}
+	// Worker 0's ranges run on the calling goroutine, so only workers-1
+	// goroutines are launched and none ever just spins through a block.
 	var running sync.WaitGroup
-	for w := 1; w < n; w++ {
+	for w := 1; w < workers; w++ {
 		running.Add(1)
 		go func(w int) {
 			defer running.Done()
@@ -925,20 +1005,21 @@ func (s *Sim) startWorkers() (step func(), stop func()) {
 				if b.quit.Load() {
 					return
 				}
-				s.stepRanges(w)
-				if b.arrived.Add(1) == int32(n-1) {
+				s.stepWorker(w, b.n)
+				if b.arrived.Add(1) == int32(workers-1) {
 					b.arrived.Store(0)
 					b.doneGen.Add(1)
 				}
 			}
 		}(w)
 	}
-	step = func() {
+	step = func(n int) {
+		b.n = n
 		done := b.doneGen.Load()
 		b.startGen.Add(1)
-		s.stepRanges(0)
+		s.stepWorker(0, n)
 		b.await(&b.doneGen, done)
-		s.finishCycle()
+		s.finishBlock(n)
 	}
 	// stop releases the workers one last time with quit raised and waits
 	// for every one of them to return, so no goroutine outlives the run

@@ -340,20 +340,32 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 	cfg.Warmup = 0
 	cfg.Measure = 100000
 	cfg.Watchdog = 2000
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// The verdict and its cycle must not depend on block stepping: the
+	// watchdog fires on the same cycle as when every block is one cycle.
+	var cycles [2]int64
+	for i, single := range []bool{false, true} {
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if single {
+			sim.blockMax = 1
+		}
+		// Swap in the unsafe algorithm behind the validator's back.
+		for i := range sim.routers {
+			sim.routers[i].alg = &deadlockRing{topo: cfg.Topo}
+		}
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Deadlock {
+			t.Fatal("the watchdog did not fire on a wedged ring")
+		}
+		cycles[i] = sim.Cycle()
 	}
-	// Swap in the unsafe algorithm behind the validator's back.
-	for i := range sim.routers {
-		sim.routers[i].alg = &deadlockRing{topo: cfg.Topo}
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Deadlock {
-		t.Fatal("the watchdog did not fire on a wedged ring")
+	if cycles[0] != cycles[1] || cycles[0] >= cfg.Measure {
+		t.Fatalf("watchdog fired at cycle %d in blocks, %d in single cycles (run length %d)", cycles[0], cycles[1], cfg.Measure)
 	}
 }
 
@@ -420,7 +432,7 @@ func BenchmarkCycleH2UniformRLM(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.stepCycle()
+		sim.stepBlock(1)
 	}
 	b.ReportMetric(float64(cfg.Topo.Routers), "routers")
 }

@@ -75,7 +75,7 @@ func TestFaultConservationAllMechanisms(t *testing.T) {
 			// Let stragglers on the links land (dead links still carry
 			// committed traffic and credits under drain-then-die).
 			for i := 0; i < 3*cfg.LatGlobal; i++ {
-				sim.stepCycle()
+				sim.stepBlock(1)
 			}
 			var sheet metrics.Sheet
 			for i := range sim.sheets {
@@ -163,7 +163,7 @@ func TestParkedRouterConservation(t *testing.T) {
 				t.Fatal("parked-router burst deadlocked")
 			}
 			for i := 0; i < 3*cfg.LatGlobal; i++ {
-				sim.stepCycle()
+				sim.stepBlock(1)
 			}
 			var sheet metrics.Sheet
 			for i := range sim.sheets {

@@ -32,7 +32,7 @@ func TestCreditConservation(t *testing.T) {
 	}
 	// Let stragglers on the links land.
 	for i := 0; i < 3*cfg.LatGlobal; i++ {
-		sim.stepCycle()
+		sim.stepBlock(1)
 	}
 	for i := range sim.routers {
 		r := &sim.routers[i]
@@ -81,7 +81,7 @@ func TestWormholePacketSpansRouters(t *testing.T) {
 	}
 	spanning := 0
 	for c := 0; c < 3000; c++ {
-		sim.stepCycle()
+		sim.stepBlock(1)
 		if c%100 != 0 {
 			continue
 		}
@@ -112,8 +112,10 @@ func TestWormholePacketSpansRouters(t *testing.T) {
 	}
 }
 
-// TestPBPublishDelay: congestion bits computed in cycle t are visible to
-// routing in cycle t+1 (double-buffered), not in cycle t.
+// TestPBPublishDelay: congestion bits a router publishes in cycle t are
+// visible to its group's routing in cycle t+1 (the table of t+1's parity),
+// not in cycle t — and each group's bits follow its own clock, so a group
+// running ahead in a block neither sees nor disturbs another's.
 func TestPBPublishDelay(t *testing.T) {
 	cfg := testConfig(t, 2, core.PB, 0)
 	sim, err := New(cfg)
@@ -123,15 +125,32 @@ func TestPBPublishDelay(t *testing.T) {
 	if !sim.pbEnabled {
 		t.Fatal("PB tables not enabled")
 	}
-	// Manually mark channel 0 of group 0 congested in the next buffer.
-	sim.pbNext[0][0] = true
+	p := sim.topo
+	// Fill router 0's first global channel (group 0) to capacity, and
+	// publish it at cycle 5.
 	r := &sim.routers[0]
-	if r.GlobalCongested(0) {
-		t.Fatal("bit visible before the cycle boundary")
+	port := p.GlobalPortBase()
+	k := p.GlobalChannelOfPort(p.IndexInGroup(0), port)
+	clear(r.out[port].credits)
+	r.publishPB(5)
+	if !sim.pb[0][6&1][k] || sim.pb[0][5&1][k] {
+		t.Fatalf("cycle 5 published into the wrong table: %v", sim.pb[0])
 	}
-	sim.finishCycle() // swap
-	if !r.GlobalCongested(0) {
-		t.Fatal("bit not visible after the cycle boundary")
+	for _, tc := range []struct {
+		router int
+		cycle  int64
+		want   bool
+	}{
+		{0, 5, false},                    // same cycle: the old table
+		{0, 6, true},                     // next cycle: visible
+		{p.RoutersPerGroup - 1, 6, true}, // every router of the group sees it
+		{p.RoutersPerGroup, 6, false},    // group 1, same cycle: its own table
+	} {
+		rr := &sim.routers[tc.router]
+		rr.now = tc.cycle
+		if got := rr.GlobalCongested(k); got != tc.want {
+			t.Fatalf("router %d at cycle %d: GlobalCongested(%d) = %v, want %v", tc.router, tc.cycle, k, got, tc.want)
+		}
 	}
 }
 

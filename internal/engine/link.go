@@ -6,9 +6,12 @@ import "sync/atomic"
 // per cycle into the time-indexed phit ring; the receiver reads slot
 // cycle%len. Credits travel the opposite way on the credit ring with the
 // same latency. Both rings are single-writer/single-reader, which is what
-// makes the parallel executor race-free without locks: slot indices written
-// during cycle t (t+latency) never collide with the ones read at t as long
-// as the ring has latency+2 slots.
+// makes the parallel executor race-free without locks. Under block stepping
+// (see Sim.blockMax) the two ends of a global link run up to n cycles apart
+// within a block of n cycles: a send at cycle t writes slot t+latency, and
+// it can neither land in a slot the reader still has to consume nor be
+// consumed early as long as n <= latency and n <= ring length - latency.
+// The ends of a local link belong to one group and step in lockstep.
 //
 // Each direction also announces its traffic on the receiving router's
 // arrival schedule (phitSched for phits, creditSched for the credits
@@ -39,8 +42,10 @@ type link struct {
 // and therefore results — are identical.
 //
 // A slot for cycle c is only ever written during cycles < c (latency is
-// at least 1) and only read at cycle c, so with the ring covering the
-// maximum latency plus two, concurrent accesses can only be ORs by
+// at least 1) and only read at cycle c. A global-link sender may run up to
+// n cycles ahead of, or behind, the receiver within a block of n cycles;
+// with n <= ring length - LatGlobal its writes never reach a slot the
+// receiver has yet to drain, so concurrent accesses can only be ORs by
 // different senders — which is why a pair of plain atomic masks per slot
 // suffices.
 type arrivalSchedule struct {
@@ -48,8 +53,8 @@ type arrivalSchedule struct {
 	mask  int64
 	// serial marks single-worker simulations: every send and drain runs
 	// on one goroutine, so the mask updates skip the LOCKed read-modify-
-	// write instructions. Multi-worker runs use the atomic ops; the cycle
-	// barrier provides the cross-cycle happens-before edges either way.
+	// write instructions. Multi-worker runs use the atomic ops; the block
+	// barrier provides the cross-block happens-before edges either way.
 	serial bool
 }
 
@@ -61,11 +66,12 @@ type arrivalSlot struct {
 	credits uint64
 }
 
-// arrivalSlotCount returns the power-of-two ring length covering the
-// maximum link latency (see arrivalSchedule).
-func arrivalSlotCount(maxLatency int) int {
+// arrivalSlotCount returns the power-of-two ring length for a latency: at
+// least latency+2 slots. Link rings and arrival schedules both use it, and
+// the block bound (Sim.blockMax) reads it.
+func arrivalSlotCount(latency int) int {
 	n := 1
-	for n < maxLatency+2 {
+	for n < latency+2 {
 		n <<= 1
 	}
 	return n
@@ -138,19 +144,13 @@ type creditSlot struct {
 // and on a large fabric under light load most links never carry anything.
 // Laziness is race-free because each ring has exactly one writer (the phit
 // sender, respectively the credit sender), the allocating side, and the
-// reader only looks after an arrival was announced — at least one cycle
-// barrier after the allocating write.
+// reader only looks after an arrival was announced: on the same worker for
+// a local link, at least one block barrier after the allocating write for
+// a global one. The latency is at least 1 (Config.validate).
 func newLink(latency int) *link {
-	if latency < 1 {
-		latency = 1
-	}
-	n := 1
-	for n < latency+2 {
-		n <<= 1
-	}
 	return &link{
 		latency: latency,
-		mask:    int64(n - 1),
+		mask:    int64(arrivalSlotCount(latency) - 1),
 	}
 }
 

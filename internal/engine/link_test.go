@@ -48,13 +48,6 @@ func TestLinkBackToBackPhits(t *testing.T) {
 	}
 }
 
-func TestLinkMinimumLatencyClamped(t *testing.T) {
-	l := newLink(0)
-	if l.latency != 1 {
-		t.Fatalf("latency %d, want clamped to 1", l.latency)
-	}
-}
-
 func TestLinkSlotCollisionPanics(t *testing.T) {
 	l := newLink(2)
 	p := &Packet{ID: 1}

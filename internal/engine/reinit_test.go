@@ -31,7 +31,7 @@ func fabricState(s *Sim) []int64 {
 		r := &s.routers[i]
 		out = append(out, int64(r.occupied), int64(r.claimPorts), int64(r.xferPorts),
 			int64(r.deadPorts), b2i(r.parked), int64(r.pbCooldown),
-			r.phaseRefreshAt, r.pktSeq, r.lastDeliveryCycle, r.rrCycle, r.rrVal,
+			r.phaseRefreshAt, r.pktSeq, r.lastDeliveryCycle, r.rrCycle, r.rrVal, r.now,
 			int64(r.routeRand.Uint32()))
 		for k := range r.nodeRand {
 			out = append(out, int64(r.nodeRand[k].Uint32()))
@@ -51,12 +51,12 @@ func fabricState(s *Sim) []int64 {
 			}
 		}
 	}
-	for g := range s.pbPublished {
+	for g := range s.pb {
 		if !s.pbEnabled {
 			break
 		}
-		for k := range s.pbPublished[g] {
-			out = append(out, b2i(s.pbPublished[g][k]), b2i(s.pbNext[g][k]))
+		for k := range s.pb[g][0] {
+			out = append(out, b2i(s.pb[g][0][k]), b2i(s.pb[g][1][k]))
 		}
 	}
 	return out
@@ -159,8 +159,8 @@ func TestReinitMatchesFresh(t *testing.T) {
 		sameAt(t, tc.name+" at cycle 0", fresh, recycled)
 		for _, checkpoint := range []int64{1, 60, 400, 1200} {
 			for fresh.cycle < checkpoint {
-				fresh.stepCycle()
-				recycled.stepCycle()
+				fresh.stepBlock(1)
+				recycled.stepBlock(1)
 			}
 			sameAt(t, tc.name+" mid-run", fresh, recycled)
 		}
@@ -223,7 +223,7 @@ func TestReinitAfterInvariantPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s.cycle < 200 {
-		s.stepCycle()
+		s.stepBlock(1)
 	}
 	for i := range s.routers {
 		for p := range s.routers[i].out {

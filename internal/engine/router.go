@@ -46,8 +46,8 @@ type inPort struct {
 
 // router holds all per-router simulation state. Routers never touch each
 // other's state directly: all communication crosses time-indexed link
-// rings, so the parallel executor can run routers of the same cycle
-// concurrently.
+// rings, so the parallel executor can run routers concurrently, and groups
+// up to a block apart in simulated time.
 //
 // Stepping is activity-driven: the router tracks how much work it could
 // possibly have this cycle (buffered packet entries, scheduled phit and
@@ -114,6 +114,9 @@ type router struct {
 	// into a double-buffered table, so after the last change both buffers
 	// need one write each before the refresh can stop.
 	pbCooldown int8
+	// now is the cycle being stepped: GlobalCongested reads the group's
+	// Piggybacking table of its parity.
+	now int64
 
 	// phaseCur caches, per workload job, the index of the last phase this
 	// router observed active. Phase transitions are pure functions of the
@@ -277,7 +280,7 @@ func (r *router) Capacity(port, vc int) int { return int(r.out[port].capacity) }
 
 // GlobalCongested implements core.View.
 func (r *router) GlobalCongested(k int) bool {
-	return r.eng.pbPublished[r.group][k]
+	return r.eng.pb[r.group][r.now&1][k]
 }
 
 // CurrentQueue implements core.View.
@@ -336,6 +339,7 @@ func (r *router) unmarkClaimable(port, vc int) {
 
 // step advances the router by one cycle.
 func (r *router) step(cycle int64) {
+	r.now = cycle
 	if pm, cm := r.arrivals.take(cycle); pm|cm != 0 {
 		r.absorb(cycle, pm, cm)
 	}
@@ -348,7 +352,7 @@ func (r *router) step(cycle int64) {
 		// Fully idle: no buffered packets, no transfers, nothing arrived,
 		// nothing injected.
 		if r.pbCooldown > 0 {
-			r.publishPB()
+			r.publishPB(cycle)
 			r.pbCooldown--
 		}
 		return
@@ -356,7 +360,7 @@ func (r *router) step(cycle int64) {
 	r.clearScratch()
 	r.continueTransfers(cycle)
 	r.makeClaims(cycle)
-	r.publishPBActive()
+	r.publishPBActive(cycle)
 }
 
 // clearScratch resets the per-cycle crossbar allocation flags.
@@ -799,24 +803,24 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 
 // publishPBActive refreshes the Piggybacking bits at the end of an active
 // cycle and schedules the follow-up refresh of the second table buffer.
-func (r *router) publishPBActive() {
+func (r *router) publishPBActive(cycle int64) {
 	if !r.eng.pbEnabled {
 		return
 	}
-	r.publishPB()
+	r.publishPB(cycle)
 	r.pbCooldown = 1
 }
 
 // publishPB refreshes the Piggybacking congestion bits for the global
-// channels this router owns, into the group's next-cycle table.
-func (r *router) publishPB() {
+// channels this router owns, into the group's table for cycle+1.
+func (r *router) publishPB(cycle int64) {
 	e := r.eng
 	if !e.pbEnabled {
 		return
 	}
 	topo := e.topo
 	idx := topo.IndexInGroup(r.id)
-	next := e.pbNext[r.group]
+	next := e.pb[r.group][(cycle+1)&1]
 	for port := topo.GlobalPortBase(); port < topo.EjectPortBase(); port++ {
 		op := &r.out[port]
 		var occ, cap int32

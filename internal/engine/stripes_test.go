@@ -49,8 +49,9 @@ func pins(s *Sim) []pin {
 	return out
 }
 
-// TestStripesArePureFunctionOfShape pins the partition contract: the router
-// ranges and every router's worker-owned pointers follow from topology and
+// TestStripesArePureFunctionOfShape pins the partition contract: the ranges
+// are whole groups (a worker takes each through a block alone), and they
+// and every router's worker-owned pointers follow from topology and
 // effective worker count alone, are laid down by allocate, and are never
 // touched again — not by Run, not by a same-shape Init. That immobility is
 // what makes the unsynchronized sheets, progress counters and packet lists
@@ -67,13 +68,13 @@ func TestStripesArePureFunctionOfShape(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := s.topo
-			n := min(workers, p.Routers)
+			n := min(workers, p.Groups)
 			if s.shape.workers != n || len(s.sheets) != n || len(s.progress) != n || len(s.pkts) != n {
 				t.Fatalf("h=%d workers=%d: effective width %d, %d sheets, %d progress blocks, %d packet lists; want %d of each",
 					h, workers, s.shape.workers, len(s.sheets), len(s.progress), len(s.pkts), n)
 			}
 			ranges := len(s.bounds) - 1
-			if want := min(n*rangesPerWorker, p.Routers); ranges != want {
+			if want := min(n*rangesPerWorker, p.Groups); ranges != want {
 				t.Fatalf("h=%d workers=%d: %d ranges, want %d", h, workers, ranges, want)
 			}
 			if !slices.Equal(s.bounds, rangeBounds(p, ranges)) {
@@ -89,8 +90,8 @@ func TestStripesArePureFunctionOfShape(t *testing.T) {
 				if hi <= lo {
 					t.Fatalf("h=%d workers=%d: range %d is [%d,%d): empty or overlapping", h, workers, i, lo, hi)
 				}
-				if ranges <= p.Groups && lo%p.RoutersPerGroup != 0 {
-					t.Fatalf("h=%d workers=%d: range %d starts mid-group at router %d", h, workers, i, lo)
+				if lo%p.RoutersPerGroup != 0 || hi%p.RoutersPerGroup != 0 {
+					t.Fatalf("h=%d workers=%d: range %d is [%d,%d), not whole groups", h, workers, i, lo, hi)
 				}
 				w := i % n
 				perWorker[w] += hi - lo
@@ -102,17 +103,12 @@ func TestStripesArePureFunctionOfShape(t *testing.T) {
 					}
 				}
 			}
-			// Range widths differ by at most one unit (a group when aligned,
-			// else a router) and every worker is dealt the same number of
-			// ranges, give or take one: the shares differ by at most one
-			// range, or by one unit per range dealt when that is more (h=2
-			// at 4 workers: 8/8/8/12 routers, ranges of 2 and 3).
-			unit := 1
-			if ranges <= p.Groups {
-				unit = p.RoutersPerGroup
-			}
+			// Range widths differ by at most one group and every worker is
+			// dealt the same number of ranges, give or take one: the shares
+			// differ by at most one range, or by one group per range dealt
+			// when that is more.
 			lo, hi := slices.Min(perWorker), slices.Max(perWorker)
-			if slack := max(widest, rangesPerWorker*unit); hi-lo > slack {
+			if slack := max(widest, rangesPerWorker*p.RoutersPerGroup); hi-lo > slack {
 				t.Fatalf("h=%d workers=%d: per-worker router counts %v differ by more than %d", h, workers, perWorker, slack)
 			}
 

@@ -110,7 +110,7 @@ func TestRoutingViewIsEventsStaleCyclesAgo(t *testing.T) {
 				if c == 600 {
 					break
 				}
-				s.stepCycle()
+				s.stepBlock(1)
 			}
 			if !tc.bootOnly && s.pendingFaultEvents() {
 				t.Fatal("events left unapplied after the last horizon")
