@@ -146,24 +146,24 @@ func TestBlockMatchesCycleStepping(t *testing.T) {
 				if blocked.blockMax != blockMaxOf[latGlobal] {
 					t.Fatalf("blockMax %d at LatGlobal %d, want %d", blocked.blockMax, latGlobal, blockMaxOf[latGlobal])
 				}
-				single, err := New(build())
+				ref, err := New(build())
 				if err != nil {
 					t.Fatal(err)
 				}
-				single.blockMax = 1 // the test hook: one cycle per block
+				ref.blockMax = 1 // the test hook: the reference steps one cycle per block
 				a, err := blocked.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := single.Run()
+				b, err := ref.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("blocked stepping changed the result:\n  blocks of %d: %+v\n  single cycles: %+v", blocked.blockMax, a, b)
+					t.Fatalf("blocked stepping changed the result:\n  blocks of %d: %+v\n  one cycle per block: %+v", blocked.blockMax, a, b)
 				}
-				if blocked.Cycle() != single.Cycle() {
-					t.Fatalf("blocked run ended at cycle %d, single-cycle run at %d", blocked.Cycle(), single.Cycle())
+				if blocked.Cycle() != ref.Cycle() {
+					t.Fatalf("blocked run ended at cycle %d, one-cycle-per-block run at %d", blocked.Cycle(), ref.Cycle())
 				}
 				if a.Delivered == 0 || a.Timeline == nil {
 					t.Fatal("nothing delivered or no timeline; the comparison proved nothing")

@@ -85,9 +85,9 @@ type Config struct {
 
 	// Faults, when non-nil, is the fault timeline: the boot state (the
 	// engine works on a private clone) and the mid-run kills and repairs,
-	// applied in the serial section between cycles, so routing only ever
-	// observes fault state that is constant within a cycle — which keeps
-	// worker-count determinism. Configurations without one are completely
+	// applied in the serial section between blocks (a block never spans
+	// an event), so routing only ever observes fault state that is
+	// constant within a block — which keeps worker-count determinism. Configurations without one are completely
 	// unaffected: the fault queries short-circuit and results stay
 	// bit-identical.
 	Faults *topology.Schedule
@@ -262,7 +262,7 @@ type Sim struct {
 	ffJumped   int64
 
 	// faults is the live link-failure state (a private clone of
-	// Config.Faults.Boot), mutated only between cycles; faulted is true as
+	// Config.Faults.Boot), mutated only between blocks; faulted is true as
 	// soon as a run has a fault schedule, and gates every fault query so
 	// fault-free runs keep their exact pre-fault behavior.
 	faults    *topology.FaultSet
@@ -585,7 +585,7 @@ func (s *Sim) pendingFaultEvents() bool { return s.nextRouteFault < len(s.events
 // applyFaultEvents applies every fault event due at the current cycle —
 // to the physical set (and the dead-port masks gating flow control) at event
 // time, and to the routing view StaleCycles later. Only called from the
-// serial section between cycles.
+// serial section between blocks.
 func (s *Sim) applyFaultEvents() {
 	evs := s.events
 	for ; s.nextFault < len(evs) && evs[s.nextFault].At <= s.cycle; s.nextFault++ {

@@ -343,17 +343,17 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 	// The verdict and its cycle must not depend on block stepping: the
 	// watchdog fires on the same cycle as when every block is one cycle.
 	var cycles [2]int64
-	for i, single := range []bool{false, true} {
+	for i, oneCycle := range []bool{false, true} {
 		sim, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if single {
+		if oneCycle {
 			sim.blockMax = 1
 		}
 		// Swap in the unsafe algorithm behind the validator's back.
-		for i := range sim.routers {
-			sim.routers[i].alg = &deadlockRing{topo: cfg.Topo}
+		for j := range sim.routers {
+			sim.routers[j].alg = &deadlockRing{topo: cfg.Topo}
 		}
 		res, err := sim.Run()
 		if err != nil {

@@ -147,7 +147,7 @@ func TestPBPublishDelay(t *testing.T) {
 		{p.RoutersPerGroup, 6, false},    // group 1, same cycle: its own table
 	} {
 		rr := &sim.routers[tc.router]
-		rr.now = tc.cycle
+		rr.parity = uint8(tc.cycle & 1)
 		if got := rr.GlobalCongested(k); got != tc.want {
 			t.Fatalf("router %d at cycle %d: GlobalCongested(%d) = %v, want %v", tc.router, tc.cycle, k, got, tc.want)
 		}

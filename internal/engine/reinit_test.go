@@ -31,7 +31,7 @@ func fabricState(s *Sim) []int64 {
 		r := &s.routers[i]
 		out = append(out, int64(r.occupied), int64(r.claimPorts), int64(r.xferPorts),
 			int64(r.deadPorts), b2i(r.parked), int64(r.pbCooldown),
-			r.phaseRefreshAt, r.pktSeq, r.lastDeliveryCycle, r.rrCycle, r.rrVal, r.now,
+			r.phaseRefreshAt, r.pktSeq, r.lastDeliveryCycle, r.rrCycle, r.rrVal, int64(r.parity),
 			int64(r.routeRand.Uint32()))
 		for k := range r.nodeRand {
 			out = append(out, int64(r.nodeRand[k].Uint32()))

@@ -114,9 +114,10 @@ type router struct {
 	// into a double-buffered table, so after the last change both buffers
 	// need one write each before the refresh can stop.
 	pbCooldown int8
-	// now is the cycle being stepped: GlobalCongested reads the group's
-	// Piggybacking table of its parity.
-	now int64
+	// parity is the parity of the cycle being stepped: GlobalCongested
+	// reads the group's Piggybacking table of that parity. One byte, so it
+	// sits in the padding after pbCooldown.
+	parity uint8
 
 	// phaseCur caches, per workload job, the index of the last phase this
 	// router observed active. Phase transitions are pure functions of the
@@ -280,7 +281,7 @@ func (r *router) Capacity(port, vc int) int { return int(r.out[port].capacity) }
 
 // GlobalCongested implements core.View.
 func (r *router) GlobalCongested(k int) bool {
-	return r.eng.pb[r.group][r.now&1][k]
+	return r.eng.pb[r.group][r.parity][k]
 }
 
 // CurrentQueue implements core.View.
@@ -339,7 +340,7 @@ func (r *router) unmarkClaimable(port, vc int) {
 
 // step advances the router by one cycle.
 func (r *router) step(cycle int64) {
-	r.now = cycle
+	r.parity = uint8(cycle & 1)
 	if pm, cm := r.arrivals.take(cycle); pm|cm != 0 {
 		r.absorb(cycle, pm, cm)
 	}
