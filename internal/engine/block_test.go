@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -10,10 +11,18 @@ import (
 	"repro/internal/traffic"
 )
 
+// stepEveryCycle is the test hook behind every reference run: blocks of one
+// cycle and no dead block (no dead-block scan is ever due), so every router
+// steps every cycle.
+func stepEveryCycle(s *Sim) {
+	s.blockMax = 1
+	s.ffRescanAt = math.MaxInt64
+}
+
 // blockWorkload builds one of the three workload kinds of the block matrix
 // over p: "steady" (one ADVG+1 job), "phased" (two jobs: a UN -> ADVG burst ->
 // UN schedule on the first half, a bounded UN phase on the second, then
-// silence the fast-forward jumps) or "burst" (finite: single cycles only).
+// silence that dead blocks cover) or "burst" (finite: single cycles only).
 func blockWorkload(t *testing.T, p *topology.P, kind string) *traffic.Workload {
 	t.Helper()
 	bernoulli := func(load float64) traffic.Process {
@@ -97,11 +106,11 @@ func blockFaults(t *testing.T, cfg *Config, kind string) {
 // TestBlockMatchesCycleStepping is the block stepper's bit-identity gate:
 // every configuration must give the same Result — Timeline and phase
 // digests included — and end on the same cycle whether the run advances
-// in blocks of up to blockMax cycles or one cycle at a time. The matrix
-// rotates h 1-3, every mechanism, VCT and wormhole, steady, phased and
-// burst workloads, no faults, a static degraded set and stale-viewed
-// events, 1-3 workers, and global latencies around every ring-size corner
-// with the local latency above and below.
+// in stepped blocks of up to blockMax cycles and dead blocks, or steps
+// every router every cycle. The matrix rotates h 1-3, every mechanism, VCT
+// and wormhole, steady, phased and burst workloads, no faults, a static
+// degraded set and stale-viewed events, 1-3 workers, and global latencies
+// around every ring-size corner with the local latency above and below.
 func TestBlockMatchesCycleStepping(t *testing.T) {
 	specs := []core.Spec{
 		core.Minimal, core.Valiant, core.PB, core.PAR62,
@@ -136,6 +145,11 @@ func TestBlockMatchesCycleStepping(t *testing.T) {
 					cfg.Workers = workers
 					cfg.Workload = blockWorkload(t, cfg.Topo, wl)
 					cfg.Warmup, cfg.Measure, cfg.WindowCycles = 300, 1300, 250
+					if wl == "phased" {
+						// Every cell's fabric drains by cycle ~2000, so the
+						// silence after it is compared as dead blocks.
+						cfg.Measure = 2300
+					}
 					blockFaults(t, &cfg, fault)
 					return cfg
 				}
@@ -150,7 +164,7 @@ func TestBlockMatchesCycleStepping(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref.blockMax = 1 // the test hook: the reference steps one cycle per block
+				stepEveryCycle(ref)
 				a, err := blocked.Run()
 				if err != nil {
 					t.Fatal(err)
@@ -160,15 +174,81 @@ func TestBlockMatchesCycleStepping(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("blocked stepping changed the result:\n  blocks of %d: %+v\n  one cycle per block: %+v", blocked.blockMax, a, b)
+					t.Fatalf("blocked stepping changed the result:\n  blocks of %d: %+v\n  every router every cycle: %+v", blocked.blockMax, a, b)
 				}
 				if blocked.Cycle() != ref.Cycle() {
-					t.Fatalf("blocked run ended at cycle %d, one-cycle-per-block run at %d", blocked.Cycle(), ref.Cycle())
+					t.Fatalf("blocked run ended at cycle %d, reference run at %d", blocked.Cycle(), ref.Cycle())
 				}
 				if a.Delivered == 0 || a.Timeline == nil {
 					t.Fatal("nothing delivered or no timeline; the comparison proved nothing")
 				}
+				if wl == "phased" && blocked.ffJumped == 0 {
+					t.Fatal("the phased run took no dead block; its silence was compared cycle by cycle only")
+				}
 			})
 		}
+	}
+}
+
+// TestNextEventCuts builds one state per cut of nextEvent and checks that
+// the cut binds there: the block ends at the cycle the cut names, and at no
+// other.
+func TestNextEventCuts(t *testing.T) {
+	steady := func(t *testing.T) *Sim {
+		cfg := testConfig(t, 1, core.Minimal, 0.1) // LatGlobal 16: blockMax 16; run ends at 4500
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	sparse := func(t *testing.T) *Sim { // bursts at 0, 6000 and 12000; silent from 18000
+		s, err := New(sparseBurstConfig(t, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	event := func(at int64) []topology.Event { return []topology.Event{{At: at, Router: 0, Port: 0}} }
+	cases := []struct {
+		name  string
+		sim   func(*testing.T) *Sim
+		cycle int64
+		quiet int64
+		dead  bool
+		set   func(*Sim)
+		want  int64
+	}{
+		{name: "end", sim: steady, cycle: 4490, want: 4500},
+		{name: "warmup", sim: steady, cycle: 1490, want: 1500},
+		{name: "ctx poll", sim: steady, cycle: 2040, want: 2048},
+		{name: "fault event", sim: steady, cycle: 2000, want: 2005,
+			set: func(s *Sim) { s.events, s.cfg.StaleCycles = event(2005), 100 }},
+		{name: "stale horizon", sim: steady, cycle: 2000, want: 2010,
+			set: func(s *Sim) { s.events, s.nextFault, s.cfg.StaleCycles = event(1950), 1, 60 }},
+		{name: "watchdog headroom", sim: steady, cycle: 2000, quiet: 20000 - 7, want: 2007},
+		{name: "blockMax", sim: steady, cycle: 2000, want: 2016},
+		{name: "finite live block", sim: sparse, cycle: 2000, want: 2001},
+		{name: "dead: phase change", sim: sparse, cycle: 11990, dead: true, want: 12000},
+		{name: "dead: longer than blockMax", sim: sparse, cycle: 7000, quiet: 19990, dead: true, want: 7168},
+		{name: "dead: finite past its last change", sim: sparse, cycle: 18000, dead: true, want: 18001},
+		{name: "dead: fault event", sim: sparse, cycle: 7000, dead: true, want: 7100,
+			set: func(s *Sim) { s.events = event(7100) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.sim(t)
+			s.cycle = tc.cycle
+			if tc.set != nil {
+				tc.set(s)
+			}
+			end := s.cfg.Warmup + s.cfg.Measure
+			if s.workload.Finite() {
+				end = s.cfg.MaxCycles
+			}
+			if got := s.nextEvent(end, tc.quiet, tc.dead); got != tc.want {
+				t.Fatalf("block from cycle %d ends at %d, want %d", tc.cycle, got, tc.want)
+			}
+		})
 	}
 }

@@ -13,21 +13,29 @@
 // time through the whole block while its state is still in cache, with
 // one barrier per block.
 //
+// The clock moves only by blocks, and one function, Sim.nextEvent, sets
+// each block's length: the block ends at the first cycle at which the
+// serial section between blocks has a duty or anything else can change.
+// A block in which the fabric is empty and no node has anything left to
+// send is dead (Sim.deadSpan): its routers do not step, only the serial
+// section runs.
+//
 // Stepping is activity-driven: senders record every phit and credit they
 // put in flight on the receiving router's per-cycle arrival schedule,
 // routers count the packet entries buffered in their input VCs, and a
 // router with nothing buffered and nothing arriving skips all per-port
 // scan work for the cycle (injection still runs so the traffic RNG
-// streams advance deterministically). Progress totals for the watchdog
-// are maintained incrementally per worker instead of being re-summed
-// over all routers every cycle, and the parallel executor synchronizes
-// blocks with an atomic generation barrier over a fixed partition of
-// group-aligned router ranges.
+// streams advance deterministically). Progress totals are maintained
+// incrementally per worker instead of being re-summed over all routers
+// every cycle, and the parallel executor synchronizes blocks with an
+// atomic generation barrier over a fixed partition of group-aligned
+// router ranges.
 package engine
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -84,12 +92,12 @@ type Config struct {
 	WindowCycles int64
 
 	// Faults, when non-nil, is the fault timeline: the boot state (the
-	// engine works on a private clone) and the mid-run kills and repairs,
-	// applied in the serial section between blocks (a block never spans
-	// an event), so routing only ever observes fault state that is
-	// constant within a block — which keeps worker-count determinism. Configurations without one are completely
-	// unaffected: the fault queries short-circuit and results stay
-	// bit-identical.
+	// engine works on a private clone) and the mid-run kills and repairs.
+	// Events apply in the serial section between blocks, and no block
+	// spans one, so routing sees fault state that is constant within a
+	// block; this keeps results independent of the worker count.
+	// Configurations without a timeline are unaffected: the fault queries
+	// short-circuit and results stay bit-identical.
 	Faults *topology.Schedule
 
 	// StaleCycles delays the *routing view* of every fault event by this
@@ -108,12 +116,6 @@ type Config struct {
 
 	MaxCycles int64 // burst mode safety bound
 	Watchdog  int64 // quiet cycles before declaring deadlock
-
-	// NoFastForward disables the whole-fabric quiet-cycle fast-forward
-	// (see Sim.tryFastForward). The fast-forward is bit-identical by
-	// construction; this switch exists so tests and benchmarks can compare
-	// against the cycle-by-cycle path.
-	NoFastForward bool
 }
 
 // validate rejects configurations the mechanisms cannot support. The engine
@@ -162,11 +164,11 @@ func (c *Config) validate() error {
 }
 
 // progress holds one worker's incrementally-maintained progress counters.
-// The watchdog and the fast-forward read their sum instead of re-scanning
-// every router. inflight is a delta — the sender's worker counts a phit or
-// credit up, the receiver's counts it down — so one worker's value can go
-// negative and only the sum over all workers is meaningful (and exact).
-// Padded so workers never share a cache line.
+// The watchdog, the drain test and the dead-block test read their sum
+// instead of re-scanning every router. inflight is a delta — the sender's
+// worker counts a phit or credit up, the receiver's counts it down — so one
+// worker's value can go negative and only the sum over all workers is
+// meaningful (and exact). Padded so workers never share a cache line.
 type progress struct {
 	moved     int64 // crossbar phit movements (all-time)
 	live      int64 // injected minus delivered packets
@@ -205,7 +207,7 @@ type shape struct {
 	injQueuePackets     int
 	latLocal, latGlobal int // link ring and arrival-slot ring lengths
 	workers             int // effective stepping width: stripes, sheets, progress counters, packet lists, atomic vs plain arrival masks
-	jobs                int // workload jobs: per-router and fast-forward phase cursors
+	jobs                int // workload jobs: per-router and dead-block phase cursors
 	phases              int // tracked workload phases: per-sheet phase cells
 }
 
@@ -253,10 +255,11 @@ type Sim struct {
 	// 16, 1 at 1.
 	blockMax int
 
-	// Quiet-cycle fast-forward state: ffCursor holds per-job phase
-	// cursors for the eligibility scan, ffRescanAt suppresses rescans
-	// until the cycle a failed scan said anything could change, and
-	// ffJumped counts cycles skipped (observability for tests and tools).
+	// Dead-block state (see deadSpan): ffCursor holds per-job phase cursors
+	// for the scan, ffRescanAt suppresses scans until the cycle a failed
+	// one said anything could change (math.MaxInt64: never again), and
+	// ffJumped counts the cycles dead blocks covered (observability for
+	// tests and tools).
 	ffCursor   []int32
 	ffRescanAt int64
 	ffJumped   int64
@@ -614,28 +617,45 @@ func (s *Sim) applyFaultEvents() {
 	}
 }
 
-// blockLen returns the length of the next block: at most blockMax, and
-// cut so that every duty of the serial section lands on a block boundary —
-// the end of the run, the warmup boundary, the next cancellation poll, the
-// next fault event and routing-view horizon — and so that the watchdog,
-// quiet for quiet cycles so far, can only fire on a block's last cycle. A
-// finite workload steps single cycles: its drain detection needs the exact
-// cycle.
-func (s *Sim) blockLen(end int64, finite bool, quiet int64) int {
-	if finite {
-		return 1
-	}
-	n := min(int64(s.blockMax), end-s.cycle, s.cfg.Watchdog-quiet, ctxCheckMask+1-(s.cycle&ctxCheckMask))
+// nextEvent returns the cycle at which the block starting at s.cycle ends:
+// the first cycle at which the serial section has a duty or anything can
+// change. Every block ends by the end of the run, the warmup boundary, the
+// next cancellation poll, the next fault event and the next routing-view
+// horizon. A stepped block also ends within blockMax cycles, at the first
+// cycle the watchdog (quiet for quiet cycles so far) could fire, and after
+// one cycle in a finite workload, whose drain test needs the exact cycle.
+// A dead block (see deadSpan) steps no router, so none of those three
+// binds it; it ends instead at the next workload phase change and, in a
+// finite workload, at the last one, after which the drain test needs every
+// cycle again.
+func (s *Sim) nextEvent(end, quiet int64, dead bool) int64 {
+	next := min(end, (s.cycle|ctxCheckMask)+1)
 	if s.cycle < s.cfg.Warmup {
-		n = min(n, s.cfg.Warmup-s.cycle)
+		next = min(next, s.cfg.Warmup)
 	}
 	if s.nextFault < len(s.events) {
-		n = min(n, s.events[s.nextFault].At-s.cycle)
+		next = min(next, s.events[s.nextFault].At)
 	}
 	if s.nextRouteFault < len(s.events) {
-		n = min(n, s.events[s.nextRouteFault].At+s.cfg.StaleCycles-s.cycle)
+		next = min(next, s.events[s.nextRouteFault].At+s.cfg.StaleCycles)
 	}
-	return int(n)
+	w := s.workload
+	switch {
+	case dead:
+		for ji := range w.Jobs {
+			if nc := w.NextChange(ji, s.cycle); nc >= 0 {
+				next = min(next, nc)
+			}
+		}
+		if w.Finite() {
+			next = min(next, max(w.LastChange(), s.cycle+1))
+		}
+	case w.Finite():
+		next = s.cycle + 1
+	default:
+		next = min(next, s.cycle+int64(s.blockMax), s.cycle+s.cfg.Watchdog-quiet)
+	}
+	return next
 }
 
 // stepWorker takes worker w's ranges through the n cycles of the block
@@ -673,8 +693,9 @@ func (s *Sim) stepBlock(n int) {
 	s.finishBlock(n)
 }
 
-// finishBlock is the serial section between blocks: the clock moves past
-// the block and the fault events due at the new cycle apply.
+// finishBlock is the serial section between blocks, stepped or dead: the
+// clock moves past the block and the fault events due at the new cycle
+// apply. It is the only place either happens.
 func (s *Sim) finishBlock(n int) {
 	s.cycle += int64(n)
 	if s.pendingFaultEvents() {
@@ -694,94 +715,65 @@ func (s *Sim) totals() (moved, live, generated int64) {
 	return
 }
 
-// fabricEmpty reports whether the whole network holds no state that can
-// act next cycle: no buffered packet entries anywhere and no phits or
-// credits in flight on any link. Both sums are maintained incrementally
-// per worker, so the check is O(workers). When true, the next cycle can
-// only run injection (and Piggybacking cooldown publishes) — the premise
-// behind the quiet-cycle fast-forward.
-func (s *Sim) fabricEmpty() bool {
+// deadSpan reports whether the block starting at s.cycle is dead: the
+// fabric is empty (no buffered packet entry, no phit or credit in flight),
+// every node is idle or its active phase is a finite process with nothing
+// left to send, and no Piggybacking cooldown owes a table write. Stepping
+// such cycles would not draw a single RNG value or touch any state but the
+// clock, up to the next phase change (where nextEvent ends the block), so
+// a dead block steps no router and results stay bit-identical. A failed
+// scan caches the cycle before which nothing can make it pass
+// (ffRescanAt), keeping the quiet-path overhead amortized.
+func (s *Sim) deadSpan() bool {
+	if s.cycle < s.ffRescanAt {
+		return false
+	}
 	var occ, inflight int64
 	for i := range s.progress {
 		occ += s.progress[i].occ
 		inflight += s.progress[i].inflight
 	}
-	return occ == 0 && inflight == 0
-}
-
-// tryFastForward jumps the clock over a provably-dead span: the fabric is
-// empty (caller checked fabricEmpty) and, when every node is idle or its
-// active phase is a finite process with nothing left to send, stepping the
-// intervening cycles would not draw a single RNG value or touch any state
-// except the cycle counter. The jump lands on the earliest cycle at which
-// anything can change — a workload phase transition, a fault event (at
-// both its physical and stale routing-view horizons), or the caller's
-// limit (warmup boundary, end of run) — so results stay bit-identical to
-// the cycle-by-cycle path. Ineligible scans cache the cycle before which
-// nothing can make them eligible (ffRescanAt), keeping the quiet-path
-// overhead amortized.
-func (s *Sim) tryFastForward(limit int64) {
-	if s.cfg.NoFastForward || s.cycle >= limit-1 || s.cycle < s.ffRescanAt {
-		return
+	if occ != 0 || inflight != 0 {
+		return false
 	}
-	target := limit
 	w := s.workload
 	for ji := range w.Jobs {
 		pi, active := w.PhaseAt(ji, s.cycle, &s.ffCursor[ji])
-		if active {
-			proc := w.Jobs[ji].Phases[pi].Process
-			if !proc.Finite() {
-				// A steady process draws from its nodes' RNG streams every
-				// cycle; no cycle may be skipped until this phase ends.
-				if nc := w.NextChange(ji, s.cycle); nc >= 0 {
-					s.ffRescanAt = nc
-				} else {
-					s.ffRescanAt = limit
-				}
-				return
+		if !active {
+			continue
+		}
+		proc := w.Jobs[ji].Phases[pi].Process
+		if !proc.Finite() {
+			// A steady process draws from its nodes' RNG streams every
+			// cycle; no cycle may be skipped until this phase ends.
+			s.ffRescanAt = math.MaxInt64
+			if nc := w.NextChange(ji, s.cycle); nc >= 0 {
+				s.ffRescanAt = nc
 			}
-			// Finite and exhausted processes draw no randomness. A node
-			// with packets left while the fabric is empty can only be
-			// parked (suppression consumes one packet per cycle without
-			// touching the network) — keep stepping until it drains.
-			j := &w.Jobs[ji]
-			for node := j.First; node <= j.Last; node++ {
-				if !proc.Done(node) {
-					s.ffRescanAt = s.cycle + 64
-					return
-				}
+			return false
+		}
+		// Finite and exhausted processes draw no randomness. A node
+		// with packets left while the fabric is empty can only be
+		// parked (suppression consumes one packet per cycle without
+		// touching the network) — keep stepping until it drains.
+		j := &w.Jobs[ji]
+		for node := j.First; node <= j.Last; node++ {
+			if !proc.Done(node) {
+				s.ffRescanAt = s.cycle + 64
+				return false
 			}
 		}
-		if nc := w.NextChange(ji, s.cycle); nc >= 0 && nc < target {
-			target = nc
-		}
-	}
-	if s.nextFault < len(s.events) {
-		target = min(target, s.events[s.nextFault].At)
-	}
-	if s.nextRouteFault < len(s.events) {
-		target = min(target, s.events[s.nextRouteFault].At+s.cfg.StaleCycles)
-	}
-	if target <= s.cycle+1 {
-		return
 	}
 	if s.pbEnabled {
-		// Piggybacking cooldowns still owe table writes; with the fabric
-		// empty they drain within two idle steps, then the jump proceeds.
+		// With the fabric empty, cooldowns drain within two idle steps.
 		for i := range s.routers {
 			if s.routers[i].pbCooldown > 0 {
 				s.ffRescanAt = s.cycle + 1
-				return
+				return false
 			}
 		}
 	}
-	s.ffJumped += target - s.cycle
-	s.cycle = target
-	// Fault events due exactly at the target apply now, in the same
-	// serial-section order finishBlock would have used.
-	if s.pendingFaultEvents() {
-		s.applyFaultEvents()
-	}
+	return true
 }
 
 // lastDelivery returns the latest delivery cycle across routers.
@@ -880,8 +872,9 @@ func (s *Sim) phaseInfos() []metrics.PhaseInfo {
 	return infos
 }
 
-// run steps the simulation to its end, block by block (see blockLen), and
-// reports whether it deadlocked. A steady workload runs warmup then
+// run takes the simulation to its end, block by block (see nextEvent), and
+// reports whether it deadlocked. A block is stepped, or dead (see deadSpan)
+// and then only its serial section runs. A steady workload runs warmup then
 // measurement, the sheets reset at the boundary; a finite one runs until
 // every packet drained, and one that has not by MaxCycles is reported as a
 // deadlock, like the watchdog's verdict.
@@ -903,27 +896,38 @@ func (s *Sim) run(ctx context.Context, step func(n int)) (deadlock bool, err err
 			s.resetSheets()
 		}
 		_, live, _ := s.totals()
-		n := s.blockLen(end, finite, quiet)
-		step(n)
-		// The watchdog, cycle by cycle: quiet counts the cycles in a row
-		// that moved no phit while packets were live.
-		for k := range n {
-			var moved int64
-			for w := range s.deltas {
-				moved += s.deltas[w][k].moved
-				live += s.deltas[w][k].live
-			}
-			if moved == 0 && live > 0 {
-				quiet++
-			} else {
-				quiet = 0
+		dead := live == 0 && s.deadSpan()
+		n := int(s.nextEvent(end, quiet, dead) - s.cycle)
+		if dead {
+			// Nothing is live, so quiet is already zero and stays so.
+			s.ffJumped += int64(n)
+			s.finishBlock(n)
+		} else {
+			step(n)
+			// The watchdog, cycle by cycle: quiet counts the cycles in a
+			// row that moved no phit while packets were live.
+			for k := range n {
+				var moved int64
+				for w := range s.deltas {
+					moved += s.deltas[w][k].moved
+					live += s.deltas[w][k].live
+				}
+				if moved == 0 && live > 0 {
+					quiet++
+				} else {
+					quiet = 0
+				}
 			}
 		}
 		_, live, generated := s.totals()
 		// Drained: everything declared was generated, or — a burst phase cut
 		// short by its duration leaves that unreachable — the phase set is
 		// static (past the last transition) and an empty network generated
-		// nothing for a full cycle, so it never will again.
+		// nothing in the last cycle. The second clause can misfire: a node
+		// whose injection queue is full generates nothing, and the queue's
+		// last packet can then be delivered (or dropped) later in the same
+		// cycle, so the run ends while nodes still hold unsent packets.
+		// Fixing it changes results, so it waits for a ResultsVersion bump.
 		if finite && live == 0 && (generated >= target || (generated == lastGenerated && s.cycle > lastChange)) {
 			return false, nil
 		}
@@ -931,20 +935,6 @@ func (s *Sim) run(ctx context.Context, step func(n int)) (deadlock bool, err err
 			return true, nil
 		}
 		lastGenerated = generated
-		if live == 0 && s.fabricEmpty() {
-			// Provably-dead span: jump to the next possible event. Never
-			// past the warmup boundary (resetSheets must run exactly there),
-			// nor past a finite workload's last transition — the cut-short
-			// drain detection above must observe the cycles beyond it
-			// exactly as the cycle-by-cycle path would.
-			limit := end
-			if finite {
-				limit = min(lastChange, end)
-			} else if s.cycle < s.cfg.Warmup {
-				limit = s.cfg.Warmup
-			}
-			s.tryFastForward(limit)
-		}
 	}
 	return finite, nil
 }

@@ -349,7 +349,7 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		if oneCycle {
-			sim.blockMax = 1
+			stepEveryCycle(sim)
 		}
 		// Swap in the unsafe algorithm behind the validator's back.
 		for j := range sim.routers {

@@ -10,71 +10,85 @@ import (
 	"repro/internal/traffic"
 )
 
-// sparseBurstConfig builds the quiet-cycle fast-forward's target scenario:
-// short bursts separated by silent gaps thousands of cycles long, during
-// which no router has arrivals or buffered work. The fast-forward must jump
-// those gaps without changing a single Result field.
-func sparseBurstConfig(t *testing.T, workers int, noFF bool) Config {
+// sparseBurstConfig builds the dead blocks' target scenario: short bursts
+// separated by silent gaps thousands of cycles long, during which no router
+// has arrivals or buffered work. Dead blocks must cover those gaps without
+// changing a single Result field.
+func sparseBurstConfig(t *testing.T, workers int) Config {
+	return burstConfig(t, workers, [2]int{4, 6000}, [2]int{4, 6000}, [2]int{4, 6000})
+}
+
+// burstConfig builds an h=2 OLM run of one job through uniform burst
+// phases, one per (packets per node, duration) pair.
+func burstConfig(t *testing.T, workers int, bursts ...[2]int) Config {
 	t.Helper()
 	cfg := testConfig(t, 2, core.OLM, 0)
 	p := cfg.Topo
-	burst := func(packets int) traffic.Phase {
-		proc, err := traffic.NewBurst(packets, p.Nodes)
+	var phases []traffic.Phase
+	for _, b := range bursts {
+		proc, err := traffic.NewBurst(b[0], p.Nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return traffic.Phase{
+		phases = append(phases, traffic.Phase{
 			Pattern:      traffic.NewUniform(p),
 			Process:      proc,
-			Duration:     6000,
+			Duration:     int64(b[1]),
 			Label:        "burst",
-			TotalPackets: int64(packets * p.Nodes),
-		}
+			TotalPackets: int64(b[0] * p.Nodes),
+		})
 	}
-	w, err := traffic.NewWorkload(p.Nodes,
-		traffic.Job{First: 0, Last: p.Nodes - 1,
-			Phases: []traffic.Phase{burst(4), burst(4), burst(4)}})
+	w, err := traffic.NewWorkload(p.Nodes, traffic.Job{First: 0, Last: p.Nodes - 1, Phases: phases})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workload = w
 	cfg.Warmup, cfg.Measure = 0, 0
 	cfg.MaxCycles = 100000
-	cfg.WindowCycles = 500 // windows must zero-fill identically over jumps
+	cfg.WindowCycles = 500 // windows must zero-fill identically over dead blocks
 	cfg.Workers = workers
-	cfg.NoFastForward = noFF
 	return cfg
 }
 
-// TestFastForwardBitIdentity is the quiet-cycle fast-forward's regression
-// gate: a sparse burst workload with long silent gaps must produce a Result
-// (and Timeline) deep-equal to the cycle-by-cycle path, serially and at 4
-// workers — and the fast-forward path must actually finish in far fewer
-// stepped cycles, or the test proves nothing.
+// runSim runs cfg on a fresh Sim, the reference path (stepEveryCycle) when
+// ref is set, and returns the Sim with its Result.
+func runSim(t *testing.T, cfg Config, ref bool) (*Sim, metrics.Result) {
+	t.Helper()
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref {
+		stepEveryCycle(sim)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim, res
+}
+
+// TestFastForwardBitIdentity is the dead blocks' regression gate: a sparse
+// burst workload with long silent gaps must produce a Result (and Timeline)
+// deep-equal to the reference path that steps every router every cycle,
+// serially and at 4 workers — and the blocked path must actually take dead
+// blocks, or the test proves nothing.
 func TestFastForwardBitIdentity(t *testing.T) {
 	type outcome struct {
-		name string
-		cfg  Config
+		name    string
+		workers int
+		ref     bool
 	}
 	runs := []outcome{
-		{"serial/ff", sparseBurstConfig(t, 1, false)},
-		{"serial/noff", sparseBurstConfig(t, 1, true)},
-		{"parallel/ff", sparseBurstConfig(t, 4, false)},
-		{"parallel/noff", sparseBurstConfig(t, 4, true)},
+		{"serial/dead", 1, false},
+		{"serial/ref", 1, true},
+		{"parallel/dead", 4, false},
+		{"parallel/ref", 4, true},
 	}
 	sims := make([]*Sim, len(runs))
 	results := make([]metrics.Result, len(runs))
 	for i, rr := range runs {
-		sim, err := New(rr.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sims[i] = sim
-		results[i] = res
+		sims[i], results[i] = runSim(t, sparseBurstConfig(t, rr.workers), rr.ref)
 	}
 	for i := 1; i < len(runs); i++ {
 		if !reflect.DeepEqual(results[0], results[i]) {
@@ -89,27 +103,27 @@ func TestFastForwardBitIdentity(t *testing.T) {
 		t.Fatal("nothing delivered; the comparison proved nothing")
 	}
 	// The run spans three 6000-cycle phases; the bursts drain within a few
-	// hundred cycles each, so the fast-forward must skip most of the span.
+	// hundred cycles each, so dead blocks must cover most of the span.
 	// Cycle() agrees across paths (it is part of the contract); the proof
-	// that jumping happened is in the internal counter below.
+	// that dead blocks were taken is in the internal counter below.
 	if got := sims[0].Cycle(); got < 12000 {
 		t.Fatalf("run ended at cycle %d; the gaps never existed", got)
 	}
-	if sims[0].ffJumped == 0 {
-		t.Fatal("fast-forward path never jumped; the comparison proved nothing")
+	if sims[0].ffJumped == 0 || sims[2].ffJumped == 0 {
+		t.Fatal("the blocked path took no dead block; the comparison proved nothing")
 	}
-	if sims[1].ffJumped != 0 {
-		t.Fatal("NoFastForward path jumped")
+	if sims[1].ffJumped != 0 || sims[3].ffJumped != 0 {
+		t.Fatal("the reference path took a dead block")
 	}
 }
 
-// TestFastForwardFaultHorizons pins the fast-forward's event clamps: a
-// fault event (and its stale routing-view horizon) landing inside a silent
-// gap must be applied at exactly its cycle, so the faulted Result stays
-// identical with and without fast-forwarding.
+// TestFastForwardFaultHorizons pins the dead blocks' event cuts: a fault
+// event (and its stale routing-view horizon) landing inside a silent gap
+// must be applied at exactly its cycle, so the faulted Result stays
+// identical to the reference path's.
 func TestFastForwardFaultHorizons(t *testing.T) {
-	build := func(noFF bool) Config {
-		cfg := sparseBurstConfig(t, 1, noFF)
+	build := func() Config {
+		cfg := sparseBurstConfig(t, 1)
 		gp := cfg.Topo.GlobalPortBase()
 		cfg.Faults = schedule(t, cfg.Topo, nil,
 			topology.Event{At: 2500, Router: 3, Port: gp},               // inside the first gap
@@ -117,11 +131,30 @@ func TestFastForwardFaultHorizons(t *testing.T) {
 		cfg.StaleCycles = 700 // view horizon lands in a gap too
 		return cfg
 	}
-	a, b := run(t, build(false)), run(t, build(true))
+	sim, a := runSim(t, build(), false)
+	_, b := runSim(t, build(), true)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("fast-forward changed the faulted result:\n  ff  : %+v\n  noff: %+v", a, b)
+		t.Fatalf("dead blocks changed the faulted result:\n  blocked  : %+v\n  reference: %+v", a, b)
 	}
-	if a.Delivered == 0 {
-		t.Fatal("nothing delivered; the comparison proved nothing")
+	if a.Delivered == 0 || sim.ffJumped == 0 {
+		t.Fatal("nothing delivered or no dead block; the comparison proved nothing")
+	}
+}
+
+// TestFastForwardCutShortBurst pins the dead blocks' last-change cut: a
+// burst cut short by its phase's duration leaves the workload's total
+// unreachable, so the run ends by the drain test's second clause, on the
+// first cycle after the last phase change. The silence before that change
+// is a dead block, and the one after it must last a single cycle.
+func TestFastForwardCutShortBurst(t *testing.T) {
+	build := func() Config { return burstConfig(t, 1, [2]int{1000, 50}, [2]int{4, 3000}) }
+	sim, a := runSim(t, build(), false)
+	ref, b := runSim(t, build(), true)
+	if !reflect.DeepEqual(a, b) || sim.Cycle() != ref.Cycle() {
+		t.Fatalf("dead blocks changed the cut-short result:\n  blocked  : cycle %d %+v\n  reference: cycle %d %+v",
+			sim.Cycle(), a, ref.Cycle(), b)
+	}
+	if want := sim.workload.LastChange() + 1; sim.Cycle() != want || sim.ffJumped == 0 {
+		t.Fatalf("run ended at cycle %d after %d dead cycles; want cycle %d after some", sim.Cycle(), sim.ffJumped, want)
 	}
 }
