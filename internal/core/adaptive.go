@@ -18,7 +18,7 @@
 // The decision path is table-driven: minimal hops, detour candidate lists
 // (with RLM's parity restriction pre-applied) and pair-rule queries all
 // come from the shared core.Tables, and candidates accumulate in a
-// preallocated per-router arena. Candidate order and RNG consumption match
+// preallocated per-instance arena. Candidate order and RNG consumption match
 // the recomputing implementation exactly, so decisions are bit-identical
 // (TestPlanRouteEquivalence holds the two together).
 //
@@ -47,7 +47,7 @@ type adaptive struct {
 	spec Spec
 	tab  *Tables
 
-	cands []Decision // scratch arena, reused across calls (one instance/router)
+	cands []Decision // scratch arena, reused across calls (one instance per goroutine)
 }
 
 func newAdaptive(spec Spec, tab *Tables) *adaptive {

@@ -88,7 +88,9 @@ func BenchmarkRouteHot(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildPlan measures the one-time plan construction per head.
+// BenchmarkBuildPlan measures the one-time plan construction per head,
+// into a fresh Plan every op: a plan's first build must allocate nothing
+// (CI fails any line with nonzero allocs/op).
 func BenchmarkBuildPlan(b *testing.B) {
 	p := topology.MustNew(8)
 	for spec := Minimal; spec <= OFAR; spec++ {
@@ -108,6 +110,7 @@ func BenchmarkBuildPlan(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				plan = Plan{}
 				alg.BuildPlan(v, &st, router, 8, r, &plan)
 			}
 		})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 	"repro/internal/topology"
@@ -60,7 +61,7 @@ func TestTablesMatchPairRules(t *testing.T) {
 						}
 						want = append(want, localCand{k: int16(k), port: int16(p.LocalPort(idx, k))})
 					}
-					got := tab.localCands[idx*rpg+exit]
+					got := tab.localRow(idx*rpg + exit)
 					if len(got) != len(want) {
 						t.Fatalf("h=%d %v localCands(%d,%d): %d entries, want %d",
 							h, rule.spec, idx, exit, len(got), len(want))
@@ -230,5 +231,13 @@ func TestPlanRouteEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPlanFitsOneLine pins the cached plan to one 64-byte cache line: the
+// engine loads one per claim attempt.
+func TestPlanFitsOneLine(t *testing.T) {
+	if n := unsafe.Sizeof(Plan{}); n > 64 {
+		t.Fatalf("core.Plan is %d bytes, want <= 64", n)
 	}
 }

@@ -30,31 +30,46 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/rng"
 )
 
-// globalCand is one precomputed own-global-port Valiant candidate.
-type globalCand struct {
-	port int16
-	tg   int32
-}
-
 // Plan is the cached static geometry of one waiting head's decision.
-// HeadSeq, Epoch, Eject and EjectPort belong to the engine's cache
-// bookkeeping; the remaining fields are written by BuildPlan and read by
-// RoutePlanned.
+// HeadSeq, Epoch, Eject, EjectPort and DestDead belong to the engine's
+// cache bookkeeping; the remaining fields are written by BuildPlan and read
+// by RoutePlanned. It holds no slices, so it fits one cache line and a
+// plan's first build allocates nothing: the own-global candidates are a
+// bitmask over global ports, and the local detours name a shared
+// Tables.localCands row plus a keep-mask over its entries.
 type Plan struct {
 	// HeadSeq is the vcBuffer head sequence number the plan was built
 	// for; Epoch is the fault-view epoch. The engine rebuilds on any
 	// mismatch. Both belong to the caller — core never reads them.
 	HeadSeq int64
 	Epoch   uint64
+
+	own       uint32 // bit j: own global port gpb+j is a Valiant candidate, dead/destination filtered
+	localKeep uint32 // bit i: entry i of detour row localRow survives the fault view
+
+	g, dstGroup int16 // this router's group; the destination group
+	localRow    int16 // the Tables.localCands row of the local detours
+	// EjectPort is the port an ejecting head leaves through (see Eject).
+	EjectPort int16
+
+	minPort, ringPort int16
+	exitIdx           int16
+	idx               int16 // this router's in-group index
+	prevIdx           int16 // previous router's index for the pair rule; -1
+
+	minVC, gvc, lvc, ringVC int8
+	mvcs                    [2]int8 // local-misroute VCs in preference order
+	nmvcs                   int8
+
 	// Eject marks a head that has reached its destination router; it
 	// leaves through EjectPort with no routing evaluation. Maintained by
 	// the engine (core's BuildPlan is never called for ejecting heads).
-	Eject     bool
-	EjectPort int16
+	Eject bool
 	// DestDead marks a head whose destination router has failed entirely
 	// under the routing view: no route can deliver it, so the engine
 	// drops it without a routing evaluation. Engine-owned, like Eject.
@@ -71,37 +86,18 @@ type Plan struct {
 	onEscape    bool // OFAR: head already rides the escape ring
 	ringDead    bool // OFAR: the ring output is dead under the fault view
 	ringSevered bool // OFAR: the ring successor router itself is dead
-
-	minPort, minVC int16
-	gvc, lvc       int16
-	mvcs           [2]int16 // local-misroute VCs in preference order
-	nmvcs          int8
-	ringPort       int16
-	ringVC         int16
-	exitIdx        int16
-	idx            int16 // this router's in-group index
-	prevIdx        int16 // previous router's index for the pair rule; -1
-	g              int32 // this router's group
-	dstGroup       int32
-
-	own      []globalCand // own-global-port candidates, dead/destination filtered
-	local    []localCand  // local detours; shared table row, or localBuf when filtered
-	localBuf []localCand  // plan-owned backing for fault-filtered detour lists
 }
 
-// reset clears the decision fields, retaining the candidate backing
-// arrays. The engine-owned cache keys are left alone.
+// reset clears the decision fields. The engine-owned cache keys are left
+// alone.
 func (p *Plan) reset() {
-	own, buf := p.own[:0], p.localBuf[:0]
-	*p = Plan{HeadSeq: p.HeadSeq, Epoch: p.Epoch, own: own, localBuf: buf, prevIdx: -1}
+	*p = Plan{HeadSeq: p.HeadSeq, Epoch: p.Epoch, prevIdx: -1}
 }
 
 // Invalidate returns the plan to its zero, never-valid state (the engine's
-// epochs start at 1), retaining the candidate backing arrays: what a
-// re-initialised simulation does to every cached plan of the previous run.
-func (p *Plan) Invalidate() {
-	*p = Plan{own: p.own[:0], localBuf: p.localBuf[:0]}
-}
+// epochs start at 1): what a re-initialised simulation does to every
+// cached plan of the previous run.
+func (p *Plan) Invalidate() { *p = Plan{} }
 
 // BuildPlan implements Algorithm for the adaptive mechanisms.
 func (a *adaptive) BuildPlan(v View, st *PacketState, router, size int, r *rng.PCG, p *Plan) {
@@ -110,12 +106,12 @@ func (a *adaptive) BuildPlan(v View, st *PacketState, router, size int, r *rng.P
 	idx := t.rt.IndexOf(router)
 	g := t.rt.GroupOf(router)
 	faulty := v.Faulty()
-	p.idx, p.g, p.dstGroup = int16(idx), int32(g), st.DstGroup
+	p.idx, p.g, p.dstGroup = int16(idx), int16(g), int16(st.DstGroup)
 
 	if st.PendingLocal >= 0 {
 		p.forced = true
 		p.minPort = int16(t.rt.LocalPortTo(idx, int(st.PendingLocal)))
-		p.minVC = int16(a.localVC(st))
+		p.minVC = int8(a.localVC(st))
 		if faulty && v.LinkDown(int(p.minPort)) {
 			p.dropNow = true // a forced hop cannot re-route
 		}
@@ -128,7 +124,7 @@ func (a *adaptive) BuildPlan(v View, st *PacketState, router, size int, r *rng.P
 	if minGlobal {
 		minVC = a.globalVC(st)
 	}
-	p.minVC = int16(minVC)
+	p.minVC = int8(minVC)
 
 	// Fault state of the minimal route. deadRoute means the group's only
 	// channel toward the target group is gone — no local detour can bring
@@ -148,30 +144,25 @@ func (a *adaptive) BuildPlan(v View, st *PacketState, router, size int, r *rng.P
 	}
 	p.deadMin = deadRoute || deadLocal
 
-	p.gvc, p.lvc = int16(a.globalVC(st)), int16(a.localVC(st))
+	p.gvc, p.lvc = int8(a.globalVC(st)), int8(a.localVC(st))
 	var vcBuf [2]int
 	vcs := a.misrouteVCs(st, vcBuf[:0])
 	p.nmvcs = int8(len(vcs))
 	for i, vc := range vcs {
-		p.mvcs[i] = int16(vc)
+		p.mvcs[i] = int8(vc)
 	}
 
 	p.canGlobal = a.globalMisrouteAllowed(st)
 	if p.canGlobal {
 		for j := 0; j < t.h; j++ {
-			// The channel on global port j of router index idx reaches
-			// the group at cyclic offset idx*h + j + 1.
-			tg := g + idx*t.h + j + 1
-			if tg >= t.groups {
-				tg -= t.groups
-			}
+			tg := t.ownTarget(g, idx, j)
 			if tg == int(st.DstGroup) {
 				continue // that would be the minimal channel
 			}
 			if faulty && v.RouteDown(tg, int(st.DstGroup)) {
 				continue // the detour's second leg is gone
 			}
-			p.own = append(p.own, globalCand{port: int16(t.gpb + j), tg: int32(tg)})
+			p.own |= 1 << uint(j)
 		}
 		p.budgetOK = int(st.LocalHopsInGroup) < maxLocalHopsPerGroup
 		if t.pairOK != nil && st.PrevRouter >= 0 {
@@ -183,20 +174,16 @@ func (a *adaptive) BuildPlan(v View, st *PacketState, router, size int, r *rng.P
 	p.canLocal = !minGlobal && !deadRoute && a.localMisrouteAllowed(st)
 	structural := 0
 	if p.canLocal {
-		list := t.localCands[idx*t.rpg+exitIdx]
-		if faulty {
-			p.localBuf = p.localBuf[:0]
-			for _, c := range list {
-				if v.LocalDown(idx, int(c.k)) || v.LocalDown(int(c.k), exitIdx) {
-					continue // the detour hop or its forced exit is gone
-				}
-				p.localBuf = append(p.localBuf, c)
+		row := idx*t.rpg + exitIdx
+		list := t.localRow(row)
+		p.localRow = int16(row)
+		p.localKeep = uint32(1)<<uint(len(list)) - 1
+		for i, c := range list {
+			if faulty && (v.LocalDown(idx, int(c.k)) || v.LocalDown(int(c.k), exitIdx)) {
+				p.localKeep &^= 1 << uint(i) // the detour hop or its forced exit is gone
 			}
-			p.local = p.localBuf
-		} else {
-			p.local = list
 		}
-		structural = len(p.local)
+		structural = bits.OnesCount32(p.localKeep)
 	}
 	if p.deadMin {
 		p.dropIfEmpty = !(p.canLocal && structural > 0) &&
@@ -239,11 +226,12 @@ func (a *adaptive) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision 
 	a.cands = a.cands[:0]
 	if p.canGlobal && (p.deadMin || !minStart) {
 		gvc := int(p.gvc)
-		for _, c := range p.own {
-			if a.eligible(v, int(c.port), gvc, size, limit) {
+		for m := p.own; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros32(m)
+			if port := a.tab.gpb + j; a.eligible(v, port, gvc, size, limit) {
 				a.cands = append(a.cands, Decision{
-					Port: int(c.port), VC: gvc, Kind: KindGlobalMis,
-					NewValiant: int(c.tg), LocalFinal: -1,
+					Port: port, VC: gvc, Kind: KindGlobalMis,
+					NewValiant: a.tab.ownTarget(int(p.g), int(p.idx), j), LocalFinal: -1,
 				})
 			}
 		}
@@ -280,7 +268,9 @@ func (a *adaptive) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision 
 	}
 	if p.canLocal {
 		exit := int(p.exitIdx)
-		for _, c := range p.local {
+		list := a.tab.localRow(int(p.localRow))
+		for m := p.localKeep; m != 0; m &= m - 1 {
+			c := list[bits.TrailingZeros32(m)]
 			for mi := 0; mi < int(p.nmvcs); mi++ {
 				vc := int(p.mvcs[mi])
 				if a.eligible(v, int(c.port), vc, size, limit) {
@@ -316,7 +306,7 @@ func (o *oblivious) BuildPlan(v View, st *PacketState, router, size int, r *rng.
 	g := t.rt.GroupOf(router)
 	port, _, _ := t.minimalHop(st, idx, g)
 	p.minPort = int16(port)
-	p.minVC = int16(st.GlobalHops) // local hop after g globals uses lVC_{g+1}
+	p.minVC = int8(st.GlobalHops) // local hop after g globals uses lVC_{g+1}
 	if v.Faulty() {
 		// None of the three adapts in transit: a failed link on the
 		// (already fixed) route leaves the packet unroutable.

@@ -7,8 +7,9 @@
 // The package is engine-agnostic: a routing Algorithm sees the router it
 // runs on through the View interface (downstream buffer occupancies, claim
 // feasibility, Piggybacking congestion bits) and records per-packet
-// progress in a PacketState. One Algorithm instance is created per router
-// so that implementations may keep scratch state without locking.
+// progress in a PacketState. An Algorithm instance serves one goroutine
+// (the engine makes one per worker), so implementations may keep scratch
+// state without locking.
 package core
 
 import (
@@ -312,8 +313,8 @@ type Algorithm interface {
 	RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision
 }
 
-// New creates a per-router instance of the requested mechanism with its
-// own private table set. Callers instantiating many routers should build
+// New creates an instance of the requested mechanism with its own private
+// table set. Callers instantiating many routers should build
 // the tables once with NewTables and derive instances via
 // Tables.NewAlgorithm instead (the engine does).
 func New(spec Spec, cfg Config) (Algorithm, error) {

@@ -38,11 +38,14 @@ type Tables struct {
 	h      int
 	gpb    int // GlobalPortBase
 
-	// localCands[idx*rpg+exit] lists the intermediate routers k (ascending)
-	// of the 2-hop detours idx -> k -> exit that pass the mechanism's pair
+	// Row idx*rpg+exit of localCands, localCands[localOff[row]:
+	// localOff[row+1]], lists the intermediate routers k (ascending) of the
+	// 2-hop detours idx -> k -> exit that pass the mechanism's pair
 	// restriction, with k != idx and k != exit. For unrestricted mechanisms
-	// the lists simply enumerate every other router of the group.
-	localCands [][]localCand
+	// the rows simply enumerate every other router of the group. All rows
+	// share one array, so a plan names its row by index.
+	localCands []localCand
+	localOff   []int32
 
 	// pairOK, flattened [rpg][rpg][rpg], answers AllowedHops(i, k, j) by
 	// lookup; nil for mechanisms without a pair restriction (always true).
@@ -84,6 +87,11 @@ func NewTables(spec Spec, cfg Config) (*Tables, error) {
 		return nil, fmt.Errorf("core: unknown spec %d", spec)
 	}
 	p := cfg.Topo
+	if p.H > 16 {
+		// A Plan holds its candidates as 32-bit masks: h own global ports
+		// and up to 2h-2 local detours per row.
+		return nil, fmt.Errorf("core: h=%d exceeds the plan's 16-port candidate masks", p.H)
+	}
 	t := &Tables{
 		spec:   spec,
 		cfg:    cfg,
@@ -94,26 +102,25 @@ func NewTables(spec Spec, cfg Config) (*Tables, error) {
 		gpb:    p.GlobalPortBase(),
 	}
 	rpg := t.rpg
-	t.localCands = make([][]localCand, rpg*rpg)
+	t.localCands = make([]localCand, 0, rpg*rpg*max(rpg-2, 0))
+	t.localOff = make([]int32, rpg*rpg+1)
 	for idx := 0; idx < rpg; idx++ {
 		for exit := 0; exit < rpg; exit++ {
-			if idx == exit {
-				continue // a packet is never steered toward itself
-			}
-			var list []localCand
-			for k := 0; k < rpg; k++ {
+			// idx == exit keeps an empty row: a packet is never steered
+			// toward itself.
+			for k := 0; k < rpg && idx != exit; k++ {
 				if k == idx || k == exit {
 					continue
 				}
 				if pair != nil && !pair.AllowedHops(idx, k, exit) {
 					continue
 				}
-				list = append(list, localCand{
+				t.localCands = append(t.localCands, localCand{
 					k:    int16(k),
 					port: int16(t.rt.LocalPortTo(idx, k)),
 				})
 			}
-			t.localCands[idx*rpg+exit] = list
+			t.localOff[idx*rpg+exit+1] = int32(len(t.localCands))
 		}
 	}
 	if pair != nil {
@@ -175,6 +182,21 @@ func (t *Tables) fracAt(v View, port, vc, occ int) float64 {
 	return 0
 }
 
+// ownTarget returns the group reached by global port j of router index idx
+// in group g: the channel sits at cyclic offset idx*h + j + 1.
+func (t *Tables) ownTarget(g, idx, j int) int {
+	tg := g + idx*t.h + j + 1
+	if tg >= t.groups {
+		tg -= t.groups
+	}
+	return tg
+}
+
+// localRow returns detour row idx*rpg+exit (see localCands).
+func (t *Tables) localRow(row int) []localCand {
+	return t.localCands[t.localOff[row]:t.localOff[row+1]]
+}
+
 // pairAllowed answers AllowedHops(i, k, j) by table lookup; mechanisms
 // without a pair restriction always allow.
 func (t *Tables) pairAllowed(i, k, j int) bool {
@@ -185,8 +207,9 @@ func (t *Tables) pairAllowed(i, k, j int) bool {
 }
 
 // NewAlgorithm creates a router-agnostic Algorithm instance backed by the
-// shared tables. One instance is created per router so implementations may
-// keep scratch state without locking; the tables themselves are shared.
+// shared tables. An instance serves one goroutine (the engine makes one per
+// worker), so implementations may keep scratch state without locking; the
+// tables themselves are shared.
 func (t *Tables) NewAlgorithm() Algorithm {
 	switch t.spec {
 	case Minimal, Valiant, PB:

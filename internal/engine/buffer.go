@@ -13,25 +13,27 @@ type fifoEntry struct {
 
 // vcBuffer is one virtual-channel FIFO of an input port. Packets stream
 // through it under cut-through: an entry exists from the arrival of the
-// head phit to the departure of the tail phit.
+// head phit to the departure of the tail phit. The header fits one cache
+// line; every packet has the simulation's one size, which the router
+// passes in, so the per-phit paths never load the packet.
 type vcBuffer struct {
-	capacity int32 // phits
-	used     int32 // phits currently held
-
 	// entries is the entry ring, allocated on the first push (entN slots;
 	// see ringEntries): on a large fabric most VC buffers never see a
 	// packet, and their rings would dominate the idle memory footprint.
 	entries []fifoEntry
-	entN    int32
-	head    int
-	count   int
-	tail    int // ring index of the newest entry; meaningless when count == 0
 
 	// headSeq counts head-entry changes: it increments whenever the head
 	// entry is popped, so the router's cached routing plan for this
 	// buffer (keyed on the sequence number) is rebuilt exactly when a
 	// new packet reaches the front.
 	headSeq int64
+
+	capacity int32 // phits
+	used     int32 // phits currently held
+	entN     int32
+	head     int32
+	count    int32
+	tail     int32 // ring index of the newest entry; meaningless when count == 0
 
 	claimed bool // the head entry holds an output-VC transfer
 }
@@ -71,23 +73,24 @@ func (b *vcBuffer) headEntry() *fifoEntry {
 
 // wrap reduces a ring index in [0, 2*len) into [0, len); cheaper than a
 // modulo on this hot path.
-func (b *vcBuffer) wrap(i int) int {
-	if i >= len(b.entries) {
-		i -= len(b.entries)
+func (b *vcBuffer) wrap(i int32) int32 {
+	if i >= b.entN {
+		i -= b.entN
 	}
 	return i
 }
 
-// pushPhit accounts the arrival of one phit of pkt, opening a new entry
-// when pkt is not the packet currently streaming in. The tail entry only
+// pushPhit accounts the arrival of one phit of pkt, a packet of size
+// phits, opening a new entry when pkt is not the packet currently
+// streaming in. The tail entry only
 // absorbs the phit while it is still filling: a packet that revisits the
 // same buffer later (possible on OFAR's escape ring) must open a fresh
 // entry or the accounting of the two visits would merge. It reports
 // whether a new entry was opened, so the router can maintain its
 // buffered-entry activity count.
-func (b *vcBuffer) pushPhit(pkt *Packet) (newEntry bool) {
+func (b *vcBuffer) pushPhit(pkt *Packet, size int32) (newEntry bool) {
 	if b.count > 0 {
-		if t := &b.entries[b.tail]; t.pkt == pkt && t.arrived < pkt.Size {
+		if t := &b.entries[b.tail]; t.pkt == pkt && t.arrived < size {
 			t.arrived++
 			b.used++
 			return false
@@ -96,7 +99,7 @@ func (b *vcBuffer) pushPhit(pkt *Packet) (newEntry bool) {
 	if b.entries == nil {
 		b.entries = make([]fifoEntry, b.entN)
 	}
-	if b.count == len(b.entries) {
+	if b.count == b.entN {
 		panic(fmt.Sprintf("engine: vcBuffer ring overflow (cap %d phits, %d entries)",
 			b.capacity, b.count))
 	}
@@ -111,7 +114,7 @@ func (b *vcBuffer) pushPhit(pkt *Packet) (newEntry bool) {
 // pushWholePacket enqueues a fully present packet (used by injection
 // queues, where serialization happens on the crossbar instead).
 func (b *vcBuffer) pushWholePacket(pkt *Packet) {
-	if b.count == int(b.entN) || b.used+pkt.Size > b.capacity {
+	if b.count == b.entN || b.used+pkt.Size > b.capacity {
 		panic("engine: pushWholePacket without space")
 	}
 	if b.entries == nil {
@@ -126,13 +129,13 @@ func (b *vcBuffer) pushWholePacket(pkt *Packet) {
 
 // hasSpaceFor reports whether a whole packet of size phits fits now.
 func (b *vcBuffer) hasSpaceFor(size int32) bool {
-	return b.used+size <= b.capacity && b.count < int(b.entN)
+	return b.used+size <= b.capacity && b.count < b.entN
 }
 
-// takePhit accounts one phit of the head entry leaving the buffer and
-// reports whether it was the packet's tail (in which case the entry is
-// popped and the claim released).
-func (b *vcBuffer) takePhit() (pkt *Packet, tail bool) {
+// takePhit accounts one phit of the head entry, a packet of size phits,
+// leaving the buffer and reports whether it was the packet's tail (in
+// which case the entry is popped and the claim released).
+func (b *vcBuffer) takePhit(size int32) (pkt *Packet, tail bool) {
 	e := b.headEntry()
 	if e.sent >= e.arrived {
 		panic("engine: takePhit without a buffered phit")
@@ -140,7 +143,7 @@ func (b *vcBuffer) takePhit() (pkt *Packet, tail bool) {
 	e.sent++
 	b.used--
 	pkt = e.pkt
-	if e.sent == pkt.Size {
+	if e.sent == size {
 		b.entries[b.head] = fifoEntry{}
 		b.head = b.wrap(b.head + 1)
 		b.count--

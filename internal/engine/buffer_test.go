@@ -7,17 +7,17 @@ func TestBufferPushTake(t *testing.T) {
 	b.init(32, ringEntries(32, 8))
 	p := &Packet{ID: 1, Size: 8}
 	for i := 0; i < 8; i++ {
-		b.pushPhit(p)
+		b.pushPhit(p, 8)
 	}
 	if b.used != 8 || b.count != 1 {
 		t.Fatalf("after arrival: used=%d count=%d", b.used, b.count)
 	}
 	for i := 0; i < 7; i++ {
-		if _, tail := b.takePhit(); tail {
+		if _, tail := b.takePhit(8); tail {
 			t.Fatalf("tail reported at phit %d", i)
 		}
 	}
-	pkt, tail := b.takePhit()
+	pkt, tail := b.takePhit(8)
 	if !tail || pkt != p {
 		t.Fatalf("tail not reported on last phit")
 	}
@@ -32,10 +32,10 @@ func TestBufferFIFOOrder(t *testing.T) {
 	p1 := &Packet{ID: 1, Size: 8}
 	p2 := &Packet{ID: 2, Size: 8}
 	for i := 0; i < 8; i++ {
-		b.pushPhit(p1)
+		b.pushPhit(p1, 8)
 	}
 	for i := 0; i < 8; i++ {
-		b.pushPhit(p2)
+		b.pushPhit(p2, 8)
 	}
 	if b.count != 2 {
 		t.Fatalf("count = %d, want 2", b.count)
@@ -44,7 +44,7 @@ func TestBufferFIFOOrder(t *testing.T) {
 		t.Fatal("head is not the first packet")
 	}
 	for i := 0; i < 8; i++ {
-		b.takePhit()
+		b.takePhit(8)
 	}
 	if b.headEntry().pkt != p2 {
 		t.Fatal("second packet did not become head")
@@ -56,16 +56,16 @@ func TestBufferCutThroughInterleaving(t *testing.T) {
 	var b vcBuffer
 	b.init(32, ringEntries(32, 8))
 	p := &Packet{ID: 1, Size: 8}
-	b.pushPhit(p)
-	if _, tail := b.takePhit(); tail {
+	b.pushPhit(p, 8)
+	if _, tail := b.takePhit(8); tail {
 		t.Fatal("tail on first phit")
 	}
 	// Now the head entry holds zero phits but remains present.
 	if b.empty() {
 		t.Fatal("buffer empty while packet streams through")
 	}
-	b.pushPhit(p)
-	b.pushPhit(p)
+	b.pushPhit(p, 8)
+	b.pushPhit(p, 8)
 	if b.used != 2 {
 		t.Fatalf("used = %d, want 2", b.used)
 	}
@@ -92,19 +92,19 @@ func TestBufferTakeFromEmptyPanics(t *testing.T) {
 			t.Fatal("takePhit on empty buffer did not panic")
 		}
 	}()
-	b.takePhit()
+	b.takePhit(8)
 }
 
 func TestBufferTakeBeyondArrivedPanics(t *testing.T) {
 	var b vcBuffer
 	b.init(8, ringEntries(8, 8))
 	p := &Packet{ID: 1, Size: 8}
-	b.pushPhit(p)
-	b.takePhit()
+	b.pushPhit(p, 8)
+	b.takePhit(8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("takePhit beyond arrived did not panic")
 		}
 	}()
-	b.takePhit()
+	b.takePhit(8)
 }

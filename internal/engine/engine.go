@@ -219,7 +219,7 @@ type Sim struct {
 	cfg      Config
 	shape    shape
 	topo     *topology.P
-	tab      *core.Tables // routing tables shared by every router's Algorithm
+	tab      *core.Tables // routing tables shared by every worker's Algorithm
 	routers  []router
 	workload *traffic.Workload
 
@@ -237,12 +237,13 @@ type Sim struct {
 	// runtime.GOMAXPROCS(0) and the group count when the fabric was
 	// allocated) steps the group-aligned router ranges [bounds[i],
 	// bounds[i+1]) with i % workers == w, and owns one sheet, one progress
-	// block, one packet list and one row of cycle deltas. All of it is
-	// fixed by allocate.
+	// block, one packet list, one routing algorithm and one row of cycle
+	// deltas. All of it is fixed by allocate.
 	bounds   []int
 	sheets   []metrics.Sheet
 	progress []progress
 	pkts     []packetList
+	algs     []core.Algorithm
 	deltas   [][]cycleDelta
 
 	// blockMax is the longest block: min(LatGlobal, ring length -
@@ -377,19 +378,49 @@ func (s *Sim) Init(cfg Config) error {
 }
 
 // allocate builds the fabric of a shape: routers, ports, VC buffer
-// headers, credit and transfer slots, plan slots, RNG streams, link
-// headers and their wiring, the arrival-slot arena, and the partition of
-// the routers over the workers with each worker's sheet, progress block and
-// packet list. It fixes dimensions and pointers only; every value a run
-// starts from is written by init.
+// headers, credit and transfer slots, plan slots, RNG streams, links and
+// their wiring, the arrival-slot arena, and the partition of the routers
+// over the workers with each worker's sheet, progress block, packet list
+// and routing algorithm. Each per-router, per-port and per-VC field is one
+// fabric-wide array in router order — which is group order — and each
+// router's slices are windows of it, so a build costs the same few
+// allocations at any size and a group's state sits together in memory. It
+// fixes dimensions and pointers only; every value a run starts from is
+// written by init.
 func (s *Sim) allocate(sh shape, p *topology.P) {
 	s.shape = sh
 	s.topo = p
-	s.routers = make([]router, p.Routers)
+	n := p.Routers
+	s.routers = make([]router, n)
 	s.sheets = make([]metrics.Sheet, sh.workers)
 	s.progress = make([]progress, sh.workers)
 	s.pkts = make([]packetList, sh.workers)
+	s.algs = make([]core.Algorithm, sh.workers)
 	s.ffCursor = make([]int32, sh.jobs)
+
+	// One router's layout, the same for every router. One extra output
+	// port (index p.Ports) is the fault-drop sink: a linkless
+	// pseudo-output that drains unroutable packets through the ordinary
+	// transfer machinery — one phit per cycle, credits returned upstream as
+	// usual — so conservation and determinism hold for faulted runs.
+	// Fault-free runs never claim it. VC entry rings and link rings are
+	// allocated lazily on first use (see vcBuffer and link), so a buffer or
+	// link no traffic ever reaches costs only its header — the bulk of a
+	// large fabric's idle state.
+	inVCs := p.LocalPorts*sh.localVCs + p.GlobalPorts*sh.globalVCs + p.H
+	outVCs := inVCs + 1
+	linksPer := p.EjectPortBase()
+	ins := make([]inPort, n*p.Ports)
+	outs := make([]outPort, n*(p.Ports+1))
+	vcs := make([]vcBuffer, n*inVCs)
+	plans := make([]core.Plan, n*inVCs)
+	credits := make([]int32, n*outVCs)
+	transfers := make([]transfer, n*outVCs)
+	claimVCs := make([]uint16, n*p.Ports)
+	phaseCur := make([]int32, n*sh.jobs)
+	nodePhase := make([]nodePhase, n*p.H)
+	nodeRand := make([]rng.PCG, n*p.H)
+	links := make([]link, n*linksPer)
 
 	// The partition is a function of the shape alone: contiguous ranges of
 	// whole groups, dealt round-robin. A router never changes workers,
@@ -407,10 +438,9 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 
 	// One arena for every router's arrival-schedule slots, laid out in
 	// router (and therefore range) order: the cross-worker-written slots
-	// stay out of the router structs' cache lines, and building a large
-	// fabric costs one allocation instead of one per router.
+	// stay out of the router structs' cache lines.
 	slotsPer := arrivalSlotCount(max(sh.latLocal, sh.latGlobal))
-	s.arrSlots = make([]arrivalSlot, p.Routers*slotsPer)
+	s.arrSlots = make([]arrivalSlot, n*slotsPer)
 
 	s.blockMax = min(sh.latGlobal, arrivalSlotCount(sh.latGlobal)-sh.latGlobal, slotsPer-sh.latGlobal)
 	s.deltas = make([][]cycleDelta, sh.workers)
@@ -423,84 +453,56 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 		r.id = id
 		r.group = int32(p.GroupOf(id))
 		r.eng = s
-		r.routeRand = new(rng.PCG)
-		r.nodeRand = make([]*rng.PCG, p.H)
-		for k := range r.nodeRand {
-			r.nodeRand[k] = new(rng.PCG)
-		}
-		// One extra output port (index p.Ports) is the fault-drop sink: a
-		// linkless pseudo-output that drains unroutable packets through
-		// the ordinary transfer machinery — one phit per cycle, credits
-		// returned upstream as usual — so conservation and determinism
-		// hold for faulted runs. Fault-free runs never claim it.
-		r.in = make([]inPort, p.Ports)
-		r.out = make([]outPort, p.Ports+1)
-		r.pktSize = sh.packetPhits
-		// Router-wide backing arrays for all ports' credit counters,
-		// transfer slots, input VC buffers and head plans: the claim and
-		// streaming paths then walk contiguous memory instead of one
-		// allocation per port. VC entry rings are allocated lazily on
-		// first use (see vcBuffer), so a buffer no traffic ever reaches
-		// costs only its header — the bulk of a large fabric's idle state.
-		linkVCs := p.LocalPorts*sh.localVCs + p.GlobalPorts*sh.globalVCs
-		inVCs := linkVCs + p.H
-		injCap := sh.injQueuePackets * sh.packetPhits
-		creditsAll := make([]int32, linkVCs)
-		transfersAll := make([]transfer, linkVCs+p.H+1)
-		vcsAll := make([]vcBuffer, inVCs)
-		r.plans = make([]core.Plan, inVCs)
-		r.planOff = make([]int32, p.Ports)
-		r.out[p.Ports].transfers = transfersAll[len(transfersAll)-1:]
-		vcOff := 0
-		takeVCs := func(n, capPhits int) []vcBuffer {
-			vcs := vcsAll[vcOff : vcOff+n : vcOff+n]
-			vcOff += n
-			entN := ringEntries(capPhits, sh.packetPhits)
-			for i := range vcs {
-				vcs[i].init(capPhits, entN)
-			}
-			return vcs
-		}
-		r.claimVCs = make([]uint16, p.Ports)
-		r.phaseCur = make([]int32, sh.jobs)
-		r.nodePhase = make([]nodePhase, p.H)
-		r.arrivals.init(s.arrSlots[id*slotsPer:(id+1)*slotsPer:(id+1)*slotsPer], sh.workers <= 1)
-		off := 0
-		for port := 0; port < p.Ports; port++ {
-			r.planOff[port] = int32(vcOff)
-			op := &r.out[port]
+		r.pktSize = int32(sh.packetPhits)
+		r.in, r.claimVCs = window(ins, id, p.Ports), window(claimVCs, id, p.Ports)
+		r.out = window(outs, id, p.Ports+1)
+		r.vcs, r.plans = window(vcs, id, inVCs), window(plans, id, inVCs)
+		r.credits, r.transfers = window(credits, id, outVCs), window(transfers, id, outVCs)
+		r.phaseCur = window(phaseCur, id, sh.jobs)
+		r.nodePhase, r.nodeRand = window(nodePhase, id, p.H), window(nodeRand, id, p.H)
+		r.arrivals.init(window(s.arrSlots, id, slotsPer), sh.workers <= 1)
+
+		// Input VCs and output VCs are numbered port by port; an
+		// injection port has one VC and an ejection port one transfer
+		// slot, and the drop sink takes the last.
+		vc := int32(0)
+		for port := 0; port <= p.Ports; port++ {
+			nvc, capPhits := 1, sh.injQueuePackets*sh.packetPhits
 			switch {
 			case p.IsLocalPort(port):
-				r.in[port].vcs = takeVCs(sh.localVCs, sh.bufLocal)
-				op.credits = creditsAll[off : off+sh.localVCs : off+sh.localVCs]
-				op.transfers = transfersAll[off : off+sh.localVCs : off+sh.localVCs]
-				op.capacity = int32(sh.bufLocal)
-				off += sh.localVCs
+				nvc, capPhits = sh.localVCs, sh.bufLocal
 			case p.IsGlobalPort(port):
-				r.in[port].vcs = takeVCs(sh.globalVCs, sh.bufGlobal)
-				op.credits = creditsAll[off : off+sh.globalVCs : off+sh.globalVCs]
-				op.transfers = transfersAll[off : off+sh.globalVCs : off+sh.globalVCs]
-				op.capacity = int32(sh.bufGlobal)
-				op.global = true
-				off += sh.globalVCs
-			default: // injection (input) / ejection (output)
-				r.in[port].vcs = takeVCs(1, injCap)
-				op.transfers = transfersAll[linkVCs+port-p.EjectPortBase():][:1:1]
+				nvc, capPhits = sh.globalVCs, sh.bufGlobal
 			}
+			op := &r.out[port]
+			op.base, op.nvc = vc, uint8(nvc)
+			if port < linksPer {
+				op.capacity = int32(capPhits)
+				op.global = p.IsGlobalPort(port)
+			}
+			if port < p.Ports {
+				r.in[port].vc0 = vc
+				entN := ringEntries(capPhits, sh.packetPhits)
+				for i := range nvc {
+					r.vcs[int(vc)+i].init(capPhits, entN)
+				}
+			}
+			vc += int32(nvc)
 		}
 	}
 
-	// Wire the links: the sender owns the link object; the receiver's
-	// input port points at it. Each side also exposes its pending-arrival
-	// counter so the opposite side can announce in-flight phits/credits.
+	// Wire the links: the sender's output port drives its link; the
+	// receiver's input port reads it. Each side's arrival schedule is
+	// where the opposite side announces in-flight phits and credits.
 	for id := range s.routers {
 		r := &s.routers[id]
-		for port := 0; port < p.EjectPortBase(); port++ {
+		for port := 0; port < linksPer; port++ {
+			l := &links[id*linksPer+port]
 			lat := sh.latLocal
 			if p.IsGlobalPort(port) {
 				lat = sh.latGlobal
 			}
-			l := newLink(lat)
+			l.init(lat)
 			r.out[port].link = l
 			rr, rp := p.LinkTarget(id, port)
 			s.routers[rr].in[rp].link = l
@@ -512,19 +514,25 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 	}
 }
 
+// window returns router id's part of a fabric-wide array with per
+// elements per router.
+func window[T any](a []T, id, per int) []T {
+	return a[id*per : (id+1)*per : (id+1)*per]
+}
+
 // init writes the cycle-0 state of a run of cfg over the allocation: the
 // only code that does, for a fresh Sim and a recycled one alike. The
-// allocation (and whatever rings, plan arenas and free packets an earlier
+// allocation (and whatever rings and free packets an earlier
 // run grew) stays; every other field of the Sim and of each router returns
 // to its zero value before the configuration is applied, so nothing a
 // previous run left — mid-flight packets, credits, transfers, cached plans,
-// fault state — can reach this one. Per-router algorithms are rebuilt only
+// fault state — can reach this one. Per-worker algorithms are rebuilt only
 // when the tables changed.
 func (s *Sim) init(cfg Config, tab *core.Tables) {
 	newTab := tab != s.tab
 	*s = Sim{
 		shape: s.shape, topo: s.topo, routers: s.routers, arrSlots: s.arrSlots,
-		bounds: s.bounds, sheets: s.sheets, progress: s.progress, pkts: s.pkts,
+		bounds: s.bounds, sheets: s.sheets, progress: s.progress, pkts: s.pkts, algs: s.algs,
 		deltas: s.deltas, blockMax: s.blockMax, ffCursor: s.ffCursor, pb: s.pb,
 
 		cfg:        cfg,
@@ -542,9 +550,11 @@ func (s *Sim) init(cfg Config, tab *core.Tables) {
 	}
 	if s.pbEnabled {
 		if s.pb == nil {
+			c := p.ChannelsPerGrp
+			flat := make([]bool, 2*c*p.Groups)
 			s.pb = make([][2][]bool, p.Groups)
 			for g := range s.pb {
-				s.pb[g] = [2][]bool{make([]bool, p.ChannelsPerGrp), make([]bool, p.ChannelsPerGrp)}
+				s.pb[g] = [2][]bool{flat[2*g*c : (2*g+1)*c], flat[(2*g+1)*c : (2*g+2)*c]}
 			}
 		}
 		for g := range s.pb {
@@ -552,12 +562,21 @@ func (s *Sim) init(cfg Config, tab *core.Tables) {
 			clear(s.pb[g][1])
 		}
 	}
-	for id := range s.routers {
-		r := &s.routers[id]
+	// Algorithms keep scratch state only within one call, so the routers
+	// of one worker share one.
+	for w := range s.algs {
 		if newTab {
-			r.alg = tab.NewAlgorithm()
+			s.algs[w] = tab.NewAlgorithm()
 		}
-		r.reset(cfg.Flow, cfg.Seed)
+	}
+	for i := 0; i+1 < len(s.bounds); i++ {
+		for id := s.bounds[i]; id < s.bounds[i+1]; id++ {
+			r := &s.routers[id]
+			if newTab {
+				r.alg = s.algs[i%s.shape.workers]
+			}
+			r.reset(cfg.Flow, cfg.Seed)
+		}
 	}
 	if sched := cfg.Faults; sched != nil {
 		// Boot faults are known at boot: the routing view starts from the

@@ -158,3 +158,40 @@ func TestFastForwardCutShortBurst(t *testing.T) {
 		t.Fatalf("run ended at cycle %d after %d dead cycles; want cycle %d after some", sim.Cycle(), sim.ffJumped, want)
 	}
 }
+
+// TestFastForwardPBCooldown pins deadSpan's Piggybacking clause: a block
+// is not dead while a router still owes a table refresh. The bursts are
+// ADVG+1, so each group's traffic crosses one global channel, and the
+// threshold is so low that one outstanding phit reads as congested: a
+// burst's last publishes leave that channel's bit set in one parity's
+// table, and only the cooldown's idle refreshes clear it once the credits
+// are home. A dead block that skipped those refreshes would let the next
+// burst's injections read the stale bit and take Valiant detours the
+// reference never takes.
+func TestFastForwardPBCooldown(t *testing.T) {
+	build := func() Config {
+		var bursts [][2]int
+		for range 6 {
+			bursts = append(bursts, [2]int{4, 1500})
+		}
+		cfg := burstConfig(t, 1, bursts...)
+		advg, err := traffic.NewAdversarialGlobal(cfg.Topo, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cfg.Workload.Jobs[0].Phases {
+			cfg.Workload.Jobs[0].Phases[i].Pattern = advg
+		}
+		cfg.Spec = core.PB
+		cfg.Routing.PBThreshold = 1e-6
+		return cfg
+	}
+	sim, a := runSim(t, build(), false)
+	_, b := runSim(t, build(), true)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("dead blocks changed the Piggybacking result:\n  blocked  : %+v\n  reference: %+v", a, b)
+	}
+	if a.Delivered == 0 || sim.ffJumped == 0 {
+		t.Fatal("nothing delivered or no dead block; the comparison proved nothing")
+	}
+}

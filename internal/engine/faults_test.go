@@ -106,7 +106,7 @@ func TestFaultConservationAllMechanisms(t *testing.T) {
 					if op.link == nil {
 						continue
 					}
-					for vc, c := range op.credits {
+					for vc, c := range r.outCredits(port) {
 						if c != op.capacity {
 							t.Fatalf("router %d out(%d,%d): %d credits, capacity %d",
 								r.id, port, vc, c, op.capacity)
@@ -114,8 +114,8 @@ func TestFaultConservationAllMechanisms(t *testing.T) {
 					}
 				}
 				for port := range r.in {
-					for vc := range r.in[port].vcs {
-						if !r.in[port].vcs[vc].empty() {
+					for vc, buf := range r.inVCs(port) {
+						if !buf.empty() {
 							t.Fatalf("router %d in(%d,%d): residue after drain", r.id, port, vc)
 						}
 					}

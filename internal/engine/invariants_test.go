@@ -41,7 +41,7 @@ func TestCreditConservation(t *testing.T) {
 			if op.link == nil {
 				continue
 			}
-			for vc, c := range op.credits {
+			for vc, c := range r.outCredits(port) {
 				if c != op.capacity {
 					t.Fatalf("router %d out(%d,%d): %d credits, capacity %d",
 						r.id, port, vc, c, op.capacity)
@@ -52,8 +52,8 @@ func TestCreditConservation(t *testing.T) {
 			}
 		}
 		for port := range r.in {
-			for vc := range r.in[port].vcs {
-				if !r.in[port].vcs[vc].empty() {
+			for vc, buf := range r.inVCs(port) {
+				if !buf.empty() {
 					t.Fatalf("router %d in(%d,%d): residue after drain", r.id, port, vc)
 				}
 			}
@@ -92,10 +92,9 @@ func TestWormholePacketSpansRouters(t *testing.T) {
 				if r.in[port].link == nil {
 					continue // injection queues hold whole packets
 				}
-				for vc := range r.in[port].vcs {
-					buf := &r.in[port].vcs[vc]
-					for k := 0; k < buf.count; k++ {
-						e := &buf.entries[(buf.head+k)%len(buf.entries)]
+				for _, buf := range r.inVCs(port) {
+					for k := int32(0); k < buf.count; k++ {
+						e := &buf.entries[(buf.head+k)%buf.entN]
 						seen[e.pkt.ID]++
 					}
 				}
@@ -131,7 +130,7 @@ func TestPBPublishDelay(t *testing.T) {
 	r := &sim.routers[0]
 	port := p.GlobalPortBase()
 	k := p.GlobalChannelOfPort(p.IndexInGroup(0), port)
-	clear(r.out[port].credits)
+	clear(r.outCredits(port))
 	r.publishPB(5)
 	if !sim.pb[0][6&1][k] || sim.pb[0][5&1][k] {
 		t.Fatalf("cycle 5 published into the wrong table: %v", sim.pb[0])

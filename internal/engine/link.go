@@ -20,16 +20,16 @@ import "sync/atomic"
 // strictly before that cycle is reached, so a receiver whose schedule
 // slot reads zero provably has nothing to absorb this cycle.
 type link struct {
-	latency int
-	mask    int64 // ring length - 1 (length is a power of two)
-
 	phits   []phitSlot
 	credits []creditSlot
 
 	phitSched   *arrivalSchedule // schedule of the phit receiver
 	creditSched *arrivalSchedule // schedule of the credit receiver (the sender router)
-	phitPort    int16            // the receiver input port this link feeds
-	creditPort  int16            // the sender output port its credits return to
+
+	latency    int32
+	mask       int32 // ring length - 1 (length is a power of two)
+	phitPort   int16 // the receiver input port this link feeds
+	creditPort int16 // the sender output port its credits return to
 }
 
 // arrivalSchedule records, per cycle, *which ports* of one router receive
@@ -50,7 +50,7 @@ type link struct {
 // suffices.
 type arrivalSchedule struct {
 	slots []arrivalSlot
-	mask  int64
+	mask  int32
 	// serial marks single-worker simulations: every send and drain runs
 	// on one goroutine, so the mask updates skip the LOCKed read-modify-
 	// write instructions. Multi-worker runs use the atomic ops; the block
@@ -83,13 +83,13 @@ func arrivalSlotCount(latency int) int {
 // state. The arena's owner clears the slots between runs.
 func (s *arrivalSchedule) init(slots []arrivalSlot, serial bool) {
 	s.slots = slots
-	s.mask = int64(len(slots) - 1)
+	s.mask = int32(len(slots) - 1)
 	s.serial = serial
 }
 
 // addPhit records a phit arriving at the given input port and cycle.
 func (s *arrivalSchedule) addPhit(cycle int64, port int16) {
-	slot := &s.slots[cycle&s.mask]
+	slot := &s.slots[cycle&int64(s.mask)]
 	if s.serial {
 		slot.phits |= 1 << uint(port)
 		return
@@ -99,7 +99,7 @@ func (s *arrivalSchedule) addPhit(cycle int64, port int16) {
 
 // addCredit records a credit arriving at the given output port and cycle.
 func (s *arrivalSchedule) addCredit(cycle int64, port int16) {
-	slot := &s.slots[cycle&s.mask]
+	slot := &s.slots[cycle&int64(s.mask)]
 	if s.serial {
 		slot.credits |= 1 << uint(port)
 		return
@@ -109,7 +109,7 @@ func (s *arrivalSchedule) addCredit(cycle int64, port int16) {
 
 // take drains and returns the arrival masks for the given cycle.
 func (s *arrivalSchedule) take(cycle int64) (phits, credits uint64) {
-	slot := &s.slots[cycle&s.mask]
+	slot := &s.slots[cycle&int64(s.mask)]
 	if s.serial {
 		phits, credits = slot.phits, slot.credits
 		slot.phits, slot.credits = 0, 0
@@ -139,7 +139,7 @@ type creditSlot struct {
 	valid bool
 }
 
-// newLink builds a link header. The phit and credit rings are allocated
+// init sets a link's latency. The phit and credit rings are allocated
 // lazily on first send: a long-latency global link costs hundreds of slots,
 // and on a large fabric under light load most links never carry anything.
 // Laziness is race-free because each ring has exactly one writer (the phit
@@ -147,11 +147,9 @@ type creditSlot struct {
 // reader only looks after an arrival was announced: on the same worker for
 // a local link, at least one block barrier after the allocating write for
 // a global one. The latency is at least 1 (Config.validate).
-func newLink(latency int) *link {
-	return &link{
-		latency: latency,
-		mask:    int64(arrivalSlotCount(latency) - 1),
-	}
+func (l *link) init(latency int) {
+	l.latency = int32(latency)
+	l.mask = int32(arrivalSlotCount(latency) - 1)
 }
 
 // reset empties the rings for a new run, keeping the ones an earlier run
@@ -166,20 +164,21 @@ func (l *link) sendPhit(now int64, pkt *Packet, vc int) {
 	if l.phits == nil {
 		l.phits = make([]phitSlot, l.mask+1)
 	}
-	s := &l.phits[(now+int64(l.latency))&l.mask]
+	at := now + int64(l.latency)
+	s := &l.phits[at&int64(l.mask)]
 	if s.pkt != nil {
 		panic("engine: phit slot collision")
 	}
 	s.pkt = pkt
 	s.vc = int8(vc)
 	if l.phitSched != nil {
-		l.phitSched.addPhit(now+int64(l.latency), l.phitPort)
+		l.phitSched.addPhit(at, l.phitPort)
 	}
 }
 
 // recvPhit consumes the phit arriving now, if any.
 func (l *link) recvPhit(now int64) (pkt *Packet, vc int) {
-	s := &l.phits[now&l.mask]
+	s := &l.phits[now&int64(l.mask)]
 	if s.pkt == nil {
 		return nil, 0
 	}
@@ -193,20 +192,21 @@ func (l *link) sendCredit(now int64, vc int) {
 	if l.credits == nil {
 		l.credits = make([]creditSlot, l.mask+1)
 	}
-	s := &l.credits[(now+int64(l.latency))&l.mask]
+	at := now + int64(l.latency)
+	s := &l.credits[at&int64(l.mask)]
 	if s.valid {
 		panic("engine: credit slot collision")
 	}
 	s.vc = int8(vc)
 	s.valid = true
 	if l.creditSched != nil {
-		l.creditSched.addCredit(now+int64(l.latency), l.creditPort)
+		l.creditSched.addCredit(at, l.creditPort)
 	}
 }
 
 // recvCredit consumes the credit arriving now, if any.
 func (l *link) recvCredit(now int64) (vc int, ok bool) {
-	s := &l.credits[now&l.mask]
+	s := &l.credits[now&int64(l.mask)]
 	if !s.valid {
 		return 0, false
 	}

@@ -3,7 +3,8 @@ package engine
 import "testing"
 
 func TestLinkDeliversAfterExactLatency(t *testing.T) {
-	l := newLink(10)
+	var l link
+	l.init(10)
 	p := &Packet{ID: 1, Size: 8}
 	l.sendPhit(100, p, 2)
 	for c := int64(101); c < 110; c++ {
@@ -21,7 +22,8 @@ func TestLinkDeliversAfterExactLatency(t *testing.T) {
 }
 
 func TestLinkCreditLatency(t *testing.T) {
-	l := newLink(4)
+	var l link
+	l.init(4)
 	l.sendCredit(50, 1)
 	if _, ok := l.recvCredit(53); ok {
 		t.Fatal("credit arrived early")
@@ -36,7 +38,8 @@ func TestLinkCreditLatency(t *testing.T) {
 }
 
 func TestLinkBackToBackPhits(t *testing.T) {
-	l := newLink(3)
+	var l link
+	l.init(3)
 	a := &Packet{ID: 1, Size: 2}
 	for c := int64(0); c < 20; c++ {
 		l.sendPhit(c, a, 0)
@@ -49,7 +52,8 @@ func TestLinkBackToBackPhits(t *testing.T) {
 }
 
 func TestLinkSlotCollisionPanics(t *testing.T) {
-	l := newLink(2)
+	var l link
+	l.init(2)
 	p := &Packet{ID: 1}
 	l.sendPhit(0, p, 0)
 	defer func() {

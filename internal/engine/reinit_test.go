@@ -31,23 +31,22 @@ func fabricState(s *Sim) []int64 {
 		r := &s.routers[i]
 		out = append(out, int64(r.occupied), int64(r.claimPorts), int64(r.xferPorts),
 			int64(r.deadPorts), b2i(r.parked), int64(r.pbCooldown),
-			r.phaseRefreshAt, r.pktSeq, r.lastDeliveryCycle, r.rrCycle, r.rrVal, int64(r.parity),
+			r.phaseRefreshAt, r.pktSeq, r.lastDeliveryCycle, int64(r.parity),
 			int64(r.routeRand.Uint32()))
 		for k := range r.nodeRand {
 			out = append(out, int64(r.nodeRand[k].Uint32()))
 		}
 		for p := range r.in {
 			out = append(out, int64(r.claimVCs[p]))
-			for v := range r.in[p].vcs {
-				buf := &r.in[p].vcs[v]
+			for _, buf := range r.inVCs(p) {
 				out = append(out, int64(buf.used), int64(buf.count), buf.headSeq, b2i(buf.claimed))
 			}
 		}
 		for p := range r.out {
 			op := &r.out[p]
 			out = append(out, int64(op.activeVCs), int64(op.rr))
-			for v := range op.credits {
-				out = append(out, int64(op.credits[v]))
+			for _, c := range r.outCredits(p) {
+				out = append(out, int64(c))
 			}
 		}
 	}
@@ -226,9 +225,11 @@ func TestReinitAfterInvariantPanic(t *testing.T) {
 		s.stepBlock(1)
 	}
 	for i := range s.routers {
-		for p := range s.routers[i].out {
-			for v := range s.routers[i].out[p].credits {
-				s.routers[i].out[p].credits[v] = s.routers[i].out[p].capacity
+		r := &s.routers[i]
+		for p := range r.out {
+			c := r.outCredits(p)
+			for v := range c {
+				c[v] = r.out[p].capacity
 			}
 		}
 	}

@@ -11,43 +11,46 @@ import (
 )
 
 // transfer is an output-VC allocation: the head packet of input VC
-// (inPort, inVC) streams through this output VC until its tail passes. A
-// slot is live exactly while its bit is set in outPort.activeVCs.
+// (inPort, inVC), buffer buf of router.vcs, streams through this output VC
+// until its tail passes. A slot is live exactly while its bit is set in
+// outPort.activeVCs.
 type transfer struct {
+	pkt    *Packet
+	buf    int32
 	inPort int16
 	inVC   int8
-	pkt    *Packet
 }
 
 // outPort is one output of a router: the link it drives (nil for ejection
-// ports), the credit counters for the downstream buffers, and the per-VC
-// transfer slots. The credits and transfers slices of all of a router's
-// ports share two router-wide backing arrays, so the claim and streaming
-// hot paths walk contiguous memory.
+// ports and the drop sink) and where its VCs' credit counters and transfer
+// slots start in the router's credits and transfers arrays.
 type outPort struct {
-	link      *link
-	credits   []int32 // per VC; unused for ejection
-	capacity  int32   // downstream buffer capacity per VC (phits)
-	transfers []transfer
+	link     *link
+	base     int32 // first VC's index in router.credits and router.transfers
+	capacity int32 // downstream buffer capacity per VC (phits)
 	// activeVCs has one bit per VC whose transfer slot is live — the only
 	// record of it — so CanClaim's busy check costs one load from this
 	// struct instead of a pointer chase into the transfer slots.
 	activeVCs uint16
-	rr        int  // round-robin cursor over VCs
-	global    bool // link class, for statistics
+	nvc       uint8 // VCs (credits are unused for ejection and the sink)
+	rr        uint8 // round-robin cursor over VCs
+	global    bool  // link class, for statistics
 }
 
-// inPort is one input of a router: per-VC buffers fed by a link (or, for
-// injection ports, by the local traffic generator).
+// inPort is one input of a router: the link feeding it (nil for injection
+// ports, fed by the local traffic generator) and where its VC buffers, and
+// their head plans, start in router.vcs and router.plans.
 type inPort struct {
-	vcs  []vcBuffer
-	link *link // nil for injection ports
+	link *link
+	vc0  int32
 }
 
 // router holds all per-router simulation state. Routers never touch each
 // other's state directly: all communication crosses time-indexed link
 // rings, so the parallel executor can run routers concurrently, and groups
-// up to a block apart in simulated time.
+// up to a block apart in simulated time. Every slice is a window of one
+// fabric-wide array in router order (see Sim.allocate), so a group's ports,
+// buffers, credits and plans sit together in memory.
 //
 // Stepping is activity-driven: the router tracks how much work it could
 // possibly have this cycle (buffered packet entries, scheduled phit and
@@ -55,29 +58,11 @@ type inPort struct {
 // is none. The tracked sets are pure functions of simulation state, so
 // skipping never changes results — serial and parallel runs, and runs with
 // or without the skip, all stay bit-identical.
+//
+// The fields every cycle reads come first, then the ones an active cycle
+// reads, then set-up and bookkeeping.
 type router struct {
-	id    int
-	group int32 // cached topology group of this router
-	eng   *Sim
-	alg   core.Algorithm
-
-	in  []inPort
-	out []outPort
-
-	routeRand *rng.PCG
-	nodeRand  []*rng.PCG // one generator stream per attached node
-
-	flow FlowControl // cached from Config for the per-phit hot paths
-
-	// sheet, prog and pkts are the metrics sheet, progress counters and
-	// free packets of the worker that steps this router: pinned by
-	// Sim.allocate, carried through reset, never touched by another worker.
-	sheet *metrics.Sheet
-	prog  *progress
-	pkts  *packetList
-
-	// Activity tracking.
-	//
+	eng *Sim
 	// arrivals schedules the phits and credits in flight toward this
 	// router by arrival cycle. Senders fill it inside sendPhit/sendCredit
 	// (they know the arrival cycle at send time); step drains the current
@@ -87,76 +72,75 @@ type router struct {
 	// after construction), so remote workers' writes never invalidate the
 	// cache lines of this struct's single-writer hot fields.
 	arrivals arrivalSchedule
+	// nodePhase caches each attached node's resolved active phase, valid
+	// until phaseRefreshAt; between transitions the injection loop then
+	// costs the same as the pre-workload single-pattern path.
+	nodePhase      []nodePhase
+	nodeRand       []rng.PCG // one generator stream per attached node
+	phaseRefreshAt int64
 	// occupied counts packet entries across all input VC buffers
 	// (injection queues included). Nonzero occupied covers every local
 	// work source: unclaimed heads, active transfers, packets streaming.
 	occupied int
-	// claimVCs[p] holds one bit per VC of input port p whose buffer has
-	// an unclaimed head; claimPorts is the port-level summary bitmask.
-	claimVCs   []uint16
-	claimPorts uint64
-	// xferPorts has one bit per output port with an active transfer.
-	xferPorts uint64
-	// deadPorts has one bit per output port whose link has failed; kept in
-	// sync with the engine's FaultSet at cycle boundaries. Dead ports
-	// refuse new claims, but transfers already streaming across them
-	// finish (and their credits keep flowing): a kill takes effect for
-	// flow control immediately and the committed traffic drains.
-	deadPorts uint64
-	// parked is true while this router is failed as a whole: its attached
-	// nodes suppress generation (counted separately from drops) and
-	// packets arriving for them are diverted to the drop sink. Tracks the
-	// FaultSet's router state exactly (no staleness: the router itself
-	// always knows it is dead); flipped only in the serial section.
-	parked bool
 	// pbCooldown is the number of upcoming cycles that must still refresh
 	// this router's Piggybacking bits: credit state changes are published
 	// into a double-buffered table, so after the last change both buffers
 	// need one write each before the refresh can stop.
 	pbCooldown int8
 	// parity is the parity of the cycle being stepped: GlobalCongested
-	// reads the group's Piggybacking table of that parity. One byte, so it
-	// sits in the padding after pbCooldown.
+	// reads the group's Piggybacking table of that parity.
 	parity uint8
-
-	// phaseCur caches, per workload job, the index of the last phase this
-	// router observed active. Phase transitions are pure functions of the
-	// cycle number and inject runs every cycle, so the cached cursor only
-	// ever advances and stays identical across worker shardings.
-	phaseCur []int32
-	// nodePhase caches each attached node's resolved active phase, valid
-	// until phaseRefreshAt; between transitions the injection loop then
-	// costs the same as the pre-workload single-pattern path.
-	nodePhase      []nodePhase
-	phaseRefreshAt int64
+	// parked is true while this router is failed as a whole: its attached
+	// nodes suppress generation (counted separately from drops) and
+	// packets arriving for them are diverted to the drop sink. Tracks the
+	// FaultSet's router state exactly (no staleness: the router itself
+	// always knows it is dead); flipped only in the serial section.
+	parked       bool
+	needHeadFull bool // the mechanism consults HeadFullyArrived (OFAR's store-and-forward ring)
+	pktSize      int32
+	group        int32 // cached topology group of this router
+	id           int
 
 	// per-cycle scratch: one bit per output/input port (the 63-port
 	// activity-mask limit guarantees the fault-drop sink's bit Topo.Ports
 	// still fits), cleared with two stores instead of two slice walks.
 	portSent  uint64 // output port already transmitted this cycle
 	inputUsed uint64 // input port already read this cycle
+	// xferPorts has one bit per output port with an active transfer.
+	xferPorts uint64
+	// claimPorts summarizes claimVCs: one bit per input port with a VC
+	// whose buffer has an unclaimed head.
+	claimPorts uint64
+	// deadPorts has one bit per output port whose link has failed; kept in
+	// sync with the engine's FaultSet at cycle boundaries. Dead ports
+	// refuse new claims, but transfers already streaming across them
+	// finish (and their credits keep flowing): a kill takes effect for
+	// flow control immediately and the committed traffic drains.
+	deadPorts uint64
 
-	// rrCycle/rrVal memoize cycle % len(in) for the claim rotation, so
-	// consecutive active cycles derive the next offset with an add and a
-	// wrap instead of a 64-bit division. The value equals cycle % len(in)
-	// exactly, whatever cycles were skipped in between.
-	rrCycle int64
-	rrVal   int64
-
-	// plans caches, per input (port, VC), the static geometry of the
-	// buffered head's routing decision (see core.Plan): built when a new
-	// packet reaches the front, replayed every retry cycle without
+	in        []inPort
+	out       []outPort
+	vcs       []vcBuffer // every input VC, port by port (see inPort.vc0)
+	credits   []int32    // per output VC (see outPort.base); unused for ejection
+	transfers []transfer // per output VC (see outPort.base)
+	claimVCs  []uint16   // per input port: one bit per VC with an unclaimed head
+	// plans caches, per input VC (indexed like vcs), the static geometry
+	// of the buffered head's routing decision (see core.Plan): built when
+	// a new packet reaches the front, replayed every retry cycle without
 	// touching the packet, and invalidated by head changes
 	// (vcBuffer.headSeq) or routing-table recomputations (Sim.routeEpoch).
-	// Flat over the router's input VCs; planOff[port] is port's base.
-	plans   []core.Plan
-	planOff []int32
-	// pktSize caches Config.PacketPhits (every packet has this size) and
-	// needHeadFull whether the mechanism consults HeadFullyArrived (OFAR's
-	// store-and-forward ring) — the only case that must touch the head
-	// entry on every retry.
-	pktSize      int
-	needHeadFull bool
+	plans []core.Plan
+
+	alg       core.Algorithm
+	routeRand rng.PCG
+	flow      FlowControl // cached from Config for the per-phit hot paths
+
+	// sheet, prog and pkts are the metrics sheet, progress counters and
+	// free packets of the worker that steps this router: pinned by
+	// Sim.allocate, carried through reset, never touched by another worker.
+	sheet *metrics.Sheet
+	prog  *progress
+	pkts  *packetList
 
 	// curQueueOcc/Cap/HeadFull describe the input buffer of the packet
 	// currently being routed (set around each alg.Route call; see
@@ -168,6 +152,12 @@ type router struct {
 	pktSeq int64 // per-router packet id sequence
 
 	lastDeliveryCycle int64
+
+	// phaseCur caches, per workload job, the index of the last phase this
+	// router observed active. Phase transitions are pure functions of the
+	// cycle number and inject runs every cycle, so the cached cursor only
+	// ever advances and stays identical across worker shardings.
+	phaseCur []int32
 }
 
 // reset returns the router to cycle 0 of a run: the allocation (ports,
@@ -179,40 +169,46 @@ func (r *router) reset(flow FlowControl, seed uint64) {
 	e := r.eng
 	*r = router{
 		id: r.id, group: r.group, eng: e, alg: r.alg,
-		in: r.in, out: r.out, routeRand: r.routeRand, nodeRand: r.nodeRand,
+		in: r.in, out: r.out, vcs: r.vcs, credits: r.credits, transfers: r.transfers,
+		plans: r.plans, claimVCs: r.claimVCs, nodeRand: r.nodeRand,
 		sheet: r.sheet, prog: r.prog, pkts: r.pkts,
-		arrivals: r.arrivals, claimVCs: r.claimVCs, phaseCur: r.phaseCur, nodePhase: r.nodePhase,
-		plans: r.plans, planOff: r.planOff, pktSize: r.pktSize,
+		arrivals: r.arrivals, phaseCur: r.phaseCur, nodePhase: r.nodePhase,
+		pktSize: r.pktSize,
 
 		flow:         flow,
 		needHeadFull: e.cfg.Spec.UsesHeadArrival(),
 	}
 	r.routeRand.Seed(seed, uint64(r.id)*2+1)
-	for k, nr := range r.nodeRand {
-		nr.Seed(seed, uint64(e.topo.NodeID(r.id, k))*2+2_000_000)
+	for k := range r.nodeRand {
+		r.nodeRand[k].Seed(seed, uint64(e.topo.NodeID(r.id, k))*2+2_000_000)
 	}
-	for i := range r.in {
-		for v := range r.in[i].vcs {
-			r.in[i].vcs[v].reset()
-		}
+	for i := range r.vcs {
+		r.vcs[i].reset()
 	}
 	for i := range r.out {
 		op := &r.out[i]
-		for v := range op.credits {
-			op.credits[v] = op.capacity
-		}
-		clear(op.transfers)
 		op.activeVCs, op.rr = 0, 0
 		if op.link != nil {
 			op.link.reset()
+			credits := r.outCredits(i)
+			for v := range credits {
+				credits[v] = op.capacity
+			}
 		}
 	}
+	clear(r.transfers)
 	for i := range r.plans {
 		r.plans[i].Invalidate()
 	}
 	clear(r.claimVCs)
 	clear(r.phaseCur)
 	clear(r.nodePhase)
+}
+
+// outCredits returns output port's credit counters, one per VC.
+func (r *router) outCredits(port int) []int32 {
+	op := &r.out[port]
+	return r.credits[op.base : op.base+int32(op.nvc)]
 }
 
 // view adapts the router to core.View during routing evaluation.
@@ -224,7 +220,7 @@ func (r *router) CanClaim(port, vc, size int) bool {
 	if op.link == nil {
 		return true // ejection and the drop sink: infinite credits
 	}
-	return op.credits[vc] >= r.flow.claimNeed(int32(size))
+	return r.credits[op.base+int32(vc)] >= r.flow.claimNeed(int32(size))
 }
 
 // CanStart implements core.View: the credit-only claim condition.
@@ -236,7 +232,7 @@ func (r *router) CanStart(port, vc, size int) bool {
 	if op.link == nil {
 		return true
 	}
-	return op.credits[vc] >= r.flow.claimNeed(int32(size))
+	return r.credits[op.base+int32(vc)] >= r.flow.claimNeed(int32(size))
 }
 
 // Occupancy implements core.View.
@@ -245,7 +241,7 @@ func (r *router) Occupancy(port, vc int) int {
 	if op.link == nil {
 		return 0
 	}
-	return int(op.capacity - op.credits[vc])
+	return int(op.capacity - r.credits[op.base+int32(vc)])
 }
 
 // MinState implements core.View: Occupancy, CanClaim and CanStart of one
@@ -256,7 +252,7 @@ func (r *router) MinState(port, vc, size int) (occ int, claim, start bool) {
 	if op.link == nil {
 		return 0, alive && (op.activeVCs>>uint(vc))&1 == 0, alive
 	}
-	c := op.credits[vc]
+	c := r.credits[op.base+int32(vc)]
 	start = alive && c >= r.flow.claimNeed(int32(size))
 	claim = start && (op.activeVCs>>uint(vc))&1 == 0
 	return int(op.capacity - c), claim, start
@@ -269,7 +265,7 @@ func (r *router) OccClaim(port, vc, size int) (occ int, claim bool) {
 	if op.link == nil {
 		return 0, claim
 	}
-	c := op.credits[vc]
+	c := r.credits[op.base+int32(vc)]
 	if claim {
 		claim = c >= r.flow.claimNeed(int32(size))
 	}
@@ -383,8 +379,8 @@ func (r *router) absorb(cycle int64, phits, credits uint64) {
 			panic(fmt.Sprintf("engine: phit arrival bit without a phit at router %d in port %d", r.id, i))
 		}
 		r.prog.inflight--
-		buf := &ip.vcs[vc]
-		if buf.pushPhit(pkt) {
+		buf := &r.vcs[ip.vc0+int32(vc)]
+		if buf.pushPhit(pkt, r.pktSize) {
 			r.occupied++
 			r.prog.occ++
 		}
@@ -400,10 +396,11 @@ func (r *router) absorb(cycle int64, phits, credits uint64) {
 		if !ok {
 			panic(fmt.Sprintf("engine: credit arrival bit without a credit at router %d out port %d", r.id, i))
 		}
-		op.credits[vc]++
-		if op.credits[vc] > op.capacity {
+		c := &r.credits[op.base+int32(vc)]
+		*c++
+		if *c > op.capacity {
 			panic(fmt.Sprintf("engine: credit overflow at router %d out port %d vc %d (%d > %d)",
-				r.id, i, vc, op.credits[vc], op.capacity))
+				r.id, i, vc, *c, op.capacity))
 		}
 	}
 	// Credit arrivals change the occupancy the Piggybacking bits
@@ -475,7 +472,7 @@ func (r *router) inject(cycle int64) {
 			continue
 		}
 		node := e.topo.NodeID(r.id, k)
-		rnd := r.nodeRand[k]
+		rnd := &r.nodeRand[k]
 		if !np.process.Generate(node, cycle, rnd) {
 			continue
 		}
@@ -491,8 +488,8 @@ func (r *router) inject(cycle int64) {
 			continue
 		}
 		port := base + k
-		q := &r.in[port].vcs[0]
-		if !q.hasSpaceFor(int32(e.cfg.PacketPhits)) {
+		q := &r.vcs[r.in[port].vc0]
+		if !q.hasSpaceFor(r.pktSize) {
 			if !np.finite {
 				r.sheet.RecordInjectionLost(cycle, int(np.phase))
 			}
@@ -501,7 +498,7 @@ func (r *router) inject(cycle int64) {
 		pkt := r.pkts.get()
 		pkt.ID = int64(r.id)<<32 | r.pktSeq
 		r.pktSeq++
-		pkt.Size = int32(e.cfg.PacketPhits)
+		pkt.Size = r.pktSize
 		pkt.Phase = np.phase
 		pkt.CreatedAt = cycle
 		pkt.InjectedAt = -1
@@ -528,9 +525,9 @@ func (r *router) continueTransfers(cycle int64) {
 	for m := r.xferPorts; m != 0; m &= m - 1 {
 		p := bits.TrailingZeros64(m)
 		op := &r.out[p]
-		n := len(op.transfers)
+		n := int(op.nvc)
 		for i := 0; i < n; i++ {
-			vc := op.rr + i
+			vc := int(op.rr) + i
 			if vc >= n {
 				vc -= n
 			}
@@ -538,7 +535,7 @@ func (r *router) continueTransfers(cycle int64) {
 				continue
 			}
 			if r.trySendPhit(cycle, p, vc) {
-				op.rr = vc + 1
+				op.rr = uint8(vc + 1)
 				break
 			}
 		}
@@ -549,11 +546,11 @@ func (r *router) continueTransfers(cycle int64) {
 // It returns true if a phit moved.
 func (r *router) trySendPhit(cycle int64, port, vc int) bool {
 	op := &r.out[port]
-	t := &op.transfers[vc]
+	t := &r.transfers[op.base+int32(vc)]
 	if (r.portSent>>uint(port))&1 != 0 || (r.inputUsed>>uint(t.inPort))&1 != 0 {
 		return false
 	}
-	buf := &r.in[t.inPort].vcs[t.inVC]
+	buf := &r.vcs[t.buf]
 	if buf.empty() {
 		return false
 	}
@@ -569,10 +566,11 @@ func (r *router) trySendPhit(cycle int64, port, vc int) bool {
 		// time (see claimHead), so streaming never stalls on credits;
 		// under wormhole, backpressure is per phit.
 		if r.flow == WH {
-			if op.credits[vc] <= 0 {
+			c := &r.credits[op.base+int32(vc)]
+			if *c <= 0 {
 				return false
 			}
-			op.credits[vc]--
+			*c--
 		}
 		op.link.sendPhit(cycle, t.pkt, vc)
 		r.prog.inflight++
@@ -582,7 +580,7 @@ func (r *router) trySendPhit(cycle int64, port, vc int) bool {
 			r.sheet.LocalLinkPhits++
 		}
 	}
-	pkt, tail := buf.takePhit()
+	pkt, tail := buf.takePhit(r.pktSize)
 	r.portSent |= 1 << uint(port)
 	r.inputUsed |= 1 << uint(t.inPort)
 	r.prog.moved++
@@ -649,7 +647,7 @@ func (r *router) makeClaims(cycle int64) {
 	if r.claimPorts == 0 {
 		return
 	}
-	rr := r.claimRotation(cycle)
+	rr := uint(cycle % int64(len(r.in)))
 	// Bits >= rr first, then the wrapped-around remainder.
 	hi := r.claimPorts >> rr << rr
 	for m := hi; m != 0; m &= m - 1 {
@@ -660,32 +658,11 @@ func (r *router) makeClaims(cycle int64) {
 	}
 }
 
-// claimRotation returns cycle % len(in) — the claim-arbitration offset —
-// through a memoized increment: consecutive active cycles pay an add and a
-// conditional subtract instead of a 64-bit division, and larger gaps (idle
-// skips) fall back to the division with an identical result.
-func (r *router) claimRotation(cycle int64) uint {
-	n := int64(len(r.in))
-	d := cycle - r.rrCycle
-	r.rrCycle = cycle
-	if d >= 0 && d < n {
-		v := r.rrVal + d
-		if v >= n {
-			v -= n
-		}
-		r.rrVal = v
-		return uint(v)
-	}
-	v := cycle % n
-	r.rrVal = v
-	return uint(v)
-}
-
 // claimPort tries to claim every claimable head of input port p.
 func (r *router) claimPort(cycle int64, p int) {
 	for vcm := r.claimVCs[p]; vcm != 0; vcm &= vcm - 1 {
 		vc := bits.TrailingZeros16(vcm)
-		buf := &r.in[p].vcs[vc]
+		buf := &r.vcs[r.in[p].vc0+int32(vc)]
 		if buf.empty() || buf.claimed {
 			continue
 		}
@@ -700,10 +677,11 @@ func (r *router) claimPort(cycle int64, p int) {
 // a waiting head costs only the dynamic predicate checks — the packet
 // itself is dereferenced again only when a decision lands.
 func (r *router) claimHead(cycle int64, port, vc int) {
-	buf := &r.in[port].vcs[vc]
+	bi := r.in[port].vc0 + int32(vc)
+	buf := &r.vcs[bi]
 	e := r.eng
-	size := r.pktSize
-	plan := &r.plans[int(r.planOff[port])+vc]
+	size := int(r.pktSize)
+	plan := &r.plans[bi]
 	if plan.HeadSeq != buf.headSeq || plan.Epoch != e.routeEpoch {
 		entry := buf.headEntry()
 		pkt := entry.pkt
@@ -724,8 +702,8 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 		} else {
 			plan.Eject = false
 			r.curQueueOcc, r.curQueueCap = int(buf.used), int(buf.capacity)
-			r.curHeadFull = entry.arrived == pkt.Size
-			r.alg.BuildPlan(r, &pkt.St, r.id, size, r.routeRand, plan)
+			r.curHeadFull = entry.arrived == r.pktSize
+			r.alg.BuildPlan(r, &pkt.St, r.id, size, &r.routeRand, plan)
 		}
 	}
 
@@ -751,9 +729,9 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 	} else {
 		r.curQueueOcc, r.curQueueCap = int(buf.used), int(buf.capacity)
 		if r.needHeadFull {
-			r.curHeadFull = buf.headEntry().arrived == int32(size)
+			r.curHeadFull = buf.headEntry().arrived == r.pktSize
 		}
-		dec = r.alg.RoutePlanned(r, plan, size, r.routeRand)
+		dec = r.alg.RoutePlanned(r, plan, size, &r.routeRand)
 		if dec.Wait {
 			return
 		}
@@ -779,7 +757,7 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 		core.CommitHop(e.topo, &pkt.St, r.id, dec)
 	}
 	op := &r.out[outPortIdx]
-	op.transfers[outVC] = transfer{inPort: int16(port), inVC: int8(vc), pkt: pkt}
+	r.transfers[op.base+int32(outVC)] = transfer{pkt: pkt, buf: bi, inPort: int16(port), inVC: int8(vc)}
 	op.activeVCs |= 1 << uint(outVC)
 	r.xferPorts |= 1 << uint(outPortIdx)
 	if op.link != nil && r.flow == VCT {
@@ -788,10 +766,11 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 		// control of OFAR's escape ring (and VCT correctness in
 		// general) depends on. Cut-through streaming then never blocks
 		// on credits mid-packet.
-		op.credits[outVC] -= pkt.Size
-		if op.credits[outVC] < 0 {
+		c := &r.credits[op.base+int32(outVC)]
+		*c -= r.pktSize
+		if *c < 0 {
 			panic(fmt.Sprintf("engine: VCT claim without sufficient credits at router %d out port %d vc %d (deficit %d)",
-				r.id, outPortIdx, outVC, -op.credits[outVC]))
+				r.id, outPortIdx, outVC, -*c))
 		}
 	}
 	buf.claimed = true
@@ -825,8 +804,8 @@ func (r *router) publishPB(cycle int64) {
 	for port := topo.GlobalPortBase(); port < topo.EjectPortBase(); port++ {
 		op := &r.out[port]
 		var occ, cap int32
-		for v := range op.credits {
-			occ += op.capacity - op.credits[v]
+		for _, c := range r.outCredits(port) {
+			occ += op.capacity - c
 			cap += op.capacity
 		}
 		k := topo.GlobalChannelOfPort(idx, port)

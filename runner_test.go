@@ -285,11 +285,12 @@ func TestRunnerResultsDoNotAlias(t *testing.T) {
 
 // reuseCeilings bound, in bytes, what the second of two same-shape points
 // on one Runner may allocate: with the mechanism unchanged (a compiled
-// workload and the Result: measured 10 KB at h=2, 55 KB at h=3) and with
-// it changed (plus routing tables and per-router algorithms: 33 KB and
-// 143 KB). Each ceiling is about twice the measured figure, so only a
-// lost reuse path trips it: a fresh build of the same networks allocates
-// 412 KB (h=2) and 1.9 MB (h=3).
+// workload and the Result: measured 10 KB at h=2, 51 KB at h=3) and with
+// it changed (plus routing tables and per-worker algorithms: 15 KB and
+// 61 KB; 33 KB and 143 KB when every router had its own). Each ceiling is
+// at least twice the measured figure, so only a lost reuse path trips it:
+// a fresh build of the same networks allocates 330 KB (h=2) and 1.4 MB
+// (h=3).
 var reuseCeilings = map[int]struct{ sameMech, otherMech uint64 }{
 	2: {24 << 10, 64 << 10},
 	3: {112 << 10, 256 << 10},
