@@ -590,6 +590,9 @@ func (c Config) Validate() error {
 	if c.FlowControl != VCT && c.FlowControl != WH {
 		return fmt.Errorf("dragonfly: unknown flow control %d", int(c.FlowControl))
 	}
+	if c.PacketPhits > engine.MaxPacketPhits {
+		return fmt.Errorf("dragonfly: %d-phit packets exceed the engine's %d-phit limit", c.PacketPhits, engine.MaxPacketPhits)
+	}
 	if len(c.Phases) > 0 && len(c.Workload) > 0 {
 		return fmt.Errorf("dragonfly: Phases and Workload are mutually exclusive")
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	dragonfly "repro"
+	"repro/internal/engine"
 )
 
 // fast returns a reduced-latency h=2 configuration for quick API tests.
@@ -159,6 +160,20 @@ func TestValidateRejectsUnknownEnums(t *testing.T) {
 	} {
 		if err := c.Validate(); err == nil {
 			t.Errorf("Validate accepted mechanism %d, flow control %d", int(c.Mechanism), int(c.FlowControl))
+		}
+	}
+}
+
+// TestValidateBoundsPacketPhits: a VC buffer entry counts a packet's phits
+// in 16 bits, so admission refuses anything longer.
+func TestValidateBoundsPacketPhits(t *testing.T) {
+	for _, tc := range []struct {
+		phits int
+		ok    bool
+	}{{engine.MaxPacketPhits, true}, {engine.MaxPacketPhits + 1, false}} {
+		err := dragonfly.Config{H: 2, Load: 0.1, FlowControl: dragonfly.WH, PacketPhits: tc.phits}.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("Validate(PacketPhits=%d) = %v, want ok=%v", tc.phits, err, tc.ok)
 		}
 	}
 }

@@ -5,10 +5,11 @@ import "fmt"
 // fifoEntry tracks one packet inside a virtual-channel buffer: how many of
 // its phits have arrived into the buffer and how many have already been
 // forwarded out of it. present = arrived - sent phits are physically held.
+// Both counts fit 16 bits (MaxPacketPhits), so an entry is 8 bytes.
 type fifoEntry struct {
-	pkt     *Packet
-	arrived int32
-	sent    int32
+	pkt     pktRef
+	arrived uint16
+	sent    uint16
 }
 
 // vcBuffer is one virtual-channel FIFO of an input port. Packets stream
@@ -88,9 +89,9 @@ func (b *vcBuffer) wrap(i int32) int32 {
 // entry or the accounting of the two visits would merge. It reports
 // whether a new entry was opened, so the router can maintain its
 // buffered-entry activity count.
-func (b *vcBuffer) pushPhit(pkt *Packet, size int32) (newEntry bool) {
+func (b *vcBuffer) pushPhit(pkt pktRef, size int32) (newEntry bool) {
 	if b.count > 0 {
-		if t := &b.entries[b.tail]; t.pkt == pkt && t.arrived < size {
+		if t := &b.entries[b.tail]; t.pkt == pkt && int32(t.arrived) < size {
 			t.arrived++
 			b.used++
 			return false
@@ -111,20 +112,20 @@ func (b *vcBuffer) pushPhit(pkt *Packet, size int32) (newEntry bool) {
 	return true
 }
 
-// pushWholePacket enqueues a fully present packet (used by injection
-// queues, where serialization happens on the crossbar instead).
-func (b *vcBuffer) pushWholePacket(pkt *Packet) {
-	if b.count == b.entN || b.used+pkt.Size > b.capacity {
+// pushWholePacket enqueues a fully present packet of size phits (used by
+// injection queues, where serialization happens on the crossbar instead).
+func (b *vcBuffer) pushWholePacket(pkt pktRef, size int32) {
+	if b.count == b.entN || b.used+size > b.capacity {
 		panic("engine: pushWholePacket without space")
 	}
 	if b.entries == nil {
 		b.entries = make([]fifoEntry, b.entN)
 	}
 	i := b.wrap(b.head + b.count)
-	b.entries[i] = fifoEntry{pkt: pkt, arrived: pkt.Size}
+	b.entries[i] = fifoEntry{pkt: pkt, arrived: uint16(size)}
 	b.tail = i
 	b.count++
-	b.used += pkt.Size
+	b.used += size
 }
 
 // hasSpaceFor reports whether a whole packet of size phits fits now.
@@ -135,7 +136,7 @@ func (b *vcBuffer) hasSpaceFor(size int32) bool {
 // takePhit accounts one phit of the head entry, a packet of size phits,
 // leaving the buffer and reports whether it was the packet's tail (in
 // which case the entry is popped and the claim released).
-func (b *vcBuffer) takePhit(size int32) (pkt *Packet, tail bool) {
+func (b *vcBuffer) takePhit(size int32) (pkt pktRef, tail bool) {
 	e := b.headEntry()
 	if e.sent >= e.arrived {
 		panic("engine: takePhit without a buffered phit")
@@ -143,7 +144,7 @@ func (b *vcBuffer) takePhit(size int32) (pkt *Packet, tail bool) {
 	e.sent++
 	b.used--
 	pkt = e.pkt
-	if e.sent == size {
+	if int32(e.sent) == size {
 		b.entries[b.head] = fifoEntry{}
 		b.head = b.wrap(b.head + 1)
 		b.count--

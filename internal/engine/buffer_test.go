@@ -5,7 +5,7 @@ import "testing"
 func TestBufferPushTake(t *testing.T) {
 	var b vcBuffer
 	b.init(32, ringEntries(32, 8))
-	p := &Packet{ID: 1, Size: 8}
+	p := pktRef(1)
 	for i := 0; i < 8; i++ {
 		b.pushPhit(p, 8)
 	}
@@ -29,8 +29,8 @@ func TestBufferPushTake(t *testing.T) {
 func TestBufferFIFOOrder(t *testing.T) {
 	var b vcBuffer
 	b.init(32, ringEntries(32, 8))
-	p1 := &Packet{ID: 1, Size: 8}
-	p2 := &Packet{ID: 2, Size: 8}
+	p1 := pktRef(1)
+	p2 := pktRef(2)
 	for i := 0; i < 8; i++ {
 		b.pushPhit(p1, 8)
 	}
@@ -55,7 +55,7 @@ func TestBufferCutThroughInterleaving(t *testing.T) {
 	// A packet can start leaving while still arriving.
 	var b vcBuffer
 	b.init(32, ringEntries(32, 8))
-	p := &Packet{ID: 1, Size: 8}
+	p := pktRef(1)
 	b.pushPhit(p, 8)
 	if _, tail := b.takePhit(8); tail {
 		t.Fatal("tail on first phit")
@@ -77,8 +77,8 @@ func TestBufferSpaceAccounting(t *testing.T) {
 	if !b.hasSpaceFor(8) {
 		t.Fatal("fresh buffer rejects a packet")
 	}
-	b.pushWholePacket(&Packet{ID: 1, Size: 8})
-	b.pushWholePacket(&Packet{ID: 2, Size: 8})
+	b.pushWholePacket(1, 8)
+	b.pushWholePacket(2, 8)
 	if b.hasSpaceFor(8) {
 		t.Fatal("full buffer accepts a packet")
 	}
@@ -98,7 +98,7 @@ func TestBufferTakeFromEmptyPanics(t *testing.T) {
 func TestBufferTakeBeyondArrivedPanics(t *testing.T) {
 	var b vcBuffer
 	b.init(8, ringEntries(8, 8))
-	p := &Packet{ID: 1, Size: 8}
+	p := pktRef(1)
 	b.pushPhit(p, 8)
 	b.takePhit(8)
 	defer func() {

@@ -130,9 +130,9 @@ func (c *Config) validate() error {
 	if c.WindowCycles < 0 {
 		return fmt.Errorf("engine: negative metrics window %d", c.WindowCycles)
 	}
-	if min(c.PacketPhits, c.BufLocal, c.BufGlobal, c.InjQueuePackets, c.LatLocal, c.LatGlobal) < 1 {
-		return fmt.Errorf("engine: packet size %d, buffers %d/%d, injection queue %d and latencies %d/%d must be positive",
-			c.PacketPhits, c.BufLocal, c.BufGlobal, c.InjQueuePackets, c.LatLocal, c.LatGlobal)
+	if min(c.PacketPhits, c.BufLocal, c.BufGlobal, c.InjQueuePackets, c.LatLocal, c.LatGlobal) < 1 || c.PacketPhits > MaxPacketPhits {
+		return fmt.Errorf("engine: packet size %d (at most %d), buffers %d/%d, injection queue %d and latencies %d/%d must be positive",
+			c.PacketPhits, MaxPacketPhits, c.BufLocal, c.BufGlobal, c.InjQueuePackets, c.LatLocal, c.LatGlobal)
 	}
 	if c.Watchdog < 1 || c.MaxCycles < 1 {
 		return fmt.Errorf("engine: watchdog %d and MaxCycles %d must be positive", c.Watchdog, c.MaxCycles)
@@ -225,6 +225,8 @@ type Sim struct {
 
 	// arrSlots is the one arena behind every router's arrival schedule.
 	arrSlots []arrivalSlot
+	// arena owns every packet; the workers' lists (pkts) hand them out.
+	arena *packetArena
 
 	// pb holds each group's Piggybacking congestion bits, double-buffered
 	// by cycle parity: routing at cycle c reads pb[g][c&1] and the group's
@@ -395,6 +397,7 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 	s.sheets = make([]metrics.Sheet, sh.workers)
 	s.progress = make([]progress, sh.workers)
 	s.pkts = make([]packetList, sh.workers)
+	s.arena = new(packetArena)
 	s.algs = make([]core.Algorithm, sh.workers)
 	s.ffCursor = make([]int32, sh.jobs)
 
@@ -522,16 +525,17 @@ func window[T any](a []T, id, per int) []T {
 
 // init writes the cycle-0 state of a run of cfg over the allocation: the
 // only code that does, for a fresh Sim and a recycled one alike. The
-// allocation (and whatever rings and free packets an earlier
-// run grew) stays; every other field of the Sim and of each router returns
-// to its zero value before the configuration is applied, so nothing a
-// previous run left — mid-flight packets, credits, transfers, cached plans,
-// fault state — can reach this one. Per-worker algorithms are rebuilt only
-// when the tables changed.
+// allocation (and whatever rings and packets an earlier run grew) stays;
+// every other field of the Sim and of each router returns to its zero
+// value before the configuration is applied, so nothing a previous run
+// left — mid-flight packets, credits, transfers, cached plans, fault state
+// — can reach this one. Every packet goes back to a worker list, buffered
+// or on a wire when the last run ended or not. Per-worker algorithms are
+// rebuilt only when the tables changed.
 func (s *Sim) init(cfg Config, tab *core.Tables) {
 	newTab := tab != s.tab
 	*s = Sim{
-		shape: s.shape, topo: s.topo, routers: s.routers, arrSlots: s.arrSlots,
+		shape: s.shape, topo: s.topo, routers: s.routers, arrSlots: s.arrSlots, arena: s.arena,
 		bounds: s.bounds, sheets: s.sheets, progress: s.progress, pkts: s.pkts, algs: s.algs,
 		deltas: s.deltas, blockMax: s.blockMax, ffCursor: s.ffCursor, pb: s.pb,
 
@@ -545,6 +549,8 @@ func (s *Sim) init(cfg Config, tab *core.Tables) {
 	clear(s.progress)
 	clear(s.ffCursor)
 	clear(s.arrSlots)
+	s.arena.deal(s.pkts)
+	s.reservePackets()
 	for i := range s.sheets {
 		s.sheets[i].Configure(cfg.WindowCycles, s.shape.phases)
 	}
@@ -720,6 +726,7 @@ func (s *Sim) finishBlock(n int) {
 	if s.pendingFaultEvents() {
 		s.applyFaultEvents()
 	}
+	s.reservePackets()
 }
 
 // totals sums the per-worker progress counters (O(workers), not

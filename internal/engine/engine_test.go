@@ -167,6 +167,16 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("negative packet size accepted")
 	}
+	// A buffer entry counts a packet's phits in 16 bits.
+	cfg = good
+	cfg.Flow, cfg.PacketPhits = WH, MaxPacketPhits+1
+	if _, err := New(cfg); err == nil {
+		t.Errorf("%d-phit packets accepted", cfg.PacketPhits)
+	}
+	cfg.PacketPhits = MaxPacketPhits
+	if _, err := New(cfg); err != nil {
+		t.Errorf("%d-phit packets rejected: %v", cfg.PacketPhits, err)
+	}
 	// Only VCT and WH consume credits; any other value would overflow them.
 	for _, flow := range []FlowControl{-1, WH + 1} {
 		cfg = good

@@ -85,7 +85,7 @@ func TestWormholePacketSpansRouters(t *testing.T) {
 		if c%100 != 0 {
 			continue
 		}
-		seen := make(map[int64]int)
+		seen := make(map[pktRef]int)
 		for i := range sim.routers {
 			r := &sim.routers[i]
 			for port := range r.in {
@@ -95,7 +95,7 @@ func TestWormholePacketSpansRouters(t *testing.T) {
 				for _, buf := range r.inVCs(port) {
 					for k := int32(0); k < buf.count; k++ {
 						e := &buf.entries[(buf.head+k)%buf.entN]
-						seen[e.pkt.ID]++
+						seen[e.pkt]++
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -15,7 +16,8 @@ func (r *router) inVCs(port int) []vcBuffer {
 
 // TestHotHeadersFitOneLine pins the headers the per-cycle path loads: a
 // VC buffer header within one 64-byte cache line, an output port within
-// half of one.
+// half of one — and the ring slots that name a packet at their 32-bit-ref
+// sizes.
 func TestHotHeadersFitOneLine(t *testing.T) {
 	if n := unsafe.Sizeof(vcBuffer{}); n > 64 {
 		t.Errorf("vcBuffer is %d bytes, want <= 64", n)
@@ -23,7 +25,43 @@ func TestHotHeadersFitOneLine(t *testing.T) {
 	if n := unsafe.Sizeof(outPort{}); n > 32 {
 		t.Errorf("outPort is %d bytes, want <= 32", n)
 	}
+	if n := unsafe.Sizeof(phitSlot{}); n != 8 {
+		t.Errorf("phitSlot is %d bytes, want 8", n)
+	}
+	if n := unsafe.Sizeof(fifoEntry{}); n != 8 {
+		t.Errorf("fifoEntry is %d bytes, want 8", n)
+	}
+	if n := unsafe.Sizeof(transfer{}); n > 12 {
+		t.Errorf("transfer is %d bytes, want <= 12", n)
+	}
 	t.Logf("router %d B, link %d B, transfer %d B", unsafe.Sizeof(router{}), unsafe.Sizeof(link{}), unsafe.Sizeof(transfer{}))
+}
+
+// TestRingsHoldNoPointers pins the collector-free layout: the packet, the
+// arena chunk and every ring slot that names a packet or a credit hold no
+// pointer-bearing field, so a field added later cannot quietly make the
+// collector scan the arena and the link, buffer and transfer rings again.
+func TestRingsHoldNoPointers(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %s: the collector would scan it", path, ty.Kind())
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		}
+	}
+	for _, ty := range []reflect.Type{
+		reflect.TypeFor[Packet](), reflect.TypeFor[pktChunk](), reflect.TypeFor[phitSlot](),
+		reflect.TypeFor[creditSlot](), reflect.TypeFor[fifoEntry](), reflect.TypeFor[transfer](),
+	} {
+		walk(ty.Name(), ty)
+	}
 }
 
 // TestNewAllocsIndependentOfSize: building a fabric takes one allocation

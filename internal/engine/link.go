@@ -125,10 +125,10 @@ func (s *arrivalSchedule) take(cycle int64) (phits, credits uint64) {
 	return phits, credits
 }
 
-// phitSlot carries one phit: the packet it belongs to and the virtual
-// channel it rides on (sender output VC == receiver input VC).
+// phitSlot carries one phit: the packet it belongs to (zero: no phit) and
+// the virtual channel it rides on (sender output VC == receiver input VC).
 type phitSlot struct {
-	pkt *Packet
+	pkt pktRef
 	vc  int8
 }
 
@@ -160,13 +160,13 @@ func (l *link) reset() {
 }
 
 // sendPhit schedules a phit to arrive at now+latency.
-func (l *link) sendPhit(now int64, pkt *Packet, vc int) {
+func (l *link) sendPhit(now int64, pkt pktRef, vc int) {
 	if l.phits == nil {
 		l.phits = make([]phitSlot, l.mask+1)
 	}
 	at := now + int64(l.latency)
 	s := &l.phits[at&int64(l.mask)]
-	if s.pkt != nil {
+	if s.pkt != 0 {
 		panic("engine: phit slot collision")
 	}
 	s.pkt = pkt
@@ -177,13 +177,13 @@ func (l *link) sendPhit(now int64, pkt *Packet, vc int) {
 }
 
 // recvPhit consumes the phit arriving now, if any.
-func (l *link) recvPhit(now int64) (pkt *Packet, vc int) {
+func (l *link) recvPhit(now int64) (pkt pktRef, vc int) {
 	s := &l.phits[now&int64(l.mask)]
-	if s.pkt == nil {
-		return nil, 0
+	if s.pkt == 0 {
+		return 0, 0
 	}
 	pkt, vc = s.pkt, int(s.vc)
-	s.pkt = nil
+	s.pkt = 0
 	return pkt, vc
 }
 

@@ -5,10 +5,10 @@ import "testing"
 func TestLinkDeliversAfterExactLatency(t *testing.T) {
 	var l link
 	l.init(10)
-	p := &Packet{ID: 1, Size: 8}
+	p := pktRef(1)
 	l.sendPhit(100, p, 2)
 	for c := int64(101); c < 110; c++ {
-		if pkt, _ := l.recvPhit(c); pkt != nil {
+		if pkt, _ := l.recvPhit(c); pkt != 0 {
 			t.Fatalf("phit arrived early at cycle %d", c)
 		}
 	}
@@ -16,7 +16,7 @@ func TestLinkDeliversAfterExactLatency(t *testing.T) {
 	if pkt != p || vc != 2 {
 		t.Fatalf("recvPhit = (%v, %d), want (p, 2)", pkt, vc)
 	}
-	if pkt, _ := l.recvPhit(110); pkt != nil {
+	if pkt, _ := l.recvPhit(110); pkt != 0 {
 		t.Fatal("phit delivered twice")
 	}
 }
@@ -40,11 +40,11 @@ func TestLinkCreditLatency(t *testing.T) {
 func TestLinkBackToBackPhits(t *testing.T) {
 	var l link
 	l.init(3)
-	a := &Packet{ID: 1, Size: 2}
+	a := pktRef(1)
 	for c := int64(0); c < 20; c++ {
 		l.sendPhit(c, a, 0)
 		if c >= 3 {
-			if pkt, _ := l.recvPhit(c); pkt == nil {
+			if pkt, _ := l.recvPhit(c); pkt == 0 {
 				t.Fatalf("pipeline bubble at cycle %d", c)
 			}
 		}
@@ -54,7 +54,7 @@ func TestLinkBackToBackPhits(t *testing.T) {
 func TestLinkSlotCollisionPanics(t *testing.T) {
 	var l link
 	l.init(2)
-	p := &Packet{ID: 1}
+	p := pktRef(1)
 	l.sendPhit(0, p, 0)
 	defer func() {
 		if recover() == nil {

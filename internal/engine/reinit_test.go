@@ -354,6 +354,32 @@ func (c *cancelAt) Err() error {
 	return context.Canceled
 }
 
+// TestAbandonedRunReturnsPackets: a 2-worker run canceled at a poll holds
+// packets in its buffers and on its wires, on no free list; Init must give
+// every packet the Sim ever made back to the workers before the next run.
+func TestAbandonedRunReturnsPackets(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := testConfig(t, 2, core.OLM, 0.7)
+	cfg.Workers = 2
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunContext(&cancelAt{Context: context.Background(), polls: 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run returned %v", err)
+	}
+	made, free := countPackets(s)
+	if _, live, _ := s.totals(); live == 0 || int64(free) == made {
+		t.Fatalf("%d live packets, %d of %d free at the cancellation; the test proves nothing", live, free, made)
+	}
+	if err := s.Init(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if made, free := countPackets(s); int64(free) != made {
+		t.Fatalf("after Init: %d packets on the free lists, %d made; the abandoned run's packets were not returned", free, made)
+	}
+}
+
 // TestReinitAfterCancel: a run canceled mid-flight leaves packets, reserved
 // credits and live transfers everywhere; the same Sim, re-initialised,
 // equals a fresh one — serially and with two workers.

@@ -15,7 +15,7 @@ import (
 // until its tail passes. A slot is live exactly while its bit is set in
 // outPort.activeVCs.
 type transfer struct {
-	pkt    *Packet
+	pkt    pktRef
 	buf    int32
 	inPort int16
 	inVC   int8
@@ -375,7 +375,7 @@ func (r *router) absorb(cycle int64, phits, credits uint64) {
 		i := bits.TrailingZeros64(m)
 		ip := &r.in[i]
 		pkt, vc := ip.link.recvPhit(cycle)
-		if pkt == nil {
+		if pkt == 0 {
 			panic(fmt.Sprintf("engine: phit arrival bit without a phit at router %d in port %d", r.id, i))
 		}
 		r.prog.inflight--
@@ -495,7 +495,7 @@ func (r *router) inject(cycle int64) {
 			}
 			continue // finite processes retry next cycle
 		}
-		pkt := r.pkts.get()
+		ref, pkt := r.pkts.get(e.arena)
 		pkt.ID = int64(r.id)<<32 | r.pktSeq
 		r.pktSeq++
 		pkt.Size = r.pktSize
@@ -504,7 +504,7 @@ func (r *router) inject(cycle int64) {
 		pkt.InjectedAt = -1
 		dst := np.pattern.Dest(node, rnd)
 		pkt.St.Init(e.topo, node, dst)
-		q.pushWholePacket(pkt)
+		q.pushWholePacket(ref, r.pktSize)
 		r.occupied++
 		r.prog.occ++
 		if !q.claimed {
@@ -590,7 +590,7 @@ func (r *router) trySendPhit(cycle int64, port, vc int) bool {
 		r.prog.inflight++
 	}
 	if tail {
-		t.pkt = nil
+		t.pkt = 0
 		op.activeVCs &^= 1 << uint(vc)
 		if op.activeVCs == 0 {
 			r.xferPorts &^= 1 << uint(port)
@@ -616,14 +616,16 @@ func (r *router) trySendPhit(cycle int64, port, vc int) bool {
 // dropPacket finalizes a packet at the fault-drop sink: it was unroutable
 // (no surviving candidates), its phits have drained, and it leaves the run
 // as a FaultDrops count instead of a delivery.
-func (r *router) dropPacket(cycle int64, pkt *Packet) {
+func (r *router) dropPacket(cycle int64, ref pktRef) {
+	pkt := r.eng.arena.at(ref)
 	r.sheet.RecordFaultDrop(cycle, int(pkt.Phase))
 	r.prog.live--
-	r.pkts.put(pkt)
+	r.pkts.put(ref, pkt)
 }
 
 // deliver finalizes a packet at its ejection port.
-func (r *router) deliver(cycle int64, pkt *Packet) {
+func (r *router) deliver(cycle int64, ref pktRef) {
+	pkt := r.eng.arena.at(ref)
 	st := &pkt.St
 	if int(st.DstRouter) != r.id {
 		panic("engine: delivery at wrong router")
@@ -634,7 +636,7 @@ func (r *router) deliver(cycle int64, pkt *Packet) {
 		int(st.LocalMisCount), int(st.GlobalMisCount), int(st.EscapeHops))
 	r.prog.live--
 	r.lastDeliveryCycle = cycle
-	r.pkts.put(pkt)
+	r.pkts.put(ref, pkt)
 }
 
 // makeClaims routes unclaimed head packets and allocates output VCs. Only
@@ -684,7 +686,7 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 	plan := &r.plans[bi]
 	if plan.HeadSeq != buf.headSeq || plan.Epoch != e.routeEpoch {
 		entry := buf.headEntry()
-		pkt := entry.pkt
+		pkt := e.arena.at(entry.pkt)
 		plan.HeadSeq, plan.Epoch = buf.headSeq, e.routeEpoch
 		if int(pkt.St.DstRouter) == r.id {
 			plan.Eject = true
@@ -702,7 +704,7 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 		} else {
 			plan.Eject = false
 			r.curQueueOcc, r.curQueueCap = int(buf.used), int(buf.capacity)
-			r.curHeadFull = entry.arrived == r.pktSize
+			r.curHeadFull = int32(entry.arrived) == r.pktSize
 			r.alg.BuildPlan(r, &pkt.St, r.id, size, &r.routeRand, plan)
 		}
 	}
@@ -729,7 +731,7 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 	} else {
 		r.curQueueOcc, r.curQueueCap = int(buf.used), int(buf.capacity)
 		if r.needHeadFull {
-			r.curHeadFull = buf.headEntry().arrived == r.pktSize
+			r.curHeadFull = int32(buf.headEntry().arrived) == r.pktSize
 		}
 		dec = r.alg.RoutePlanned(r, plan, size, &r.routeRand)
 		if dec.Wait {
@@ -752,12 +754,13 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 			}
 		}
 	}
-	pkt := buf.headEntry().pkt
+	ref := buf.headEntry().pkt
+	pkt := e.arena.at(ref)
 	if !plan.Eject && !dec.Drop {
 		core.CommitHop(e.topo, &pkt.St, r.id, dec)
 	}
 	op := &r.out[outPortIdx]
-	r.transfers[op.base+int32(outVC)] = transfer{pkt: pkt, buf: bi, inPort: int16(port), inVC: int8(vc)}
+	r.transfers[op.base+int32(outVC)] = transfer{pkt: ref, buf: bi, inPort: int16(port), inVC: int8(vc)}
 	op.activeVCs |= 1 << uint(outVC)
 	r.xferPorts |= 1 << uint(outPortIdx)
 	if op.link != nil && r.flow == VCT {

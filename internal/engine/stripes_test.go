@@ -157,18 +157,21 @@ func TestDeterminismHalfIdleJob(t *testing.T) {
 	}
 }
 
+// countPackets sums the worker lists: the packets they took from the arena
+// and the ones they hold free.
+func countPackets(s *Sim) (made int64, free int) {
+	for i := range s.pkts {
+		made += s.pkts[i].made
+		free += len(s.pkts[i].free)
+	}
+	return
+}
+
 // TestPacketListConservation drains a burst and counts packets: every one
 // the worker lists ever allocated must be back on some list, at any width,
 // and a second run on the re-initialised Sim must find them there instead
 // of allocating again.
 func TestPacketListConservation(t *testing.T) {
-	count := func(s *Sim) (made int64, free int) {
-		for i := range s.pkts {
-			made += s.pkts[i].made
-			free += len(s.pkts[i].free)
-		}
-		return
-	}
 	for _, workers := range []int{1, 3} {
 		cfg := testConfig(t, 2, core.OLM, 0)
 		burst := func() *traffic.Workload {
@@ -192,8 +195,10 @@ func TestPacketListConservation(t *testing.T) {
 		if res.Deadlock || res.Delivered != int64(12*cfg.Topo.Nodes) {
 			t.Fatalf("workers=%d: burst did not drain (%d delivered, deadlock %v)", workers, res.Delivered, res.Deadlock)
 		}
-		made, free := count(s)
-		if made == 0 || made > res.Delivered || int64(free) != made {
+		made, free := countPackets(s)
+		// The lists take packets a chunk at a time: each may hold up to
+		// one chunk it never handed out.
+		if made == 0 || made > res.Delivered+int64(workers*pktChunkLen) || int64(free) != made {
 			t.Fatalf("workers=%d: %d packets allocated for %d deliveries, %d on the free lists after the drain",
 				workers, made, res.Delivered, free)
 		}
@@ -210,9 +215,67 @@ func TestPacketListConservation(t *testing.T) {
 		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if again, free := count(s); again != made || int64(free) != made {
+		if again, free := countPackets(s); again != made || int64(free) != made {
 			t.Fatalf("second run on the same Sim: %d packets allocated (first run: %d), %d free", again, made, free)
 		}
+	}
+}
+
+// TestPacketDirectoryHeadroom: every node injects a 1-phit packet on every
+// cycle of several full blocks at 3 workers, so every worker takes chunks
+// from the arena inside every block while refs cross workers over global
+// links. The directory grows only between blocks; a move within one would
+// be a race under -race, and too little headroom the exhaustion panic.
+func TestPacketDirectoryHeadroom(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // let Workers: 3 through the clamp
+	const blocks = 4
+	build := func(workers int) *Sim {
+		cfg := testConfig(t, 2, core.Minimal, 1)
+		proc, err := traffic.NewBernoulli(1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workload = single(t, cfg.Topo, nil, proc)
+		cfg.PacketPhits, cfg.InjQueuePackets, cfg.Workers, cfg.Warmup = 1, 128, workers, 0
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blocks*s.blockMax > cfg.InjQueuePackets {
+			t.Fatalf("blocks of %d cycles would fill the injection queues", s.blockMax)
+		}
+		return s
+	}
+	s := build(3)
+	if s.shape.workers != 3 {
+		t.Fatalf("%d workers, want 3", s.shape.workers)
+	}
+	step, stop := s.startWorkers()
+	defer stop()
+	took := make([]int64, 3)
+	for b := range blocks {
+		step(s.blockMax)
+		for w := range s.pkts {
+			if s.pkts[w].made == took[w] {
+				t.Fatalf("block %d: worker %d took no chunk", b, w)
+			}
+			took[w] = s.pkts[w].made
+		}
+		spare := len(s.arena.chunks) - int(s.arena.next.Load())
+		if need := (s.topo.Nodes*s.blockMax+pktChunkLen-1)/pktChunkLen + 3; spare < need {
+			t.Fatalf("block %d: %d spare directory slots, the next block may need %d", b, spare, need)
+		}
+	}
+	if _, _, generated := s.totals(); generated != int64(s.topo.Nodes*blocks*s.blockMax) {
+		t.Fatalf("%d packets injected by %d nodes in %d cycles; want one per node and cycle",
+			generated, s.topo.Nodes, blocks*s.blockMax)
+	}
+	serial := build(1)
+	for range blocks {
+		serial.stepBlock(serial.blockMax)
+	}
+	if !reflect.DeepEqual(fabricState(serial), fabricState(s)) {
+		t.Fatal("3 workers taking chunks within blocks stepped differently from 1")
 	}
 }
 
