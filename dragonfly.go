@@ -29,6 +29,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -156,7 +157,7 @@ func (tr Traffic) validate(h int) error {
 			return fmt.Errorf("dragonfly: %s offset out of range [1, %d) for h=%d", name, rpg, h)
 		}
 	case MIX:
-		if tr.GlobalPercent < 0 || tr.GlobalPercent > 100 {
+		if !(0 <= tr.GlobalPercent && tr.GlobalPercent <= 100) {
 			return fmt.Errorf("dragonfly: MIX global percentage %v outside [0, 100]", tr.GlobalPercent)
 		}
 	}
@@ -593,6 +594,11 @@ func (c Config) Validate() error {
 	if c.PacketPhits > engine.MaxPacketPhits {
 		return fmt.Errorf("dragonfly: %d-phit packets exceed the engine's %d-phit limit", c.PacketPhits, engine.MaxPacketPhits)
 	}
+	// Written so that NaN fails too: it passes normalize's "<= 0" default
+	// fill and every plain comparison.
+	if !(0 < c.Threshold && c.Threshold <= math.MaxFloat64) || !(0 < c.PBThreshold && c.PBThreshold <= math.MaxFloat64) {
+		return fmt.Errorf("dragonfly: thresholds %v/%v must be finite", c.Threshold, c.PBThreshold)
+	}
 	if len(c.Phases) > 0 && len(c.Workload) > 0 {
 		return fmt.Errorf("dragonfly: Phases and Workload are mutually exclusive")
 	}
@@ -728,7 +734,7 @@ func (c Config) Validate() error {
 			case ph.BurstPackets > 0 && ph.Load != 0:
 				return fmt.Errorf("dragonfly: %s: Load (%v) and BurstPackets (%d) are mutually exclusive",
 					where, ph.Load, ph.BurstPackets)
-			case ph.BurstPackets == 0 && (ph.Load <= 0 || ph.Load > 1):
+			case ph.BurstPackets == 0 && !(0 < ph.Load && ph.Load <= 1):
 				return fmt.Errorf("dragonfly: %s: offered load %v outside (0, 1]", where, ph.Load)
 			}
 			last := pi == len(job.Phases)-1

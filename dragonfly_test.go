@@ -178,6 +178,38 @@ func TestValidateBoundsPacketPhits(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: NaN passes every plain comparison, so each
+// load, percentage and threshold check must reject it (and infinities)
+// explicitly. A NaN load used to validate and run a silent zero-traffic
+// point whose JSON could not be encoded.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	mix := func(pct float64) dragonfly.Traffic { return dragonfly.Traffic{Kind: dragonfly.MIX, GlobalPercent: pct} }
+	for name, c := range map[string]dragonfly.Config{
+		"Load NaN":            {H: 2, Load: nan},
+		"Load +Inf":           {H: 2, Load: inf},
+		"Load -Inf":           {H: 2, Load: -inf},
+		"burst with Load NaN": {H: 2, Load: nan, BurstPackets: 4},
+		"phase Load NaN":      {H: 2, Phases: []dragonfly.PhaseSpec{{Load: nan}}},
+		"phase Load +Inf":     {H: 2, Phases: []dragonfly.PhaseSpec{{Load: 0.1, Duration: 100}, {Load: inf}}},
+		"MIX percent NaN":     {H: 2, Load: 0.1, Traffic: mix(nan)},
+		"MIX percent +Inf":    {H: 2, Load: 0.1, Traffic: mix(inf)},
+		"MIX percent -Inf":    {H: 2, Load: 0.1, Traffic: mix(-inf)},
+		"Threshold NaN":       {H: 2, Load: 0.1, Threshold: nan},
+		"Threshold +Inf":      {H: 2, Load: 0.1, Threshold: inf},
+		"PBThreshold NaN":     {H: 2, Load: 0.1, PBThreshold: nan},
+		"PBThreshold +Inf":    {H: 2, Load: 0.1, PBThreshold: inf},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, c)
+		}
+	}
+	// The defaults still fill non-positive thresholds, -Inf included.
+	if err := (dragonfly.Config{H: 2, Load: 0.1, Threshold: -inf, PBThreshold: -1}).Validate(); err != nil {
+		t.Errorf("non-positive thresholds must take the defaults: %v", err)
+	}
+}
+
 func TestTrafficNames(t *testing.T) {
 	cases := []struct {
 		tr   dragonfly.Traffic

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -12,11 +11,10 @@ import (
 )
 
 // stepEveryCycle is the test hook behind every reference run: blocks of one
-// cycle and no dead block (no dead-block scan is ever due), so every router
-// steps every cycle.
+// cycle and no dead block, so every router steps every cycle.
 func stepEveryCycle(s *Sim) {
 	s.blockMax = 1
-	s.ffRescanAt = math.MaxInt64
+	s.noDead = true
 }
 
 // blockWorkload builds one of the three workload kinds of the block matrix
@@ -192,7 +190,8 @@ func TestBlockMatchesCycleStepping(t *testing.T) {
 
 // TestNextEventCuts builds one state per cut of nextEvent and checks that
 // the cut binds there: the block ends at the cycle the cut names, and at no
-// other.
+// other. A dead case steps its Sim cycle by cycle to the block's start and
+// takes the dead horizon from deadSpan there.
 func TestNextEventCuts(t *testing.T) {
 	steady := func(t *testing.T) *Sim {
 		cfg := testConfig(t, 1, core.Minimal, 0.1) // LatGlobal 16: blockMax 16; run ends at 4500
@@ -231,22 +230,27 @@ func TestNextEventCuts(t *testing.T) {
 		{name: "finite live block", sim: sparse, cycle: 2000, want: 2001},
 		{name: "dead: phase change", sim: sparse, cycle: 11990, dead: true, want: 12000},
 		{name: "dead: longer than blockMax", sim: sparse, cycle: 7000, quiet: 19990, dead: true, want: 7168},
-		{name: "dead: finite past its last change", sim: sparse, cycle: 18000, dead: true, want: 18001},
+		{name: "dead: finite past its last change", sim: sparse, cycle: 18001, dead: true, want: 18002},
 		{name: "dead: fault event", sim: sparse, cycle: 7000, dead: true, want: 7100,
 			set: func(s *Sim) { s.events = event(7100) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.sim(t)
+			wake := tc.cycle
+			if tc.dead {
+				for s.cycle < tc.cycle {
+					s.stepBlock(1)
+				}
+				if wake = s.deadSpan(); wake <= s.cycle {
+					t.Fatalf("the block from cycle %d is not dead (horizon %d)", s.cycle, wake)
+				}
+			}
 			s.cycle = tc.cycle
 			if tc.set != nil {
 				tc.set(s)
 			}
-			end := s.cfg.Warmup + s.cfg.Measure
-			if s.workload.Finite() {
-				end = s.cfg.MaxCycles
-			}
-			if got := s.nextEvent(end, tc.quiet, tc.dead); got != tc.want {
+			if got := s.nextEvent(tc.quiet, wake); got != tc.want {
 				t.Fatalf("block from cycle %d ends at %d, want %d", tc.cycle, got, tc.want)
 			}
 		})

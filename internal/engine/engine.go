@@ -16,16 +16,18 @@
 // The clock moves only by blocks, and one function, Sim.nextEvent, sets
 // each block's length: the block ends at the first cycle at which the
 // serial section between blocks has a duty or anything else can change.
-// A block in which the fabric is empty and no node has anything left to
-// send is dead (Sim.deadSpan): its routers do not step, only the serial
+// Each node draws ahead, at once, the per-cycle traffic trials up to its
+// next packet and keeps that cycle as an appointment; a router injects
+// only on a cycle when one of its nodes has one. While the fabric is empty
+// nothing can happen before the earliest appointment, so the block up to
+// it is dead (Sim.deadSpan): its routers do not step, only the serial
 // section runs.
 //
 // Stepping is activity-driven: senders record every phit and credit they
 // put in flight on the receiving router's per-cycle arrival schedule,
 // routers count the packet entries buffered in their input VCs, and a
-// router with nothing buffered and nothing arriving skips all per-port
-// scan work for the cycle (injection still runs so the traffic RNG
-// streams advance deterministically). Progress totals are maintained
+// router with nothing buffered, nothing arriving and no appointment does
+// no per-port work for the cycle. Progress totals are maintained
 // incrementally per worker instead of being re-summed over all routers
 // every cycle, and the parallel executor synchronizes blocks with an
 // atomic generation barrier over a fixed partition of group-aligned
@@ -35,7 +37,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -258,14 +259,10 @@ type Sim struct {
 	// 16, 1 at 1.
 	blockMax int
 
-	// Dead-block state (see deadSpan): ffCursor holds per-job phase cursors
-	// for the scan, ffRescanAt suppresses scans until the cycle a failed
-	// one said anything could change (math.MaxInt64: never again), and
 	// ffJumped counts the cycles dead blocks covered (observability for
-	// tests and tools).
-	ffCursor   []int32
-	ffRescanAt int64
-	ffJumped   int64
+	// tests and tools); noDead, a test hook, makes no block dead.
+	ffJumped int64
+	noDead   bool
 
 	// faults is the live link-failure state (a private clone of
 	// Config.Faults.Boot), mutated only between blocks; faulted is true as
@@ -301,7 +298,8 @@ type Sim struct {
 	routeEpoch uint64
 
 	cycle int64
-	ready bool // Init succeeded and Run has not started
+	end   int64 // the run's last cycle + 1: warmup + measure, or MaxCycles for a finite workload
+	ready bool  // Init succeeded and Run has not started
 }
 
 // New builds the network for cfg: Init on the zero Sim.
@@ -399,7 +397,6 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 	s.pkts = make([]packetList, sh.workers)
 	s.arena = new(packetArena)
 	s.algs = make([]core.Algorithm, sh.workers)
-	s.ffCursor = make([]int32, sh.jobs)
 
 	// One router's layout, the same for every router. One extra output
 	// port (index p.Ports) is the fault-drop sink: a linkless
@@ -537,17 +534,20 @@ func (s *Sim) init(cfg Config, tab *core.Tables) {
 	*s = Sim{
 		shape: s.shape, topo: s.topo, routers: s.routers, arrSlots: s.arrSlots, arena: s.arena,
 		bounds: s.bounds, sheets: s.sheets, progress: s.progress, pkts: s.pkts, algs: s.algs,
-		deltas: s.deltas, blockMax: s.blockMax, ffCursor: s.ffCursor, pb: s.pb,
+		deltas: s.deltas, blockMax: s.blockMax, pb: s.pb,
 
 		cfg:        cfg,
 		tab:        tab,
 		workload:   cfg.Workload,
 		pbEnabled:  cfg.Spec == core.PB,
 		routeEpoch: 1, // zero-valued plans are invalid by construction
+		end:        cfg.Warmup + cfg.Measure,
+	}
+	if cfg.Workload.Finite() {
+		s.end = cfg.MaxCycles
 	}
 	p := s.topo
 	clear(s.progress)
-	clear(s.ffCursor)
 	clear(s.arrSlots)
 	s.arena.deal(s.pkts)
 	s.reservePackets()
@@ -649,12 +649,12 @@ func (s *Sim) applyFaultEvents() {
 // horizon. A stepped block also ends within blockMax cycles, at the first
 // cycle the watchdog (quiet for quiet cycles so far) could fire, and after
 // one cycle in a finite workload, whose drain test needs the exact cycle.
-// A dead block (see deadSpan) steps no router, so none of those three
-// binds it; it ends instead at the next workload phase change and, in a
-// finite workload, at the last one, after which the drain test needs every
-// cycle again.
-func (s *Sim) nextEvent(end, quiet int64, dead bool) int64 {
-	next := min(end, (s.cycle|ctxCheckMask)+1)
+// A dead block (wake > s.cycle, see deadSpan) steps no router, so none of
+// those three binds it; it ends instead at wake, the earliest appointment,
+// and, in a finite workload, at the last phase change, after which the
+// drain test needs every cycle again.
+func (s *Sim) nextEvent(quiet, wake int64) int64 {
+	next := min(s.end, (s.cycle|ctxCheckMask)+1)
 	if s.cycle < s.cfg.Warmup {
 		next = min(next, s.cfg.Warmup)
 	}
@@ -666,12 +666,8 @@ func (s *Sim) nextEvent(end, quiet int64, dead bool) int64 {
 	}
 	w := s.workload
 	switch {
-	case dead:
-		for ji := range w.Jobs {
-			if nc := w.NextChange(ji, s.cycle); nc >= 0 {
-				next = min(next, nc)
-			}
-		}
+	case wake > s.cycle:
+		next = min(next, wake)
 		if w.Finite() {
 			next = min(next, max(w.LastChange(), s.cycle+1))
 		}
@@ -741,65 +737,33 @@ func (s *Sim) totals() (moved, live, generated int64) {
 	return
 }
 
-// deadSpan reports whether the block starting at s.cycle is dead: the
-// fabric is empty (no buffered packet entry, no phit or credit in flight),
-// every node is idle or its active phase is a finite process with nothing
-// left to send, and no Piggybacking cooldown owes a table write. Stepping
-// such cycles would not draw a single RNG value or touch any state but the
-// clock, up to the next phase change (where nextEvent ends the block), so
-// a dead block steps no router and results stay bit-identical. A failed
-// scan caches the cycle before which nothing can make it pass
-// (ffRescanAt), keeping the quiet-path overhead amortized.
-func (s *Sim) deadSpan() bool {
-	if s.cycle < s.ffRescanAt {
-		return false
-	}
+// deadSpan returns the cycle up to which the block starting at s.cycle is
+// dead, or s.cycle if it is not. While the fabric is empty (no buffered
+// packet entry, no phit or credit in flight) and no Piggybacking cooldown
+// owes a table write, nothing can happen before the earliest router's
+// injectAt: every node's draws up to its appointment are made, and every
+// phase change is a refresh no appointment lies beyond. Stepping those
+// cycles would touch no state but the clock, so a dead block steps no
+// router and results stay bit-identical.
+func (s *Sim) deadSpan() int64 {
 	var occ, inflight int64
 	for i := range s.progress {
 		occ += s.progress[i].occ
 		inflight += s.progress[i].inflight
 	}
-	if occ != 0 || inflight != 0 {
-		return false
+	if s.noDead || occ != 0 || inflight != 0 {
+		return s.cycle
 	}
-	w := s.workload
-	for ji := range w.Jobs {
-		pi, active := w.PhaseAt(ji, s.cycle, &s.ffCursor[ji])
-		if !active {
-			continue
+	wake := s.end
+	for i := range s.routers {
+		r := &s.routers[i]
+		if r.pbCooldown > 0 {
+			// With the fabric empty, cooldowns drain within two idle steps.
+			return s.cycle
 		}
-		proc := w.Jobs[ji].Phases[pi].Process
-		if !proc.Finite() {
-			// A steady process draws from its nodes' RNG streams every
-			// cycle; no cycle may be skipped until this phase ends.
-			s.ffRescanAt = math.MaxInt64
-			if nc := w.NextChange(ji, s.cycle); nc >= 0 {
-				s.ffRescanAt = nc
-			}
-			return false
-		}
-		// Finite and exhausted processes draw no randomness. A node
-		// with packets left while the fabric is empty can only be
-		// parked (suppression consumes one packet per cycle without
-		// touching the network) — keep stepping until it drains.
-		j := &w.Jobs[ji]
-		for node := j.First; node <= j.Last; node++ {
-			if !proc.Done(node) {
-				s.ffRescanAt = s.cycle + 64
-				return false
-			}
-		}
+		wake = min(wake, r.injectAt)
 	}
-	if s.pbEnabled {
-		// With the fabric empty, cooldowns drain within two idle steps.
-		for i := range s.routers {
-			if s.routers[i].pbCooldown > 0 {
-				s.ffRescanAt = s.cycle + 1
-				return false
-			}
-		}
-	}
-	return true
+	return wake
 }
 
 // lastDelivery returns the latest delivery cycle across routers.
@@ -906,13 +870,9 @@ func (s *Sim) phaseInfos() []metrics.PhaseInfo {
 // deadlock, like the watchdog's verdict.
 func (s *Sim) run(ctx context.Context, step func(n int)) (deadlock bool, err error) {
 	finite := s.workload.Finite()
-	end := s.cfg.Warmup + s.cfg.Measure
-	if finite {
-		end = s.cfg.MaxCycles
-	}
 	target, lastChange := s.workload.Total(), s.workload.LastChange()
 	var lastGenerated, quiet int64
-	for s.cycle < end {
+	for s.cycle < s.end {
 		if s.cycle&ctxCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
 				return false, fmt.Errorf("engine: canceled at cycle %d: %w", s.cycle, err)
@@ -922,9 +882,12 @@ func (s *Sim) run(ctx context.Context, step func(n int)) (deadlock bool, err err
 			s.resetSheets()
 		}
 		_, live, _ := s.totals()
-		dead := live == 0 && s.deadSpan()
-		n := int(s.nextEvent(end, quiet, dead) - s.cycle)
-		if dead {
+		wake := s.cycle
+		if live == 0 {
+			wake = s.deadSpan()
+		}
+		n := int(s.nextEvent(quiet, wake) - s.cycle)
+		if wake > s.cycle {
 			// Nothing is live, so quiet is already zero and stays so.
 			s.ffJumped += int64(n)
 			s.finishBlock(n)

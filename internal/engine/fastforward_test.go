@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -69,11 +70,35 @@ func runSim(t *testing.T, cfg Config, ref bool) (*Sim, metrics.Result) {
 }
 
 // TestFastForwardBitIdentity is the dead blocks' regression gate: a sparse
-// burst workload with long silent gaps must produce a Result (and Timeline)
-// deep-equal to the reference path that steps every router every cycle,
-// serially and at 4 workers — and the blocked path must actually take dead
-// blocks, or the test proves nothing.
+// burst workload with long silent gaps, and a sparse steady one whose empty
+// spans end at the nodes' appointments, must produce a Result (and
+// Timeline) deep-equal to the reference path that steps every router every
+// cycle, serially and in parallel — and the blocked path must actually
+// take dead blocks, or the test proves nothing.
 func TestFastForwardBitIdentity(t *testing.T) {
+	// The steady case: a Bernoulli background at load 0.001 empties the
+	// fabric between packets. Piggybacking adds the cooldown clause.
+	for _, spec := range []core.Spec{core.Minimal, core.PB} {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("steady/%s/w%d", spec, workers), func(t *testing.T) {
+				build := func() Config {
+					cfg := testConfig(t, 2, spec, 0.001)
+					cfg.Workers, cfg.WindowCycles, cfg.Measure = workers, 500, 12000
+					return cfg
+				}
+				sim, a := runSim(t, build(), false)
+				ref, b := runSim(t, build(), true)
+				if !reflect.DeepEqual(a, b) || sim.Cycle() != ref.Cycle() {
+					t.Fatalf("dead blocks changed the steady result:\n  blocked  : %+v\n  reference: %+v", a, b)
+				}
+				if a.Delivered == 0 || a.Timeline == nil || sim.ffJumped == 0 || ref.ffJumped != 0 {
+					t.Fatalf("delivered %d, dead cycles %d (reference %d): the comparison proved nothing",
+						a.Delivered, sim.ffJumped, ref.ffJumped)
+				}
+			})
+		}
+	}
+
 	type outcome struct {
 		name    string
 		workers int

@@ -16,9 +16,25 @@ func (r *router) inVCs(port int) []vcBuffer {
 
 // TestHotHeadersFitOneLine pins the headers the per-cycle path loads: a
 // VC buffer header within one 64-byte cache line, an output port within
-// half of one — and the ring slots that name a packet at their 32-bit-ref
-// sizes.
+// half of one, the router fields every step reads (arrivals, the injection
+// appointment, occupancy, the Piggybacking cooldown and parity) in its
+// first line, a node's phase cache and appointment in 24 bytes — and the
+// ring slots that name a packet at their 32-bit-ref sizes.
 func TestHotHeadersFitOneLine(t *testing.T) {
+	var r router
+	for name, end := range map[string]uintptr{
+		"arrivals": unsafe.Offsetof(r.arrivals) + unsafe.Sizeof(r.arrivals),
+		"injectAt": unsafe.Offsetof(r.injectAt) + unsafe.Sizeof(r.injectAt),
+		"occupied": unsafe.Offsetof(r.occupied) + unsafe.Sizeof(r.occupied),
+		"parity":   unsafe.Offsetof(r.parity) + unsafe.Sizeof(r.parity),
+	} {
+		if end > 64 {
+			t.Errorf("router.%s ends at byte %d, past the first cache line", name, end)
+		}
+	}
+	if n := unsafe.Sizeof(nodePhase{}); n > 24 {
+		t.Errorf("nodePhase is %d bytes, want <= 24", n)
+	}
 	if n := unsafe.Sizeof(vcBuffer{}); n > 64 {
 		t.Errorf("vcBuffer is %d bytes, want <= 64", n)
 	}

@@ -72,12 +72,10 @@ type router struct {
 	// after construction), so remote workers' writes never invalidate the
 	// cache lines of this struct's single-writer hot fields.
 	arrivals arrivalSchedule
-	// nodePhase caches each attached node's resolved active phase, valid
-	// until phaseRefreshAt; between transitions the injection loop then
-	// costs the same as the pre-workload single-pattern path.
-	nodePhase      []nodePhase
-	nodeRand       []rng.PCG // one generator stream per attached node
-	phaseRefreshAt int64
+	// injectAt is the earliest appointment of the router's nodes (see
+	// nodePhase), or phaseRefreshAt if sooner: inject runs on no other
+	// cycle.
+	injectAt int64
 	// occupied counts packet entries across all input VC buffers
 	// (injection queues included). Nonzero occupied covers every local
 	// work source: unclaimed heads, active transfers, packets streaming.
@@ -100,6 +98,11 @@ type router struct {
 	pktSize      int32
 	group        int32 // cached topology group of this router
 	id           int
+	// nodePhase caches each attached node's resolved active phase, valid
+	// until phaseRefreshAt, and its next generation cycle.
+	nodePhase      []nodePhase
+	nodeRand       []rng.PCG // one generator stream per attached node
+	phaseRefreshAt int64
 
 	// per-cycle scratch: one bit per output/input port (the 63-port
 	// activity-mask limit guarantees the fault-drop sink's bit Topo.Ports
@@ -155,8 +158,9 @@ type router struct {
 
 	// phaseCur caches, per workload job, the index of the last phase this
 	// router observed active. Phase transitions are pure functions of the
-	// cycle number and inject runs every cycle, so the cached cursor only
-	// ever advances and stays identical across worker shardings.
+	// cycle number and refreshPhases runs at increasing cycles, so the
+	// cached cursor only ever advances and stays identical across worker
+	// shardings.
 	phaseCur []int32
 }
 
@@ -334,17 +338,18 @@ func (r *router) unmarkClaimable(port, vc int) {
 	}
 }
 
-// step advances the router by one cycle.
+// step advances the router by one cycle. Injection runs only when one of
+// the router's nodes has an appointment (or its phases need refreshing);
+// the draws of the cycles in between were made when the appointment was.
 func (r *router) step(cycle int64) {
 	r.parity = uint8(cycle & 1)
 	if pm, cm := r.arrivals.take(cycle); pm|cm != 0 {
 		r.absorb(cycle, pm, cm)
 	}
-	// Injection must run every cycle regardless of activity — the traffic
-	// process consumes its per-node RNG streams unconditionally, and
-	// skipping a draw would change every subsequent decision.
 	empty := r.occupied == 0
-	r.inject(cycle)
+	if cycle >= r.injectAt {
+		r.inject(cycle)
+	}
 	if empty && r.occupied == 0 {
 		// Fully idle: no buffered packets, no transfers, nothing arrived,
 		// nothing injected.
@@ -411,110 +416,117 @@ func (r *router) absorb(cycle int64, phits, credits uint64) {
 }
 
 // nodePhase is one attached node's cached view of its active workload
-// phase (see router.refreshPhases).
+// phase (see router.refreshPhases) and its appointment.
 type nodePhase struct {
-	pattern traffic.Pattern
-	process traffic.Process
-	phase   int32
-	idle    bool // no job, or the job's bounded schedule expired
-	finite  bool
+	phase *traffic.Phase // nil: no job, or the job's bounded schedule expired
+	// due is the node's next generation cycle, the process's draws through
+	// it already made; phaseRefreshAt when there is none before then.
+	due    int64
+	id     int32 // workload-global phase id
+	finite bool
 }
 
-const noNextChange = int64(^uint64(0) >> 1)
-
-// refreshPhases re-resolves every attached node's active phase and
-// schedules the next refresh at the earliest upcoming transition of the
-// jobs this router touches. Single-phase workloads therefore refresh once
-// and never again, keeping the per-cycle injection cost at the
-// pre-workload level.
+// refreshPhases re-resolves every attached node's active phase, schedules
+// the next refresh at the earliest upcoming transition of the jobs this
+// router touches (or the run's end), and books each node's first
+// appointment from cycle. A node's process never draws past the refresh,
+// where it may change.
 func (r *router) refreshPhases(cycle int64) {
 	e := r.eng
 	w := e.workload
-	next := noNextChange
-	for k := 0; k < e.topo.H; k++ {
+	next := e.end
+	for k := range r.nodePhase {
 		np := &r.nodePhase[k]
-		node := e.topo.NodeID(r.id, k)
-		ji := w.JobOf(node)
+		np.phase = nil
+		ji := w.JobOf(e.topo.NodeID(r.id, k))
 		if ji < 0 {
-			np.idle = true
 			continue
 		}
 		pi, active := w.PhaseAt(ji, cycle, &r.phaseCur[ji])
-		np.idle = !active
 		if active {
-			ph := &w.Jobs[ji].Phases[pi]
-			np.pattern = ph.Pattern
-			np.process = ph.Process
-			np.phase = int32(w.PhaseID(ji, pi))
-			np.finite = ph.Process.Finite()
+			np.phase = &w.Jobs[ji].Phases[pi]
+			np.id = int32(w.PhaseID(ji, pi))
+			np.finite = np.phase.Process.Finite()
 		}
 		if nc := w.NextChange(ji, cycle); nc >= 0 && nc < next {
 			next = nc
 		}
 	}
 	r.phaseRefreshAt = next
+	for k := range r.nodePhase {
+		np := &r.nodePhase[k]
+		np.due = next
+		if np.phase != nil {
+			np.due = np.phase.Process.Next(e.topo.NodeID(r.id, k), cycle, next, &r.nodeRand[k])
+		}
+	}
 }
 
-// inject asks each node's active workload phase for new packets and queues
-// them. Nodes outside every job stay idle; for all others the phase's
-// process draws from the node's RNG stream every cycle, so a one-phase
-// workload consumes randomness exactly like the classic pattern+process
-// pair did.
+// inject runs the generation events due at cycle and books each of those
+// nodes' next appointment. Each node's stream sees what one trial per cycle
+// would give it: the trial for cycle, then the event's destination draw,
+// then the trials from cycle+1 on, so a one-phase workload consumes
+// randomness exactly like the classic pattern+process pair did.
 func (r *router) inject(cycle int64) {
 	if cycle >= r.phaseRefreshAt {
 		r.refreshPhases(cycle)
 	}
-	e := r.eng
-	base := e.topo.EjectPortBase()
-	for k := 0; k < e.topo.H; k++ {
+	next := r.phaseRefreshAt
+	for k := range r.nodePhase {
 		np := &r.nodePhase[k]
-		if np.idle {
-			continue
+		if np.due == cycle {
+			node := r.eng.topo.NodeID(r.id, k)
+			r.generate(cycle, k, node, np)
+			np.due = np.phase.Process.Next(node, cycle+1, r.phaseRefreshAt, &r.nodeRand[k])
 		}
-		node := e.topo.NodeID(r.id, k)
-		rnd := &r.nodeRand[k]
-		if !np.process.Generate(node, cycle, rnd) {
-			continue
-		}
-		if r.parked {
-			// The node's router is dead: the generation event is
-			// suppressed at the source. It still consumes the process
-			// (finite bursts complete) and counts toward progress, so
-			// conservation holds as generated == injected + lost +
-			// suppressed and drain detection keeps working.
-			r.sheet.RecordSuppressed(cycle, int(np.phase))
-			np.process.Consume(node)
-			r.prog.generated++
-			continue
-		}
-		port := base + k
-		q := &r.vcs[r.in[port].vc0]
-		if !q.hasSpaceFor(r.pktSize) {
-			if !np.finite {
-				r.sheet.RecordInjectionLost(cycle, int(np.phase))
-			}
-			continue // finite processes retry next cycle
-		}
-		ref, pkt := r.pkts.get(e.arena)
-		pkt.ID = int64(r.id)<<32 | r.pktSeq
-		r.pktSeq++
-		pkt.Size = r.pktSize
-		pkt.Phase = np.phase
-		pkt.CreatedAt = cycle
-		pkt.InjectedAt = -1
-		dst := np.pattern.Dest(node, rnd)
-		pkt.St.Init(e.topo, node, dst)
-		q.pushWholePacket(ref, r.pktSize)
-		r.occupied++
-		r.prog.occ++
-		if !q.claimed {
-			r.markClaimable(port, 0)
-		}
-		np.process.Consume(node)
-		r.sheet.RecordInjected(cycle, int(np.phase))
-		r.prog.generated++
-		r.prog.live++
+		next = min(next, np.due)
 	}
+	r.injectAt = next
+}
+
+// generate is node k's generation event at cycle: suppressed at a parked
+// router, lost on a full injection queue (a finite process retries next
+// cycle), and otherwise a new packet to the pattern's destination.
+func (r *router) generate(cycle int64, k, node int, np *nodePhase) {
+	e := r.eng
+	if r.parked {
+		// The node's router is dead: the generation event is suppressed
+		// at the source. It still consumes the process (finite bursts
+		// complete) and counts toward progress, so conservation holds as
+		// generated == injected + lost + suppressed and drain detection
+		// keeps working.
+		r.sheet.RecordSuppressed(cycle, int(np.id))
+		np.phase.Process.Consume(node)
+		r.prog.generated++
+		return
+	}
+	port := e.topo.EjectPortBase() + k
+	q := &r.vcs[r.in[port].vc0]
+	if !q.hasSpaceFor(r.pktSize) {
+		if !np.finite {
+			r.sheet.RecordInjectionLost(cycle, int(np.id))
+		}
+		return
+	}
+	ref, pkt := r.pkts.get(e.arena)
+	pkt.ID = int64(r.id)<<32 | r.pktSeq
+	r.pktSeq++
+	pkt.Size = r.pktSize
+	pkt.Phase = np.id
+	pkt.CreatedAt = cycle
+	pkt.InjectedAt = -1
+	dst := np.phase.Pattern.Dest(node, &r.nodeRand[k])
+	pkt.St.Init(e.topo, node, dst)
+	q.pushWholePacket(ref, r.pktSize)
+	r.occupied++
+	r.prog.occ++
+	if !q.claimed {
+		r.markClaimable(port, 0)
+	}
+	np.phase.Process.Consume(node)
+	r.sheet.RecordInjected(cycle, int(np.id))
+	r.prog.generated++
+	r.prog.live++
 }
 
 // continueTransfers moves one phit per output port among its active

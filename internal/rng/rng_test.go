@@ -124,6 +124,79 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
+// bernoulliRef is the trial Trials must reproduce, written out from its
+// definition: Float64() < prob, with no draw at prob <= 0 or prob >= 1.
+func bernoulliRef(p *PCG, prob float64) bool {
+	if prob <= 0 {
+		return false
+	}
+	if prob >= 1 {
+		return true
+	}
+	return p.Float64() < prob
+}
+
+// checkTrials fails unless Trials(prob, n) returns the index of the first
+// success among up to n reference trials on an identical generator and
+// leaves the generator in the same state.
+func checkTrials(t *testing.T, seed, stream uint64, prob float64, n int64) {
+	t.Helper()
+	got, want := New(seed, stream), New(seed, stream)
+	i := got.Trials(prob, n)
+	j := int64(0)
+	for j < n && !bernoulliRef(want, prob) {
+		j++
+	}
+	if i != j || *got != *want {
+		t.Fatalf("Trials(%v (bits %#x), %d) on (%d, %d) = %d, state %+v; %d reference trials give %d, state %+v",
+			prob, math.Float64bits(prob), n, seed, stream, i, *got, n, j, *want)
+	}
+}
+
+// tieProbs returns the probabilities (x-1, x, x+1)/2^53 around the stream's
+// next 53-bit draw x: the only inputs whose first trial needs its second
+// output.
+func tieProbs(seed, stream uint64) []float64 {
+	x := New(seed, stream).Uint64() >> 11
+	return []float64{float64(x-1) / (1 << 53), float64(x) / (1 << 53), float64(x+1) / (1 << 53)}
+}
+
+func TestTrialsMatchesBernoulli(t *testing.T) {
+	probs := []float64{0, -0.5, 1, 1.5, 0.3, 1.0 / 8, 0.05 / 8, 0.0005 / 8,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.Nextafter(1, 0)}
+	for seed := uint64(0); seed < 4; seed++ {
+		for _, prob := range append(probs, tieProbs(seed, 7)...) {
+			for _, n := range []int64{-3, 0, 1, 2, 17, 4096} {
+				checkTrials(t, seed, 7, prob, n)
+			}
+		}
+	}
+	// Bernoulli is one trial.
+	p, q := New(9, 9), New(9, 9)
+	for i := range 1000 {
+		prob := float64(i%11) / 10
+		if p.Bernoulli(prob) != bernoulliRef(q, prob) || *p != *q {
+			t.Fatalf("Bernoulli(%v) departs from its definition at call %d", prob, i)
+		}
+	}
+}
+
+// FuzzTrials holds Trials to n reference Bernoulli trials for any seed,
+// stream, probability (as raw float64 bits, so NaNs, infinities and
+// subnormals come up) and n <= 4096: the same index and the same state.
+func FuzzTrials(f *testing.F) {
+	for _, prob := range []float64{0, 1, -1, math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.Nextafter(1, 0), 0.3} {
+		f.Add(uint64(1), uint64(2), math.Float64bits(prob), uint16(64))
+	}
+	for _, prob := range tieProbs(5, 3) {
+		f.Add(uint64(5), uint64(3), math.Float64bits(prob), uint16(1))
+	}
+	f.Fuzz(func(t *testing.T, seed, stream, bits uint64, n uint16) {
+		checkTrials(t, seed, stream, math.Float64frombits(bits), int64(n%4097))
+	})
+}
+
 func TestSplitIndependence(t *testing.T) {
 	p := New(123, 4)
 	q := p.Split()
@@ -150,6 +223,13 @@ func BenchmarkUint32(b *testing.B) {
 	p := New(1, 1)
 	for i := 0; i < b.N; i++ {
 		_ = p.Uint32()
+	}
+}
+
+func BenchmarkTrials(b *testing.B) {
+	p := New(1, 1)
+	for i := 0; i < b.N; i++ {
+		_ = p.Trials(0.05/8, 1000)
 	}
 }
 

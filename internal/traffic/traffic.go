@@ -108,7 +108,7 @@ type Mix struct {
 
 // NewMix builds the combined adversarial pattern.
 func NewMix(global, local Pattern, globalFrac float64) (*Mix, error) {
-	if globalFrac < 0 || globalFrac > 1 {
+	if !(0 <= globalFrac && globalFrac <= 1) {
 		return nil, fmt.Errorf("traffic: global fraction %v out of [0,1]", globalFrac)
 	}
 	return &Mix{Global: global, Local: local, GlobalFrac: globalFrac}, nil
@@ -130,10 +130,12 @@ func (m *Mix) Name() string {
 // Process is the injection process at one node: it decides when new packets
 // are generated.
 type Process interface {
-	// Generate reports whether node src generates a packet this cycle.
-	// The engine calls it once per node and cycle, before checking queue
-	// space.
-	Generate(src int, cycle int64, r *rng.PCG) bool
+	// Next returns the first cycle in [from, limit) at which node src
+	// generates a packet, or limit if there is none. It consumes exactly
+	// the draws that one trial per cycle, from from through the returned
+	// cycle, would make, so a caller that asks again from the cycle after
+	// each event sees the stream a per-cycle caller would.
+	Next(src int, from, limit int64, r *rng.PCG) int64
 	// Consume records that node src actually injected a packet; finite
 	// processes count down on it, steady ones ignore it.
 	Consume(src int)
@@ -143,9 +145,6 @@ type Process interface {
 	// Total returns the number of packets a finite process generates in
 	// total, or -1 for steady processes.
 	Total() int64
-	// Done reports whether a finite process has generated everything it
-	// will ever generate for node src.
-	Done(src int) bool
 }
 
 // Bernoulli generates a packet with probability Load/PacketPhits each cycle
@@ -157,13 +156,22 @@ type Bernoulli struct {
 // NewBernoulli returns a steady injection process with the given offered
 // load in phits/(node*cycle) and packet size in phits.
 func NewBernoulli(load float64, packetPhits int) (*Bernoulli, error) {
-	if load < 0 || packetPhits < 1 {
+	if !(load >= 0) || packetPhits < 1 {
 		return nil, fmt.Errorf("traffic: bad Bernoulli parameters load=%v size=%d", load, packetPhits)
 	}
 	return &Bernoulli{prob: load / float64(packetPhits)}, nil
 }
 
-// Generate implements Process.
+// Next implements Process: one Bernoulli trial per cycle.
+func (b *Bernoulli) Next(_ int, from, limit int64, r *rng.PCG) int64 {
+	if from >= limit {
+		return limit
+	}
+	return from + r.Trials(b.prob, limit-from)
+}
+
+// Generate reports whether one cycle's trial generates a packet: Next
+// over a one-cycle window.
 func (b *Bernoulli) Generate(_ int, _ int64, r *rng.PCG) bool { return r.Bernoulli(b.prob) }
 
 // Consume implements Process; steady processes ignore it.
@@ -174,9 +182,6 @@ func (b *Bernoulli) Finite() bool { return false }
 
 // Total implements Process.
 func (b *Bernoulli) Total() int64 { return -1 }
-
-// Done implements Process.
-func (b *Bernoulli) Done(int) bool { return false }
 
 // Burst generates exactly PacketsPerNode packets per node as fast as the
 // injection queue accepts them, then stops. The paper's burst-consumption
@@ -199,11 +204,15 @@ func NewBurst(packetsPerNode, nodes int) (*Burst, error) {
 	return b, nil
 }
 
-// Generate implements Process. The engine must call Consume after a
-// successful injection; Generate itself does not decrement so that a full
-// queue does not lose packets.
-func (b *Burst) Generate(src int, _ int64, _ *rng.PCG) bool {
-	return b.remaining[src] > 0
+// Next implements Process without drawing: a node with packets left
+// generates at once. The engine must call Consume after a successful
+// injection; Next itself does not decrement, so a node whose queue is full
+// asks again from the next cycle and loses no packet.
+func (b *Burst) Next(src int, from, limit int64, _ *rng.PCG) int64 {
+	if b.remaining[src] > 0 && from < limit {
+		return from
+	}
+	return limit
 }
 
 // Consume records that node src actually injected one packet.
@@ -214,6 +223,3 @@ func (b *Burst) Finite() bool { return true }
 
 // Total implements Process.
 func (b *Burst) Total() int64 { return int64(b.PacketsPerNode) * int64(len(b.remaining)) }
-
-// Done implements Process.
-func (b *Burst) Done(src int) bool { return b.remaining[src] <= 0 }

@@ -187,8 +187,10 @@ func TestMixRejectsBadFraction(t *testing.T) {
 	p := topo(t, 2)
 	g, _ := NewAdversarialGlobal(p, 1)
 	l, _ := NewAdversarialLocal(p, 1)
-	if _, err := NewMix(g, l, 1.5); err == nil {
-		t.Fatal("mix fraction 1.5 accepted")
+	for _, frac := range []float64{1.5, -0.1, math.NaN(), math.Inf(1)} {
+		if _, err := NewMix(g, l, frac); err == nil {
+			t.Fatalf("mix fraction %v accepted", frac)
+		}
 	}
 }
 
@@ -218,33 +220,90 @@ func TestBernoulliRejectsBadParams(t *testing.T) {
 	if _, err := NewBernoulli(-0.1, 8); err == nil {
 		t.Fatal("negative load accepted")
 	}
+	if _, err := NewBernoulli(math.NaN(), 8); err == nil {
+		t.Fatal("NaN load accepted")
+	}
 	if _, err := NewBernoulli(0.5, 0); err == nil {
 		t.Fatal("zero packet size accepted")
 	}
 }
 
+// TestBernoulliNextMatchesCycleTrials holds Next to one Generate per
+// cycle: over random windows, the same first generating cycle (limit when
+// none) and the same stream afterwards, and an empty window draws nothing.
+func TestBernoulliNextMatchesCycleTrials(t *testing.T) {
+	b, err := NewBernoulli(0.3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pick := rng.New(4, 4)
+	for i := range 2000 {
+		from := int64(pick.Intn(1000))
+		limit := from + int64(pick.Intn(40)) - 5
+		got, want := rng.New(uint64(i), 1), rng.New(uint64(i), 1)
+		next := b.Next(0, from, limit, got)
+		c := from
+		for c < limit && !b.Generate(0, c, want) {
+			c++
+		}
+		if c > limit {
+			c = limit
+		}
+		if next != c || *got != *want {
+			t.Fatalf("Next(%d, %d) = %d, per-cycle trials give %d (or the streams differ)", from, limit, next, c)
+		}
+	}
+}
+
+// TestBurstCountsDown walks a burst through Next: a node with packets left
+// generates at the window's first cycle, a full queue (no Consume) asks
+// again from the next cycle and gets it, an exhausted node and an empty
+// window give limit, and no call draws.
 func TestBurstCountsDown(t *testing.T) {
 	b, err := NewBurst(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Finite() {
-		t.Fatal("burst not finite")
+	if !b.Finite() || b.Total() != 6 {
+		t.Fatalf("burst finite=%v total=%d", b.Finite(), b.Total())
 	}
 	r := rng.New(1, 1)
-	for i := 0; i < 3; i++ {
-		if !b.Generate(0, 0, r) {
-			t.Fatalf("burst refused packet %d", i)
+	before := *r
+	pick := rng.New(2, 2)
+	for range 100 {
+		from := int64(pick.Intn(1000))
+		limit := from + int64(pick.Intn(20)) - 5
+		want := from
+		if from >= limit {
+			want = limit
+		}
+		if got := b.Next(0, from, limit, r); got != want {
+			t.Fatalf("Next(%d, %d) = %d with packets left, want %d", from, limit, got, want)
+		}
+	}
+	// A full queue: the event at cycle c injects nothing, so the next
+	// appointment is c+1, until a packet goes in.
+	c := int64(10)
+	for retry := range 3 {
+		if got := b.Next(0, c+1, 100, r); got != c+1 {
+			t.Fatalf("retry %d after a full queue at cycle %d: next %d, want %d", retry, c, got, c+1)
+		}
+		c++
+	}
+	for i := range 3 {
+		if got := b.Next(0, c, 100, r); got != c {
+			t.Fatalf("packet %d: next %d, want %d", i, got, c)
 		}
 		b.Consume(0)
+		c++
 	}
-	if b.Generate(0, 0, r) {
-		t.Fatal("burst generated a 4th packet")
+	if got := b.Next(0, c, 100, r); got != 100 {
+		t.Fatalf("exhausted node: next %d, want the limit 100", got)
 	}
-	if !b.Done(0) {
-		t.Fatal("node 0 not done")
+	if got := b.Next(1, c, 100, r); got != c {
+		t.Fatalf("node 1 without sending: next %d, want %d", got, c)
 	}
-	if b.Done(1) {
-		t.Fatal("node 1 done without sending")
+	if *r != before {
+		t.Fatal("a burst drew from the stream")
 	}
 }
