@@ -2,7 +2,9 @@ package dragonfly_test
 
 // Headline shape tests: the paper's qualitative results, asserted at
 // reduced scale (h=3, shortened link latencies) with generous margins.
-// EXPERIMENTS.md tracks the quantitative reproduction at larger scale.
+// The quantitative reproduction at larger scale, and each predicate's
+// margin over seeds, are to be recorded in EXPERIMENTS.md, which ROADMAP
+// item 3 creates; it does not exist yet.
 
 import (
 	"testing"

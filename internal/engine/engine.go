@@ -225,7 +225,7 @@ type Sim struct {
 	workload *traffic.Workload
 
 	// arrSlots is the one arena behind every router's arrival schedule.
-	arrSlots []arrivalSlot
+	arrSlots []uint32
 	// arena owns every packet; the workers' lists (pkts) hand them out.
 	arena *packetArena
 
@@ -250,13 +250,15 @@ type Sim struct {
 	deltas   [][]cycleDelta
 
 	// blockMax is the longest block: min(LatGlobal, ring length -
-	// LatGlobal, arrival-ring length - LatGlobal). A group's routers step
-	// through a block together, but two groups may be up to a block apart
-	// in simulated time; only global links join them, and a global phit or
-	// credit sent in a block arrives after it (n <= LatGlobal) without
-	// lapping a ring slot its reader has yet to drain (n <= ring length -
-	// LatGlobal). No ring grows for it: 28 cycles at LatGlobal 100, 16 at
-	// 16, 1 at 1.
+	// LatGlobal), where a global link's ring and its receiver's global
+	// arrival ring both have arrivalSlotCount(LatGlobal) slots. A group's
+	// routers step through a block together, but two groups may be up to
+	// a block apart in simulated time; only global links join them, and a
+	// global phit or credit sent in a block arrives after it (n <=
+	// LatGlobal) without lapping a ring slot its reader has yet to drain
+	// (n <= ring length - LatGlobal). Local links and local arrival rings
+	// never span two groups, so LatLocal does not bound it. No ring grows
+	// for it: 28 cycles at LatGlobal 100, 16 at 16, 1 at 1.
 	blockMax int
 
 	// ffJumped counts the cycles dead blocks covered (observability for
@@ -436,13 +438,13 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 		}
 	}
 
-	// One arena for every router's arrival-schedule slots, laid out in
-	// router (and therefore range) order: the cross-worker-written slots
+	// One arena for every router's arrival-schedule words, laid out in
+	// router (and therefore range) order: the cross-worker-written words
 	// stay out of the router structs' cache lines.
-	slotsPer := arrivalSlotCount(max(sh.latLocal, sh.latGlobal))
-	s.arrSlots = make([]arrivalSlot, n*slotsPer)
+	wordsPer := arrivalWords(sh.latLocal, sh.latGlobal)
+	s.arrSlots = make([]uint32, n*wordsPer)
 
-	s.blockMax = min(sh.latGlobal, arrivalSlotCount(sh.latGlobal)-sh.latGlobal, slotsPer-sh.latGlobal)
+	s.blockMax = min(sh.latGlobal, arrivalSlotCount(sh.latGlobal)-sh.latGlobal)
 	s.deltas = make([][]cycleDelta, sh.workers)
 	for w := range s.deltas {
 		s.deltas[w] = make([]cycleDelta, s.blockMax)
@@ -460,7 +462,7 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 		r.credits, r.transfers = window(credits, id, outVCs), window(transfers, id, outVCs)
 		r.phaseCur = window(phaseCur, id, sh.jobs)
 		r.nodePhase, r.nodeRand = window(nodePhase, id, p.H), window(nodeRand, id, p.H)
-		r.arrivals.init(window(s.arrSlots, id, slotsPer), sh.workers <= 1)
+		r.arrivals.init(window(s.arrSlots, id, wordsPer), sh.latLocal, p.GlobalPortBase(), sh.workers <= 1)
 
 		// Input VCs and output VCs are numbered port by port; an
 		// injection port has one VC and an ejection port one transfer
@@ -499,17 +501,14 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 		for port := 0; port < linksPer; port++ {
 			l := &links[id*linksPer+port]
 			lat := sh.latLocal
-			if p.IsGlobalPort(port) {
+			if l.global = p.IsGlobalPort(port); l.global {
 				lat = sh.latGlobal
 			}
 			l.init(lat)
 			r.out[port].link = l
 			rr, rp := p.LinkTarget(id, port)
 			s.routers[rr].in[rp].link = l
-			l.phitSched = &s.routers[rr].arrivals
-			l.phitPort = int16(rp)
-			l.creditSched = &r.arrivals
-			l.creditPort = int16(port)
+			l.wire(&s.routers[rr].arrivals, rp, &r.arrivals, port)
 		}
 	}
 }

@@ -19,7 +19,7 @@ func (r *router) inVCs(port int) []vcBuffer {
 // half of one, the router fields every step reads (arrivals, the injection
 // appointment, occupancy, the Piggybacking cooldown and parity) in its
 // first line, a node's phase cache and appointment in 24 bytes — and the
-// ring slots that name a packet at their 32-bit-ref sizes.
+// ring slots at their packed sizes: a phit in 4 bytes, a credit in 1.
 func TestHotHeadersFitOneLine(t *testing.T) {
 	var r router
 	for name, end := range map[string]uintptr{
@@ -41,8 +41,11 @@ func TestHotHeadersFitOneLine(t *testing.T) {
 	if n := unsafe.Sizeof(outPort{}); n > 32 {
 		t.Errorf("outPort is %d bytes, want <= 32", n)
 	}
-	if n := unsafe.Sizeof(phitSlot{}); n != 8 {
-		t.Errorf("phitSlot is %d bytes, want 8", n)
+	if n := unsafe.Sizeof(phitSlot(0)); n != 4 {
+		t.Errorf("phitSlot is %d bytes, want 4", n)
+	}
+	if n := unsafe.Sizeof(creditSlot(0)); n != 1 {
+		t.Errorf("creditSlot is %d bytes, want 1", n)
 	}
 	if n := unsafe.Sizeof(fifoEntry{}); n != 8 {
 		t.Errorf("fifoEntry is %d bytes, want 8", n)

@@ -18,7 +18,9 @@ import "sync/atomic"
 // flowing back to the sender), which is what lets idle routers skip
 // scanning their links: a send is recorded under its arrival cycle,
 // strictly before that cycle is reached, so a receiver whose schedule
-// slot reads zero provably has nothing to absorb this cycle.
+// slot reads zero provably has nothing to absorb this cycle. A link's ring
+// slots are 4 bytes for a phit and 1 for a credit, the wire's whole cost
+// besides this 80-byte header once it has carried traffic.
 type link struct {
 	phits   []phitSlot
 	credits []creditSlot
@@ -26,10 +28,13 @@ type link struct {
 	phitSched   *arrivalSchedule // schedule of the phit receiver
 	creditSched *arrivalSchedule // schedule of the credit receiver (the sender router)
 
-	latency    int32
-	mask       int32 // ring length - 1 (length is a power of two)
-	phitPort   int16 // the receiver input port this link feeds
-	creditPort int16 // the sender output port its credits return to
+	latency int32
+	mask    int32 // ring length - 1 (length is a power of two)
+	// phitBit and creditBit are the bits this link's phits and credits
+	// set in their receivers' arrival words (see wire); global selects
+	// the global rings.
+	phitBit, creditBit uint8
+	global             bool
 }
 
 // arrivalSchedule records, per cycle, *which ports* of one router receive
@@ -42,28 +47,33 @@ type link struct {
 // and therefore results — are identical.
 //
 // A slot for cycle c is only ever written during cycles < c (latency is
-// at least 1) and only read at cycle c. A global-link sender may run up to
-// n cycles ahead of, or behind, the receiver within a block of n cycles;
-// with n <= ring length - LatGlobal its writes never reach a slot the
-// receiver has yet to drain, so concurrent accesses can only be ORs by
-// different senders — which is why a pair of plain atomic masks per slot
-// suffices.
+// at least 1) and only read at cycle c. It has two rings, each as long as
+// its links' latency needs, in one window of the simulation's arena:
+//   - the local ring, arrivalSlotCount(LatLocal) pairs of words (input
+//     ports with a phit, output ports with a credit; at most 2h-1 <= 31
+//     local ports each). Both ends of a local link are routers of one
+//     group, and one worker steps a group's routers in lockstep on one
+//     goroutine (Sim.allocate's group-aligned ranges), so writers and
+//     reader never run concurrently: plain stores, in every run.
+//   - the global ring, arrivalSlotCount(LatGlobal) words: phits on global
+//     input port GlobalPortBase+i set bit i, credits on global output port
+//     GlobalPortBase+i bit 16+i (h <= 16). A global-link sender may run up
+//     to n cycles ahead of, or behind, the receiver within a block of n
+//     cycles; with n <= ring length - LatGlobal (Sim.blockMax) its writes
+//     never reach a slot the receiver has yet to drain, so concurrent
+//     accesses can only be ORs by different senders — atomic ones when
+//     workers step in parallel.
 type arrivalSchedule struct {
-	slots []arrivalSlot
-	mask  int32
+	slots []uint32 // the local pairs, then the global words
+	lmask int32    // local ring length - 1
+	gmask int32    // global ring length - 1
+	goff  int32    // where the global ring starts: 2 × local ring length
+	gbase uint8    // GlobalPortBase: where take puts the global bits
 	// serial marks single-worker simulations: every send and drain runs
-	// on one goroutine, so the mask updates skip the LOCKed read-modify-
-	// write instructions. Multi-worker runs use the atomic ops; the block
-	// barrier provides the cross-block happens-before edges either way.
+	// on one goroutine, so the global ring's updates skip the LOCKed
+	// read-modify-write instructions. The block barrier provides the
+	// cross-block happens-before edges either way.
 	serial bool
-}
-
-// arrivalSlot is one cycle's arrival masks: input ports receiving a phit
-// and output ports receiving a credit. Accessed through sync/atomic in
-// parallel runs, plainly in serial ones.
-type arrivalSlot struct {
-	phits   uint64
-	credits uint64
 }
 
 // arrivalSlotCount returns the power-of-two ring length for a latency: at
@@ -77,67 +87,62 @@ func arrivalSlotCount(latency int) int {
 	return n
 }
 
-// init points the schedule at its slot ring — a slice of the simulation's
-// router-ordered slot arena, so the cross-worker-written slots of all
-// routers live in one allocation away from the routers' single-writer hot
-// state. The arena's owner clears the slots between runs.
-func (s *arrivalSchedule) init(slots []arrivalSlot, serial bool) {
+// arrivalWords returns the length of one router's schedule window.
+func arrivalWords(latLocal, latGlobal int) int {
+	return 2*arrivalSlotCount(latLocal) + arrivalSlotCount(latGlobal)
+}
+
+// init points the schedule at its window of the simulation's
+// router-ordered arena, so the cross-worker-written words of all routers
+// live in one allocation away from the routers' single-writer hot state.
+// The arena's owner clears the words between runs.
+func (s *arrivalSchedule) init(slots []uint32, latLocal, gbase int, serial bool) {
 	s.slots = slots
-	s.mask = int32(len(slots) - 1)
+	s.lmask = int32(arrivalSlotCount(latLocal) - 1)
+	s.goff = 2 * (s.lmask + 1)
+	s.gmask = int32(len(slots)) - s.goff - 1
+	s.gbase = uint8(gbase)
 	s.serial = serial
 }
 
-// addPhit records a phit arriving at the given input port and cycle.
-func (s *arrivalSchedule) addPhit(cycle int64, port int16) {
-	slot := &s.slots[cycle&int64(s.mask)]
-	if s.serial {
-		slot.phits |= 1 << uint(port)
-		return
-	}
-	atomic.OrUint64(&slot.phits, 1<<uint(port))
+// addLocal records an arrival at cycle at on the local ring: word 0 for a
+// phit, 1 for a credit.
+func (s *arrivalSchedule) addLocal(at, word int64, bit uint8) {
+	s.slots[2*(at&int64(s.lmask))+word] |= 1 << bit
 }
 
-// addCredit records a credit arriving at the given output port and cycle.
-func (s *arrivalSchedule) addCredit(cycle int64, port int16) {
-	slot := &s.slots[cycle&int64(s.mask)]
-	if s.serial {
-		slot.credits |= 1 << uint(port)
-		return
+// addGlobal records an arrival at cycle at on the global ring.
+func (s *arrivalSchedule) addGlobal(at int64, bit uint8) {
+	if w := &s.slots[int64(s.goff)+at&int64(s.gmask)]; s.serial {
+		*w |= 1 << bit
+	} else {
+		atomic.OrUint32(w, 1<<bit)
 	}
-	atomic.OrUint64(&slot.credits, 1<<uint(port))
 }
 
-// take drains and returns the arrival masks for the given cycle.
+// take drains the given cycle's slots and returns its arrival masks in
+// port numbering: input ports with a phit, output ports with a credit.
+// Plain accesses suffice even for the global word: every global send of a
+// block arrives after the block, so no sender writes a slot while it is
+// drained.
 func (s *arrivalSchedule) take(cycle int64) (phits, credits uint64) {
-	slot := &s.slots[cycle&int64(s.mask)]
-	if s.serial {
-		phits, credits = slot.phits, slot.credits
-		slot.phits, slot.credits = 0, 0
-		return phits, credits
-	}
-	phits, credits = atomic.LoadUint64(&slot.phits), atomic.LoadUint64(&slot.credits)
-	if phits != 0 {
-		atomic.StoreUint64(&slot.phits, 0)
-	}
-	if credits != 0 {
-		atomic.StoreUint64(&slot.credits, 0)
-	}
+	l := s.slots[2*(cycle&int64(s.lmask)):]
+	w := &s.slots[int64(s.goff)+cycle&int64(s.gmask)]
+	v := *w
+	phits, credits = uint64(l[0])|uint64(uint16(v))<<s.gbase, uint64(l[1])|uint64(v>>16)<<s.gbase
+	l[0], l[1], *w = 0, 0, 0
 	return phits, credits
 }
 
-// phitSlot carries one phit: the packet it belongs to (zero: no phit) and
-// the virtual channel it rides on (sender output VC == receiver input VC).
-type phitSlot struct {
-	pkt pktRef
-	vc  int8
-}
+// phitSlot carries one phit: ref<<4 | vc, the packet it belongs to (zero:
+// no phit, as ref 0 is never handed out) and the virtual channel it rides
+// on (sender output VC == receiver input VC, below the engine's 16-VC
+// limit). Refs fit the 28 bits left (see maxPktChunks).
+type phitSlot uint32
 
 // creditSlot returns one buffer credit for a VC of the receiver's input
-// port back to the sender.
-type creditSlot struct {
-	vc    int8
-	valid bool
-}
+// port back to the sender: vc+1, zero for no credit.
+type creditSlot uint8
 
 // init sets a link's latency. The phit and credit rings are allocated
 // lazily on first send: a long-latency global link costs hundreds of slots,
@@ -159,6 +164,20 @@ func (l *link) reset() {
 	clear(l.credits)
 }
 
+// wire attaches the link to its ends' schedules: it feeds input port
+// inPort of the phit receiver, and its credits return to output port
+// outPort of the sender. A local link sets its ports' bits in the local
+// words; a global one sets bit port-GlobalPortBase of the global word,
+// plus 16 for a credit.
+func (l *link) wire(phitSched *arrivalSchedule, inPort int, creditSched *arrivalSchedule, outPort int) {
+	l.phitSched, l.creditSched = phitSched, creditSched
+	l.phitBit, l.creditBit = uint8(inPort), uint8(outPort)
+	if l.global {
+		l.phitBit -= phitSched.gbase
+		l.creditBit += 16 - creditSched.gbase
+	}
+}
+
 // sendPhit schedules a phit to arrive at now+latency.
 func (l *link) sendPhit(now int64, pkt pktRef, vc int) {
 	if l.phits == nil {
@@ -166,24 +185,24 @@ func (l *link) sendPhit(now int64, pkt pktRef, vc int) {
 	}
 	at := now + int64(l.latency)
 	s := &l.phits[at&int64(l.mask)]
-	if s.pkt != 0 {
+	if *s != 0 {
 		panic("engine: phit slot collision")
 	}
-	s.pkt = pkt
-	s.vc = int8(vc)
-	if l.phitSched != nil {
-		l.phitSched.addPhit(at, l.phitPort)
+	*s = phitSlot(pkt)<<4 | phitSlot(vc)
+	switch {
+	case l.phitSched == nil: // an unwired link
+	case l.global:
+		l.phitSched.addGlobal(at, l.phitBit)
+	default:
+		l.phitSched.addLocal(at, 0, l.phitBit)
 	}
 }
 
 // recvPhit consumes the phit arriving now, if any.
 func (l *link) recvPhit(now int64) (pkt pktRef, vc int) {
 	s := &l.phits[now&int64(l.mask)]
-	if s.pkt == 0 {
-		return 0, 0
-	}
-	pkt, vc = s.pkt, int(s.vc)
-	s.pkt = 0
+	pkt, vc = pktRef(*s>>4), int(*s&15)
+	*s = 0
 	return pkt, vc
 }
 
@@ -194,22 +213,23 @@ func (l *link) sendCredit(now int64, vc int) {
 	}
 	at := now + int64(l.latency)
 	s := &l.credits[at&int64(l.mask)]
-	if s.valid {
+	if *s != 0 {
 		panic("engine: credit slot collision")
 	}
-	s.vc = int8(vc)
-	s.valid = true
-	if l.creditSched != nil {
-		l.creditSched.addCredit(at, l.creditPort)
+	*s = creditSlot(vc + 1)
+	switch {
+	case l.creditSched == nil: // an unwired link
+	case l.global:
+		l.creditSched.addGlobal(at, l.creditBit)
+	default:
+		l.creditSched.addLocal(at, 1, l.creditBit)
 	}
 }
 
 // recvCredit consumes the credit arriving now, if any.
 func (l *link) recvCredit(now int64) (vc int, ok bool) {
 	s := &l.credits[now&int64(l.mask)]
-	if !s.valid {
-		return 0, false
-	}
-	s.valid = false
-	return int(s.vc), true
+	c := *s
+	*s = 0
+	return int(c) - 1, c != 0
 }

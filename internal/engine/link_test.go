@@ -63,3 +63,36 @@ func TestLinkSlotCollisionPanics(t *testing.T) {
 	}()
 	l.sendPhit(0, p, 1)
 }
+
+// TestPackedSlotsRoundTrip: a phit slot packs a ref of up to 28 bits with
+// a VC of up to 4, and a credit slot a VC in one byte; the extreme values
+// come back out intact. The arena refuses to grow its directory to a
+// chunk whose refs would not fit, checked on the growth path without
+// allocating 2^22 chunks.
+func TestPackedSlotsRoundTrip(t *testing.T) {
+	var l link
+	l.init(3)
+	now := int64(0)
+	for _, ref := range []pktRef{1, 1<<28 - 1} {
+		for _, vc := range []int{0, 15} {
+			l.sendPhit(now, ref, vc)
+			l.sendCredit(now, vc)
+			if pkt, got := l.recvPhit(now + 3); pkt != ref || got != vc {
+				t.Errorf("phit (%d, vc %d) came back as (%d, vc %d)", ref, vc, pkt, got)
+			}
+			if got, ok := l.recvCredit(now + 3); !ok || got != vc {
+				t.Errorf("credit for vc %d came back as (%d, %v)", vc, got, ok)
+			}
+			now++
+		}
+	}
+
+	var a packetArena
+	a.next.Store(maxPktChunks - 1) // the last chunk whose refs fit is next
+	defer func() {
+		if recover() == nil {
+			t.Fatal("the directory grew past the refs a phit slot holds")
+		}
+	}()
+	a.reserve(2)
+}

@@ -34,6 +34,10 @@ type pktRef uint32
 const (
 	pktChunkBits = 6
 	pktChunkLen  = 1 << pktChunkBits
+	// maxPktChunks bounds the directory so that every ref fits the 28
+	// bits a link's phit slot gives it (see phitSlot): 2^28 packets, where
+	// a saturated h=16 fabric holds about 35M.
+	maxPktChunks = 1 << (28 - pktChunkBits)
 )
 
 // pktChunk is the arena's unit of growth: small enough that a fresh
@@ -62,7 +66,10 @@ func (a *packetArena) at(ref pktRef) *Packet {
 // Only called from the serial section.
 func (a *packetArena) reserve(free int) {
 	if need := int(a.next.Load()) + free; need > len(a.chunks) {
-		chunks := make([]*pktChunk, max(need, 2*len(a.chunks)))
+		if need > maxPktChunks {
+			panic(fmt.Sprintf("engine: packet directory past %d chunks: refs would overflow a phit slot", maxPktChunks))
+		}
+		chunks := make([]*pktChunk, min(max(need, 2*len(a.chunks)), maxPktChunks))
 		copy(chunks, a.chunks)
 		a.chunks = chunks
 	}

@@ -62,7 +62,6 @@ type inPort struct {
 // The fields every cycle reads come first, then the ones an active cycle
 // reads, then set-up and bookkeeping.
 type router struct {
-	eng *Sim
 	// arrivals schedules the phits and credits in flight toward this
 	// router by arrival cycle. Senders fill it inside sendPhit/sendCredit
 	// (they know the arrival cycle at send time); step drains the current
@@ -96,6 +95,7 @@ type router struct {
 	parked       bool
 	needHeadFull bool // the mechanism consults HeadFullyArrived (OFAR's store-and-forward ring)
 	pktSize      int32
+	eng          *Sim
 	group        int32 // cached topology group of this router
 	id           int
 	// nodePhase caches each attached node's resolved active phase, valid

@@ -344,3 +344,39 @@ func TestPhasedBurstAllocationRepeats(t *testing.T) {
 			lo, hi, 100*spread)
 	}
 }
+
+// TestLocalLinksStayInOneRange pins what the arrival schedules' plain
+// local rings rest on: both routers of every local link lie in one range
+// of the partition, so one worker steps writer and reader alike, and only
+// links announced on the global rings cross ranges.
+func TestLocalLinksStayInOneRange(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // let Workers: 4 through the clamp
+	for h := 1; h <= 4; h++ {
+		for workers := 1; workers <= 4; workers++ {
+			cfg := testConfig(t, h, core.Minimal, 0.1)
+			cfg.Workers = workers
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := s.topo
+			rangeOf := func(id int) int {
+				i, _ := slices.BinarySearch(s.bounds, id+1)
+				return i - 1
+			}
+			for id := range s.routers {
+				for port := 0; port < p.EjectPortBase(); port++ {
+					l := s.routers[id].out[port].link
+					rr, _ := p.LinkTarget(id, port)
+					if l.global != p.IsGlobalPort(port) {
+						t.Fatalf("h=%d: router %d port %d: link global=%v", h, id, port, l.global)
+					}
+					if !l.global && rangeOf(id) != rangeOf(rr) {
+						t.Fatalf("h=%d workers=%d (%d effective): local link %d->%d spans ranges %d and %d of %v",
+							h, workers, s.shape.workers, id, rr, rangeOf(id), rangeOf(rr), s.bounds)
+					}
+				}
+			}
+		}
+	}
+}

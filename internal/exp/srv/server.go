@@ -446,7 +446,10 @@ func (s *Server) submit(name string, points []exp.Point) *campaign {
 		name:    name,
 		created: time.Now().UTC(),
 		points:  points,
-		served:  make([]bool, len(points)),
+		// Sized up front: every point records once, so record never
+		// regrows and copies the outcomes.
+		recs:   make([]exp.Outcome, 0, len(points)),
+		served: make([]bool, len(points)),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	s.campaigns[c.id] = c
