@@ -208,9 +208,10 @@ func (a *adaptive) liveGlobalDetour(v View, st *PacketState, idx, g int) bool {
 	return false
 }
 
-// eligible applies the trigger to one output: normalized occupancy below
-// the limit and claimable right now.
+// eligible applies the trigger to one output: claimable right now and
+// normalized occupancy below the limit. The claim bit is the cheaper test,
+// so it goes first.
 func (a *adaptive) eligible(v View, port, vc, size int, limit float64) bool {
-	occ, claim := v.OccClaim(port, vc, size)
-	return a.tab.fracAt(v, port, vc, occ) < limit && claim
+	occ, claim, _ := v.MinState(port, vc, size)
+	return claim && a.tab.fracAt(v, port, vc, occ) < limit
 }

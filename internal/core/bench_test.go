@@ -23,18 +23,11 @@ func newBenchView(p *topology.P) *benchView {
 	return &benchView{p: p, occ: make([]int, n), blocked: make([]bool, n), cap: 32}
 }
 
-func (b *benchView) at(port, vc int) int           { return port*16 + vc }
-func (b *benchView) CanClaim(port, vc, _ int) bool { return !b.blocked[b.at(port, vc)] }
-func (b *benchView) CanStart(port, vc, size int) bool {
-	return b.cap-b.occ[b.at(port, vc)] >= size
-}
-func (b *benchView) Occupancy(port, vc int) int { return b.occ[b.at(port, vc)] }
-func (b *benchView) Capacity(int, int) int      { return b.cap }
+func (b *benchView) at(port, vc int) int   { return port*16 + vc }
+func (b *benchView) Capacity(int, int) int { return b.cap }
 func (b *benchView) MinState(port, vc, size int) (int, bool, bool) {
-	return b.Occupancy(port, vc), b.CanClaim(port, vc, size), b.CanStart(port, vc, size)
-}
-func (b *benchView) OccClaim(port, vc, size int) (int, bool) {
-	return b.Occupancy(port, vc), b.CanClaim(port, vc, size)
+	occ := b.occ[b.at(port, vc)]
+	return occ, !b.blocked[b.at(port, vc)], b.cap-occ >= size
 }
 func (b *benchView) GlobalCongested(int) bool { return false }
 func (b *benchView) CurrentQueue() (int, int) { return 24, 32 }

@@ -111,7 +111,8 @@ func (o *oblivious) pbWantsValiant(v View, st *PacketState, router int, r *rng.P
 		port := t.rt.LocalPortTo(idx, dIdx)
 		qOcc, qCap := v.CurrentQueue()
 		backlog := qCap > 0 && float64(qOcc) >= o.cfg.PBThreshold*float64(qCap)
-		occ, cap := v.Occupancy(port, 0), v.Capacity(port, 0)
+		occ, _, _ := v.MinState(port, 0, 0) // only the occupancy is read
+		cap := v.Capacity(port, 0)
 		linkDead := v.Faulty() && v.LocalDown(idx, dIdx)
 		if !backlog && !linkDead && float64(occ) < o.cfg.PBThreshold*float64(cap) {
 			return false

@@ -200,7 +200,7 @@ func (a *adaptive) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision 
 		if p.dropNow {
 			return dropDecision
 		}
-		if v.CanClaim(minPort, minVC, size) {
+		if _, claim, _ := v.MinState(minPort, minVC, size); claim {
 			return Decision{Port: minPort, VC: minVC, Kind: KindMin, NewValiant: -1, LocalFinal: -1}
 		}
 		return waitDecision
@@ -326,7 +326,7 @@ func (o *oblivious) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision
 		return dropDecision
 	}
 	minPort, minVC := int(p.minPort), int(p.minVC)
-	if !v.CanClaim(minPort, minVC, size) {
+	if _, claim, _ := v.MinState(minPort, minVC, size); !claim {
 		return waitDecision
 	}
 	return Decision{Port: minPort, VC: minVC, Kind: KindMin, NewValiant: -1, LocalFinal: -1}
@@ -379,13 +379,15 @@ func (o *ofar) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision {
 		return waitDecision
 	}
 	port, vc := int(p.ringPort), int(p.ringVC)
-	if !v.CanClaim(port, vc, size) {
+	if _, claim, _ := v.MinState(port, vc, size); !claim {
 		return waitDecision
 	}
 	// Bubble condition: entering the ring requires space for two
 	// packets downstream; continuing along it requires one.
-	if !p.onEscape && !v.CanStart(port, vc, 2*size) {
-		return waitDecision
+	if !p.onEscape {
+		if _, _, start := v.MinState(port, vc, 2*size); !start {
+			return waitDecision
+		}
 	}
 	return Decision{Port: port, VC: vc, Kind: KindEscape, NewValiant: -1, LocalFinal: -1}
 }

@@ -133,33 +133,24 @@ type Config struct {
 // View is the window a routing algorithm has onto its router. All methods
 // refer to output ports of the current router.
 type View interface {
-	// CanClaim reports whether a packet of size phits could start
-	// crossing output port/vc right now (free output VC and the
-	// flow-control start condition satisfied).
-	CanClaim(port, vc, size int) bool
-	// CanStart reports whether the downstream credits alone would allow
-	// a packet of size phits to start on port/vc, ignoring whether the
-	// output VC is momentarily busy with another packet. The misrouting
-	// trigger is credit-based (paper Section III): a transiently busy
-	// but uncongested minimal output makes the packet wait, not
-	// misroute.
-	CanStart(port, vc, size int) bool
-	// Occupancy returns the downstream buffer occupancy, in phits, of
-	// output port/vc (capacity minus credits).
-	Occupancy(port, vc int) int
+	// MinState is the one question about an output (port, vc), for a
+	// packet of size phits:
+	//   - occ is the downstream buffer occupancy in phits (capacity
+	//     minus credits);
+	//   - claim reports whether the packet could start crossing the
+	//     output right now (live port, free output VC, and the
+	//     flow-control start condition satisfied);
+	//   - start reports whether the downstream credits alone would let
+	//     it start, ignoring whether the output VC is momentarily busy
+	//     with another packet. The misrouting trigger is credit-based
+	//     (paper Section III): a transiently busy but uncongested
+	//     minimal output makes the packet wait, not misroute.
+	MinState(port, vc, size int) (occ int, claim, start bool)
 	// Capacity returns the downstream buffer capacity, in phits. It must
 	// be constant for the lifetime of the view and identical across the
 	// VCs of one port (true of any real router; the shared tables hold
 	// per-port occupancy fractions for the capacities in Config).
 	Capacity(port, vc int) int
-	// MinState bundles the minimal-output queries of one trigger
-	// evaluation — Occupancy, CanClaim and CanStart of (port, vc) — into
-	// a single call, so the hot path pays one interface dispatch instead
-	// of three. The three results must equal the individual queries'.
-	MinState(port, vc, size int) (occ int, claim, start bool)
-	// OccClaim bundles Occupancy and CanClaim for one misroute-candidate
-	// eligibility check.
-	OccClaim(port, vc, size int) (occ int, claim bool)
 	// GlobalCongested reports the Piggybacking congestion bit of global
 	// channel k of this router's group, as published last cycle.
 	GlobalCongested(k int) bool

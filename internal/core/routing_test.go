@@ -36,21 +36,12 @@ func newFakeView(p *topology.P) *fakeView {
 	}
 }
 
-func (f *fakeView) CanClaim(port, vc, size int) bool {
-	if f.faults != nil && f.faults.Down(f.router, port) {
-		return false
-	}
-	return !f.blocked[[2]int{port, vc}]
-}
-func (f *fakeView) CanStart(port, vc, size int) bool {
-	return f.capacity-f.occupancy[[2]int{port, vc}] >= size
-}
-func (f *fakeView) Occupancy(port, vc int) int { return f.occupancy[[2]int{port, vc}] }
-func (f *fakeView) MinState(port, vc, size int) (int, bool, bool) {
-	return f.Occupancy(port, vc), f.CanClaim(port, vc, size), f.CanStart(port, vc, size)
-}
-func (f *fakeView) OccClaim(port, vc, size int) (int, bool) {
-	return f.Occupancy(port, vc), f.CanClaim(port, vc, size)
+// MinState answers claim and start independently: claim from the blocked
+// set and the fault view, start from the occupancy alone.
+func (f *fakeView) MinState(port, vc, size int) (occ int, claim, start bool) {
+	occ = f.occupancy[[2]int{port, vc}]
+	claim = !f.blocked[[2]int{port, vc}] && !(f.faults != nil && f.faults.Down(f.router, port))
+	return occ, claim, f.capacity-occ >= size
 }
 func (f *fakeView) CurrentQueue() (int, int)   { return f.queueOcc, f.queueCap }
 func (f *fakeView) HeadFullyArrived() bool     { return !f.headPartial }

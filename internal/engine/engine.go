@@ -24,13 +24,13 @@
 // section runs.
 //
 // Stepping is activity-driven: senders record every phit and credit they
-// put in flight on the receiving router's per-cycle arrival schedule,
-// routers count the packet entries buffered in their input VCs, and a
-// router with nothing buffered, nothing arriving and no appointment does
-// no per-port work for the cycle. Progress totals are maintained
-// incrementally per worker instead of being re-summed over all routers
-// every cycle, and the parallel executor synchronizes blocks with an
-// atomic generation barrier over a fixed partition of group-aligned
+// put in flight on the receiving router's per-cycle arrival schedule, and
+// a router visits only the ports with an arrival, a transfer or an
+// unclaimed head, so one with nothing buffered, nothing arriving and no
+// appointment does no per-port work for the cycle. Progress totals are
+// maintained incrementally per worker instead of being re-summed over all
+// routers every cycle, and the parallel executor synchronizes blocks with
+// an atomic generation barrier over a fixed partition of group-aligned
 // router ranges.
 package engine
 

@@ -321,7 +321,7 @@ func (d *deadlockRing) Route(v core.View, st *core.PacketState, router, size int
 	idx := d.topo.IndexInGroup(router)
 	next := (idx + 1) % d.topo.RoutersPerGroup
 	port := d.topo.LocalPort(idx, next)
-	if !v.CanClaim(port, 0, size) {
+	if _, claim, _ := v.MinState(port, 0, size); !claim {
 		return core.Decision{Wait: true}
 	}
 	return core.Decision{Port: port, VC: 0, Kind: core.KindMin, NewValiant: -1, LocalFinal: -1}

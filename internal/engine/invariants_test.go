@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -149,6 +151,91 @@ func TestPBPublishDelay(t *testing.T) {
 		rr.parity = uint8(tc.cycle & 1)
 		if got := rr.GlobalCongested(k); got != tc.want {
 			t.Fatalf("router %d at cycle %d: GlobalCongested(%d) = %v, want %v", tc.router, tc.cycle, k, got, tc.want)
+		}
+	}
+}
+
+// TestPBTablesTrackCredits: at every block boundary, each router's
+// Piggybacking bits in the table the next cycle reads equal the bits its
+// current credits give. A step that may change credits — it absorbed a
+// credit or holds a packet — sets the cooldown to 2, and every step
+// publishes while the cooldown lasts, so the last change reaches both
+// table buffers; once the cooldown has run out, the other table must
+// agree too. Saturated runs under VCT (adversarial, so channels congest)
+// and wormhole (credits drop phit by phit, with no arrival behind the
+// change), serial and with two workers. Saturated runs alone cannot catch
+// a lost cooldown rule — there every router absorbs something nearly every
+// cycle — so each case also runs at load 0.2, where a router often injects
+// and claims a global output with nothing arriving.
+func TestPBTablesTrackCredits(t *testing.T) {
+	for _, flow := range []FlowControl{VCT, WH} {
+		for _, tc := range []struct {
+			load    float64
+			workers int
+		}{{1.0, 1}, {1.0, 2}, {0.2, 1}, {0.2, 2}} {
+			t.Run(fmt.Sprintf("%v/load=%v/workers=%d", flow, tc.load, tc.workers), func(t *testing.T) {
+				cfg := testConfig(t, 2, core.PB, tc.load)
+				cfg.Flow, cfg.Workers = flow, tc.workers
+				cfg.Warmup, cfg.Measure = 200, 1200
+				cfg.BufGlobal = 32 // shallow enough for saturation to fill
+				if flow == VCT {
+					advg, err := traffic.NewAdversarialGlobal(cfg.Topo, cfg.Topo.H)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Workload = single(t, cfg.Topo, advg, cfg.Workload.Jobs[0].Phases[0].Process)
+				}
+				sim, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				step := sim.stepBlock
+				if sim.shape.workers > 1 {
+					var stop func()
+					step, stop = sim.startWorkers()
+					defer stop()
+				}
+				p := sim.topo
+				thr := cfg.Routing.PBThreshold
+				blocks, set, unset := 0, 0, 0
+				checked := func(n int) {
+					step(n)
+					blocks++
+					for i := range sim.routers {
+						r := &sim.routers[i]
+						idx := p.IndexInGroup(r.id)
+						tables := sim.pb[r.group]
+						for port := p.GlobalPortBase(); port < p.EjectPortBase(); port++ {
+							var occ, cap int32
+							for _, c := range r.outCredits(port) {
+								occ += r.out[port].capacity - c
+								cap += r.out[port].capacity
+							}
+							want := float64(occ) >= thr*float64(cap)
+							k := p.GlobalChannelOfPort(idx, port)
+							if got := tables[sim.cycle&1][k]; got != want {
+								t.Fatalf("cycle %d, router %d port %d: bit %v, credits give %v (occupancy %d of %d)",
+									sim.cycle, r.id, port, got, want, occ, cap)
+							}
+							if got := tables[^sim.cycle&1][k]; r.pbCooldown == 0 && got != want {
+								t.Fatalf("cycle %d, router %d port %d: cooldown over, other table's bit %v, credits give %v",
+									sim.cycle, r.id, port, got, want)
+							}
+							if want {
+								set++
+							} else {
+								unset++
+							}
+						}
+					}
+				}
+				if _, err := sim.run(context.Background(), checked); err != nil {
+					t.Fatal(err)
+				}
+				if blocks < 10 || set == 0 || unset == 0 {
+					t.Fatalf("%d blocks, %d set and %d unset bits checked: the run never exercised the tables", blocks, set, unset)
+				}
+			})
 		}
 	}
 }

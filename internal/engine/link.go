@@ -189,11 +189,9 @@ func (l *link) sendPhit(now int64, pkt pktRef, vc int) {
 		panic("engine: phit slot collision")
 	}
 	*s = phitSlot(pkt)<<4 | phitSlot(vc)
-	switch {
-	case l.phitSched == nil: // an unwired link
-	case l.global:
+	if l.global {
 		l.phitSched.addGlobal(at, l.phitBit)
-	default:
+	} else {
 		l.phitSched.addLocal(at, 0, l.phitBit)
 	}
 }
@@ -217,11 +215,9 @@ func (l *link) sendCredit(now int64, vc int) {
 		panic("engine: credit slot collision")
 	}
 	*s = creditSlot(vc + 1)
-	switch {
-	case l.creditSched == nil: // an unwired link
-	case l.global:
+	if l.global {
 		l.creditSched.addGlobal(at, l.creditBit)
-	default:
+	} else {
 		l.creditSched.addLocal(at, 1, l.creditBit)
 	}
 }

@@ -2,9 +2,22 @@ package engine
 
 import "testing"
 
-func TestLinkDeliversAfterExactLatency(t *testing.T) {
+// wiredLink returns a local link of the given latency wired, as Sim.allocate
+// wires every link, to two scratch arrival schedules: input port 0 of the
+// phit receiver and output port 0 of the credit receiver.
+func wiredLink(latency int) *link {
 	var l link
-	l.init(10)
+	l.init(latency)
+	words := arrivalWords(latency, latency)
+	var rx, tx arrivalSchedule
+	rx.init(make([]uint32, words), latency, 0, true)
+	tx.init(make([]uint32, words), latency, 0, true)
+	l.wire(&rx, 0, &tx, 0)
+	return &l
+}
+
+func TestLinkDeliversAfterExactLatency(t *testing.T) {
+	l := wiredLink(10)
 	p := pktRef(1)
 	l.sendPhit(100, p, 2)
 	for c := int64(101); c < 110; c++ {
@@ -22,8 +35,7 @@ func TestLinkDeliversAfterExactLatency(t *testing.T) {
 }
 
 func TestLinkCreditLatency(t *testing.T) {
-	var l link
-	l.init(4)
+	l := wiredLink(4)
 	l.sendCredit(50, 1)
 	if _, ok := l.recvCredit(53); ok {
 		t.Fatal("credit arrived early")
@@ -38,8 +50,7 @@ func TestLinkCreditLatency(t *testing.T) {
 }
 
 func TestLinkBackToBackPhits(t *testing.T) {
-	var l link
-	l.init(3)
+	l := wiredLink(3)
 	a := pktRef(1)
 	for c := int64(0); c < 20; c++ {
 		l.sendPhit(c, a, 0)
@@ -52,8 +63,7 @@ func TestLinkBackToBackPhits(t *testing.T) {
 }
 
 func TestLinkSlotCollisionPanics(t *testing.T) {
-	var l link
-	l.init(2)
+	l := wiredLink(2)
 	p := pktRef(1)
 	l.sendPhit(0, p, 0)
 	defer func() {
@@ -70,8 +80,7 @@ func TestLinkSlotCollisionPanics(t *testing.T) {
 // chunk whose refs would not fit, checked on the growth path without
 // allocating 2^22 chunks.
 func TestPackedSlotsRoundTrip(t *testing.T) {
-	var l link
-	l.init(3)
+	l := wiredLink(3)
 	now := int64(0)
 	for _, ref := range []pktRef{1, 1<<28 - 1} {
 		for _, vc := range []int{0, 15} {

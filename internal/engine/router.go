@@ -29,7 +29,7 @@ type outPort struct {
 	base     int32 // first VC's index in router.credits and router.transfers
 	capacity int32 // downstream buffer capacity per VC (phits)
 	// activeVCs has one bit per VC whose transfer slot is live — the only
-	// record of it — so CanClaim's busy check costs one load from this
+	// record of it — so MinState's busy check costs one load from this
 	// struct instead of a pointer chase into the transfer slots.
 	activeVCs uint16
 	nvc       uint8 // VCs (credits are unused for ejection and the sink)
@@ -52,12 +52,12 @@ type inPort struct {
 // fabric-wide array in router order (see Sim.allocate), so a group's ports,
 // buffers, credits and plans sit together in memory.
 //
-// Stepping is activity-driven: the router tracks how much work it could
-// possibly have this cycle (buffered packet entries, scheduled phit and
-// credit arrivals) and skips the per-port scan loops entirely when there
-// is none. The tracked sets are pure functions of simulation state, so
-// skipping never changes results — serial and parallel runs, and runs with
-// or without the skip, all stay bit-identical.
+// Stepping is activity-driven: the router visits only the input ports with
+// an arrival this cycle (its arrival schedule), the output ports with a
+// transfer (xferPorts) and the input ports with an unclaimed head
+// (claimPorts), so a router holding nothing does no per-port work. The
+// tracked sets are pure functions of simulation state, so serial and
+// parallel runs stay bit-identical.
 //
 // The fields every cycle reads come first, then the ones an active cycle
 // reads, then set-up and bookkeeping.
@@ -82,7 +82,9 @@ type router struct {
 	// pbCooldown is the number of upcoming cycles that must still refresh
 	// this router's Piggybacking bits: credit state changes are published
 	// into a double-buffered table, so after the last change both buffers
-	// need one write each before the refresh can stop.
+	// need one write each before the refresh can stop. A cycle that
+	// absorbs a credit or holds a packet sets it to 2, and every step
+	// publishes and counts it down while it is positive.
 	pbCooldown int8
 	// parity is the parity of the cycle being stepped: GlobalCongested
 	// reads the group's Piggybacking table of that parity.
@@ -146,8 +148,8 @@ type router struct {
 	pkts  *packetList
 
 	// curQueueOcc/Cap/HeadFull describe the input buffer of the packet
-	// currently being routed (set around each alg.Route call; see
-	// CurrentQueue and HeadFullyArrived).
+	// currently being routed (set in claimHead, HeadFull only when the
+	// mechanism reads it; see CurrentQueue and HeadFullyArrived).
 	curQueueOcc int
 	curQueueCap int
 	curHeadFull bool
@@ -215,41 +217,11 @@ func (r *router) outCredits(port int) []int32 {
 	return r.credits[op.base : op.base+int32(op.nvc)]
 }
 
-// view adapts the router to core.View during routing evaluation.
-func (r *router) CanClaim(port, vc, size int) bool {
-	op := &r.out[port]
-	if (r.deadPorts>>uint(port))&1 != 0 || (op.activeVCs>>uint(vc))&1 != 0 {
-		return false
-	}
-	if op.link == nil {
-		return true // ejection and the drop sink: infinite credits
-	}
-	return r.credits[op.base+int32(vc)] >= r.flow.claimNeed(int32(size))
-}
-
-// CanStart implements core.View: the credit-only claim condition.
-func (r *router) CanStart(port, vc, size int) bool {
-	if r.deadPorts&(1<<uint(port)) != 0 {
-		return false
-	}
-	op := &r.out[port]
-	if op.link == nil {
-		return true
-	}
-	return r.credits[op.base+int32(vc)] >= r.flow.claimNeed(int32(size))
-}
-
-// Occupancy implements core.View.
-func (r *router) Occupancy(port, vc int) int {
-	op := &r.out[port]
-	if op.link == nil {
-		return 0
-	}
-	return int(op.capacity - r.credits[op.base+int32(vc)])
-}
-
-// MinState implements core.View: Occupancy, CanClaim and CanStart of one
-// output in a single dispatch — the port struct is read once.
+// MinState implements core.View, the router's one credit query: the
+// output's downstream occupancy, whether a packet of size phits can claim
+// it now, and whether its credits alone would let the packet start. The
+// port struct is read once. Ejection ports and the drop sink have no
+// downstream buffer: occupancy 0 and infinite credits.
 func (r *router) MinState(port, vc, size int) (occ int, claim, start bool) {
 	op := &r.out[port]
 	alive := (r.deadPorts>>uint(port))&1 == 0
@@ -262,18 +234,11 @@ func (r *router) MinState(port, vc, size int) (occ int, claim, start bool) {
 	return int(op.capacity - c), claim, start
 }
 
-// OccClaim implements core.View: Occupancy and CanClaim in one dispatch.
-func (r *router) OccClaim(port, vc, size int) (occ int, claim bool) {
-	op := &r.out[port]
-	claim = (r.deadPorts>>uint(port))&1 == 0 && (op.activeVCs>>uint(vc))&1 == 0
-	if op.link == nil {
-		return 0, claim
-	}
-	c := r.credits[op.base+int32(vc)]
-	if claim {
-		claim = c >= r.flow.claimNeed(int32(size))
-	}
-	return int(op.capacity - c), claim
+// canClaim reports MinState's claim bit: whether a packet of size phits
+// could start crossing output port/vc right now.
+func (r *router) canClaim(port, vc, size int) bool {
+	_, claim, _ := r.MinState(port, vc, size)
+	return claim
 }
 
 // Capacity implements core.View.
@@ -341,34 +306,34 @@ func (r *router) unmarkClaimable(port, vc int) {
 // step advances the router by one cycle. Injection runs only when one of
 // the router's nodes has an appointment (or its phases need refreshing);
 // the draws of the cycles in between were made when the appointment was.
+// A router holding nothing has no transfer and no claimable head, so its
+// masks skip both scans. The mask tests sit here, not in the callees: a
+// call per idle router and cycle cost lowload_small about 5% of its
+// points/s (docs/PERFORMANCE.md, row H).
 func (r *router) step(cycle int64) {
 	r.parity = uint8(cycle & 1)
 	if pm, cm := r.arrivals.take(cycle); pm|cm != 0 {
 		r.absorb(cycle, pm, cm)
 	}
-	empty := r.occupied == 0
 	if cycle >= r.injectAt {
 		r.inject(cycle)
 	}
-	if empty && r.occupied == 0 {
-		// Fully idle: no buffered packets, no transfers, nothing arrived,
-		// nothing injected.
-		if r.pbCooldown > 0 {
-			r.publishPB(cycle)
-			r.pbCooldown--
-		}
-		return
+	if r.occupied != 0 && r.eng.pbEnabled {
+		// A router holding packets may change its credits this cycle;
+		// schedule a refresh of both Piggybacking table buffers.
+		r.pbCooldown = 2
 	}
-	r.clearScratch()
-	r.continueTransfers(cycle)
-	r.makeClaims(cycle)
-	r.publishPBActive(cycle)
-}
-
-// clearScratch resets the per-cycle crossbar allocation flags.
-func (r *router) clearScratch() {
-	r.portSent = 0
-	r.inputUsed = 0
+	r.portSent, r.inputUsed = 0, 0
+	if r.xferPorts != 0 {
+		r.continueTransfers(cycle)
+	}
+	if r.claimPorts != 0 {
+		r.makeClaims(cycle)
+	}
+	if r.pbCooldown > 0 {
+		r.publishPB(cycle)
+		r.pbCooldown--
+	}
 }
 
 // absorb pulls arriving phits into input buffers and arriving credits into
@@ -652,15 +617,13 @@ func (r *router) deliver(cycle int64, ref pktRef) {
 }
 
 // makeClaims routes unclaimed head packets and allocates output VCs. Only
-// (port, VC) pairs in the claimable set are visited. The round-robin
-// rotation offset is derived from the cycle number — exactly the rotation
-// the exhaustive scan it replaces used (its cursor advanced once per
-// cycle), so arbitration order is identical, it stays identical across
-// skipped idle cycles, and no counter can overflow on long runs.
+// (port, VC) pairs in the claimable set, which step found nonempty, are
+// visited. The round-robin rotation offset is derived from the cycle
+// number — exactly the rotation the exhaustive scan it replaces used (its
+// cursor advanced once per cycle), so arbitration order is identical, it
+// stays identical across idle cycles, and no counter can overflow on long
+// runs.
 func (r *router) makeClaims(cycle int64) {
-	if r.claimPorts == 0 {
-		return
-	}
 	rr := uint(cycle % int64(len(r.in)))
 	// Bits >= rr first, then the wrapped-around remainder.
 	hi := r.claimPorts >> rr << rr
@@ -696,9 +659,9 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 	e := r.eng
 	size := int(r.pktSize)
 	plan := &r.plans[bi]
+	r.curQueueOcc, r.curQueueCap = int(buf.used), int(buf.capacity)
 	if plan.HeadSeq != buf.headSeq || plan.Epoch != e.routeEpoch {
-		entry := buf.headEntry()
-		pkt := e.arena.at(entry.pkt)
+		pkt := e.arena.at(buf.headEntry().pkt)
 		plan.HeadSeq, plan.Epoch = buf.headSeq, e.routeEpoch
 		if int(pkt.St.DstRouter) == r.id {
 			plan.Eject = true
@@ -715,33 +678,20 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 			plan.DestDead = true
 		} else {
 			plan.Eject = false
-			r.curQueueOcc, r.curQueueCap = int(buf.used), int(buf.capacity)
-			r.curHeadFull = int32(entry.arrived) == r.pktSize
 			r.alg.BuildPlan(r, &pkt.St, r.id, size, &r.routeRand, plan)
 		}
 	}
 
-	var outPortIdx, outVC int
 	var dec core.Decision
-	if plan.Eject {
-		outPortIdx, outVC = int(plan.EjectPort), 0
-		if r.parked {
-			// Ejection to a parked node is a droppable verdict: the
-			// packet reached a dead router whose nodes cannot consume it,
-			// so it drains through the drop sink like any unroutable one.
-			outPortIdx = e.topo.Ports
-		}
-		if !r.CanClaim(outPortIdx, outVC, size) {
-			return
-		}
-	} else if plan.DestDead {
+	switch {
+	case plan.Eject:
+		// Ejection to a parked node is a droppable verdict: the packet
+		// reached a dead router whose nodes cannot consume it, so it
+		// drains through the drop sink like any unroutable one.
+		dec = core.Decision{Port: int(plan.EjectPort), Drop: r.parked}
+	case plan.DestDead:
 		dec = core.Decision{Drop: true}
-		outPortIdx, outVC = e.topo.Ports, 0
-		if !r.CanClaim(outPortIdx, outVC, size) {
-			return // the sink is draining another packet; retry
-		}
-	} else {
-		r.curQueueOcc, r.curQueueCap = int(buf.used), int(buf.capacity)
+	default:
 		if r.needHeadFull {
 			r.curHeadFull = int32(buf.headEntry().arrived) == r.pktSize
 		}
@@ -749,26 +699,27 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 		if dec.Wait {
 			return
 		}
-		if dec.Drop {
-			// Link failures left the packet without a surviving route:
-			// claim it onto the drop sink, which drains it through the
-			// normal transfer machinery (credits return upstream) and
-			// accounts a fault drop at the tail.
-			outPortIdx, outVC = e.topo.Ports, 0
-			if !r.CanClaim(outPortIdx, outVC, size) {
-				return // the sink is draining another packet; retry
-			}
-		} else {
-			outPortIdx, outVC = dec.Port, dec.VC
-			if !r.CanClaim(outPortIdx, outVC, size) {
-				panic(fmt.Sprintf("engine: %s routed to unclaimable (%d,%d) at router %d",
-					e.cfg.Spec, outPortIdx, outVC, r.id))
-			}
+	}
+	// routed marks a hop through a link: neither an ejection nor a drop.
+	routed := !plan.Eject && !dec.Drop
+	outPortIdx, outVC := dec.Port, dec.VC
+	if dec.Drop {
+		// No surviving route, a dead destination or a parked node: claim
+		// the packet onto the drop sink, which drains it through the
+		// normal transfer machinery (credits return upstream) and accounts
+		// a fault drop at the tail.
+		outPortIdx, outVC = e.topo.Ports, 0
+	}
+	if !r.canClaim(outPortIdx, outVC, size) {
+		if !routed {
+			return // the ejection port or the sink is draining another packet; retry
 		}
+		panic(fmt.Sprintf("engine: %s routed to unclaimable (%d,%d) at router %d",
+			e.cfg.Spec, outPortIdx, outVC, r.id))
 	}
 	ref := buf.headEntry().pkt
 	pkt := e.arena.at(ref)
-	if !plan.Eject && !dec.Drop {
+	if routed {
 		core.CommitHop(e.topo, &pkt.St, r.id, dec)
 	}
 	op := &r.out[outPortIdx]
@@ -796,23 +747,10 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 	r.trySendPhit(cycle, outPortIdx, outVC)
 }
 
-// publishPBActive refreshes the Piggybacking bits at the end of an active
-// cycle and schedules the follow-up refresh of the second table buffer.
-func (r *router) publishPBActive(cycle int64) {
-	if !r.eng.pbEnabled {
-		return
-	}
-	r.publishPB(cycle)
-	r.pbCooldown = 1
-}
-
 // publishPB refreshes the Piggybacking congestion bits for the global
 // channels this router owns, into the group's table for cycle+1.
 func (r *router) publishPB(cycle int64) {
 	e := r.eng
-	if !e.pbEnabled {
-		return
-	}
 	topo := e.topo
 	idx := topo.IndexInGroup(r.id)
 	next := e.pb[r.group][(cycle+1)&1]

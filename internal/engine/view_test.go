@@ -118,3 +118,74 @@ func TestRoutingViewIsEventsStaleCyclesAgo(t *testing.T) {
 		})
 	}
 }
+
+// TestMinStateTruthTable states once what the router's one credit query
+// answers. For a link output: occupancy is capacity minus credits; start
+// needs a live port and claimNeed credits (the whole packet under VCT, one
+// phit under wormhole); claim needs start and a free VC. Ejection ports and
+// the drop sink have no downstream buffer: occupancy 0, infinite credits.
+func TestMinStateTruthTable(t *testing.T) {
+	// A dead port refuses both answers and a busy VC only the claim;
+	// credits one below the need refuse both on a link and nothing at an
+	// ejection port or the sink.
+	rows := []struct {
+		dead, busy, short      bool
+		linkClaim, linkStart   bool
+		otherClaim, otherStart bool
+	}{
+		{false, false, false, true, true, true, true},
+		{false, false, true, false, false, true, true},
+		{false, true, false, false, true, false, true},
+		{false, true, true, false, false, false, true},
+		{true, false, false, false, false, false, false},
+		{true, false, true, false, false, false, false},
+		{true, true, false, false, false, false, false},
+		{true, true, true, false, false, false, false},
+	}
+	for _, flow := range []FlowControl{VCT, WH} {
+		cfg := testConfig(t, 2, core.Minimal, 0)
+		cfg.Flow = flow
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := sim.topo
+		size := cfg.PacketPhits
+		need := map[FlowControl]int{VCT: size, WH: 1}[flow]
+		for _, out := range []struct {
+			name string
+			port int
+			link bool
+		}{{"link", 0, true}, {"eject", p.EjectPortBase(), false}, {"sink", p.Ports, false}} {
+			for _, row := range rows {
+				r := &sim.routers[0]
+				r.reset(flow, 1)
+				vc := 0
+				op := &r.out[out.port]
+				credits := need
+				if row.short {
+					credits--
+				}
+				if out.link {
+					vc = 1
+					r.outCredits(out.port)[vc] = int32(credits)
+				}
+				if row.dead {
+					r.deadPorts |= 1 << uint(out.port)
+				}
+				if row.busy {
+					op.activeVCs |= 1 << uint(vc)
+				}
+				wantOcc, wantClaim, wantStart := 0, row.otherClaim, row.otherStart
+				if out.link {
+					wantOcc, wantClaim, wantStart = int(op.capacity)-credits, row.linkClaim, row.linkStart
+				}
+				occ, claim, start := r.MinState(out.port, vc, size)
+				if occ != wantOcc || claim != wantClaim || start != wantStart {
+					t.Errorf("%v %s dead=%v busy=%v short=%v: MinState = (%d, %v, %v), want (%d, %v, %v)",
+						flow, out.name, row.dead, row.busy, row.short, occ, claim, start, wantOcc, wantClaim, wantStart)
+				}
+			}
+		}
+	}
+}

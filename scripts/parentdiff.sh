@@ -11,8 +11,9 @@
 # every kind (seeded fractions, timed router outages, a group blackout, a
 # local segment, link repairs landing under a dead router, flaps) under a
 # fresh and a stale routing view, for every paper mechanism, under steady
-# load and under finite burst phases — plus pristine VCT/WH steady runs, a
-# burst, a phased run and a serial/3-worker pair.
+# load and under finite burst phases — plus pristine VCT/WH steady runs,
+# saturated runs of Piggybacking and OFAR (the congestion-table publish and
+# the escape-ring claim), a burst, a phased run and a serial/3-worker pair.
 set -u
 
 if [ $# -ne 2 ] || [ ! -x "$1" ] || [ ! -x "$2" ]; then
@@ -72,6 +73,9 @@ done
 check -h 3 -mech OLM -flow VCT -traffic ADVG -offset 3 -load 0.4 -warmup 500 -measure 2000
 check -h 3 -mech RLM -flow WH -load 0.3 -warmup 500 -measure 2000
 check -h 3 -mech PiggyBacking -burst 30
+check -h 3 -mech PiggyBacking -traffic ADVG -offset 3 -load 1.0 -warmup 500 -measure 3000
+check -h 3 -mech PiggyBacking -flow WH -load 0.8 -warmup 500 -measure 3000
+check -h 3 -mech OFAR -traffic ADVL -offset 1 -load 1.0 -warmup 500 -measure 3000
 check -h 3 -mech PAR-6/2 -phases "UN@0.3x1500,ADVG+3@0.3" -warmup 500 -measure 2500 -window 250
 for workers in 1 3; do
 	check -h 4 -mech OLM -load 0.3 -warmup 300 -measure 900 -workers "$workers" \
