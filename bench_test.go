@@ -358,7 +358,7 @@ func BenchmarkRunWorkers2HalfIdle(b *testing.B) {
 // benchmark/workloads.go, transient_faults) as one Go benchmark: h=3 OLM at
 // load 0.2 under 5% failed global links, a timed router outage and ten flap
 // periods, the routing view 200 cycles stale — fault events, the second
-// fault set and epoch-driven plan rebuilds on every cycle of the run.
+// fault set and view-driven plan rebuilds on every cycle of the run.
 func BenchmarkRunFaultedStale(b *testing.B) {
 	cfg := benchBase(3, dragonfly.VCT)
 	cfg.Mechanism = dragonfly.OLM

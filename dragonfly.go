@@ -260,8 +260,8 @@ type BundleFault struct {
 // unstable cable rather than a hard failure. Flaps expand into the
 // ordinary fault-event stream at build time, so determinism and the
 // serial-section application path are untouched; every kill and repair
-// recomputes the (possibly StaleCycles-stale) routing view through the
-// incremental epoch machinery.
+// recomputes the (possibly StaleCycles-stale) routing view, which
+// invalidates every cached head plan.
 type FlapSpec struct {
 	Link   LinkID
 	At     int64

@@ -134,7 +134,7 @@ func TestAdaptiveDropsWhenNoDetourSurvives(t *testing.T) {
 		idx, _ := p.GlobalPortOfChannel(p.ChannelToGroup(0, 1))
 		router := p.RouterID(0, idx)
 		v.router = router
-		st.SrcRouter = int32(router)
+		st.SrcRouter = int16(router)
 		dec := alg.Route(v, &st, router, 8, r)
 		if !dec.Drop {
 			t.Fatalf("%v with no surviving detour: got %+v, want Drop", spec, dec)
@@ -217,7 +217,7 @@ func TestOFARRingFallback(t *testing.T) {
 	r := rng.New(4, 4)
 
 	st := interState(p, 5)
-	st.SrcRouter = int32(router)
+	st.SrcRouter = int16(router)
 	dec := alg.Route(v, &st, router, 8, r)
 	if dec.Wait || dec.Drop || dec.Kind != KindEscape {
 		t.Fatalf("OFAR with dead adaptive routes: got %+v, want an escape hop", dec)

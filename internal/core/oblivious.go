@@ -39,7 +39,7 @@ func (o *oblivious) decideInjection(v View, st *PacketState, router int, r *rng.
 	case Minimal:
 		return
 	case Valiant:
-		st.ValiantGroup = int32(o.pickValiantGroup(v, st, r))
+		st.ValiantGroup = int16(o.pickValiantGroup(v, st, r))
 		st.GlobalMisCount++
 	case PB:
 		if o.pbWantsValiant(v, st, router, r) {
@@ -97,7 +97,7 @@ func (o *oblivious) pbWantsValiant(v View, st *PacketState, router int, r *rng.P
 		if v.GlobalCongested(t.rt.GroupOffset(g, vg) - 1) {
 			return false
 		}
-		st.ValiantGroup = int32(vg)
+		st.ValiantGroup = int16(vg)
 		return true
 	}
 	// Intra-group destination: escape through a random remote group when
@@ -105,7 +105,7 @@ func (o *oblivious) pbWantsValiant(v View, st *PacketState, router int, r *rng.P
 	// local link shows almost no downstream occupancy — the link itself
 	// is the bottleneck — so the signal is the source queue backlog,
 	// with the direct port's downstream occupancy as a secondary cue.
-	if int32(router) != st.DstRouter {
+	if router != int(st.DstRouter) {
 		idx := t.rt.IndexOf(router)
 		dIdx := int(st.DstIdx)
 		port := t.rt.LocalPortTo(idx, dIdx)
@@ -121,7 +121,7 @@ func (o *oblivious) pbWantsValiant(v View, st *PacketState, router int, r *rng.P
 		if v.GlobalCongested(t.rt.GroupOffset(g, vg) - 1) {
 			return false
 		}
-		st.ValiantGroup = int32(vg)
+		st.ValiantGroup = int16(vg)
 		return true
 	}
 	return false

@@ -14,7 +14,7 @@ func TestValiantGroupExclusion(t *testing.T) {
 	alg := mustAlg(t, Valiant, p)
 	v := newFakeView(p)
 	r := rng.New(21, 4)
-	counts := make(map[int32]int)
+	counts := make(map[int16]int)
 	src := p.RouterID(0, 1)
 	dst := p.RouterID(3, 0)
 	for i := 0; i < 2000; i++ {

@@ -217,7 +217,7 @@ func TestOFARAdaptiveStaysOffEscapeVCs(t *testing.T) {
 		var st PacketState
 		st.Init(p, p.NodeID(src, 0), p.NodeID(dst, 0))
 		router := src
-		for hop := 0; hop < 12 && int32(router) != st.DstRouter; hop++ {
+		for hop := 0; hop < 12 && int16(router) != st.DstRouter; hop++ {
 			dec := alg.Route(v, &st, router, 8, r)
 			if dec.Wait {
 				break

@@ -15,12 +15,12 @@
 //     (dead links filtered out);
 //   - the drop verdict for heads whose candidates can never materialize.
 //
-// The engine keeps one Plan per input (port, VC) and invalidates it when
-// the buffer's head changes (vcBuffer.headSeq) or when fault events
-// reach the routing view (the engine's route epoch) — the
-// fabric-manager model: tables are recomputed on topology changes, and the
-// per-packet data path only consults them. Crucially, replay never touches
-// the Packet, whose cache lines dominated the old per-cycle re-evaluation.
+// The engine keeps one Plan per input (port, VC) and one bit beside it,
+// cleared when the buffer's head changes or when fault events reach the
+// routing view — the fabric-manager model: tables are recomputed on
+// topology changes, and the per-packet data path only consults them.
+// Crucially, replay never touches the Packet, whose cache lines dominated
+// the old per-cycle re-evaluation.
 //
 // Replay order and RNG consumption are exactly those of the recomputing
 // procedure, so decisions are bit-identical; Algorithm.Route is itself
@@ -36,19 +36,14 @@ import (
 )
 
 // Plan is the cached static geometry of one waiting head's decision.
-// HeadSeq, Epoch, Eject, EjectPort and DestDead belong to the engine's
-// cache bookkeeping; the remaining fields are written by BuildPlan and read
-// by RoutePlanned. It holds no slices, so it fits one cache line and a
-// plan's first build allocates nothing: the own-global candidates are a
-// bitmask over global ports, and the local detours name a shared
-// Tables.localCands row plus a keep-mask over its entries.
+// Eject, EjectPort and DestDead belong to the engine; the remaining fields
+// are written by BuildPlan and read by RoutePlanned. It carries no cache
+// key: whether a plan is still valid is the engine's to track. It holds no
+// slices, so it fits one cache line and a plan's first build allocates
+// nothing: the own-global candidates are a bitmask over global ports, and
+// the local detours name a shared Tables.localCands row plus a keep-mask
+// over its entries.
 type Plan struct {
-	// HeadSeq is the vcBuffer head sequence number the plan was built
-	// for; Epoch is the fault-view epoch. The engine rebuilds on any
-	// mismatch. Both belong to the caller — core never reads them.
-	HeadSeq int64
-	Epoch   uint64
-
 	own       uint32 // bit j: own global port gpb+j is a Valiant candidate, dead/destination filtered
 	localKeep uint32 // bit i: entry i of detour row localRow survives the fault view
 
@@ -88,16 +83,8 @@ type Plan struct {
 	ringSevered bool // OFAR: the ring successor router itself is dead
 }
 
-// reset clears the decision fields. The engine-owned cache keys are left
-// alone.
-func (p *Plan) reset() {
-	*p = Plan{HeadSeq: p.HeadSeq, Epoch: p.Epoch, prevIdx: -1}
-}
-
-// Invalidate returns the plan to its zero, never-valid state (the engine's
-// epochs start at 1): what a re-initialised simulation does to every
-// cached plan of the previous run.
-func (p *Plan) Invalidate() { *p = Plan{} }
+// reset empties the plan; prevIdx -1 names no previous router.
+func (p *Plan) reset() { *p = Plan{prevIdx: -1} }
 
 // BuildPlan implements Algorithm for the adaptive mechanisms.
 func (a *adaptive) BuildPlan(v View, st *PacketState, router, size int, r *rng.PCG, p *Plan) {
@@ -298,7 +285,7 @@ func (a *adaptive) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision 
 // of the recomputing path made it.
 func (o *oblivious) BuildPlan(v View, st *PacketState, router, size int, r *rng.PCG, p *Plan) {
 	p.reset()
-	if !st.InjDecided && int32(router) == st.SrcRouter {
+	if !st.InjDecided && router == int(st.SrcRouter) {
 		o.decideInjection(v, st, router, r)
 	}
 	t := o.tab

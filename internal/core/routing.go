@@ -229,18 +229,16 @@ var (
 )
 
 // PacketState is the per-packet routing state threaded through the network.
+// NewTables caps h at 16, so a router id (at most 2h(2h²+1) = 16,416) and a
+// group id fit int16, and an in-group index (< 2h) and a port (< 4h) fit
+// int8: the state takes 30 bytes and a whole Packet one cache line.
 type PacketState struct {
-	Src, Dst  int32 // node ids
-	SrcRouter int32
-	DstRouter int32
-	DstGroup  int32
-	DstIdx    int32 // destination router's index within its group
-	DstEject  int32 // ejection output port of Dst at DstRouter
-
-	CurGroup     int32 // group of the router currently holding the head
-	ValiantGroup int32 // committed intermediate group; -1 when none/done
-	PendingLocal int32 // in-group router index the next hop must reach; -1
-	PrevRouter   int32 // previous router id when the last hop was local; -1
+	SrcRouter    int16
+	DstRouter    int16
+	DstGroup     int16
+	CurGroup     int16 // group of the router currently holding the head
+	ValiantGroup int16 // committed intermediate group; -1 when none/done
+	PrevRouter   int16 // previous router id when the last hop was local; -1
 
 	// Hop counters are int16: packets escaping onto OFAR's ring can
 	// accumulate far more hops than the adaptive 8-hop budget.
@@ -250,26 +248,30 @@ type PacketState struct {
 	LocalMisCount    int16
 	GlobalMisCount   int16
 	EscapeHops       int16
-	LocalMisInGroup  bool
-	OnEscape         bool // currently riding OFAR's escape ring
-	InjDecided       bool // PB/Valiant made their injection-time choice
+
+	DstIdx       int8 // destination router's index within its group
+	DstEject     int8 // ejection output port of the destination node at DstRouter
+	PendingLocal int8 // in-group router index the next hop must reach; -1
+
+	LocalMisInGroup bool
+	OnEscape        bool // currently riding OFAR's escape ring
+	InjDecided      bool // PB/Valiant made their injection-time choice
 }
 
 // Init fills st for a fresh packet from node src to node dst.
 func (st *PacketState) Init(p *topology.P, src, dst int) {
+	srcRouter, dstRouter := p.RouterOfNode(src), p.RouterOfNode(dst)
 	*st = PacketState{
-		Src:          int32(src),
-		Dst:          int32(dst),
-		SrcRouter:    int32(p.RouterOfNode(src)),
-		DstRouter:    int32(p.RouterOfNode(dst)),
+		SrcRouter:    int16(srcRouter),
+		DstRouter:    int16(dstRouter),
+		DstGroup:     int16(p.GroupOf(dstRouter)),
+		CurGroup:     int16(p.GroupOf(srcRouter)),
 		ValiantGroup: -1,
-		PendingLocal: -1,
 		PrevRouter:   -1,
+		DstIdx:       int8(p.IndexInGroup(dstRouter)),
+		DstEject:     int8(p.EjectPortOfNode(dst)),
+		PendingLocal: -1,
 	}
-	st.DstGroup = int32(p.GroupOf(int(st.DstRouter)))
-	st.DstIdx = int32(p.IndexInGroup(int(st.DstRouter)))
-	st.DstEject = int32(p.EjectPortOfNode(dst))
-	st.CurGroup = int32(p.GroupOf(int(st.SrcRouter)))
 }
 
 // targetGroup is the group the packet currently steers toward: the Valiant
@@ -329,7 +331,7 @@ func CommitHop(p *topology.P, st *PacketState, router int, dec Decision) {
 		to := p.LocalPortTarget(p.IndexInGroup(router), dec.Port)
 		st.LocalHops++
 		st.LocalHopsInGroup++
-		st.PrevRouter = int32(router)
+		st.PrevRouter = int16(router)
 		if st.PendingLocal >= 0 && int(st.PendingLocal) == to {
 			st.PendingLocal = -1
 		}
@@ -337,27 +339,27 @@ func CommitHop(p *topology.P, st *PacketState, router int, dec Decision) {
 		case KindLocalMis:
 			st.LocalMisCount++
 			st.LocalMisInGroup = true
-			st.PendingLocal = int32(dec.LocalFinal)
+			st.PendingLocal = int8(dec.LocalFinal)
 		case KindGlobalMis:
 			// Redirect toward a remote channel: commit the
 			// intermediate group; the hop itself is local.
-			st.ValiantGroup = int32(dec.NewValiant)
+			st.ValiantGroup = int16(dec.NewValiant)
 			st.GlobalMisCount++
 		}
 	case p.IsGlobalPort(dec.Port):
 		k := p.GlobalChannelOfPort(p.IndexInGroup(router), dec.Port)
 		tg := p.TargetGroup(g, k)
 		st.GlobalHops++
-		st.CurGroup = int32(tg)
+		st.CurGroup = int16(tg)
 		st.LocalHopsInGroup = 0
 		st.LocalMisInGroup = false
 		st.PrevRouter = -1
 		st.PendingLocal = -1
 		if dec.Kind == KindGlobalMis {
-			st.ValiantGroup = int32(dec.NewValiant)
+			st.ValiantGroup = int16(dec.NewValiant)
 			st.GlobalMisCount++
 		}
-		if st.ValiantGroup == int32(tg) {
+		if st.ValiantGroup == int16(tg) {
 			st.ValiantGroup = -1 // Valiant phase complete
 		}
 	default:

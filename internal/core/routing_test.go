@@ -148,7 +148,7 @@ func walk(t *testing.T, alg Algorithm, p *topology.P, v *fakeView, st *PacketSta
 	var hops []hopRec
 	router := int(st.SrcRouter)
 	for hop := 0; hop < maxHops; hop++ {
-		if int32(router) == st.DstRouter {
+		if int16(router) == st.DstRouter {
 			return hops
 		}
 		dec := alg.Route(v, st, router, 8, r)
@@ -484,7 +484,7 @@ func TestOLMVCDiscipline(t *testing.T) {
 
 	// Destination group: block the direct port; expect a misroute on
 	// lVC2 (preferred) or lVC1, then the final hop on lVC3.
-	if int32(cur) != st.DstRouter {
+	if int16(cur) != st.DstRouter {
 		blockMinimal(v, p, OLM, &st, cur)
 		dec = alg.Route(v, &st, cur, 8, r)
 		if dec.Wait || dec.Kind != KindLocalMis {
@@ -500,7 +500,7 @@ func TestOLMVCDiscipline(t *testing.T) {
 		}
 		cur = commitAndMove(p, &st, cur, dec)
 	}
-	if int32(cur) != st.DstRouter {
+	if int16(cur) != st.DstRouter {
 		t.Fatalf("did not arrive: at %d, dst %d", cur, st.DstRouter)
 	}
 	if st.LocalMisCount < 1 || st.GlobalMisCount != 1 {
@@ -580,7 +580,7 @@ func TestPARAscendingVCs(t *testing.T) {
 		}
 		router := src
 		var hops []hopRec
-		for hop := 0; hop < 10 && int32(router) != st.DstRouter; hop++ {
+		for hop := 0; hop < 10 && int16(router) != st.DstRouter; hop++ {
 			dec := alg.Route(v, &st, router, 8, r)
 			if dec.Wait {
 				break // blocked; fine for this property test
@@ -643,7 +643,7 @@ func TestCommitHopGroupTracking(t *testing.T) {
 	st.PrevRouter = 3
 	dec := Decision{Port: p.GlobalPortBase(), VC: 0, Kind: KindMin, NewValiant: -1, LocalFinal: -1}
 	CommitHop(p, &st, 0, dec)
-	if st.CurGroup != int32(dstGroup) {
+	if st.CurGroup != int16(dstGroup) {
 		t.Fatalf("group %d after global hop, want %d", st.CurGroup, dstGroup)
 	}
 	if st.LocalHopsInGroup != 0 || st.PrevRouter != -1 {
@@ -651,6 +651,96 @@ func TestCommitHopGroupTracking(t *testing.T) {
 	}
 	if st.GlobalHops != 1 {
 		t.Fatalf("global hops %d", st.GlobalHops)
+	}
+}
+
+// TestPacketStateFitsLargestFabric checks that the narrowed ids of a
+// PacketState (int16 routers and groups, int8 in-group indices and ports)
+// hold every value of every fabric NewTables accepts: for h = 1..16, the
+// first and last node of the first and last group, each as source and as
+// destination, must read back as topology computes them; and at h=16 a
+// packet driven through CommitHop along a local, global, local-misroute,
+// local path must track its group, previous router and pending exit at
+// the largest ids.
+func TestPacketStateFitsLargestFabric(t *testing.T) {
+	for h := 1; h <= 16; h++ {
+		p := topology.MustNew(h)
+		last := p.Groups - 1
+		nodes := []int{
+			p.NodeID(p.RouterID(0, 0), 0),
+			p.NodeID(p.RouterID(0, p.RoutersPerGroup-1), h-1),
+			p.NodeID(p.RouterID(last, 0), 0),
+			p.Nodes - 1,
+		}
+		for _, src := range nodes {
+			for _, dst := range nodes {
+				var st PacketState
+				st.Init(p, src, dst)
+				sr, dr := p.RouterOfNode(src), p.RouterOfNode(dst)
+				for _, f := range []struct {
+					name      string
+					got, want int
+				}{
+					{"SrcRouter", int(st.SrcRouter), sr},
+					{"DstRouter", int(st.DstRouter), dr},
+					{"DstGroup", int(st.DstGroup), p.GroupOf(dr)},
+					{"CurGroup", int(st.CurGroup), p.GroupOf(sr)},
+					{"DstIdx", int(st.DstIdx), p.IndexInGroup(dr)},
+					{"DstEject", int(st.DstEject), p.EjectPortOfNode(dst)},
+					{"ValiantGroup", int(st.ValiantGroup), -1},
+					{"PrevRouter", int(st.PrevRouter), -1},
+					{"PendingLocal", int(st.PendingLocal), -1},
+				} {
+					if f.got != f.want {
+						t.Errorf("h=%d %d->%d: %s = %d, want %d", h, src, dst, f.name, f.got, f.want)
+					}
+				}
+			}
+		}
+	}
+
+	p := topology.MustNew(16)
+	last := p.Groups - 1
+	dstIdx := p.RoutersPerGroup - 1
+	var st PacketState
+	st.Init(p, 0, p.Nodes-1)
+	owner, gport := p.GlobalPortOfChannel(p.ChannelToGroup(0, last))
+	router := p.RouterID(0, (owner+1)%p.RoutersPerGroup)
+	// hop takes the hop out of router through port and checks where the
+	// packet's state says it is.
+	hop := func(port int, kind Kind, localFinal, curGroup, prev, pending int) {
+		t.Helper()
+		CommitHop(p, &st, router, Decision{Port: port, Kind: kind, NewValiant: -1, LocalFinal: localFinal})
+		if p.IsLocalPort(port) {
+			router = p.RouterID(p.GroupOf(router), p.LocalPortTarget(p.IndexInGroup(router), port))
+		} else {
+			router, _ = p.LinkTarget(router, port)
+		}
+		if int(st.CurGroup) != curGroup || int(st.PrevRouter) != prev || int(st.PendingLocal) != pending {
+			t.Fatalf("at router %d: CurGroup %d PrevRouter %d PendingLocal %d, want %d %d %d",
+				router, st.CurGroup, st.PrevRouter, st.PendingLocal, curGroup, prev, pending)
+		}
+	}
+	src := router
+	hop(p.LocalPort(p.IndexInGroup(router), owner), KindMin, -1, 0, src, -1)
+	hop(gport, KindMin, -1, last, -1, -1)
+	if p.GroupOf(router) != last {
+		t.Fatalf("global hop landed in group %d, want %d", p.GroupOf(router), last)
+	}
+	landed, detour := router, (p.IndexInGroup(router)+1)%p.RoutersPerGroup
+	if detour == dstIdx {
+		detour = (detour + 1) % p.RoutersPerGroup
+	}
+	hop(p.LocalPort(p.IndexInGroup(router), detour), KindLocalMis, dstIdx, last, landed, dstIdx)
+	detoured := router
+	hop(p.LocalPort(p.IndexInGroup(router), dstIdx), KindMin, -1, last, detoured, -1)
+	if router != int(st.DstRouter) || router != p.Routers-1 {
+		t.Fatalf("path ended at router %d, want the destination %d (the last router %d)",
+			router, st.DstRouter, p.Routers-1)
+	}
+	if st.LocalHops != 3 || st.GlobalHops != 1 || st.LocalMisCount != 1 {
+		t.Fatalf("hops local %d global %d local misroutes %d, want 3 1 1",
+			st.LocalHops, st.GlobalHops, st.LocalMisCount)
 	}
 }
 

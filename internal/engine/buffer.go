@@ -23,12 +23,6 @@ type vcBuffer struct {
 	// packet, and their rings would dominate the idle memory footprint.
 	entries []fifoEntry
 
-	// headSeq counts head-entry changes: it increments whenever the head
-	// entry is popped, so the router's cached routing plan for this
-	// buffer (keyed on the sequence number) is rebuilt exactly when a
-	// new packet reaches the front.
-	headSeq int64
-
 	capacity int32 // phits
 	used     int32 // phits currently held
 	entN     int32
@@ -37,6 +31,11 @@ type vcBuffer struct {
 	tail     int32 // ring index of the newest entry; meaningless when count == 0
 
 	claimed bool // the head entry holds an output-VC transfer
+	// planned is true while the router's cached plan for this buffer
+	// (router.plans) holds the current head's decision: claimHead sets it
+	// when it builds the plan, and popping the head or a change of the
+	// routing view (Sim.applyFaultEvents) clears it.
+	planned bool
 }
 
 // ringEntries returns the ring size for fixed-size packets: at most
@@ -149,7 +148,7 @@ func (b *vcBuffer) takePhit(size int32) (pkt pktRef, tail bool) {
 		b.head = b.wrap(b.head + 1)
 		b.count--
 		b.claimed = false
-		b.headSeq++
+		b.planned = false
 		return pkt, true
 	}
 	return pkt, false

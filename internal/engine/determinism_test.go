@@ -114,8 +114,8 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		}},
 		{"VCT/OLM/faulted/stale", func(t *testing.T) Config {
 			// Stale link state: the routing view lags the kill/repair
-			// events, so the delayed table recomputations (and the epoch
-			// bumps invalidating cached head plans) cross worker shards.
+			// events, so the delayed table recomputations (and the plan
+			// invalidations they trigger) cross worker shards.
 			cfg := faultedDeterminismConfig(t, testConfig(t, 2, core.OLM, 0.3))
 			cfg.StaleCycles = 350
 			return cfg

@@ -292,13 +292,6 @@ type Sim struct {
 	// their behavior is untouched.
 	hopLimit int32
 
-	// routeEpoch numbers the routing view's changes: it bumps once per
-	// serial section in which the view absorbed fault events, invalidating
-	// every router's cached head plans (which bake the fault view into
-	// their candidate geometry). Fault-free runs keep epoch 1 forever, so
-	// plans live until their head packet moves on.
-	routeEpoch uint64
-
 	cycle int64
 	end   int64 // the run's last cycle + 1: warmup + measure, or MaxCycles for a finite workload
 	ready bool  // Init succeeded and Run has not started
@@ -535,12 +528,11 @@ func (s *Sim) init(cfg Config, tab *core.Tables) {
 		bounds: s.bounds, sheets: s.sheets, progress: s.progress, pkts: s.pkts, algs: s.algs,
 		deltas: s.deltas, blockMax: s.blockMax, pb: s.pb,
 
-		cfg:        cfg,
-		tab:        tab,
-		workload:   cfg.Workload,
-		pbEnabled:  cfg.Spec == core.PB,
-		routeEpoch: 1, // zero-valued plans are invalid by construction
-		end:        cfg.Warmup + cfg.Measure,
+		cfg:       cfg,
+		tab:       tab,
+		workload:  cfg.Workload,
+		pbEnabled: cfg.Spec == core.PB,
+		end:       cfg.Warmup + cfg.Measure,
 	}
 	if cfg.Workload.Finite() {
 		s.end = cfg.MaxCycles
@@ -635,9 +627,15 @@ func (s *Sim) applyFaultEvents() {
 	}
 	if absorbed {
 		// Every cached head plan baked the old view into its candidate
-		// geometry: force rebuilds. One bump per serial section, whatever
+		// geometry: force rebuilds. One walk per serial section, whatever
 		// the burst of events held, so it costs one plan rebuild.
-		s.routeEpoch++
+		// Fault-free runs never get here: their plans live until their
+		// head packet moves on.
+		for i := range s.routers {
+			for j := range s.routers[i].vcs {
+				s.routers[i].vcs[j].planned = false
+			}
+		}
 	}
 }
 

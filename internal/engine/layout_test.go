@@ -15,11 +15,13 @@ func (r *router) inVCs(port int) []vcBuffer {
 }
 
 // TestHotHeadersFitOneLine pins the headers the per-cycle path loads: a
-// VC buffer header within one 64-byte cache line, an output port within
-// half of one, the router fields every step reads (arrivals, the injection
+// VC buffer header in 56 bytes, an output port within half a 64-byte cache
+// line, the router fields every step reads (arrivals, the injection
 // appointment, occupancy, the Piggybacking cooldown and parity) in its
-// first line, a node's phase cache and appointment in 24 bytes — and the
-// ring slots at their packed sizes: a phit in 4 bytes, a credit in 1.
+// first line, a node's phase cache and appointment in 24 bytes, a packet
+// in one line and its arena chunk in the allocator's 4 KiB size class —
+// and the ring slots at their packed sizes: a phit in 4 bytes, a credit
+// in 1.
 func TestHotHeadersFitOneLine(t *testing.T) {
 	var r router
 	for name, end := range map[string]uintptr{
@@ -35,8 +37,14 @@ func TestHotHeadersFitOneLine(t *testing.T) {
 	if n := unsafe.Sizeof(nodePhase{}); n > 24 {
 		t.Errorf("nodePhase is %d bytes, want <= 24", n)
 	}
-	if n := unsafe.Sizeof(vcBuffer{}); n > 64 {
-		t.Errorf("vcBuffer is %d bytes, want <= 64", n)
+	if n := unsafe.Sizeof(vcBuffer{}); n > 56 {
+		t.Errorf("vcBuffer is %d bytes, want <= 56", n)
+	}
+	if n := unsafe.Sizeof(Packet{}); n > 64 {
+		t.Errorf("Packet is %d bytes, want <= 64", n)
+	}
+	if n := unsafe.Sizeof(pktChunk{}); n > 4096 {
+		t.Errorf("pktChunk is %d bytes, want <= 4096", n)
 	}
 	if n := unsafe.Sizeof(outPort{}); n > 32 {
 		t.Errorf("outPort is %d bytes, want <= 32", n)
@@ -53,7 +61,8 @@ func TestHotHeadersFitOneLine(t *testing.T) {
 	if n := unsafe.Sizeof(transfer{}); n > 12 {
 		t.Errorf("transfer is %d bytes, want <= 12", n)
 	}
-	t.Logf("router %d B, link %d B, transfer %d B", unsafe.Sizeof(router{}), unsafe.Sizeof(link{}), unsafe.Sizeof(transfer{}))
+	t.Logf("router %d B, link %d B, transfer %d B, packet %d B", unsafe.Sizeof(router{}),
+		unsafe.Sizeof(link{}), unsafe.Sizeof(transfer{}), unsafe.Sizeof(Packet{}))
 }
 
 // TestRingsHoldNoPointers pins the collector-free layout: the packet, the

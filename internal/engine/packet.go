@@ -16,13 +16,12 @@ const MaxPacketPhits = math.MaxUint16
 // and links name it by pktRef, and the Sim owns it (see packetArena) from
 // the first run that injects it to the Sim's last. It holds no pointer, so
 // neither the arena nor any ring that names a packet is scanned by the
-// collector.
+// collector. It carries no size (every packet has the Sim's one size) and
+// no id, so it fits in 64 bytes.
 type Packet struct {
-	ID         int64
-	Size       int32 // phits
-	Phase      int32 // workload-global phase id active at generation
 	CreatedAt  int64 // cycle the traffic process generated it
 	InjectedAt int64 // cycle its head left the injection queue (-1 until then)
+	Phase      int32 // workload-global phase id active at generation
 
 	St core.PacketState // routing state
 }
@@ -42,7 +41,8 @@ const (
 
 // pktChunk is the arena's unit of growth: small enough that a fresh
 // low-load Sim pays little for its first packets, large enough that taking
-// one costs a worker one atomic per 64 packets.
+// one costs a worker one atomic per 64 packets. It fits the allocator's
+// 4 KiB size class.
 type pktChunk [pktChunkLen]Packet
 
 // packetArena holds every packet a Sim ever made. A worker whose free list

@@ -25,13 +25,13 @@ func fabricState(s *Sim) []int64 {
 		}
 		return 0
 	}
-	out = append(out, s.cycle, int64(s.routeEpoch), int64(s.nextFault), int64(s.nextRouteFault),
+	out = append(out, s.cycle, int64(s.nextFault), int64(s.nextRouteFault),
 		int64(s.hopLimit), s.end, s.ffJumped, b2i(s.faulted), b2i(s.view != s.faults))
 	for i := range s.routers {
 		r := &s.routers[i]
 		out = append(out, int64(r.occupied), int64(r.claimPorts), int64(r.xferPorts),
 			int64(r.deadPorts), b2i(r.parked), int64(r.pbCooldown),
-			r.phaseRefreshAt, r.injectAt, r.pktSeq, r.lastDeliveryCycle, int64(r.parity),
+			r.phaseRefreshAt, r.injectAt, r.lastDeliveryCycle, int64(r.parity),
 			int64(r.routeRand.Uint32()))
 		for k := range r.nodeRand {
 			out = append(out, int64(r.nodeRand[k].Uint32()), r.nodePhase[k].due)
@@ -39,7 +39,7 @@ func fabricState(s *Sim) []int64 {
 		for p := range r.in {
 			out = append(out, int64(r.claimVCs[p]))
 			for _, buf := range r.inVCs(p) {
-				out = append(out, int64(buf.used), int64(buf.count), buf.headSeq, b2i(buf.claimed))
+				out = append(out, int64(buf.used), int64(buf.count), b2i(buf.planned), b2i(buf.claimed))
 			}
 		}
 		for p := range r.out {

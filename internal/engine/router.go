@@ -132,8 +132,7 @@ type router struct {
 	// plans caches, per input VC (indexed like vcs), the static geometry
 	// of the buffered head's routing decision (see core.Plan): built when
 	// a new packet reaches the front, replayed every retry cycle without
-	// touching the packet, and invalidated by head changes
-	// (vcBuffer.headSeq) or routing-table recomputations (Sim.routeEpoch).
+	// touching the packet, and valid while the buffer's planned bit holds.
 	plans []core.Plan
 
 	alg       core.Algorithm
@@ -153,8 +152,6 @@ type router struct {
 	curQueueOcc int
 	curQueueCap int
 	curHeadFull bool
-
-	pktSeq int64 // per-router packet id sequence
 
 	lastDeliveryCycle int64
 
@@ -203,9 +200,6 @@ func (r *router) reset(flow FlowControl, seed uint64) {
 		}
 	}
 	clear(r.transfers)
-	for i := range r.plans {
-		r.plans[i].Invalidate()
-	}
 	clear(r.claimVCs)
 	clear(r.phaseCur)
 	clear(r.nodePhase)
@@ -474,9 +468,6 @@ func (r *router) generate(cycle int64, k, node int, np *nodePhase) {
 		return
 	}
 	ref, pkt := r.pkts.get(e.arena)
-	pkt.ID = int64(r.id)<<32 | r.pktSeq
-	r.pktSeq++
-	pkt.Size = r.pktSize
 	pkt.Phase = np.id
 	pkt.CreatedAt = cycle
 	pkt.InjectedAt = -1
@@ -607,7 +598,7 @@ func (r *router) deliver(cycle int64, ref pktRef) {
 	if int(st.DstRouter) != r.id {
 		panic("engine: delivery at wrong router")
 	}
-	r.sheet.RecordDelivery(cycle, int(pkt.Phase), int(pkt.Size),
+	r.sheet.RecordDelivery(cycle, int(pkt.Phase), int(r.pktSize),
 		cycle-pkt.CreatedAt, cycle-pkt.InjectedAt,
 		int(st.LocalHops), int(st.GlobalHops),
 		int(st.LocalMisCount), int(st.GlobalMisCount), int(st.EscapeHops))
@@ -650,9 +641,10 @@ func (r *router) claimPort(cycle int64, p int) {
 // claimHead evaluates routing for the head packet of input (port, vc) and,
 // when a decision is claimable, allocates the output VC (and pushes the
 // first phit if the crossbar still has capacity this cycle). The head's
-// plan is built once per (packet, fault epoch) and replayed on retries, so
-// a waiting head costs only the dynamic predicate checks — the packet
-// itself is dereferenced again only when a decision lands.
+// plan is built once per packet and routing view (the buffer's planned
+// bit) and replayed on retries, so a waiting head costs only the dynamic
+// predicate checks — the packet itself is dereferenced again only when a
+// decision lands.
 func (r *router) claimHead(cycle int64, port, vc int) {
 	bi := r.in[port].vc0 + int32(vc)
 	buf := &r.vcs[bi]
@@ -660,9 +652,9 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 	size := int(r.pktSize)
 	plan := &r.plans[bi]
 	r.curQueueOcc, r.curQueueCap = int(buf.used), int(buf.capacity)
-	if plan.HeadSeq != buf.headSeq || plan.Epoch != e.routeEpoch {
+	if !buf.planned {
 		pkt := e.arena.at(buf.headEntry().pkt)
-		plan.HeadSeq, plan.Epoch = buf.headSeq, e.routeEpoch
+		buf.planned = true
 		if int(pkt.St.DstRouter) == r.id {
 			plan.Eject = true
 			plan.EjectPort = int16(pkt.St.DstEject)

@@ -13,7 +13,8 @@
 # fresh and a stale routing view, for every paper mechanism, under steady
 # load and under finite burst phases — plus pristine VCT/WH steady runs,
 # saturated runs of Piggybacking and OFAR (the congestion-table publish and
-# the escape-ring claim), a burst, a phased run and a serial/3-worker pair.
+# the escape-ring claim), saturated h=8 OLM and Valiant runs, a burst, a
+# phased run and a serial/3-worker pair.
 set -u
 
 if [ $# -ne 2 ] || [ ! -x "$1" ] || [ ! -x "$2" ]; then
@@ -77,6 +78,10 @@ check -h 3 -mech PiggyBacking -traffic ADVG -offset 3 -load 1.0 -warmup 500 -mea
 check -h 3 -mech PiggyBacking -flow WH -load 0.8 -warmup 500 -measure 3000
 check -h 3 -mech OFAR -traffic ADVL -offset 1 -load 1.0 -warmup 500 -measure 3000
 check -h 3 -mech PAR-6/2 -phases "UN@0.3x1500,ADVG+3@0.3" -warmup 500 -measure 2500 -window 250
+# h=8, saturated: router ids past 2^11 and group ids past the int8 range,
+# on the adaptive path and on the oblivious source-routed one.
+check -h 8 -mech OLM -traffic ADVG -offset 1 -load 1.0 -warmup 100 -measure 300 -workers 2
+check -h 8 -mech Valiant -load 1.0 -warmup 100 -measure 300
 for workers in 1 3; do
 	check -h 4 -mech OLM -load 0.3 -warmup 300 -measure 900 -workers "$workers" \
 		-faults "g=0.05;router=9@400-900;flap@500+200/80x3=g0-4" -stale 150
