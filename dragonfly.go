@@ -699,6 +699,14 @@ func (c Config) Validate() error {
 	}
 	nodes := 2 * c.H * (2*c.H*c.H + 1) * c.H // routers × h
 	jobs := c.jobSpecs()
+	phases := 0
+	for _, job := range jobs {
+		phases += len(job.Phases)
+	}
+	if phases > engine.MaxPhases {
+		// A packet names its phase in 16 bits.
+		return fmt.Errorf("dragonfly: %d workload phases exceed the engine's %d-phase limit", phases, engine.MaxPhases)
+	}
 	type span struct{ first, last int }
 	spans := make([]span, 0, len(jobs))
 	for ji, job := range jobs {

@@ -178,6 +178,40 @@ func TestValidateBoundsPacketPhits(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsPhases: a packet names its workload phase in 16 bits,
+// so admission refuses a schedule of more than engine.MaxPhases phases,
+// and a run at the bound credits the last phase's packets to that phase,
+// not to a wrapped id.
+func TestValidateBoundsPhases(t *testing.T) {
+	schedule := func(n int) []dragonfly.PhaseSpec {
+		ph := make([]dragonfly.PhaseSpec, n)
+		for i := range ph {
+			ph[i] = dragonfly.PhaseSpec{Load: 0.01, Duration: 1}
+		}
+		ph[n-1] = dragonfly.PhaseSpec{Load: 0.3}
+		return ph
+	}
+	cfg := fast(dragonfly.Minimal)
+	cfg.Load = 0
+	cfg.Phases = schedule(engine.MaxPhases + 1)
+	if err := cfg.Validate(); err == nil {
+		t.Fatalf("Validate accepted %d phases", engine.MaxPhases+1)
+	}
+	cfg.Phases = schedule(engine.MaxPhases)
+	cfg.Warmup, cfg.Measure = engine.MaxPhases, 1000
+	res, err := dragonfly.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.PhaseDigests); n != engine.MaxPhases {
+		t.Fatalf("%d phase digests, want %d", n, engine.MaxPhases)
+	}
+	last := res.PhaseDigests[engine.MaxPhases-1]
+	if last.Index != engine.MaxPhases-1 || last.Delivered == 0 || last.Delivered > last.Generated {
+		t.Errorf("last phase digest: index %d, %d delivered of %d generated", last.Index, last.Delivered, last.Generated)
+	}
+}
+
 // TestValidateRejectsNonFinite: NaN passes every plain comparison, so each
 // load, percentage and threshold check must reject it (and infinities)
 // explicitly. A NaN load used to validate and run a silent zero-traffic

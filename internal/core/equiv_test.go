@@ -234,11 +234,12 @@ func TestPlanRouteEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlanFitsOneLine pins the cached plan within one 64-byte cache line:
-// the engine loads one per claim attempt and keeps one per input VC, so it
-// holds 48 bytes of geometry and no cache key.
+// TestPlanFitsOneLine pins the cached plan within half a 64-byte cache
+// line: the engine loads one per claim attempt and keeps one per input VC,
+// so it holds 32 bytes of geometry, its verdicts in one flags word, and no
+// cache key.
 func TestPlanFitsOneLine(t *testing.T) {
-	if n := unsafe.Sizeof(Plan{}); n > 48 {
-		t.Fatalf("core.Plan is %d bytes, want <= 48", n)
+	if n := unsafe.Sizeof(Plan{}); n > 32 {
+		t.Fatalf("core.Plan is %d bytes, want <= 32", n)
 	}
 }

@@ -36,52 +36,87 @@ import (
 )
 
 // Plan is the cached static geometry of one waiting head's decision.
-// Eject, EjectPort and DestDead belong to the engine; the remaining fields
-// are written by BuildPlan and read by RoutePlanned. It carries no cache
-// key: whether a plan is still valid is the engine's to track. It holds no
-// slices, so it fits one cache line and a plan's first build allocates
-// nothing: the own-global candidates are a bitmask over global ports, and
-// the local detours name a shared Tables.localCands row plus a keep-mask
-// over its entries.
+// EjectPort and the eject and dead-destination verdicts belong to the
+// engine (SetEject, SetDestDead); the remaining fields are written by
+// BuildPlan and read by RoutePlanned. It carries no cache key: whether a
+// plan is still valid is the engine's to track. It holds no slices, so a
+// plan's first build allocates nothing: the own-global candidates are a
+// bitmask over global ports, and the local detours name a shared
+// Tables.localCands row plus a keep-mask over its entries. Ports and
+// in-group indices are int8 and the verdicts one flags word (NewTables
+// caps h at 16: at most 63 ports and 32 routers per group), so two plans
+// share a cache line.
 type Plan struct {
 	own       uint32 // bit j: own global port gpb+j is a Valiant candidate, dead/destination filtered
 	localKeep uint32 // bit i: entry i of detour row localRow survives the fault view
 
 	g, dstGroup int16 // this router's group; the destination group
 	localRow    int16 // the Tables.localCands row of the local detours
-	// EjectPort is the port an ejecting head leaves through (see Eject).
-	EjectPort int16
+	flags       planFlags
 
-	minPort, ringPort int16
-	exitIdx           int16
-	idx               int16 // this router's in-group index
-	prevIdx           int16 // previous router's index for the pair rule; -1
+	// EjectPort is the port an ejecting head leaves through (see SetEject).
+	EjectPort int8
+
+	minPort, ringPort int8
+	exitIdx           int8
+	idx               int8 // this router's in-group index
+	prevIdx           int8 // previous router's index for the pair rule; -1
 
 	minVC, gvc, lvc, ringVC int8
 	mvcs                    [2]int8 // local-misroute VCs in preference order
 	nmvcs                   int8
+}
 
-	// Eject marks a head that has reached its destination router; it
+// planFlags holds a plan's verdicts, one bit each.
+type planFlags uint16
+
+const (
+	// planEject marks a head that has reached its destination router; it
 	// leaves through EjectPort with no routing evaluation. Maintained by
 	// the engine (core's BuildPlan is never called for ejecting heads).
-	Eject bool
-	// DestDead marks a head whose destination router has failed entirely
-	// under the routing view: no route can deliver it, so the engine
-	// drops it without a routing evaluation. Engine-owned, like Eject.
-	DestDead bool
+	planEject planFlags = 1 << iota
+	// planDestDead marks a head whose destination router has failed
+	// entirely under the routing view: no route can deliver it, so the
+	// engine drops it without a routing evaluation. Engine-owned, like
+	// planEject.
+	planDestDead
+	planForced      // a committed post-misroute hop: no adaptivity
+	planDropNow     // statically unroutable under the current fault view
+	planDeadMin     // minimal route dead (channel or next local leg)
+	planCanGlobal   // global misrouting is armed
+	planCanLocal    // local misrouting is armed
+	planDropIfEmpty // deadMin and no candidate can ever materialize
+	planBudgetOK    // a redirect hop still fits the local-hop budget
+	planOnEscape    // OFAR: head already rides the escape ring
+	planRingDead    // OFAR: the ring output is dead under the fault view
+	planRingSevered // OFAR: the ring successor router itself is dead
+)
 
-	forced      bool // a committed post-misroute hop: no adaptivity
-	dropNow     bool // statically unroutable under the current fault view
-	minGlobal   bool
-	deadMin     bool // minimal route dead (channel or next local leg)
-	canGlobal   bool
-	canLocal    bool
-	dropIfEmpty bool // deadMin and no candidate can ever materialize
-	budgetOK    bool // a redirect hop still fits the local-hop budget
-	onEscape    bool // OFAR: head already rides the escape ring
-	ringDead    bool // OFAR: the ring output is dead under the fault view
-	ringSevered bool // OFAR: the ring successor router itself is dead
+// is reports whether every bit of f is set.
+func (p *Plan) is(f planFlags) bool { return p.flags&f == f }
+
+// set sets or clears the bits of f.
+func (p *Plan) set(f planFlags, on bool) {
+	if on {
+		p.flags |= f
+	} else {
+		p.flags &^= f
+	}
 }
+
+// SetEject makes p the plan of a head that has reached its destination
+// router and leaves through port.
+func (p *Plan) SetEject(port int) { *p = Plan{EjectPort: int8(port), flags: planEject} }
+
+// SetDestDead makes p the plan of a head whose destination router failed.
+func (p *Plan) SetDestDead() { *p = Plan{flags: planDestDead} }
+
+// Eject reports whether p is an ejection plan (see SetEject).
+func (p *Plan) Eject() bool { return p.is(planEject) }
+
+// DestDead reports whether p drops a head whose destination failed (see
+// SetDestDead).
+func (p *Plan) DestDead() bool { return p.is(planDestDead) }
 
 // reset empties the plan; prevIdx -1 names no previous router.
 func (p *Plan) reset() { *p = Plan{prevIdx: -1} }
@@ -93,20 +128,20 @@ func (a *adaptive) BuildPlan(v View, st *PacketState, router, size int, r *rng.P
 	idx := t.rt.IndexOf(router)
 	g := t.rt.GroupOf(router)
 	faulty := v.Faulty()
-	p.idx, p.g, p.dstGroup = int16(idx), int16(g), int16(st.DstGroup)
+	p.idx, p.g, p.dstGroup = int8(idx), int16(g), int16(st.DstGroup)
 
 	if st.PendingLocal >= 0 {
-		p.forced = true
-		p.minPort = int16(t.rt.LocalPortTo(idx, int(st.PendingLocal)))
+		p.set(planForced, true)
+		p.minPort = int8(t.rt.LocalPortTo(idx, int(st.PendingLocal)))
 		p.minVC = int8(a.localVC(st))
 		if faulty && v.LinkDown(int(p.minPort)) {
-			p.dropNow = true // a forced hop cannot re-route
+			p.set(planDropNow, true) // a forced hop cannot re-route
 		}
 		return
 	}
 
 	minPort, minGlobal, exitIdx := t.minimalHop(st, idx, g)
-	p.minPort, p.minGlobal, p.exitIdx = int16(minPort), minGlobal, int16(exitIdx)
+	p.minPort, p.exitIdx = int8(minPort), int8(exitIdx)
 	minVC := a.localVC(st)
 	if minGlobal {
 		minVC = a.globalVC(st)
@@ -129,7 +164,7 @@ func (a *adaptive) BuildPlan(v View, st *PacketState, router, size int, r *rng.P
 			}
 		}
 	}
-	p.deadMin = deadRoute || deadLocal
+	p.set(planDeadMin, deadRoute || deadLocal)
 
 	p.gvc, p.lvc = int8(a.globalVC(st)), int8(a.localVC(st))
 	var vcBuf [2]int
@@ -139,8 +174,9 @@ func (a *adaptive) BuildPlan(v View, st *PacketState, router, size int, r *rng.P
 		p.mvcs[i] = int8(vc)
 	}
 
-	p.canGlobal = a.globalMisrouteAllowed(st)
-	if p.canGlobal {
+	canGlobal := a.globalMisrouteAllowed(st)
+	p.set(planCanGlobal, canGlobal)
+	if canGlobal {
 		for j := 0; j < t.h; j++ {
 			tg := t.ownTarget(g, idx, j)
 			if tg == int(st.DstGroup) {
@@ -151,16 +187,17 @@ func (a *adaptive) BuildPlan(v View, st *PacketState, router, size int, r *rng.P
 			}
 			p.own |= 1 << uint(j)
 		}
-		p.budgetOK = int(st.LocalHopsInGroup) < maxLocalHopsPerGroup
+		p.set(planBudgetOK, int(st.LocalHopsInGroup) < maxLocalHopsPerGroup)
 		if t.pairOK != nil && st.PrevRouter >= 0 {
-			p.prevIdx = int16(t.rt.IndexOf(int(st.PrevRouter)))
+			p.prevIdx = int8(t.rt.IndexOf(int(st.PrevRouter)))
 		}
 	}
 	// Local misrouting cannot restore a dead group channel (each group
 	// pair has exactly one), so it stays unarmed for deadRoute.
-	p.canLocal = !minGlobal && !deadRoute && a.localMisrouteAllowed(st)
+	canLocal := !minGlobal && !deadRoute && a.localMisrouteAllowed(st)
+	p.set(planCanLocal, canLocal)
 	structural := 0
-	if p.canLocal {
+	if canLocal {
 		row := idx*t.rpg + exitIdx
 		list := t.localRow(row)
 		p.localRow = int16(row)
@@ -172,9 +209,9 @@ func (a *adaptive) BuildPlan(v View, st *PacketState, router, size int, r *rng.P
 		}
 		structural = bits.OnesCount32(p.localKeep)
 	}
-	if p.deadMin {
-		p.dropIfEmpty = !(p.canLocal && structural > 0) &&
-			!(p.canGlobal && a.liveGlobalDetour(v, st, idx, g))
+	if deadRoute || deadLocal {
+		p.set(planDropIfEmpty, !(canLocal && structural > 0) &&
+			!(canGlobal && a.liveGlobalDetour(v, st, idx, g)))
 	}
 }
 
@@ -183,8 +220,8 @@ func (a *adaptive) BuildPlan(v View, st *PacketState, router, size int, r *rng.P
 // remote-channel sampling and the uniform candidate pick.
 func (a *adaptive) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision {
 	minPort, minVC := int(p.minPort), int(p.minVC)
-	if p.forced {
-		if p.dropNow {
+	if p.is(planForced) {
+		if p.is(planDropNow) {
 			return dropDecision
 		}
 		if _, claim, _ := v.MinState(minPort, minVC, size); claim {
@@ -193,7 +230,8 @@ func (a *adaptive) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision 
 		return waitDecision
 	}
 	minOcc, minClaim, minStart := v.MinState(minPort, minVC, size)
-	if !p.deadMin && minClaim {
+	deadMin := p.is(planDeadMin)
+	if !deadMin && minClaim {
 		return Decision{Port: minPort, VC: minVC, Kind: KindMin, NewValiant: -1, LocalFinal: -1}
 	}
 
@@ -207,11 +245,11 @@ func (a *adaptive) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision 
 		}
 	}
 	limit := a.cfg.Threshold * minFrac
-	if p.deadMin {
+	if deadMin {
 		limit = math.Inf(1)
 	}
 	a.cands = a.cands[:0]
-	if p.canGlobal && (p.deadMin || !minStart) {
+	if p.is(planCanGlobal) && (deadMin || !minStart) {
 		gvc := int(p.gvc)
 		for m := p.own; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros32(m)
@@ -222,7 +260,7 @@ func (a *adaptive) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision 
 				})
 			}
 		}
-		if p.budgetOK {
+		if p.is(planBudgetOK) {
 			t := a.tab
 			faulty := v.Faulty()
 			lvc := int(p.lvc)
@@ -253,7 +291,7 @@ func (a *adaptive) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision 
 			}
 		}
 	}
-	if p.canLocal {
+	if p.is(planCanLocal) {
 		exit := int(p.exitIdx)
 		list := a.tab.localRow(int(p.localRow))
 		for m := p.localKeep; m != 0; m &= m - 1 {
@@ -271,7 +309,7 @@ func (a *adaptive) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision 
 		}
 	}
 	if len(a.cands) == 0 {
-		if p.deadMin && p.dropIfEmpty {
+		if deadMin && p.is(planDropIfEmpty) {
 			return dropDecision
 		}
 		return waitDecision
@@ -292,24 +330,24 @@ func (o *oblivious) BuildPlan(v View, st *PacketState, router, size int, r *rng.
 	idx := t.rt.IndexOf(router)
 	g := t.rt.GroupOf(router)
 	port, _, _ := t.minimalHop(st, idx, g)
-	p.minPort = int16(port)
+	p.minPort = int8(port)
 	p.minVC = int8(st.GlobalHops) // local hop after g globals uses lVC_{g+1}
 	if v.Faulty() {
 		// None of the three adapts in transit: a failed link on the
 		// (already fixed) route leaves the packet unroutable.
 		if tg := st.targetGroup(); g != tg && v.RouteDown(g, tg) {
-			p.dropNow = true
+			p.set(planDropNow, true)
 			return
 		}
 		if v.LinkDown(port) {
-			p.dropNow = true
+			p.set(planDropNow, true)
 		}
 	}
 }
 
 // RoutePlanned implements Algorithm for the oblivious mechanisms.
 func (o *oblivious) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision {
-	if p.dropNow {
+	if p.is(planDropNow) {
 		return dropDecision
 	}
 	minPort, minVC := int(p.minPort), int(p.minVC)
@@ -325,14 +363,15 @@ func (o *ofar) BuildPlan(v View, st *PacketState, router, size int, r *rng.PCG, 
 	o.adaptive.BuildPlan(v, st, router, size, r, p)
 	t := o.tab
 	ringPort := t.rt.RingPortOf(t.rt.IndexOf(router))
-	p.ringPort = int16(ringPort)
+	p.ringPort = int8(ringPort)
 	p.ringVC = ofarEscapeLocalVC
 	if o.cfg.Topo.IsGlobalPort(ringPort) {
 		p.ringVC = ofarEscapeGlobalVC
 	}
-	p.onEscape = st.OnEscape
-	p.ringDead = v.Faulty() && v.LinkDown(ringPort)
-	p.ringSevered = p.ringDead && v.PortDead(ringPort)
+	ringDead := v.Faulty() && v.LinkDown(ringPort)
+	p.set(planOnEscape, st.OnEscape)
+	p.set(planRingDead, ringDead)
+	p.set(planRingSevered, ringDead && v.PortDead(ringPort))
 }
 
 // RoutePlanned implements Algorithm for OFAR: the adaptive replay with the
@@ -352,7 +391,7 @@ func (o *ofar) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision {
 	if !v.HeadFullyArrived() {
 		return waitDecision
 	}
-	if p.ringDead {
+	if p.is(planRingDead) {
 		// The ring is severed here; with the adaptive routes dead too,
 		// the packet has no surviving way out. When the severing fault is
 		// the ring successor router itself, shed blocked packets even if
@@ -360,7 +399,7 @@ func (o *ofar) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision {
 		// dead router, so this edge is the drain that keeps the bubble
 		// argument — and with it the rest of the escape subnetwork —
 		// alive for everyone upstream.
-		if adaptiveDead || p.ringSevered {
+		if adaptiveDead || p.is(planRingSevered) {
 			return dropDecision
 		}
 		return waitDecision
@@ -371,7 +410,7 @@ func (o *ofar) RoutePlanned(v View, p *Plan, size int, r *rng.PCG) Decision {
 	}
 	// Bubble condition: entering the ring requires space for two
 	// packets downstream; continuing along it requires one.
-	if !p.onEscape {
+	if !p.is(planOnEscape) {
 		if _, _, start := v.MinState(port, vc, 2*size); !start {
 			return waitDecision
 		}

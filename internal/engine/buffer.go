@@ -12,23 +12,32 @@ type fifoEntry struct {
 	sent    uint16
 }
 
+// vcDims are the dimensions every VC buffer of one input port shares, on
+// every router: capacity in phits and ring size in entries (see
+// ringEntries). Sim.allocate keeps one per port in the per-port layout all
+// routers share (router.dims), so no buffer header repeats them.
+type vcDims struct {
+	capacity int32 // phits
+	entN     int32
+}
+
 // vcBuffer is one virtual-channel FIFO of an input port. Packets stream
 // through it under cut-through: an entry exists from the arrival of the
-// head phit to the departure of the tail phit. The header fits one cache
-// line; every packet has the simulation's one size, which the router
-// passes in, so the per-phit paths never load the packet.
+// head phit to the departure of the tail phit. Every packet has the
+// simulation's one size and every buffer of a port its dimensions, which
+// the router passes in, so the per-phit paths never load the packet. The
+// header is 24 bytes and holds no pointer: its entry ring lives in the
+// Sim's entry arena (ringArenas), named by a ref.
 type vcBuffer struct {
-	// entries is the entry ring, allocated on the first push (entN slots;
-	// see ringEntries): on a large fabric most VC buffers never see a
-	// packet, and their rings would dominate the idle memory footprint.
-	entries []fifoEntry
+	// ring is the entry ring, made on the first push (entN slots; zero
+	// until then): on a large fabric most VC buffers never see a packet,
+	// and their rings would dominate the idle memory footprint.
+	ring ringRef
 
-	capacity int32 // phits
-	used     int32 // phits currently held
-	entN     int32
-	head     int32
-	count    int32
-	tail     int32 // ring index of the newest entry; meaningless when count == 0
+	used  int32 // phits currently held
+	head  int32
+	count int32
+	tail  int32 // ring index of the newest entry; meaningless when count == 0
 
 	claimed bool // the head entry holds an output-VC transfer
 	// planned is true while the router's cached plan for this buffer
@@ -45,39 +54,42 @@ func ringEntries(capacityPhits, packetPhits int) int {
 	return capacityPhits/packetPhits + 3
 }
 
-// init fixes the buffer's dimensions: capacity in phits and ring size in
-// entries (see ringEntries). The ring itself is allocated by the first push.
-func (b *vcBuffer) init(capacityPhits, entN int) {
-	b.capacity = int32(capacityPhits)
-	b.entN = int32(entN)
-}
-
-// reset empties the buffer for a new run. A ring an earlier run grew is
-// cleared and kept, so a re-initialised simulation does not pay the first
-// touch again.
-func (b *vcBuffer) reset() {
-	clear(b.entries)
-	*b = vcBuffer{capacity: b.capacity, entN: b.entN, entries: b.entries}
-}
+// reset empties the buffer for a new run. The ring an earlier run made
+// stays named (Sim.init clears every ring at once), so a re-initialised
+// simulation does not pay the first touch again.
+func (b *vcBuffer) reset() { *b = vcBuffer{ring: b.ring} }
 
 // empty reports whether no packet is present.
 func (b *vcBuffer) empty() bool { return b.count == 0 }
 
-// headEntry returns the oldest entry; it panics when empty.
-func (b *vcBuffer) headEntry() *fifoEntry {
+// headEntry returns the oldest entry of the ring in a; it panics when
+// empty.
+func (b *vcBuffer) headEntry(a *ringArena[fifoEntry]) *fifoEntry {
 	if b.count == 0 {
 		panic("engine: headEntry on empty vcBuffer")
 	}
-	return &b.entries[b.head]
+	return a.at(b.ring + ringRef(b.head))
 }
 
-// wrap reduces a ring index in [0, 2*len) into [0, len); cheaper than a
+// wrap reduces a ring index in [0, 2*entN) into [0, entN); cheaper than a
 // modulo on this hot path.
-func (b *vcBuffer) wrap(i int32) int32 {
-	if i >= b.entN {
-		i -= b.entN
+func wrap(i, entN int32) int32 {
+	if i >= entN {
+		i -= entN
 	}
 	return i
+}
+
+// push appends an entry of pkt with arrived phits, making the ring in a
+// from the worker's cursor c on the first push.
+func (b *vcBuffer) push(a *ringArena[fifoEntry], c *ringCursor, entN int32, pkt pktRef, arrived uint16) {
+	if b.ring == 0 {
+		b.ring = a.alloc(c, entN)
+	}
+	i := wrap(b.head+b.count, entN)
+	*a.at(b.ring + ringRef(i)) = fifoEntry{pkt: pkt, arrived: arrived}
+	b.tail = i
+	b.count++
 }
 
 // pushPhit accounts the arrival of one phit of pkt, a packet of size
@@ -88,55 +100,42 @@ func (b *vcBuffer) wrap(i int32) int32 {
 // entry or the accounting of the two visits would merge. It reports
 // whether a new entry was opened, so the router can maintain its
 // buffered-entry activity count.
-func (b *vcBuffer) pushPhit(pkt pktRef, size int32) (newEntry bool) {
+func (b *vcBuffer) pushPhit(a *ringArena[fifoEntry], c *ringCursor, d vcDims, pkt pktRef, size int32) (newEntry bool) {
+	b.used++
 	if b.count > 0 {
-		if t := &b.entries[b.tail]; t.pkt == pkt && int32(t.arrived) < size {
+		if t := a.at(b.ring + ringRef(b.tail)); t.pkt == pkt && int32(t.arrived) < size {
 			t.arrived++
-			b.used++
 			return false
 		}
 	}
-	if b.entries == nil {
-		b.entries = make([]fifoEntry, b.entN)
-	}
-	if b.count == b.entN {
+	if b.count == d.entN {
 		panic(fmt.Sprintf("engine: vcBuffer ring overflow (cap %d phits, %d entries)",
-			b.capacity, b.count))
+			d.capacity, b.count))
 	}
-	i := b.wrap(b.head + b.count)
-	b.entries[i] = fifoEntry{pkt: pkt, arrived: 1}
-	b.tail = i
-	b.count++
-	b.used++
+	b.push(a, c, d.entN, pkt, 1)
 	return true
 }
 
 // pushWholePacket enqueues a fully present packet of size phits (used by
 // injection queues, where serialization happens on the crossbar instead).
-func (b *vcBuffer) pushWholePacket(pkt pktRef, size int32) {
-	if b.count == b.entN || b.used+size > b.capacity {
+func (b *vcBuffer) pushWholePacket(a *ringArena[fifoEntry], c *ringCursor, d vcDims, pkt pktRef, size int32) {
+	if !b.hasSpaceFor(d, size) {
 		panic("engine: pushWholePacket without space")
 	}
-	if b.entries == nil {
-		b.entries = make([]fifoEntry, b.entN)
-	}
-	i := b.wrap(b.head + b.count)
-	b.entries[i] = fifoEntry{pkt: pkt, arrived: uint16(size)}
-	b.tail = i
-	b.count++
+	b.push(a, c, d.entN, pkt, uint16(size))
 	b.used += size
 }
 
 // hasSpaceFor reports whether a whole packet of size phits fits now.
-func (b *vcBuffer) hasSpaceFor(size int32) bool {
-	return b.used+size <= b.capacity && b.count < b.entN
+func (b *vcBuffer) hasSpaceFor(d vcDims, size int32) bool {
+	return b.used+size <= d.capacity && b.count < d.entN
 }
 
-// takePhit accounts one phit of the head entry, a packet of size phits,
-// leaving the buffer and reports whether it was the packet's tail (in
-// which case the entry is popped and the claim released).
-func (b *vcBuffer) takePhit(size int32) (pkt pktRef, tail bool) {
-	e := b.headEntry()
+// takePhit accounts one phit of the head entry e (see headEntry), a
+// packet of size phits, leaving the buffer and reports whether it was the
+// packet's tail (in which case the entry is popped and the claim
+// released).
+func (b *vcBuffer) takePhit(e *fifoEntry, entN int32, size int32) (pkt pktRef, tail bool) {
 	if e.sent >= e.arrived {
 		panic("engine: takePhit without a buffered phit")
 	}
@@ -144,8 +143,8 @@ func (b *vcBuffer) takePhit(size int32) (pkt pktRef, tail bool) {
 	b.used--
 	pkt = e.pkt
 	if int32(e.sent) == size {
-		b.entries[b.head] = fifoEntry{}
-		b.head = b.wrap(b.head + 1)
+		*e = fifoEntry{}
+		b.head = wrap(b.head+1, entN)
 		b.count--
 		b.claimed = false
 		b.planned = false

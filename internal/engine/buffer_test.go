@@ -2,9 +2,43 @@ package engine
 
 import "testing"
 
+// testBuffer is a VC buffer of capacity phits for packets of size phits
+// with an entry arena of its own, so a buffer can be driven alone.
+type testBuffer struct {
+	vcBuffer
+	a ringArena[fifoEntry]
+	c ringCursor
+	d vcDims
+}
+
+func newTestBuffer(capacity, size int) *testBuffer {
+	b := &testBuffer{d: vcDims{capacity: int32(capacity), entN: int32(ringEntries(capacity, size))}}
+	n, err := ringDirLen(1, ringClass{1, int64(b.d.entN)})
+	if err != nil {
+		panic(err)
+	}
+	b.a.init(n)
+	return b
+}
+
+func (b *testBuffer) pushPhit(pkt pktRef, size int32) bool {
+	return b.vcBuffer.pushPhit(&b.a, &b.c, b.d, pkt, size)
+}
+
+func (b *testBuffer) pushWholePacket(pkt pktRef, size int32) {
+	b.vcBuffer.pushWholePacket(&b.a, &b.c, b.d, pkt, size)
+}
+
+func (b *testBuffer) hasSpaceFor(size int32) bool { return b.vcBuffer.hasSpaceFor(b.d, size) }
+
+func (b *testBuffer) takePhit(size int32) (pktRef, bool) {
+	return b.vcBuffer.takePhit(b.vcBuffer.headEntry(&b.a), b.d.entN, size)
+}
+
+func (b *testBuffer) headEntry() *fifoEntry { return b.vcBuffer.headEntry(&b.a) }
+
 func TestBufferPushTake(t *testing.T) {
-	var b vcBuffer
-	b.init(32, ringEntries(32, 8))
+	b := newTestBuffer(32, 8)
 	p := pktRef(1)
 	for i := 0; i < 8; i++ {
 		b.pushPhit(p, 8)
@@ -27,8 +61,7 @@ func TestBufferPushTake(t *testing.T) {
 }
 
 func TestBufferFIFOOrder(t *testing.T) {
-	var b vcBuffer
-	b.init(32, ringEntries(32, 8))
+	b := newTestBuffer(32, 8)
 	p1 := pktRef(1)
 	p2 := pktRef(2)
 	for i := 0; i < 8; i++ {
@@ -53,8 +86,7 @@ func TestBufferFIFOOrder(t *testing.T) {
 
 func TestBufferCutThroughInterleaving(t *testing.T) {
 	// A packet can start leaving while still arriving.
-	var b vcBuffer
-	b.init(32, ringEntries(32, 8))
+	b := newTestBuffer(32, 8)
 	p := pktRef(1)
 	b.pushPhit(p, 8)
 	if _, tail := b.takePhit(8); tail {
@@ -72,8 +104,7 @@ func TestBufferCutThroughInterleaving(t *testing.T) {
 }
 
 func TestBufferSpaceAccounting(t *testing.T) {
-	var b vcBuffer
-	b.init(16, ringEntries(16, 8))
+	b := newTestBuffer(16, 8)
 	if !b.hasSpaceFor(8) {
 		t.Fatal("fresh buffer rejects a packet")
 	}
@@ -85,8 +116,7 @@ func TestBufferSpaceAccounting(t *testing.T) {
 }
 
 func TestBufferTakeFromEmptyPanics(t *testing.T) {
-	var b vcBuffer
-	b.init(8, ringEntries(8, 8))
+	b := newTestBuffer(8, 8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("takePhit on empty buffer did not panic")
@@ -96,8 +126,7 @@ func TestBufferTakeFromEmptyPanics(t *testing.T) {
 }
 
 func TestBufferTakeBeyondArrivedPanics(t *testing.T) {
-	var b vcBuffer
-	b.init(8, ringEntries(8, 8))
+	b := newTestBuffer(8, 8)
 	p := pktRef(1)
 	b.pushPhit(p, 8)
 	b.takePhit(8)

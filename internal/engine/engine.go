@@ -128,6 +128,9 @@ func (c *Config) validate() error {
 	if c.Workload == nil {
 		return fmt.Errorf("engine: nil workload")
 	}
+	if n := c.Workload.TotalPhases(); n > MaxPhases {
+		return fmt.Errorf("engine: %d workload phases exceed the %d a packet can name", n, MaxPhases)
+	}
 	if c.WindowCycles < 0 {
 		return fmt.Errorf("engine: negative metrics window %d", c.WindowCycles)
 	}
@@ -228,6 +231,11 @@ type Sim struct {
 	arrSlots []uint32
 	// arena owns every packet; the workers' lists (pkts) hand them out.
 	arena *packetArena
+	// rings owns every VC entry ring and link ring; the workers' cursors
+	// (cursors) bump them out. dims is the per-port layout every router
+	// shares: each input port's VC capacity and entry-ring size.
+	rings ringArenas
+	dims  []vcDims
 
 	// pb holds each group's Piggybacking congestion bits, double-buffered
 	// by cycle parity: routing at cycle c reads pb[g][c&1] and the group's
@@ -240,12 +248,14 @@ type Sim struct {
 	// runtime.GOMAXPROCS(0) and the group count when the fabric was
 	// allocated) steps the group-aligned router ranges [bounds[i],
 	// bounds[i+1]) with i % workers == w, and owns one sheet, one progress
-	// block, one packet list, one routing algorithm and one row of cycle
-	// deltas. All of it is fixed by allocate.
+	// block, one packet list, one set of ring cursors, one routing
+	// algorithm and one row of cycle deltas. All of it is fixed by
+	// allocate.
 	bounds   []int
 	sheets   []metrics.Sheet
 	progress []progress
 	pkts     []packetList
+	cursors  []ringCursors
 	algs     []core.Algorithm
 	deltas   [][]cycleDelta
 
@@ -324,17 +334,6 @@ func (s *Sim) Init(cfg Config) error {
 	p := cfg.Topo
 	cfg.Routing.Topo = p
 	cfg.Routing.BufLocal, cfg.Routing.BufGlobal = cfg.BufLocal, cfg.BufGlobal
-	// One shared table set per simulation: minimal next-hop rows, the
-	// global-port matrix, the pair-restricted detour candidate lists and
-	// the occupancy-fraction rows are computed once and consulted
-	// read-only by every router. They depend on (Spec, Routing) alone.
-	tab := s.tab
-	if tab == nil || s.cfg.Spec != cfg.Spec || s.cfg.Routing != cfg.Routing {
-		var err error
-		if tab, err = core.NewTables(cfg.Spec, cfg.Routing); err != nil {
-			return err
-		}
-	}
 	if cfg.Spec.RequiresVCT() && cfg.Flow != VCT {
 		return fmt.Errorf("engine: %s requires VCT flow control", cfg.Spec)
 	}
@@ -364,9 +363,29 @@ func (s *Sim) Init(cfg Config) error {
 		latLocal: cfg.LatLocal, latGlobal: cfg.LatGlobal,
 		workers: workers, jobs: len(cfg.Workload.Jobs), phases: phases,
 	}
+	// The ring refs are checked first: a shape they cannot name is refused
+	// before anything is sized from its buffers.
+	var dirs [3]int
+	if sh != s.shape {
+		var err error
+		if dirs[0], dirs[1], dirs[2], err = sh.ringDirs(); err != nil {
+			return err
+		}
+	}
+	// One shared table set per simulation: minimal next-hop rows, the
+	// global-port matrix, the pair-restricted detour candidate lists and
+	// the occupancy-fraction rows are computed once and consulted
+	// read-only by every router. They depend on (Spec, Routing) alone.
+	tab := s.tab
+	if tab == nil || s.cfg.Spec != cfg.Spec || s.cfg.Routing != cfg.Routing {
+		var err error
+		if tab, err = core.NewTables(cfg.Spec, cfg.Routing); err != nil {
+			return err
+		}
+	}
 	if sh != s.shape {
 		*s = Sim{} // drop the old fabric before building the next
-		s.allocate(sh, p)
+		s.allocate(sh, p, dirs)
 	}
 	s.init(cfg, tab)
 	return nil
@@ -374,15 +393,16 @@ func (s *Sim) Init(cfg Config) error {
 
 // allocate builds the fabric of a shape: routers, ports, VC buffer
 // headers, credit and transfer slots, plan slots, RNG streams, links and
-// their wiring, the arrival-slot arena, and the partition of the routers
-// over the workers with each worker's sheet, progress block, packet list
-// and routing algorithm. Each per-router, per-port and per-VC field is one
-// fabric-wide array in router order — which is group order — and each
-// router's slices are windows of it, so a build costs the same few
-// allocations at any size and a group's state sits together in memory. It
-// fixes dimensions and pointers only; every value a run starts from is
-// written by init.
-func (s *Sim) allocate(sh shape, p *topology.P) {
+// their wiring, the arrival-slot arena, the ring arenas' directories (of
+// the shape's lengths dirs: entries, phits, credits), and the partition of
+// the routers over the workers with each worker's sheet, progress block,
+// packet list, ring cursors and routing algorithm. Each per-router,
+// per-port and per-VC field is one fabric-wide array in router order —
+// which is group order — and each router's slices are windows of it, so a
+// build costs the same few allocations at any size and a group's state
+// sits together in memory. It fixes dimensions and pointers only; every
+// value a run starts from is written by init.
+func (s *Sim) allocate(sh shape, p *topology.P, dirs [3]int) {
 	s.shape = sh
 	s.topo = p
 	n := p.Routers
@@ -390,7 +410,11 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 	s.sheets = make([]metrics.Sheet, sh.workers)
 	s.progress = make([]progress, sh.workers)
 	s.pkts = make([]packetList, sh.workers)
+	s.cursors = make([]ringCursors, sh.workers)
 	s.arena = new(packetArena)
+	s.rings.entries.init(dirs[0])
+	s.rings.phits.init(dirs[1])
+	s.rings.credits.init(dirs[2])
 	s.algs = make([]core.Algorithm, sh.workers)
 
 	// One router's layout, the same for every router. One extra output
@@ -399,7 +423,7 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 	// transfer machinery — one phit per cycle, credits returned upstream as
 	// usual — so conservation and determinism hold for faulted runs.
 	// Fault-free runs never claim it. VC entry rings and link rings are
-	// allocated lazily on first use (see vcBuffer and link), so a buffer or
+	// made lazily on first use (see vcBuffer and link), so a buffer or
 	// link no traffic ever reaches costs only its header — the bulk of a
 	// large fabric's idle state.
 	inVCs := p.LocalPorts*sh.localVCs + p.GlobalPorts*sh.globalVCs + p.H
@@ -427,7 +451,7 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 		w := i % sh.workers
 		for id := s.bounds[i]; id < s.bounds[i+1]; id++ {
 			r := &s.routers[id]
-			r.sheet, r.prog, r.pkts = &s.sheets[w], &s.progress[w], &s.pkts[w]
+			r.sheet, r.prog, r.pkts, r.cursors = &s.sheets[w], &s.progress[w], &s.pkts[w], &s.cursors[w]
 		}
 	}
 
@@ -443,12 +467,28 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 		s.deltas[w] = make([]cycleDelta, s.blockMax)
 	}
 
+	// Input VCs and output VCs are numbered port by port; an injection
+	// port has one VC and an ejection port one transfer slot, and the drop
+	// sink takes the last. Every VC of an input port has its dimensions.
+	s.dims = make([]vcDims, p.Ports)
+	for port := range s.dims {
+		capPhits := sh.injQueuePackets * sh.packetPhits
+		switch {
+		case p.IsLocalPort(port):
+			capPhits = sh.bufLocal
+		case p.IsGlobalPort(port):
+			capPhits = sh.bufGlobal
+		}
+		s.dims[port] = vcDims{capacity: int32(capPhits), entN: int32(ringEntries(capPhits, sh.packetPhits))}
+	}
+
 	for id := range s.routers {
 		r := &s.routers[id]
 		r.id = id
 		r.group = int32(p.GroupOf(id))
 		r.eng = s
 		r.pktSize = int32(sh.packetPhits)
+		r.dims = s.dims
 		r.in, r.claimVCs = window(ins, id, p.Ports), window(claimVCs, id, p.Ports)
 		r.out = window(outs, id, p.Ports+1)
 		r.vcs, r.plans = window(vcs, id, inVCs), window(plans, id, inVCs)
@@ -457,30 +497,23 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 		r.nodePhase, r.nodeRand = window(nodePhase, id, p.H), window(nodeRand, id, p.H)
 		r.arrivals.init(window(s.arrSlots, id, wordsPer), sh.latLocal, p.GlobalPortBase(), sh.workers <= 1)
 
-		// Input VCs and output VCs are numbered port by port; an
-		// injection port has one VC and an ejection port one transfer
-		// slot, and the drop sink takes the last.
 		vc := int32(0)
 		for port := 0; port <= p.Ports; port++ {
-			nvc, capPhits := 1, sh.injQueuePackets*sh.packetPhits
+			nvc := 1
 			switch {
 			case p.IsLocalPort(port):
-				nvc, capPhits = sh.localVCs, sh.bufLocal
+				nvc = sh.localVCs
 			case p.IsGlobalPort(port):
-				nvc, capPhits = sh.globalVCs, sh.bufGlobal
+				nvc = sh.globalVCs
 			}
 			op := &r.out[port]
 			op.base, op.nvc = vc, uint8(nvc)
 			if port < linksPer {
-				op.capacity = int32(capPhits)
+				op.capacity = s.dims[port].capacity
 				op.global = p.IsGlobalPort(port)
 			}
 			if port < p.Ports {
 				r.in[port].vc0 = vc
-				entN := ringEntries(capPhits, sh.packetPhits)
-				for i := range nvc {
-					r.vcs[int(vc)+i].init(capPhits, entN)
-				}
 			}
 			vc += int32(nvc)
 		}
@@ -501,7 +534,7 @@ func (s *Sim) allocate(sh shape, p *topology.P) {
 			r.out[port].link = l
 			rr, rp := p.LinkTarget(id, port)
 			s.routers[rr].in[rp].link = l
-			l.wire(&s.routers[rr].arrivals, rp, &r.arrivals, port)
+			l.wire(rr, rp, id, port, p.GlobalPortBase())
 		}
 	}
 }
@@ -525,8 +558,8 @@ func (s *Sim) init(cfg Config, tab *core.Tables) {
 	newTab := tab != s.tab
 	*s = Sim{
 		shape: s.shape, topo: s.topo, routers: s.routers, arrSlots: s.arrSlots, arena: s.arena,
-		bounds: s.bounds, sheets: s.sheets, progress: s.progress, pkts: s.pkts, algs: s.algs,
-		deltas: s.deltas, blockMax: s.blockMax, pb: s.pb,
+		rings: s.rings, dims: s.dims, bounds: s.bounds, sheets: s.sheets, progress: s.progress,
+		pkts: s.pkts, cursors: s.cursors, algs: s.algs, deltas: s.deltas, blockMax: s.blockMax, pb: s.pb,
 
 		cfg:       cfg,
 		tab:       tab,
@@ -540,6 +573,9 @@ func (s *Sim) init(cfg Config, tab *core.Tables) {
 	p := s.topo
 	clear(s.progress)
 	clear(s.arrSlots)
+	s.rings.entries.clear()
+	s.rings.phits.clear()
+	s.rings.credits.clear()
 	s.arena.deal(s.pkts)
 	s.reservePackets()
 	for i := range s.sheets {

@@ -96,7 +96,7 @@ func TestWormholePacketSpansRouters(t *testing.T) {
 				}
 				for _, buf := range r.inVCs(port) {
 					for k := int32(0); k < buf.count; k++ {
-						e := &buf.entries[(buf.head+k)%buf.entN]
+						e := sim.rings.entries.at(buf.ring + ringRef((buf.head+k)%r.dims[port].entN))
 						seen[e.pkt]++
 					}
 				}

@@ -14,19 +14,18 @@ import "sync/atomic"
 // The ends of a local link belong to one group and step in lockstep.
 //
 // Each direction also announces its traffic on the receiving router's
-// arrival schedule (phitSched for phits, creditSched for the credits
+// arrival schedule (router rx's for phits, router tx's for the credits
 // flowing back to the sender), which is what lets idle routers skip
 // scanning their links: a send is recorded under its arrival cycle,
 // strictly before that cycle is reached, so a receiver whose schedule
 // slot reads zero provably has nothing to absorb this cycle. A link's ring
-// slots are 4 bytes for a phit and 1 for a credit, the wire's whole cost
-// besides this 80-byte header once it has carried traffic.
+// slots are 4 bytes for a phit and 1 for a credit, in the Sim's phit and
+// credit arenas; they are the wire's whole cost besides this 28-byte,
+// pointer-free header once it has carried traffic.
 type link struct {
-	phits   []phitSlot
-	credits []creditSlot
+	phits, credits ringRef // the rings, made on first send (zero until then)
 
-	phitSched   *arrivalSchedule // schedule of the phit receiver
-	creditSched *arrivalSchedule // schedule of the credit receiver (the sender router)
+	rx, tx int32 // the phit receiver and the credit receiver (the sender), as router ids
 
 	latency int32
 	mask    int32 // ring length - 1 (length is a power of two)
@@ -144,9 +143,9 @@ type phitSlot uint32
 // port back to the sender: vc+1, zero for no credit.
 type creditSlot uint8
 
-// init sets a link's latency. The phit and credit rings are allocated
-// lazily on first send: a long-latency global link costs hundreds of slots,
-// and on a large fabric under light load most links never carry anything.
+// init sets a link's latency. The phit and credit rings are made lazily
+// on first send: a long-latency global link costs hundreds of slots, and
+// on a large fabric under light load most links never carry anything.
 // Laziness is race-free because each ring has exactly one writer (the phit
 // sender, respectively the credit sender), the allocating side, and the
 // reader only looks after an arrival was announced: on the same worker for
@@ -157,75 +156,72 @@ func (l *link) init(latency int) {
 	l.mask = int32(arrivalSlotCount(latency) - 1)
 }
 
-// reset empties the rings for a new run, keeping the ones an earlier run
-// grew.
-func (l *link) reset() {
-	clear(l.phits)
-	clear(l.credits)
-}
-
-// wire attaches the link to its ends' schedules: it feeds input port
-// inPort of the phit receiver, and its credits return to output port
-// outPort of the sender. A local link sets its ports' bits in the local
-// words; a global one sets bit port-GlobalPortBase of the global word,
-// plus 16 for a credit.
-func (l *link) wire(phitSched *arrivalSchedule, inPort int, creditSched *arrivalSchedule, outPort int) {
-	l.phitSched, l.creditSched = phitSched, creditSched
+// wire attaches the link to its ends: it feeds input port inPort of router
+// rx, and its credits return to output port outPort of router tx. A local
+// link sets its ports' bits in the local words; a global one sets bit
+// port-gbase of the global word (gbase: GlobalPortBase), plus 16 for a
+// credit.
+func (l *link) wire(rx, inPort, tx, outPort, gbase int) {
+	l.rx, l.tx = int32(rx), int32(tx)
 	l.phitBit, l.creditBit = uint8(inPort), uint8(outPort)
 	if l.global {
-		l.phitBit -= phitSched.gbase
-		l.creditBit += 16 - creditSched.gbase
+		l.phitBit -= uint8(gbase)
+		l.creditBit += 16 - uint8(gbase)
 	}
 }
 
-// sendPhit schedules a phit to arrive at now+latency.
-func (l *link) sendPhit(now int64, pkt pktRef, vc int) {
-	if l.phits == nil {
-		l.phits = make([]phitSlot, l.mask+1)
+// sendPhit schedules a phit to arrive at now+latency. The sender's worker
+// cursors c make the ring on the first send.
+func (l *link) sendPhit(s *Sim, c *ringCursors, now int64, pkt pktRef, vc int) {
+	a := &s.rings.phits
+	if l.phits == 0 {
+		l.phits = a.alloc(&c.phits, l.mask+1)
 	}
 	at := now + int64(l.latency)
-	s := &l.phits[at&int64(l.mask)]
-	if *s != 0 {
+	slot := a.at(l.phits + ringRef(at&int64(l.mask)))
+	if *slot != 0 {
 		panic("engine: phit slot collision")
 	}
-	*s = phitSlot(pkt)<<4 | phitSlot(vc)
-	if l.global {
-		l.phitSched.addGlobal(at, l.phitBit)
+	*slot = phitSlot(pkt)<<4 | phitSlot(vc)
+	if sched := &s.routers[l.rx].arrivals; l.global {
+		sched.addGlobal(at, l.phitBit)
 	} else {
-		l.phitSched.addLocal(at, 0, l.phitBit)
+		sched.addLocal(at, 0, l.phitBit)
 	}
 }
 
 // recvPhit consumes the phit arriving now, if any.
-func (l *link) recvPhit(now int64) (pkt pktRef, vc int) {
-	s := &l.phits[now&int64(l.mask)]
-	pkt, vc = pktRef(*s>>4), int(*s&15)
-	*s = 0
+func (l *link) recvPhit(s *Sim, now int64) (pkt pktRef, vc int) {
+	slot := s.rings.phits.at(l.phits + ringRef(now&int64(l.mask)))
+	pkt, vc = pktRef(*slot>>4), int(*slot&15)
+	*slot = 0
 	return pkt, vc
 }
 
 // sendCredit schedules a credit to arrive at the sender at now+latency.
-func (l *link) sendCredit(now int64, vc int) {
-	if l.credits == nil {
-		l.credits = make([]creditSlot, l.mask+1)
+// The credit sender's worker cursors c make the ring on the first send.
+func (l *link) sendCredit(s *Sim, c *ringCursors, now int64, vc int) {
+	a := &s.rings.credits
+	if l.credits == 0 {
+		l.credits = a.alloc(&c.credits, l.mask+1)
 	}
 	at := now + int64(l.latency)
-	s := &l.credits[at&int64(l.mask)]
-	if *s != 0 {
+	slot := a.at(l.credits + ringRef(at&int64(l.mask)))
+	if *slot != 0 {
 		panic("engine: credit slot collision")
 	}
-	*s = creditSlot(vc + 1)
-	if l.global {
-		l.creditSched.addGlobal(at, l.creditBit)
+	*slot = creditSlot(vc + 1)
+	if sched := &s.routers[l.tx].arrivals; l.global {
+		sched.addGlobal(at, l.creditBit)
 	} else {
-		l.creditSched.addLocal(at, 1, l.creditBit)
+		sched.addLocal(at, 1, l.creditBit)
 	}
 }
 
 // recvCredit consumes the credit arriving now, if any.
-func (l *link) recvCredit(now int64) (vc int, ok bool) {
-	s := &l.credits[now&int64(l.mask)]
-	c := *s
-	*s = 0
+func (l *link) recvCredit(s *Sim, now int64) (vc int, ok bool) {
+	slot := s.rings.credits.at(l.credits + ringRef(now&int64(l.mask)))
+	c := *slot
+	*slot = 0
 	return int(c) - 1, c != 0
 }

@@ -2,19 +2,41 @@ package engine
 
 import "testing"
 
-// wiredLink returns a local link of the given latency wired, as Sim.allocate
-// wires every link, to two scratch arrival schedules: input port 0 of the
-// phit receiver and output port 0 of the credit receiver.
-func wiredLink(latency int) *link {
-	var l link
+// testLink is a link between two bare routers of a Sim that has only
+// their arrival schedules and ring arenas, so a link can be driven alone.
+type testLink struct {
+	link
+	s *Sim
+	c ringCursors
+}
+
+// wiredLink returns a local link of the given latency wired, as
+// Sim.allocate wires every link, from output port 0 of router 0 to input
+// port 0 of router 1.
+func wiredLink(latency int) *testLink {
+	l := &testLink{s: &Sim{routers: make([]router, 2)}}
 	l.init(latency)
 	words := arrivalWords(latency, latency)
-	var rx, tx arrivalSchedule
-	rx.init(make([]uint32, words), latency, 0, true)
-	tx.init(make([]uint32, words), latency, 0, true)
-	l.wire(&rx, 0, &tx, 0)
-	return &l
+	for i := range l.s.routers {
+		l.s.routers[i].arrivals.init(make([]uint32, words), latency, 0, true)
+	}
+	n, err := ringDirLen(1, ringClass{1, int64(l.mask + 1)})
+	if err != nil {
+		panic(err)
+	}
+	l.s.rings.phits.init(n)
+	l.s.rings.credits.init(n)
+	l.wire(1, 0, 0, 0, 0)
+	return l
 }
+
+func (l *testLink) sendPhit(now int64, pkt pktRef, vc int) { l.link.sendPhit(l.s, &l.c, now, pkt, vc) }
+
+func (l *testLink) recvPhit(now int64) (pktRef, int) { return l.link.recvPhit(l.s, now) }
+
+func (l *testLink) sendCredit(now int64, vc int) { l.link.sendCredit(l.s, &l.c, now, vc) }
+
+func (l *testLink) recvCredit(now int64) (int, bool) { return l.link.recvCredit(l.s, now) }
 
 func TestLinkDeliversAfterExactLatency(t *testing.T) {
 	l := wiredLink(10)

@@ -12,16 +12,22 @@ import (
 // counts a packet's arrived and sent phits in 16 bits each.
 const MaxPacketPhits = math.MaxUint16
 
+// MaxPhases is the most workload phases a run may track: a packet keeps
+// its phase id in 16 bits.
+const MaxPhases = math.MaxInt16
+
 // Packet is one network packet. The engine moves it phit by phit; buffers
 // and links name it by pktRef, and the Sim owns it (see packetArena) from
 // the first run that injects it to the Sim's last. It holds no pointer, so
 // neither the arena nor any ring that names a packet is scanned by the
 // collector. It carries no size (every packet has the Sim's one size) and
-// no id, so it fits in 64 bytes.
+// no id, and its phase id fits 16 bits (Config.validate refuses more than
+// MaxPhases phases), so it is 48 bytes and a 64-packet chunk fills the
+// allocator's 3,072-byte size class exactly.
 type Packet struct {
 	CreatedAt  int64 // cycle the traffic process generated it
 	InjectedAt int64 // cycle its head left the injection queue (-1 until then)
-	Phase      int32 // workload-global phase id active at generation
+	Phase      int16 // workload-global phase id active at generation
 
 	St core.PacketState // routing state
 }
@@ -41,8 +47,8 @@ const (
 
 // pktChunk is the arena's unit of growth: small enough that a fresh
 // low-load Sim pays little for its first packets, large enough that taking
-// one costs a worker one atomic per 64 packets. It fits the allocator's
-// 4 KiB size class.
+// one costs a worker one atomic per 64 packets. It fills the allocator's
+// 3,072-byte size class.
 type pktChunk [pktChunkLen]Packet
 
 // packetArena holds every packet a Sim ever made. A worker whose free list

@@ -125,6 +125,7 @@ type router struct {
 
 	in        []inPort
 	out       []outPort
+	dims      []vcDims   // per input port: its VCs' capacity and ring size (Sim.dims, shared)
 	vcs       []vcBuffer // every input VC, port by port (see inPort.vc0)
 	credits   []int32    // per output VC (see outPort.base); unused for ejection
 	transfers []transfer // per output VC (see outPort.base)
@@ -139,12 +140,14 @@ type router struct {
 	routeRand rng.PCG
 	flow      FlowControl // cached from Config for the per-phit hot paths
 
-	// sheet, prog and pkts are the metrics sheet, progress counters and
-	// free packets of the worker that steps this router: pinned by
-	// Sim.allocate, carried through reset, never touched by another worker.
-	sheet *metrics.Sheet
-	prog  *progress
-	pkts  *packetList
+	// sheet, prog, pkts and cursors are the metrics sheet, progress
+	// counters, free packets and ring cursors of the worker that steps this
+	// router: pinned by Sim.allocate, carried through reset, never touched
+	// by another worker.
+	sheet   *metrics.Sheet
+	prog    *progress
+	pkts    *packetList
+	cursors *ringCursors
 
 	// curQueueOcc/Cap/HeadFull describe the input buffer of the packet
 	// currently being routed (set in claimHead, HeadFull only when the
@@ -172,9 +175,9 @@ func (r *router) reset(flow FlowControl, seed uint64) {
 	e := r.eng
 	*r = router{
 		id: r.id, group: r.group, eng: e, alg: r.alg,
-		in: r.in, out: r.out, vcs: r.vcs, credits: r.credits, transfers: r.transfers,
+		in: r.in, out: r.out, dims: r.dims, vcs: r.vcs, credits: r.credits, transfers: r.transfers,
 		plans: r.plans, claimVCs: r.claimVCs, nodeRand: r.nodeRand,
-		sheet: r.sheet, prog: r.prog, pkts: r.pkts,
+		sheet: r.sheet, prog: r.prog, pkts: r.pkts, cursors: r.cursors,
 		arrivals: r.arrivals, phaseCur: r.phaseCur, nodePhase: r.nodePhase,
 		pktSize: r.pktSize,
 
@@ -192,7 +195,6 @@ func (r *router) reset(flow FlowControl, seed uint64) {
 		op := &r.out[i]
 		op.activeVCs, op.rr = 0, 0
 		if op.link != nil {
-			op.link.reset()
 			credits := r.outCredits(i)
 			for v := range credits {
 				credits[v] = op.capacity
@@ -338,13 +340,13 @@ func (r *router) absorb(cycle int64, phits, credits uint64) {
 	for m := phits; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		ip := &r.in[i]
-		pkt, vc := ip.link.recvPhit(cycle)
+		pkt, vc := ip.link.recvPhit(r.eng, cycle)
 		if pkt == 0 {
 			panic(fmt.Sprintf("engine: phit arrival bit without a phit at router %d in port %d", r.id, i))
 		}
 		r.prog.inflight--
 		buf := &r.vcs[ip.vc0+int32(vc)]
-		if buf.pushPhit(pkt, r.pktSize) {
+		if buf.pushPhit(&r.eng.rings.entries, &r.cursors.entries, r.dims[i], pkt, r.pktSize) {
 			r.occupied++
 			r.prog.occ++
 		}
@@ -356,7 +358,7 @@ func (r *router) absorb(cycle int64, phits, credits uint64) {
 		i := bits.TrailingZeros64(m)
 		op := &r.out[i]
 		r.prog.inflight--
-		vc, ok := op.link.recvCredit(cycle)
+		vc, ok := op.link.recvCredit(r.eng, cycle)
 		if !ok {
 			panic(fmt.Sprintf("engine: credit arrival bit without a credit at router %d out port %d", r.id, i))
 		}
@@ -461,19 +463,19 @@ func (r *router) generate(cycle int64, k, node int, np *nodePhase) {
 	}
 	port := e.topo.EjectPortBase() + k
 	q := &r.vcs[r.in[port].vc0]
-	if !q.hasSpaceFor(r.pktSize) {
+	if !q.hasSpaceFor(r.dims[port], r.pktSize) {
 		if !np.finite {
 			r.sheet.RecordInjectionLost(cycle, int(np.id))
 		}
 		return
 	}
 	ref, pkt := r.pkts.get(e.arena)
-	pkt.Phase = np.id
+	pkt.Phase = int16(np.id)
 	pkt.CreatedAt = cycle
 	pkt.InjectedAt = -1
 	dst := np.phase.Pattern.Dest(node, &r.nodeRand[k])
 	pkt.St.Init(e.topo, node, dst)
-	q.pushWholePacket(ref, r.pktSize)
+	q.pushWholePacket(&e.rings.entries, &r.cursors.entries, r.dims[port], ref, r.pktSize)
 	r.occupied++
 	r.prog.occ++
 	if !q.claimed {
@@ -522,7 +524,8 @@ func (r *router) trySendPhit(cycle int64, port, vc int) bool {
 	if buf.empty() {
 		return false
 	}
-	e := buf.headEntry()
+	ents := &r.eng.rings.entries
+	e := buf.headEntry(ents)
 	if e.pkt != t.pkt {
 		panic("engine: transfer head mismatch")
 	}
@@ -540,7 +543,7 @@ func (r *router) trySendPhit(cycle int64, port, vc int) bool {
 			}
 			*c--
 		}
-		op.link.sendPhit(cycle, t.pkt, vc)
+		op.link.sendPhit(r.eng, r.cursors, cycle, t.pkt, vc)
 		r.prog.inflight++
 		if op.global {
 			r.sheet.GlobalLinkPhits++
@@ -548,13 +551,13 @@ func (r *router) trySendPhit(cycle int64, port, vc int) bool {
 			r.sheet.LocalLinkPhits++
 		}
 	}
-	pkt, tail := buf.takePhit(r.pktSize)
+	pkt, tail := buf.takePhit(e, r.dims[t.inPort].entN, r.pktSize)
 	r.portSent |= 1 << uint(port)
 	r.inputUsed |= 1 << uint(t.inPort)
 	r.prog.moved++
 	// The phit left the input buffer: return a credit upstream.
 	if up := r.in[t.inPort].link; up != nil {
-		up.sendCredit(cycle, int(t.inVC))
+		up.sendCredit(r.eng, r.cursors, cycle, int(t.inVC))
 		r.prog.inflight++
 	}
 	if tail {
@@ -651,14 +654,13 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 	e := r.eng
 	size := int(r.pktSize)
 	plan := &r.plans[bi]
-	r.curQueueOcc, r.curQueueCap = int(buf.used), int(buf.capacity)
+	ents := &e.rings.entries
+	r.curQueueOcc, r.curQueueCap = int(buf.used), int(r.dims[port].capacity)
 	if !buf.planned {
-		pkt := e.arena.at(buf.headEntry().pkt)
+		pkt := e.arena.at(buf.headEntry(ents).pkt)
 		buf.planned = true
 		if int(pkt.St.DstRouter) == r.id {
-			plan.Eject = true
-			plan.EjectPort = int16(pkt.St.DstEject)
-			plan.DestDead = false
+			plan.SetEject(int(pkt.St.DstEject))
 		} else if e.faulted && (e.view.RouterDown(int(pkt.St.DstRouter)) ||
 			(e.hopLimit > 0 && int32(pkt.St.LocalHops)+int32(pkt.St.GlobalHops) > e.hopLimit)) {
 			// The routing view knows the destination router failed
@@ -666,26 +668,25 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 			// packet blew the dead-router livelock budget (see hopLimit).
 			// Letting it wander (or park on OFAR's escape ring) would
 			// livelock. Skip the routing evaluation; it drops below.
-			plan.Eject = false
-			plan.DestDead = true
+			plan.SetDestDead()
 		} else {
-			plan.Eject = false
+			*plan = core.Plan{} // no eject or drop verdict, whatever BuildPlan writes
 			r.alg.BuildPlan(r, &pkt.St, r.id, size, &r.routeRand, plan)
 		}
 	}
 
 	var dec core.Decision
 	switch {
-	case plan.Eject:
+	case plan.Eject():
 		// Ejection to a parked node is a droppable verdict: the packet
 		// reached a dead router whose nodes cannot consume it, so it
 		// drains through the drop sink like any unroutable one.
 		dec = core.Decision{Port: int(plan.EjectPort), Drop: r.parked}
-	case plan.DestDead:
+	case plan.DestDead():
 		dec = core.Decision{Drop: true}
 	default:
 		if r.needHeadFull {
-			r.curHeadFull = int32(buf.headEntry().arrived) == r.pktSize
+			r.curHeadFull = int32(buf.headEntry(ents).arrived) == r.pktSize
 		}
 		dec = r.alg.RoutePlanned(r, plan, size, &r.routeRand)
 		if dec.Wait {
@@ -693,7 +694,7 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 		}
 	}
 	// routed marks a hop through a link: neither an ejection nor a drop.
-	routed := !plan.Eject && !dec.Drop
+	routed := !plan.Eject() && !dec.Drop
 	outPortIdx, outVC := dec.Port, dec.VC
 	if dec.Drop {
 		// No surviving route, a dead destination or a parked node: claim
@@ -709,7 +710,7 @@ func (r *router) claimHead(cycle int64, port, vc int) {
 		panic(fmt.Sprintf("engine: %s routed to unclaimable (%d,%d) at router %d",
 			e.cfg.Spec, outPortIdx, outVC, r.id))
 	}
-	ref := buf.headEntry().pkt
+	ref := buf.headEntry(ents).pkt
 	pkt := e.arena.at(ref)
 	if routed {
 		core.CommitHop(e.topo, &pkt.St, r.id, dec)

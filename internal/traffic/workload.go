@@ -1,6 +1,9 @@
 package traffic
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Phase is one segment of a workload schedule: a traffic pattern and an
 // injection process that are active for Duration cycles, after which the
@@ -199,12 +202,12 @@ func (w *Workload) LastChange() int64 {
 // NextChange returns the first cycle after cycle at which job ji's active
 // phase (or its activity) changes, or -1 when nothing changes anymore.
 // Injection hot paths use it to cache phase lookups between transitions.
+// The starts ascend, so the search is binary: every node of a job asks at
+// every one of its phase changes.
 func (w *Workload) NextChange(ji int, cycle int64) int64 {
 	j := &w.Jobs[ji]
-	for _, s := range j.starts {
-		if s > cycle {
-			return s
-		}
+	if i := sort.Search(len(j.starts), func(i int) bool { return j.starts[i] > cycle }); i < len(j.starts) {
+		return j.starts[i]
 	}
 	if j.end > cycle {
 		return j.end
