@@ -1114,20 +1114,45 @@ func buildPattern(p *topology.P, tr Traffic) (traffic.Pattern, error) {
 // ready to run once (per-VC buffers and link rings are allocated lazily,
 // on first use during the run). Prepare/Run separate construction cost
 // from stepping cost so tools (the benchmark's direct door, paperfigs'
-// scaling figure) can time the two apart; to run many configurations on
-// one allocation, use a Runner.
+// scaling figure) can time the two apart.
+//
+// A Sim whose run completed gives its network up for the next Prepare of
+// the same shape (see Runner) to re-initialise, but keeps a pointer to it:
+// its memory stays reachable for as long as the Sim is, so a heap probe
+// taken after the run still counts it. The Sim never reads that network
+// again; Cycles and a second Run answer from the Sim itself.
 type Sim struct {
 	sim *engine.Sim
 	// offered becomes Result.OfferedLoad: the engine sees a compiled
 	// workload, not the load it was asked for.
 	offered float64
+	cycles  int64 // the run's length, once it ran
+	ran     bool
 }
 
 // Prepare validates the configuration and builds the network without
-// running it.
+// running it — on the network of an earlier completed run of the same
+// shape when the collector has not yet taken it, so a load sweep of
+// one-shot runs builds its network about once per collection, not once
+// per point.
 func Prepare(c Config) (*Sim, error) {
-	var r Runner
-	return r.prepare(c)
+	return prepare(c, nil)
+}
+
+// prepare builds c's simulation on prev, an engine Sim whose run
+// completed, or on whatever engine.Acquire finds; prev is given up either
+// way (see engine.Acquire), errors included.
+func prepare(c Config, prev *engine.Sim) (*Sim, error) {
+	ec, err := c.build()
+	if err != nil {
+		engine.Release(prev)
+		return nil, err
+	}
+	es, err := engine.Acquire(ec, prev)
+	if err != nil {
+		return nil, err
+	}
+	return &Sim{sim: es, offered: c.normalize().offeredLoad()}, nil
 }
 
 // Run executes the prepared simulation; like the package-level Run it can
@@ -1138,8 +1163,23 @@ func (s *Sim) Run() (Result, error) {
 
 // RunContext is Run with cooperative cancellation: the engine polls ctx
 // every 1024 cycles and aborts the run with ctx's error, so campaign
-// drivers can stop a simulation mid-point.
+// drivers can stop a simulation mid-point. Only a run that completes
+// gives its network up; a canceled, failed or panicked one keeps it.
 func (s *Sim) RunContext(ctx context.Context) (Result, error) {
+	res, err := s.run(ctx)
+	if err == nil {
+		engine.Release(s.sim)
+	}
+	return res, err
+}
+
+// run is RunContext keeping the network: a Runner takes it back.
+func (s *Sim) run(ctx context.Context) (Result, error) {
+	if s.ran {
+		return Result{}, engine.ErrRunTwice
+	}
+	s.ran = true
+	defer func() { s.cycles = s.sim.Cycle() }()
 	res, err := s.sim.RunContext(ctx)
 	if err != nil {
 		return Result{}, err
@@ -1148,21 +1188,22 @@ func (s *Sim) RunContext(ctx context.Context) (Result, error) {
 	return res, nil
 }
 
-// Cycles returns the number of cycles actually simulated so far — after
-// Run, the true run length even when a watchdog or burst drain ended the
-// run away from the nominal warmup+measure window.
-func (s *Sim) Cycles() int64 { return s.sim.Cycle() }
+// Cycles returns the number of cycles the run simulated — the true run
+// length even when a watchdog or burst drain ended the run away from the
+// nominal warmup+measure window; zero before the run.
+func (s *Sim) Cycles() int64 { return s.cycles }
 
 // Runner runs configurations one after another on one network allocation:
-// the lane of a campaign. It keeps the network of the last configuration
+// the lane of a campaign. It holds the network of the last configuration
 // that ran to completion; when the next one has the same shape — the same
 // h, VC counts, buffer sizes, packet size, injection queue depth, link
 // latencies, effective Workers, job and tracked-phase counts — the
 // network is re-initialised in place instead of being rebuilt, whatever
 // else changed (mechanism, flow control, traffic, load, faults, seed, run
-// length). A different shape releases the old network before the new one
-// is built, so a Runner never holds two. Results are those of Run, bit for
-// bit, and never alias the Runner's memory.
+// length). A different shape gives the old network up, as a completed
+// one-shot Run does, before the next is taken or built, so a Runner never
+// holds two. Results are those of Run, bit for bit, and never alias the
+// Runner's memory.
 //
 // The zero value is ready to use. A Runner must not be used from more than
 // one goroutine at a time; give each concurrent lane its own.
@@ -1170,34 +1211,18 @@ type Runner struct {
 	sim *engine.Sim // the network of the last completed run, nil when none
 }
 
-// prepare builds c's simulation on the Runner's network, which it takes
-// out of the Runner: only a run that completes puts it back, so an
-// invalid configuration, a canceled run or a panic all leave the Runner
-// empty and the next configuration on a fresh network.
-func (r *Runner) prepare(c Config) (*Sim, error) {
-	es := r.sim
-	r.sim = nil
-	ec, err := c.build()
-	if err != nil {
-		return nil, err
-	}
-	if es == nil {
-		es = new(engine.Sim)
-	}
-	if err := es.Init(ec); err != nil {
-		return nil, err
-	}
-	return &Sim{sim: es, offered: c.normalize().offeredLoad()}, nil
-}
-
 // RunContext runs one configuration, reusing the Runner's network when c
-// has its shape. Cancellation works as in Sim.RunContext.
+// has its shape. Cancellation works as in Sim.RunContext. The network is
+// out of the Runner while the point runs and only a run that completes
+// puts it back, so an invalid configuration, a canceled run or a panic
+// leave the Runner empty.
 func (r *Runner) RunContext(ctx context.Context, c Config) (Result, error) {
-	s, err := r.prepare(c)
+	s, err := prepare(c, r.sim)
+	r.sim = nil
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := s.RunContext(ctx)
+	res, err := s.run(ctx)
 	if err != nil {
 		return Result{}, err
 	}
@@ -1205,10 +1230,13 @@ func (r *Runner) RunContext(ctx context.Context, c Config) (Result, error) {
 	return res, nil
 }
 
-// Release drops the Runner's network, returning its memory to the
-// collector; the next run builds a fresh one. Idle lanes call it so they
-// do not sit on a large fabric.
-func (r *Runner) Release() { r.sim = nil }
+// Release gives the Runner's network up as a completed one-shot Run
+// does: the next Prepare or Runner of its shape may take it, until the
+// collector does. Idle lanes call it so they do not sit on a large fabric.
+func (r *Runner) Release() {
+	engine.Release(r.sim)
+	r.sim = nil
+}
 
 // Run executes one experiment and returns its metrics. Deadlocks detected
 // by the watchdog are reported via Result.Deadlock rather than an error so
@@ -1217,11 +1245,13 @@ func Run(c Config) (Result, error) {
 	return RunContext(context.Background(), c)
 }
 
-// RunContext is Run with cooperative cancellation (see Sim.RunContext): a
-// Runner used once.
+// RunContext is Run with cooperative cancellation (see Sim.RunContext).
 func RunContext(ctx context.Context, c Config) (Result, error) {
-	var r Runner
-	return r.RunContext(ctx, c)
+	s, err := Prepare(c)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.RunContext(ctx)
 }
 
 // NetworkSize returns (routers, nodes, groups) for a given h, for sizing

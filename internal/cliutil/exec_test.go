@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	dragonfly "repro"
@@ -58,7 +59,8 @@ func TestExecFlagsWiring(t *testing.T) {
 }
 
 // TestBestOf: the timed runner reports the run actually simulated with its
-// live heap, runs at least once, and surfaces Prepare errors.
+// live heap — the network counted in it — runs at least once, and
+// surfaces Prepare errors.
 func TestBestOf(t *testing.T) {
 	cfg := dragonfly.PaperVCT(2)
 	cfg.LatLocal, cfg.LatGlobal = 4, 16
@@ -76,6 +78,24 @@ func TestBestOf(t *testing.T) {
 	}
 	if best.Cycles != 400 || best.WallSeconds <= 0 || best.CyclesPerSec() <= 0 || best.HeapBytes == 0 {
 		t.Fatalf("implausible timing: %+v", best)
+	}
+	// A finished run gives its network up to the next Prepare, but the
+	// probe runs with the simulator still reachable: the live heap holds,
+	// over what it is without one, at least half of what building that
+	// network allocates.
+	var base, m0, m1 runtime.MemStats
+	runtime.GC() // nothing holds a network now, idle or not
+	runtime.ReadMemStats(&base)
+	runtime.ReadMemStats(&m0)
+	if _, err := dragonfly.Prepare(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	built := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("live heap %d B after the run, %d B without a network; its build allocates %d B", best.HeapBytes, base.HeapAlloc, built)
+	if best.HeapBytes < base.HeapAlloc+built/2 {
+		t.Fatalf("live heap %d B after the run, %d B without a network, but building one allocates %d B",
+			best.HeapBytes, base.HeapAlloc, built)
 	}
 	once, err := BestOf(context.Background(), cfg, 0) // reps < 1 still runs once
 	if err != nil || once.Cycles != 400 || once.HeapBytes == 0 {

@@ -124,9 +124,9 @@ type Config struct {
 
 	// BufLocal and BufGlobal are the downstream buffer capacities, in
 	// phits, behind local and global output ports. When positive, the
-	// tables precompute the occupancy fractions the misrouting trigger
-	// compares (see Tables.fracAt); zero leaves the trigger dividing,
-	// which is what synthetic test views of unknown capacity get.
+	// misrouting trigger divides occupancies by them (see Tables.fracAt);
+	// zero leaves it dividing by the view's capacity, which is what
+	// synthetic test views of unknown capacity get.
 	BufLocal, BufGlobal int
 }
 

@@ -51,13 +51,10 @@ type Tables struct {
 	// lookup; nil for mechanisms without a pair restriction (always true).
 	pairOK []bool
 
-	// fracs[port][occ] is float64(occ)/float64(capacity) for every legal
-	// occupancy of the buffer behind output port (Config.BufLocal or
-	// BufGlobal by port class; ports of equal capacity share one row).
-	// The values are computed by the exact division they replace, so the
-	// trigger's lookups are bit-identical to dividing. Nil rows — ejection
-	// ports, or a Config without capacities — fall back to the division.
-	fracs [][]float64
+	// caps[port] is the capacity of the buffer behind output port
+	// (Config.BufLocal or BufGlobal by port class), zero for ejection
+	// ports; nil for a Config without capacities.
+	caps []int
 }
 
 // NewTables validates cfg, fills its defaults, and computes the table set
@@ -140,40 +137,25 @@ func NewTables(spec Spec, cfg Config) (*Tables, error) {
 		}
 	}
 	if cfg.BufLocal > 0 || cfg.BufGlobal > 0 {
-		row := func(c int) []float64 {
-			if c <= 0 {
-				return nil
-			}
-			r := make([]float64, c+1)
-			for o := 1; o <= c; o++ {
-				r[o] = float64(o) / float64(c)
-			}
-			return r
-		}
-		local := row(cfg.BufLocal)
-		global := local
-		if cfg.BufGlobal != cfg.BufLocal {
-			global = row(cfg.BufGlobal)
-		}
-		t.fracs = make([][]float64, p.Ports)
-		for port := 0; port < p.EjectPortBase(); port++ {
-			t.fracs[port] = local
+		t.caps = make([]int, p.EjectPortBase())
+		for port := range t.caps {
+			t.caps[port] = cfg.BufLocal
 			if p.IsGlobalPort(port) {
-				t.fracs[port] = global
+				t.caps[port] = cfg.BufGlobal
 			}
 		}
 	}
 	return t, nil
 }
 
-// fracAt returns occ normalized to the capacity of output (port, vc): one
-// indexed load from the shared table when the tables were built with the
-// buffer capacities, the recomputing division otherwise (synthetic views,
-// out-of-range occupancies). Read-only: the routing path writes nothing.
+// fracAt returns occ normalized to the capacity of output (port, vc):
+// divided by the capacity the tables were built with, or by the view's
+// (synthetic views, out-of-range occupancies). Read-only: the routing
+// path writes nothing.
 func (t *Tables) fracAt(v View, port, vc, occ int) float64 {
-	if port < len(t.fracs) {
-		if row := t.fracs[port]; uint(occ) < uint(len(row)) {
-			return row[occ]
+	if port < len(t.caps) {
+		if c := t.caps[port]; c > 0 && uint(occ) <= uint(c) {
+			return float64(occ) / float64(c)
 		}
 	}
 	if c := v.Capacity(port, vc); c > 0 {

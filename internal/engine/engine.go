@@ -36,6 +36,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -218,7 +219,8 @@ type shape struct {
 // Sim is an instantiated simulation: an allocation sized by a shape (see
 // allocate) holding the state of one configuration (see init). A Sim runs
 // once per Init; Init on a Sim that already ran re-initialises it in place
-// when the next configuration has the same shape.
+// when the next configuration has the same shape, and Acquire finds such
+// a Sim among the fabrics whose owners gave them up (Release).
 type Sim struct {
 	cfg      Config
 	shape    shape
@@ -323,28 +325,29 @@ func New(cfg Config) (*Sim, error) {
 // two fabrics never coexist), then init, which alone writes initial
 // state. Results do not depend on what s held. On error s is unchanged.
 func (s *Sim) Init(cfg Config) error {
-	if err := cfg.validate(); err != nil {
+	sh, err := shapeOf(cfg)
+	if err != nil {
 		return err
 	}
-	if s.topo != nil && *s.topo == *cfg.Topo {
-		// Same dragonfly: keep our P, so an unchanged (Spec, Routing)
-		// compares equal below.
-		cfg.Topo = s.topo
+	return s.reinit(cfg, sh)
+}
+
+// shapeOf validates cfg and returns the shape of its fabric.
+func shapeOf(cfg Config) (shape, error) {
+	if err := cfg.validate(); err != nil {
+		return shape{}, err
 	}
-	p := cfg.Topo
-	cfg.Routing.Topo = p
-	cfg.Routing.BufLocal, cfg.Routing.BufGlobal = cfg.BufLocal, cfg.BufGlobal
 	if cfg.Spec.RequiresVCT() && cfg.Flow != VCT {
-		return fmt.Errorf("engine: %s requires VCT flow control", cfg.Spec)
+		return shape{}, fmt.Errorf("engine: %s requires VCT flow control", cfg.Spec)
 	}
 	localVCs, globalVCs := cfg.Spec.VCs()
 	if localVCs > 16 || globalVCs > 16 {
 		// router.claimVCs holds one claimable bit per VC in a uint16;
 		// without this guard a wider algorithm would silently lose heads.
-		return fmt.Errorf("engine: %d/%d VCs per port exceeds the 16-VC activity-mask limit",
+		return shape{}, fmt.Errorf("engine: %d/%d VCs per port exceeds the 16-VC activity-mask limit",
 			localVCs, globalVCs)
 	}
-
+	p := cfg.Topo
 	// Effective worker count: more workers than CPUs only adds barrier
 	// latency (results are identical at any width, so the clamp is free),
 	// and more workers than groups leaves some idle.
@@ -355,14 +358,26 @@ func (s *Sim) Init(cfg Config) error {
 	if n := cfg.Workload.TotalPhases(); n > 1 {
 		phases = n
 	}
-	sh := shape{
+	return shape{
 		topo:     *p,
 		localVCs: localVCs, globalVCs: globalVCs,
 		bufLocal: cfg.BufLocal, bufGlobal: cfg.BufGlobal,
 		packetPhits: cfg.PacketPhits, injQueuePackets: cfg.InjQueuePackets,
 		latLocal: cfg.LatLocal, latGlobal: cfg.LatGlobal,
 		workers: workers, jobs: len(cfg.Workload.Jobs), phases: phases,
+	}, nil
+}
+
+// reinit is Init for a cfg already validated and of shape sh.
+func (s *Sim) reinit(cfg Config, sh shape) error {
+	if s.topo != nil && *s.topo == *cfg.Topo {
+		// Same dragonfly: keep our P, so an unchanged (Spec, Routing)
+		// compares equal below.
+		cfg.Topo = s.topo
 	}
+	p := cfg.Topo
+	cfg.Routing.Topo = p
+	cfg.Routing.BufLocal, cfg.Routing.BufGlobal = cfg.BufLocal, cfg.BufGlobal
 	// The ring refs are checked first: a shape they cannot name is refused
 	// before anything is sized from its buffers.
 	var dirs [3]int
@@ -374,7 +389,7 @@ func (s *Sim) Init(cfg Config) error {
 	}
 	// One shared table set per simulation: minimal next-hop rows, the
 	// global-port matrix, the pair-restricted detour candidate lists and
-	// the occupancy-fraction rows are computed once and consulted
+	// the per-port buffer capacities are computed once and consulted
 	// read-only by every router. They depend on (Spec, Routing) alone.
 	tab := s.tab
 	if tab == nil || s.cfg.Spec != cfg.Spec || s.cfg.Routing != cfg.Routing {
@@ -825,6 +840,10 @@ func (s *Sim) Run() (metrics.Result, error) {
 	return s.RunContext(context.Background())
 }
 
+// ErrRunTwice is the error of a second Run on a Sim: a Sim runs once per
+// Init.
+var ErrRunTwice = errors.New("engine: Sim.Run called twice (a Sim runs once per Init)")
+
 // ctxCheckMask throttles cancellation polls to one every 1024 cycles, so
 // the check never shows up on the stepping profile.
 const ctxCheckMask = 1<<10 - 1
@@ -834,7 +853,7 @@ const ctxCheckMask = 1<<10 - 1
 // can stop a campaign mid-point.
 func (s *Sim) RunContext(ctx context.Context) (metrics.Result, error) {
 	if !s.ready {
-		return metrics.Result{}, fmt.Errorf("engine: Sim.Run called twice (a Sim runs once per Init)")
+		return metrics.Result{}, ErrRunTwice
 	}
 	s.ready = false
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -422,5 +423,61 @@ func TestReinitAfterCancel(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers %d: a Sim re-initialised after a cancellation does not equal a fresh one", workers)
 		}
+	}
+}
+
+// TestAcquireOrder: Acquire re-initialises prev when it has cfg's shape,
+// else the idle fabric of that shape, with prev going idle, else a new
+// fabric; a failed Acquire sends prev idle too.
+func TestAcquireOrder(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // idle fabrics stay alive
+	runtime.GC()
+	a := testConfig(t, 2, core.OLM, 0.1)
+	a.Warmup, a.Measure = 50, 100
+	b := a
+	b.LatLocal = 5 // another shape
+	run := func(s *Sim) {
+		t.Helper()
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acquire := func(cfg Config, prev *Sim) *Sim {
+		t.Helper()
+		s, err := Acquire(cfg, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	sa := acquire(a, nil)
+	run(sa)
+	if got := acquire(a, sa); got != sa {
+		t.Fatal("prev of the same shape was not re-initialised")
+	}
+	run(sa)
+	sb := acquire(b, sa) // sa goes idle
+	if sb == sa {
+		t.Fatal("prev of another shape was re-initialised")
+	}
+	run(sb)
+	if got := acquire(a, sb); got != sa {
+		t.Fatal("the idle fabric of the shape was not taken")
+	}
+	run(sa)
+	if got := acquire(b, nil); got != sb {
+		t.Fatal("prev of another shape did not go idle")
+	}
+	bad := a
+	bad.Flow = WH // OLM requires VCT
+	if _, err := Acquire(bad, sa); err == nil {
+		t.Fatal("OLM over wormhole accepted")
+	}
+	if got := acquire(a, nil); got != sa {
+		t.Fatal("prev did not go idle when Acquire failed")
+	}
+	if got := acquire(a, nil); got == sa {
+		t.Fatal("a taken fabric stayed in the idle set")
 	}
 }

@@ -3,10 +3,13 @@ package dragonfly_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sort"
+	"sync"
 	"testing"
 
 	dragonfly "repro"
@@ -285,11 +288,11 @@ func TestRunnerResultsDoNotAlias(t *testing.T) {
 
 // reuseCeilings bound, in bytes, what the second of two same-shape points
 // on one Runner may allocate: with the mechanism unchanged (a compiled
-// workload and the Result: measured 10 KB at h=2, 51 KB at h=3) and with
-// it changed (plus routing tables and per-worker algorithms: 15 KB and
-// 61 KB; 33 KB and 143 KB when every router had its own). Each ceiling is
+// workload and the Result: measured 10 KB at h=2, 15 KB at h=3) and with
+// it changed (plus routing tables and per-worker algorithms: 12 KB and
+// 20 KB; 33 KB and 143 KB when every router had its own). Each ceiling is
 // at least twice the measured figure, so only a lost reuse path trips it:
-// a fresh build of the same networks allocates 330 KB (h=2) and 1.4 MB
+// a fresh run of the same networks allocates 175 KB (h=2) and 735 KB
 // (h=3).
 var reuseCeilings = map[int]struct{ sameMech, otherMech uint64 }{
 	2: {24 << 10, 64 << 10},
@@ -301,14 +304,11 @@ var reuseCeilings = map[int]struct{ sameMech, otherMech uint64 }{
 // the mechanism unchanged and changed.
 func TestRunnerReuseAllocationCeiling(t *testing.T) {
 	for _, h := range []int{2, 3} {
-		first := dragonfly.PaperVCT(h)
-		first.Mechanism = dragonfly.RLM
-		first.LatLocal, first.LatGlobal = 4, 16
-		first.Load, first.Warmup, first.Measure, first.Seed = 0.1, 100, 200, 1
-		sameMech, otherMech := first, first
-		sameMech.Seed, sameMech.Load = 2, 0.08
+		first, sameMech := reusePair(h)
+		otherMech := first
 		otherMech.Seed, otherMech.Mechanism = 3, dragonfly.OLM
 
+		runtime.GC() // no idle fabric: the first run builds its own
 		fresh := allocatedBy(t, func() {
 			if _, err := dragonfly.Run(first); err != nil {
 				t.Fatal(err)
@@ -334,6 +334,174 @@ func TestRunnerReuseAllocationCeiling(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reusePair returns two configurations of one shape at size h that
+// differ in seed and load: the points of reuseCeilings' sameMech figure.
+func reusePair(h int) (first, second dragonfly.Config) {
+	first = dragonfly.PaperVCT(h)
+	first.Mechanism = dragonfly.RLM
+	first.LatLocal, first.LatGlobal = 4, 16
+	first.Load, first.Warmup, first.Measure, first.Seed = 0.1, 100, 200, 1
+	second = first
+	second.Seed, second.Load = 2, 0.08
+	return first, second
+}
+
+// collectorOff stops the collector for the rest of the test, so an idle
+// fabric stays alive until the test's own runtime.GC.
+func collectorOff(t *testing.T) {
+	prev := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(prev) })
+}
+
+// TestRunnerIdleOneShotReuse: a one-shot Run hands its network to the
+// idle set, so with the collector off a second one-shot Run of the same
+// shape allocates no more than a second point on a Runner.
+func TestRunnerIdleOneShotReuse(t *testing.T) {
+	collectorOff(t)
+	for _, h := range []int{2, 3} {
+		first, second := reusePair(h)
+		if _, err := dragonfly.Run(first); err != nil {
+			t.Fatal(err)
+		}
+		reused := allocatedBy(t, func() {
+			if _, err := dragonfly.Run(second); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("h=%d: second one-shot run %d B", h, reused)
+		if reused > reuseCeilings[h].sameMech {
+			t.Errorf("h=%d: the second one-shot run of one shape allocated %d B, ceiling %d B",
+				h, reused, reuseCeilings[h].sameMech)
+		}
+	}
+}
+
+// TestRunnerIdleFabricsDieAtGC: the idle set holds its networks weakly,
+// so after a collection none survives and the next Prepare of the shape
+// allocates what a fresh build does. Holding them strongly would keep one
+// network per shape resident for the life of the process.
+func TestRunnerIdleFabricsDieAtGC(t *testing.T) {
+	collectorOff(t)
+	cfg, _ := reusePair(3)
+	prepare := func() *dragonfly.Sim {
+		s, err := dragonfly.Prepare(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	runtime.GC()
+	fresh := allocatedBy(t, func() { prepare() }) // never run, so never idle
+	if _, err := dragonfly.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var s *dragonfly.Sim
+	reused := allocatedBy(t, func() { s = prepare() })
+	if _, err := s.Run(); err != nil { // idle again
+		t.Fatal(err)
+	}
+	s = nil
+	runtime.GC()
+	again := allocatedBy(t, func() { prepare() })
+	t.Logf("Prepare: fresh %d B, on an idle network %d B, after a GC %d B", fresh, reused, again)
+	if reused > fresh/4 {
+		t.Errorf("Prepare on an idle network allocated %d B, a fresh build %d B", reused, fresh)
+	}
+	if again < fresh*9/10 {
+		t.Errorf("Prepare after a GC allocated %d B, a fresh build %d B: an idle network outlived the collection", again, fresh)
+	}
+}
+
+// TestRunnerConcurrentOneShots: one-shot runs on four goroutines, over two
+// shapes, share the idle set and each still equals its serial run.
+func TestRunnerConcurrentOneShots(t *testing.T) {
+	a, b := reusePair(2)
+	c := a
+	c.H = 3
+	d := c
+	d.Mechanism, d.Seed = dragonfly.OLM, 5
+	cfgs := []dragonfly.Config{a, b, c, d}
+	want := make([]dragonfly.Result, len(cfgs))
+	for i, cfg := range cfgs {
+		var err error
+		if want[i], err = dragonfly.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 3 * len(cfgs) {
+				i := (g + k) % len(cfgs)
+				got, err := dragonfly.Run(cfgs[i])
+				if err == nil && !reflect.DeepEqual(got, want[i]) {
+					err = fmt.Errorf("goroutine %d: config %d differs from its serial run", g, i)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestRunnerFinishedSimKeepsItsAnswers: a Sim whose run completed gave
+// its network up; once another Prepare re-initialises that network, the
+// old Sim still reports its own run length and still refuses a second
+// Run — it must not run the other point's network.
+func TestRunnerFinishedSimKeepsItsAnswers(t *testing.T) {
+	collectorOff(t)
+	first, second := reusePair(2)
+	second.Measure = 700
+	s, err := dragonfly.Prepare(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	cycles := s.Cycles()
+	_, again := s.Run()
+	if cycles != 300 || again == nil {
+		t.Fatalf("finished Sim: %d cycles, second Run error %v", cycles, again)
+	}
+	var next *dragonfly.Sim
+	reused := allocatedBy(t, func() {
+		if next, err = dragonfly.Prepare(second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if reused > reuseCeilings[2].sameMech {
+		t.Fatalf("the next Prepare allocated %d B: it did not take the finished Sim's network", reused)
+	}
+	check := func(when string) {
+		t.Helper()
+		if _, err := s.Run(); err == nil || err.Error() != again.Error() {
+			t.Fatalf("%s: second Run of the finished Sim returned %v, want %v", when, err, again)
+		}
+		if got := s.Cycles(); got != cycles {
+			t.Fatalf("%s: the finished Sim reports %d cycles, want %d", when, got, cycles)
+		}
+	}
+	check("after the next Prepare")
+	if _, err := next.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if next.Cycles() != 800 {
+		t.Fatalf("the next point ran %d cycles, want 800", next.Cycles())
+	}
+	check("after the next run")
 }
 
 // allocatedBy returns the bytes f allocates, measured like
