@@ -53,30 +53,38 @@ func OpenCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
+// keyHeader opens the hashed bytes of every key: the entry format and
+// the engine results version, so bumping either re-addresses every entry.
+var keyHeader = fmt.Sprintf("dragonfly-exp-cache/%d engine/%d\n", cacheFormat, engine.ResultsVersion)
+
 // Key returns the content address of a configuration: the hex SHA-256 of
-// its canonical JSON together with the engine results version.
+// keyHeader followed by the configuration's canonical JSON.
 func (c *Cache) Key(cfg dragonfly.Config) string {
-	canon, err := json.Marshal(cfg.Canonical())
-	if err != nil {
+	cd := getCodec()
+	defer cd.release()
+	cd.buf.WriteString(keyHeader)
+	if err := cd.encode(cfg.Canonical()); err != nil {
 		// Config is a flat struct of scalars; Marshal cannot fail on it.
 		panic(fmt.Sprintf("exp: marshal config: %v", err))
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "dragonfly-exp-cache/%d engine/%d\n", cacheFormat, engine.ResultsVersion)
-	h.Write(canon)
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(cd.buf.Bytes())
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return string(hexSum[:])
 }
 
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// Get looks a key up, counting the hit or miss.
+// Get looks a key up, counting the hit or miss. The entry is read into
+// a pooled buffer; Unmarshal copies what the Result keeps.
 func (c *Cache) Get(key string) (dragonfly.Result, bool) {
-	buf, err := os.ReadFile(c.path(key))
-	if err == nil {
+	cd := getCodec()
+	defer cd.release()
+	if cd.readFile(c.path(key)) == nil {
 		var e entry
-		if json.Unmarshal(buf, &e) == nil &&
+		if json.Unmarshal(cd.buf.Bytes(), &e) == nil &&
 			e.Format == cacheFormat && e.EngineVersion == engine.ResultsVersion {
 			c.hits.Add(1)
 			return e.Result, true
@@ -88,33 +96,45 @@ func (c *Cache) Get(key string) (dragonfly.Result, bool) {
 
 // Put stores a result under key, atomically.
 func (c *Cache) Put(key string, cfg dragonfly.Config, res dragonfly.Result) error {
-	buf, err := json.MarshalIndent(entry{
+	_, err := c.put(key, cfg, res)
+	return err
+}
+
+// put is Put reporting the entry's size in bytes, so a Store can count
+// it without a Stat. The entry is json.MarshalIndent's bytes plus a
+// newline: the encoder's line, indented into the codec's second buffer.
+func (c *Cache) put(key string, cfg dragonfly.Config, res dragonfly.Result) (int64, error) {
+	cd := getCodec()
+	defer cd.release()
+	if err := cd.enc.Encode(&entry{
 		Format:        cacheFormat,
 		EngineVersion: engine.ResultsVersion,
 		Config:        cfg.Canonical(),
 		Result:        res,
-	}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("exp: encode cache entry: %w", err)
+	}); err != nil {
+		return 0, fmt.Errorf("exp: encode cache entry: %w", err)
+	}
+	if err := json.Indent(&cd.indent, cd.buf.Bytes(), "", "  "); err != nil {
+		return 0, fmt.Errorf("exp: encode cache entry: %w", err)
 	}
 	tmp, err := os.CreateTemp(c.dir, key+".tmp*")
 	if err != nil {
-		return fmt.Errorf("exp: write cache entry: %w", err)
+		return 0, fmt.Errorf("exp: write cache entry: %w", err)
 	}
-	if _, err := tmp.Write(append(buf, '\n')); err != nil {
+	if _, err := tmp.Write(cd.indent.Bytes()); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("exp: write cache entry: %w", err)
+		return 0, fmt.Errorf("exp: write cache entry: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("exp: write cache entry: %w", err)
+		return 0, fmt.Errorf("exp: write cache entry: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("exp: write cache entry: %w", err)
+		return 0, fmt.Errorf("exp: write cache entry: %w", err)
 	}
-	return nil
+	return int64(cd.indent.Len()), nil
 }
 
 // Stats reports the lookups served from the cache and the lookups that

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -51,13 +50,16 @@ func NewRecord(o *Outcome, canonical bool) Record {
 	return rec
 }
 
-// writeRecord emits one outcome as a JSON line.
+// writeRecord emits one outcome as a JSON line, in one Write from a
+// pooled buffer.
 func writeRecord(w io.Writer, o *Outcome, canonical bool) error {
-	buf, err := json.Marshal(NewRecord(o, canonical))
-	if err != nil {
+	c := getCodec()
+	defer c.release()
+	rec := NewRecord(o, canonical)
+	if err := c.enc.Encode(&rec); err != nil {
 		return fmt.Errorf("exp: encode jsonl record: %w", err)
 	}
-	if _, err := w.Write(append(buf, '\n')); err != nil {
+	if _, err := w.Write(c.buf.Bytes()); err != nil {
 		return fmt.Errorf("exp: write jsonl record: %w", err)
 	}
 	return nil

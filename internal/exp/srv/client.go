@@ -305,6 +305,9 @@ func (c *Client) stream(ctx context.Context, id string, onRecord func(exp.Record
 		id, streamAttempts, lastErr)
 }
 
+// The SSE line prefixes streamOnce reads.
+var eventPrefix, dataPrefix = []byte("event: "), []byte("data: ")
+
 func (c *Client) streamOnce(ctx context.Context, id string, onRecord func(exp.Record)) (Status, bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		c.base+"/api/v1/campaigns/"+id+"/events", nil)
@@ -324,34 +327,35 @@ func (c *Client) streamOnce(ctx context.Context, id string, onRecord func(exp.Re
 		return Status{}, false, fmt.Errorf("srv: events: %s: %s", resp.Status, errBody(resp.Body))
 	}
 
-	var event string
-	var data bytes.Buffer
+	// Lines are read in place (sc.Bytes): the event name and data are
+	// copied into buffers reused across events, so a point costs its
+	// decode and no line strings.
+	var event, data []byte
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), maxBodyBytes)
 	for sc.Scan() {
-		line := sc.Text()
+		line := sc.Bytes()
 		switch {
-		case line == "":
-			switch event {
+		case len(line) == 0:
+			switch string(event) {
 			case "point":
 				var rec exp.Record
-				if err := json.Unmarshal(data.Bytes(), &rec); err != nil {
+				if err := json.Unmarshal(data, &rec); err != nil {
 					return Status{}, false, fmt.Errorf("srv: decode point event: %w", err)
 				}
 				onRecord(rec)
 			case "done":
 				var st Status
-				if err := json.Unmarshal(data.Bytes(), &st); err != nil {
+				if err := json.Unmarshal(data, &st); err != nil {
 					return Status{}, false, fmt.Errorf("srv: decode done event: %w", err)
 				}
 				return st, true, nil
 			}
-			event = ""
-			data.Reset()
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data.WriteString(strings.TrimPrefix(line, "data: "))
+			event, data = event[:0], data[:0]
+		case bytes.HasPrefix(line, eventPrefix):
+			event = append(event[:0], line[len(eventPrefix):]...)
+		case bytes.HasPrefix(line, dataPrefix):
+			data = append(data, line[len(dataPrefix):]...)
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -625,13 +625,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	emit("done", st) //nolint:errcheck // stream is ending either way
 }
 
+// writeEvent writes one server-sent event, "event: <name>\ndata: <json>"
+// and a blank line, in one Write.
 func writeEvent(w io.Writer, event string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-	return err
+	return exp.WriteFramedJSON(w, "event: "+event+"\ndata: ", v, "\n\n")
 }
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {

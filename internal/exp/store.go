@@ -95,10 +95,10 @@ func (s *Store) Get(key string) (dragonfly.Result, bool) {
 // until the store fits its budget again. The entry just written is
 // never evicted by its own Put.
 func (s *Store) Put(key string, cfg dragonfly.Config, res dragonfly.Result) error {
-	if err := s.cache.Put(key, cfg, res); err != nil {
+	size, err := s.cache.put(key, cfg, res)
+	if err != nil {
 		return err
 	}
-	size := s.cache.Size(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.index[key]; ok { // overwrite: replace the old size
