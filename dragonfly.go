@@ -1117,7 +1117,7 @@ func buildPattern(p *topology.P, tr Traffic) (traffic.Pattern, error) {
 // scaling figure) can time the two apart.
 //
 // A Sim whose run completed gives its network up for the next Prepare of
-// the same shape (see Runner) to re-initialise, but keeps a pointer to it:
+// the same h (see Runner) to re-initialise, but keeps a pointer to it:
 // its memory stays reachable for as long as the Sim is, so a heap probe
 // taken after the run still counts it. The Sim never reads that network
 // again; Cycles and a second Run answer from the Sim itself.
@@ -1131,10 +1131,10 @@ type Sim struct {
 }
 
 // Prepare validates the configuration and builds the network without
-// running it — on the network of an earlier completed run of the same
-// shape when the collector has not yet taken it, so a load sweep of
-// one-shot runs builds its network about once per collection, not once
-// per point.
+// running it — on the network of an earlier completed run of the same h,
+// re-laid when the rest of its shape differs, when the collector has not
+// yet taken it, so a sweep of one-shot runs builds its network about once
+// per collection, not once per point.
 func Prepare(c Config) (*Sim, error) {
 	return prepare(c, nil)
 }
@@ -1195,15 +1195,16 @@ func (s *Sim) Cycles() int64 { return s.cycles }
 
 // Runner runs configurations one after another on one network allocation:
 // the lane of a campaign. It holds the network of the last configuration
-// that ran to completion; when the next one has the same shape — the same
-// h, VC counts, buffer sizes, packet size, injection queue depth, link
-// latencies, effective Workers, job and tracked-phase counts — the
-// network is re-initialised in place instead of being rebuilt, whatever
-// else changed (mechanism, flow control, traffic, load, faults, seed, run
-// length). A different shape gives the old network up, as a completed
-// one-shot Run does, before the next is taken or built, so a Runner never
-// holds two. Results are those of Run, bit for bit, and never alias the
-// Runner's memory.
+// that ran to completion; when the next one has the same h the network is
+// re-initialised in place instead of being rebuilt, whatever else changed
+// (mechanism, flow control, traffic, load, faults, seed, run length). When
+// the VC counts, buffer sizes, packet size, injection queue depth, link
+// latencies, effective Workers, job or tracked-phase counts changed too,
+// it is first re-laid over the same memory, which grows only where the
+// new layout needs more. A different h gives the old network up, as a
+// completed one-shot Run does, before the next is taken or built, so a
+// Runner never holds two. Results are those of Run, bit for bit, and
+// never alias the Runner's memory.
 //
 // The zero value is ready to use. A Runner must not be used from more than
 // one goroutine at a time; give each concurrent lane its own.
@@ -1212,7 +1213,7 @@ type Runner struct {
 }
 
 // RunContext runs one configuration, reusing the Runner's network when c
-// has its shape. Cancellation works as in Sim.RunContext. The network is
+// has its h. Cancellation works as in Sim.RunContext. The network is
 // out of the Runner while the point runs and only a run that completes
 // puts it back, so an invalid configuration, a canceled run or a panic
 // leave the Runner empty.
@@ -1231,7 +1232,7 @@ func (r *Runner) RunContext(ctx context.Context, c Config) (Result, error) {
 }
 
 // Release gives the Runner's network up as a completed one-shot Run
-// does: the next Prepare or Runner of its shape may take it, until the
+// does: the next Prepare or Runner of its h may take it, until the
 // collector does. Idle lanes call it so they do not sit on a large fabric.
 func (r *Runner) Release() {
 	engine.Release(r.sim)

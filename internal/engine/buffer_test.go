@@ -17,7 +17,7 @@ func newTestBuffer(capacity, size int) *testBuffer {
 	if err != nil {
 		panic(err)
 	}
-	b.a.init(n)
+	b.a.relay(n)
 	return b
 }
 

@@ -200,10 +200,10 @@ type cycleDelta struct {
 const rangesPerWorker = 4
 
 // shape is everything about a configuration that sizes memory, and nothing
-// else: two configurations of equal shape run on the same allocation,
-// whatever their mechanism, flow control, traffic, faults, seed or length.
-// It is comparable, so "can this Sim be re-initialised for that config" is
-// one ==.
+// else: the mechanism, flow control, traffic, faults, seed and length of a
+// run do not enter it. Its dragonfly is the one thing a fabric must match
+// to be reused: a Sim re-lays itself in place for any other shape of its h
+// (see allocate). It is comparable, so "is the layout unchanged" is one ==.
 type shape struct {
 	topo                topology.P // by value: a dragonfly is a function of h
 	localVCs, globalVCs int        // per local / global port: VC buffers, credits, transfers, plans
@@ -216,11 +216,12 @@ type shape struct {
 	phases              int // tracked workload phases: per-sheet phase cells
 }
 
-// Sim is an instantiated simulation: an allocation sized by a shape (see
+// Sim is an instantiated simulation: an allocation laid out by a shape (see
 // allocate) holding the state of one configuration (see init). A Sim runs
 // once per Init; Init on a Sim that already ran re-initialises it in place
-// when the next configuration has the same shape, and Acquire finds such
-// a Sim among the fabrics whose owners gave them up (Release).
+// when the next configuration has the same dragonfly, re-laying the
+// allocation first when the rest of the shape changed, and Acquire finds
+// such a Sim among the fabrics whose owners gave them up (Release).
 type Sim struct {
 	cfg      Config
 	shape    shape
@@ -229,7 +230,9 @@ type Sim struct {
 	routers  []router
 	workload *traffic.Workload
 
+	// fab holds the fabric-wide arrays the routers' slices are windows of;
 	// arrSlots is the one arena behind every router's arrival schedule.
+	fab      fabric
 	arrSlots []uint32
 	// arena owns every packet; the workers' lists (pkts) hand them out.
 	arena *packetArena
@@ -320,10 +323,12 @@ func New(cfg Config) (*Sim, error) {
 
 // Init makes s a simulation of cfg at cycle 0, ready to Run — whatever s
 // was before: the zero Sim, or one whose run completed, was canceled or
-// panicked. Fresh and recycled Sims take the same path: allocate by shape
-// when s has no fabric of cfg's shape (dropping the one it has first, so
-// two fabrics never coexist), then init, which alone writes initial
-// state. Results do not depend on what s held. On error s is unchanged.
+// panicked. Fresh and recycled Sims take the same path: allocate lays the
+// fabric out when s has no fabric of cfg's shape — over the memory s
+// already holds when it has cfg's dragonfly, after dropping it (so two
+// fabrics never coexist) when it has another — then init, which alone
+// writes initial state. Results do not depend on what s held. On error s
+// is unchanged.
 func (s *Sim) Init(cfg Config) error {
 	sh, err := shapeOf(cfg)
 	if err != nil {
@@ -372,7 +377,7 @@ func shapeOf(cfg Config) (shape, error) {
 func (s *Sim) reinit(cfg Config, sh shape) error {
 	if s.topo != nil && *s.topo == *cfg.Topo {
 		// Same dragonfly: keep our P, so an unchanged (Spec, Routing)
-		// compares equal below.
+		// compares equal below and the fabric is re-laid, not rebuilt.
 		cfg.Topo = s.topo
 	}
 	p := cfg.Topo
@@ -399,14 +404,33 @@ func (s *Sim) reinit(cfg Config, sh shape) error {
 		}
 	}
 	if sh != s.shape {
-		*s = Sim{} // drop the old fabric before building the next
+		if s.topo != p {
+			*s = Sim{} // another dragonfly: drop the old fabric before building the next
+		}
 		s.allocate(sh, p, dirs)
 	}
 	s.init(cfg, tab)
 	return nil
 }
 
-// allocate builds the fabric of a shape: routers, ports, VC buffer
+// fabric is the fabric-wide arrays, one element per router, port or VC in
+// router order — which is group order: every router's slices are windows
+// of them (see allocate).
+type fabric struct {
+	ins       []inPort
+	outs      []outPort
+	vcs       []vcBuffer
+	plans     []core.Plan
+	credits   []int32
+	transfers []transfer
+	claimVCs  []uint16
+	phaseCur  []int32
+	nodePhase []nodePhase
+	nodeRand  []rng.PCG
+	links     []link
+}
+
+// allocate lays out the fabric of a shape: routers, ports, VC buffer
 // headers, credit and transfer slots, plan slots, RNG streams, links and
 // their wiring, the arrival-slot arena, the ring arenas' directories (of
 // the shape's lengths dirs: entries, phits, credits), and the partition of
@@ -415,22 +439,35 @@ func (s *Sim) reinit(cfg Config, sh shape) error {
 // per-port and per-VC field is one fabric-wide array in router order —
 // which is group order — and each router's slices are windows of it, so a
 // build costs the same few allocations at any size and a group's state
-// sits together in memory. It fixes dimensions and pointers only; every
-// value a run starts from is written by init.
+// sits together in memory.
+//
+// It lays a fresh Sim out and re-lays one of the same dragonfly alike:
+// every array is resliced when its capacity suffices and made only when it
+// does not, and the fabric arrays come out zeroed, as a fresh build's do.
+// Only the rings and packets an earlier run made survive: every ring ref
+// is zeroed and the ring arenas bump again from their first chunk over the
+// chunks already made, and the packet arena is dealt out by init. It fixes
+// dimensions and pointers only; every value a run starts from is written
+// by init.
 func (s *Sim) allocate(sh shape, p *topology.P, dirs [3]int) {
 	s.shape = sh
 	s.topo = p
+	// The algorithms belong to the old partition: forgetting the tables
+	// they were built from makes init build the new partition's.
+	s.tab = nil
 	n := p.Routers
-	s.routers = make([]router, n)
-	s.sheets = make([]metrics.Sheet, sh.workers)
-	s.progress = make([]progress, sh.workers)
-	s.pkts = make([]packetList, sh.workers)
-	s.cursors = make([]ringCursors, sh.workers)
-	s.arena = new(packetArena)
-	s.rings.entries.init(dirs[0])
-	s.rings.phits.init(dirs[1])
-	s.rings.credits.init(dirs[2])
-	s.algs = make([]core.Algorithm, sh.workers)
+	s.routers = zeroed(s.routers, n)
+	s.sheets = resize(s.sheets, sh.workers)
+	s.progress = resize(s.progress, sh.workers)
+	s.pkts = resize(s.pkts, sh.workers)
+	s.cursors = zeroed(s.cursors, sh.workers)
+	s.algs = zeroed(s.algs, sh.workers)
+	if s.arena == nil {
+		s.arena = new(packetArena)
+	}
+	s.rings.entries.relay(dirs[0])
+	s.rings.phits.relay(dirs[1])
+	s.rings.credits.relay(dirs[2])
 
 	// One router's layout, the same for every router. One extra output
 	// port (index p.Ports) is the fault-drop sink: a linkless
@@ -444,23 +481,24 @@ func (s *Sim) allocate(sh shape, p *topology.P, dirs [3]int) {
 	inVCs := p.LocalPorts*sh.localVCs + p.GlobalPorts*sh.globalVCs + p.H
 	outVCs := inVCs + 1
 	linksPer := p.EjectPortBase()
-	ins := make([]inPort, n*p.Ports)
-	outs := make([]outPort, n*(p.Ports+1))
-	vcs := make([]vcBuffer, n*inVCs)
-	plans := make([]core.Plan, n*inVCs)
-	credits := make([]int32, n*outVCs)
-	transfers := make([]transfer, n*outVCs)
-	claimVCs := make([]uint16, n*p.Ports)
-	phaseCur := make([]int32, n*sh.jobs)
-	nodePhase := make([]nodePhase, n*p.H)
-	nodeRand := make([]rng.PCG, n*p.H)
-	links := make([]link, n*linksPer)
+	f := &s.fab
+	f.ins = zeroed(f.ins, n*p.Ports)
+	f.outs = zeroed(f.outs, n*(p.Ports+1))
+	f.vcs = zeroed(f.vcs, n*inVCs)
+	f.plans = zeroed(f.plans, n*inVCs)
+	f.credits = zeroed(f.credits, n*outVCs)
+	f.transfers = zeroed(f.transfers, n*outVCs)
+	f.claimVCs = zeroed(f.claimVCs, n*p.Ports)
+	f.phaseCur = zeroed(f.phaseCur, n*sh.jobs)
+	f.nodePhase = zeroed(f.nodePhase, n*p.H)
+	f.nodeRand = zeroed(f.nodeRand, n*p.H)
+	f.links = zeroed(f.links, n*linksPer)
 
 	// The partition is a function of the shape alone: contiguous ranges of
-	// whole groups, dealt round-robin. A router never changes workers,
-	// which is what lets sheets, progress counters and packet lists go
-	// unsynchronized, and a group never spans two, which is what lets a
-	// worker take it through a block alone.
+	// whole groups, dealt round-robin. A router never changes workers
+	// within a layout, which is what lets sheets, progress counters and
+	// packet lists go unsynchronized, and a group never spans two, which
+	// is what lets a worker take it through a block alone.
 	s.bounds = rangeBounds(p, min(sh.workers*rangesPerWorker, p.Groups))
 	for i := 0; i+1 < len(s.bounds); i++ {
 		w := i % sh.workers
@@ -472,20 +510,20 @@ func (s *Sim) allocate(sh shape, p *topology.P, dirs [3]int) {
 
 	// One arena for every router's arrival-schedule words, laid out in
 	// router (and therefore range) order: the cross-worker-written words
-	// stay out of the router structs' cache lines.
+	// stay out of the router structs' cache lines. init clears it.
 	wordsPer := arrivalWords(sh.latLocal, sh.latGlobal)
-	s.arrSlots = make([]uint32, n*wordsPer)
+	s.arrSlots = resize(s.arrSlots, n*wordsPer)
 
 	s.blockMax = min(sh.latGlobal, arrivalSlotCount(sh.latGlobal)-sh.latGlobal)
-	s.deltas = make([][]cycleDelta, sh.workers)
+	s.deltas = resize(s.deltas, sh.workers)
 	for w := range s.deltas {
-		s.deltas[w] = make([]cycleDelta, s.blockMax)
+		s.deltas[w] = resize(s.deltas[w], s.blockMax)
 	}
 
 	// Input VCs and output VCs are numbered port by port; an injection
 	// port has one VC and an ejection port one transfer slot, and the drop
 	// sink takes the last. Every VC of an input port has its dimensions.
-	s.dims = make([]vcDims, p.Ports)
+	s.dims = resize(s.dims, p.Ports)
 	for port := range s.dims {
 		capPhits := sh.injQueuePackets * sh.packetPhits
 		switch {
@@ -504,12 +542,12 @@ func (s *Sim) allocate(sh shape, p *topology.P, dirs [3]int) {
 		r.eng = s
 		r.pktSize = int32(sh.packetPhits)
 		r.dims = s.dims
-		r.in, r.claimVCs = window(ins, id, p.Ports), window(claimVCs, id, p.Ports)
-		r.out = window(outs, id, p.Ports+1)
-		r.vcs, r.plans = window(vcs, id, inVCs), window(plans, id, inVCs)
-		r.credits, r.transfers = window(credits, id, outVCs), window(transfers, id, outVCs)
-		r.phaseCur = window(phaseCur, id, sh.jobs)
-		r.nodePhase, r.nodeRand = window(nodePhase, id, p.H), window(nodeRand, id, p.H)
+		r.in, r.claimVCs = window(f.ins, id, p.Ports), window(f.claimVCs, id, p.Ports)
+		r.out = window(f.outs, id, p.Ports+1)
+		r.vcs, r.plans = window(f.vcs, id, inVCs), window(f.plans, id, inVCs)
+		r.credits, r.transfers = window(f.credits, id, outVCs), window(f.transfers, id, outVCs)
+		r.phaseCur = window(f.phaseCur, id, sh.jobs)
+		r.nodePhase, r.nodeRand = window(f.nodePhase, id, p.H), window(f.nodeRand, id, p.H)
 		r.arrivals.init(window(s.arrSlots, id, wordsPer), sh.latLocal, p.GlobalPortBase(), sh.workers <= 1)
 
 		vc := int32(0)
@@ -540,7 +578,7 @@ func (s *Sim) allocate(sh shape, p *topology.P, dirs [3]int) {
 	for id := range s.routers {
 		r := &s.routers[id]
 		for port := 0; port < linksPer; port++ {
-			l := &links[id*linksPer+port]
+			l := &f.links[id*linksPer+port]
 			lat := sh.latLocal
 			if l.global = p.IsGlobalPort(port); l.global {
 				lat = sh.latGlobal
@@ -552,6 +590,25 @@ func (s *Sim) allocate(sh shape, p *topology.P, dirs [3]int) {
 			l.wire(rr, rp, id, port, p.GlobalPortBase())
 		}
 	}
+}
+
+// resize returns a with length n: resliced when its capacity suffices,
+// keeping what those elements held, and made when it does not.
+func resize[T any](a []T, n int) []T {
+	if cap(a) < n {
+		return make([]T, n)
+	}
+	return a[:n]
+}
+
+// zeroed is resize with every element zero, as a fresh array's.
+func zeroed[T any](a []T, n int) []T {
+	if cap(a) < n {
+		return make([]T, n)
+	}
+	a = a[:n]
+	clear(a)
+	return a
 }
 
 // window returns router id's part of a fabric-wide array with per
@@ -572,7 +629,7 @@ func window[T any](a []T, id, per int) []T {
 func (s *Sim) init(cfg Config, tab *core.Tables) {
 	newTab := tab != s.tab
 	*s = Sim{
-		shape: s.shape, topo: s.topo, routers: s.routers, arrSlots: s.arrSlots, arena: s.arena,
+		shape: s.shape, topo: s.topo, routers: s.routers, fab: s.fab, arrSlots: s.arrSlots, arena: s.arena,
 		rings: s.rings, dims: s.dims, bounds: s.bounds, sheets: s.sheets, progress: s.progress,
 		pkts: s.pkts, cursors: s.cursors, algs: s.algs, deltas: s.deltas, blockMax: s.blockMax, pb: s.pb,
 
@@ -870,17 +927,23 @@ func (s *Sim) RunContext(ctx context.Context) (metrics.Result, error) {
 		return metrics.Result{}, err
 	}
 
-	var sheet metrics.Sheet
-	sheet.Configure(s.cfg.WindowCycles, s.shape.phases)
-	for i := range s.sheets {
-		sheet.Merge(&s.sheets[i])
+	// A serial run's one sheet is the run's own; a parallel run sums its
+	// workers' sheets into one, growing its windows once (Sheet.Merge).
+	sheet := &s.sheets[0]
+	if len(s.sheets) > 1 {
+		var sum metrics.Sheet
+		sum.Configure(s.cfg.WindowCycles, s.shape.phases)
+		for i := range s.sheets {
+			sum.Merge(&s.sheets[i])
+		}
+		sheet = &sum
 	}
 	cycles := s.cfg.Measure
 	if s.workload.Finite() {
 		cycles = s.cycle
 	}
 	p := s.topo
-	res := metrics.Digest(&sheet, cycles, p.Nodes,
+	res := metrics.Digest(sheet, cycles, p.Nodes,
 		p.Routers*p.LocalPorts, p.Routers*p.GlobalPorts)
 	res.Mechanism = s.cfg.Spec.String()
 	res.Pattern = s.workload.Name()

@@ -24,8 +24,8 @@ func wiredLink(latency int) *testLink {
 	if err != nil {
 		panic(err)
 	}
-	l.s.rings.phits.init(n)
-	l.s.rings.credits.init(n)
+	l.s.rings.phits.relay(n)
+	l.s.rings.credits.relay(n)
 	l.wire(1, 0, 0, 0, 0)
 	return l
 }

@@ -181,34 +181,261 @@ func TestReinitMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestReinitShapeChange: a configuration of another shape makes Init drop
-// the fabric and build the right one; going back does it again.
+// TestReinitShapeChange: a configuration of another shape of the same
+// dragonfly makes Init re-lay the fabric in place; one of another
+// dragonfly makes it drop the fabric and build the right one. Every run
+// equals a fresh one.
 func TestReinitShapeChange(t *testing.T) {
 	s := new(Sim)
-	for _, mk := range []func(*testing.T) Config{
-		func(t *testing.T) Config { return testConfig(t, 2, core.RLM, 0.3) },
-		func(t *testing.T) Config { return testConfig(t, 2, core.PAR62, 0.3) }, // 6/2 VCs
-		func(t *testing.T) Config { return testConfig(t, 3, core.OLM, 0.2) },   // another h
-		func(t *testing.T) Config { // another buffer geometry
+	for i, tc := range []struct {
+		mk      func(*testing.T) Config
+		rebuilt bool
+	}{
+		{func(t *testing.T) Config { return testConfig(t, 2, core.RLM, 0.3) }, true},
+		{func(t *testing.T) Config { return testConfig(t, 2, core.PAR62, 0.3) }, false}, // 6/2 VCs
+		{func(t *testing.T) Config { return testConfig(t, 3, core.OLM, 0.2) }, true},    // another h
+		{func(t *testing.T) Config { // another buffer geometry
 			cfg := testConfig(t, 3, core.OLM, 0.2)
 			cfg.BufLocal = 64
 			return cfg
-		},
-		func(t *testing.T) Config { return testConfig(t, 2, core.RLM, 0.3) },
+		}, false},
+		{func(t *testing.T) Config { return testConfig(t, 2, core.RLM, 0.3) }, true},
 	} {
 		before := s.shape
-		if err := s.Init(mk(t)); err != nil {
+		var fabric *router
+		if len(s.routers) > 0 {
+			fabric = &s.routers[0]
+		}
+		if err := s.Init(tc.mk(t)); err != nil {
 			t.Fatal(err)
 		}
 		if s.shape == before {
-			t.Fatal("shape did not change")
+			t.Fatalf("step %d: shape did not change", i)
+		}
+		if rebuilt := fabric != &s.routers[0]; rebuilt != tc.rebuilt {
+			t.Fatalf("step %d: fabric rebuilt %v, want %v", i, rebuilt, tc.rebuilt)
 		}
 		got, err := s.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := run(t, mk(t)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("after a shape change the result differs from a fresh run:\n  got  %+v\n  want %+v", got, want)
+		if want := run(t, tc.mk(t)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: after a shape change the result differs from a fresh run:\n  got  %+v\n  want %+v", i, got, want)
+		}
+	}
+}
+
+// relayVariants each differ from relayBase in one layout field of the
+// shape — the VC counts, flow control with packet size, the buffers, the
+// injection queue, the latencies, the worker count, the jobs and phases —
+// all on relayBase's dragonfly.
+var relayVariants = []struct {
+	name string
+	cfg  func(t *testing.T) Config
+}{
+	{"6/2 VCs", func(t *testing.T) Config {
+		cfg := relayBase(t)
+		cfg.Spec = core.PAR62
+		return cfg
+	}},
+	{"WH-40", func(t *testing.T) Config {
+		cfg := relayBase(t)
+		proc, err := traffic.NewBernoulli(0.3, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Flow, cfg.PacketPhits, cfg.Workload = WH, 40, single(t, cfg.Topo, nil, proc)
+		return cfg
+	}},
+	{"buffers 64/512", func(t *testing.T) Config {
+		cfg := relayBase(t)
+		cfg.BufLocal, cfg.BufGlobal = 64, 512
+		return cfg
+	}},
+	{"injection queue 4", func(t *testing.T) Config {
+		cfg := relayBase(t)
+		cfg.InjQueuePackets = 4
+		return cfg
+	}},
+	{"latencies 7/40", func(t *testing.T) Config {
+		cfg := relayBase(t)
+		cfg.LatLocal, cfg.LatGlobal = 7, 40
+		return cfg
+	}},
+	{"2 workers", func(t *testing.T) Config {
+		cfg := relayBase(t)
+		cfg.Workers = 2
+		return cfg
+	}},
+	{"2 jobs, 4 phases", func(t *testing.T) Config {
+		cfg := relayBase(t)
+		cfg.Workload = blockWorkload(t, cfg.Topo, "phased")
+		cfg.WindowCycles = 200
+		return cfg
+	}},
+}
+
+// relayBase is the h=2 RLM VCT point at load 0.3 every relayVariant
+// differs from in one layout field.
+func relayBase(t *testing.T) Config {
+	cfg := testConfig(t, 2, core.RLM, 0.3)
+	cfg.Warmup, cfg.Measure = 300, 900
+	return cfg
+}
+
+// TestRelayMatchesFresh is the re-lay half of the reuse contract: one Sim
+// walks from relayBase to each relayVariant and back, so every layout
+// field changes in both directions — growing and shrinking what it sizes
+// — and at every step the re-laid fabric, still the Sim's first
+// allocation, must be indistinguishable from a fresh New of the
+// configuration: at cycle 0, at checkpoints while stepping, and in the
+// Result. Going from 1 worker to 2 and back flips the arrival masks
+// between plain and atomic updates, which -race watches.
+func TestRelayMatchesFresh(t *testing.T) {
+	recycled := new(Sim)
+	var fabric *router
+	steps := []int{-1}
+	for i := range relayVariants {
+		steps = append(steps, i, -1)
+	}
+	for step, vi := range steps {
+		name, mk := "base", relayBase
+		if vi >= 0 {
+			name, mk = relayVariants[vi].name, relayVariants[vi].cfg
+		}
+		fresh, err := New(mk(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := recycled.Init(mk(t)); err != nil {
+			t.Fatal(err)
+		}
+		if step == 0 {
+			fabric = &recycled.routers[0]
+		} else if fabric != &recycled.routers[0] {
+			t.Fatalf("step %d (%s): same dragonfly, but the fabric was rebuilt", step, name)
+		}
+		if fresh.shape != recycled.shape {
+			t.Fatalf("step %d (%s): shapes differ", step, name)
+		}
+		sameAt(t, name+" at cycle 0", fresh, recycled)
+		for _, checkpoint := range []int64{1, 60, 400} {
+			for fresh.cycle < checkpoint {
+				fresh.stepBlock(1)
+				recycled.stepBlock(1)
+			}
+			sameAt(t, name+" mid-run", fresh, recycled)
+		}
+		a, err := fresh.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := recycled.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("step %d (%s): re-laid result differs\n  fresh   : %+v\n  re-laid : %+v", step, name, a, b)
+		}
+		if a.Delivered == 0 {
+			t.Fatalf("%s delivered nothing; the comparison proved nothing", name)
+		}
+	}
+}
+
+// madeChunks counts the ring chunks each arena of s has made, under any
+// layout.
+func madeChunks(s *Sim) [3]int {
+	r := &s.rings
+	return [3]int{countMade(r.entries.chunks), countMade(r.phits.chunks), countMade(r.credits.chunks)}
+}
+
+func countMade[T any](chunks []*T) (n int) {
+	for _, c := range chunks {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRelayMakesNoRings: a re-lay zeroes every ring ref but keeps the
+// chunks, and the next layout's rings are bumped out of them again. A Sim
+// cycling through layouts of one dragonfly — wormhole 40-phit packets,
+// 6/2 VCs, long links, back to the base — makes chunks on the first lap
+// only: on the second, every re-lay finds enough chunks made and makes
+// none, and every result repeats.
+func TestRelayMakesNoRings(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		lap := []func(t *testing.T) Config{relayBase, relayVariants[1].cfg, relayVariants[0].cfg, relayVariants[4].cfg}
+		s := new(Sim)
+		var first []metrics.Result
+		var made [3]int
+		for l := range 2 {
+			for i, mk := range lap {
+				cfg := mk(t)
+				cfg.Workers = workers
+				if err := s.Init(cfg); err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if l == 0 {
+					first = append(first, res)
+					continue
+				}
+				if !reflect.DeepEqual(res, first[i]) {
+					t.Errorf("workers %d: layout %d of the second lap ran differently from the first", workers, i)
+				}
+				if again := madeChunks(s); again != made {
+					t.Errorf("workers %d: layout %d of the second lap made ring chunks: %v before, %v after", workers, i, made, again)
+				}
+			}
+			made = madeChunks(s)
+			if min(made[0], made[1], made[2]) == 0 {
+				t.Fatalf("workers %d: the first lap made no rings (%v)", workers, made)
+			}
+		}
+	}
+}
+
+// TestRunResultsDoNotAliasSim: a Result's timeline and phase digests are
+// its own, not views of the sheets the Sim keeps for its next run — the
+// one worker sheet a serial run digests directly included: a Result kept
+// from one run is untouched by the next run on the same Sim.
+func TestRunResultsDoNotAliasSim(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		mk := func(spec core.Spec, window int64) Config {
+			cfg := relayVariants[6].cfg(t)
+			cfg.Spec, cfg.WindowCycles, cfg.Workers = spec, window, workers
+			return cfg
+		}
+		s, err := New(mk(core.RLM, 200))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept.Timeline == nil || len(kept.Timeline.Windows) == 0 || len(kept.PhaseDigests) != 4 {
+			t.Fatalf("workers %d: the first run has no timeline or phase digests: %+v", workers, kept)
+		}
+		want := run(t, mk(core.RLM, 200))
+		if err := s.Init(mk(core.Minimal, 150)); err != nil {
+			t.Fatal(err)
+		}
+		next, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &next.Timeline.Windows[0] == &kept.Timeline.Windows[0] || &next.PhaseDigests[0] == &kept.PhaseDigests[0] {
+			t.Fatalf("workers %d: two runs' Results share timeline or phase digest memory", workers)
+		}
+		if !reflect.DeepEqual(kept, want) {
+			t.Fatalf("workers %d: a Result kept from the first run changed during the second run on the same Sim", workers)
 		}
 	}
 }
@@ -426,16 +653,19 @@ func TestReinitAfterCancel(t *testing.T) {
 	}
 }
 
-// TestAcquireOrder: Acquire re-initialises prev when it has cfg's shape,
-// else the idle fabric of that shape, with prev going idle, else a new
-// fabric; a failed Acquire sends prev idle too.
+// TestAcquireOrder: Acquire re-initialises prev when it has cfg's
+// dragonfly — re-laid when the rest of the shape differs —, else the idle
+// fabric of that dragonfly, with prev going idle, else a new fabric; a
+// failed Acquire sends prev idle too.
 func TestAcquireOrder(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // idle fabrics stay alive
 	runtime.GC()
 	a := testConfig(t, 2, core.OLM, 0.1)
 	a.Warmup, a.Measure = 50, 100
-	b := a
-	b.LatLocal = 5 // another shape
+	relaid := a
+	relaid.LatLocal = 5 // another shape of the same dragonfly
+	b := testConfig(t, 3, core.OLM, 0.1)
+	b.Warmup, b.Measure = 50, 100 // another dragonfly
 	run := func(s *Sim) {
 		t.Helper()
 		if _, err := s.Run(); err != nil {
@@ -457,24 +687,28 @@ func TestAcquireOrder(t *testing.T) {
 		t.Fatal("prev of the same shape was not re-initialised")
 	}
 	run(sa)
+	if got := acquire(relaid, sa); got != sa {
+		t.Fatal("prev of the same dragonfly was not re-laid")
+	}
+	run(sa)
 	sb := acquire(b, sa) // sa goes idle
 	if sb == sa {
-		t.Fatal("prev of another shape was re-initialised")
+		t.Fatal("prev of another dragonfly was re-initialised")
 	}
 	run(sb)
 	if got := acquire(a, sb); got != sa {
-		t.Fatal("the idle fabric of the shape was not taken")
+		t.Fatal("the idle fabric of the dragonfly was not taken")
 	}
 	run(sa)
 	if got := acquire(b, nil); got != sb {
-		t.Fatal("prev of another shape did not go idle")
+		t.Fatal("prev of another dragonfly did not go idle")
 	}
 	bad := a
 	bad.Flow = WH // OLM requires VCT
 	if _, err := Acquire(bad, sa); err == nil {
 		t.Fatal("OLM over wormhole accepted")
 	}
-	if got := acquire(a, nil); got != sa {
+	if got := acquire(relaid, nil); got != sa {
 		t.Fatal("prev did not go idle when Acquire failed")
 	}
 	if got := acquire(a, nil); got == sa {

@@ -37,10 +37,12 @@ const (
 // a chunk takes consecutive chunks of its own. A ring crosses to another
 // worker only over a global link, whose reader reads the ref at least one
 // block barrier after the writer made the ring. The directory never
-// moves: allocate sizes it for the shape's worst case, every ring made
-// (see ringDirLen).
+// moves while workers step: allocate sizes it for the shape's worst case,
+// every ring made (see ringDirLen). A re-lay zeroes every ring ref and
+// keeps the chunks, which the next layout's rings are bumped out of again
+// (see relay).
 type ringArena[T any] struct {
-	chunks []*[ringChunkLen]T // the directory; slot 0 and slots >= next are nil
+	chunks []*[ringChunkLen]T // the directory; slot 0 is nil, and so is every slot no layout took
 	next   *atomic.Int32      // the next chunk index (behind a pointer: the Sim copies arenas)
 }
 
@@ -67,10 +69,19 @@ type ringArenas struct {
 	credits ringArena[creditSlot]
 }
 
-// init gives the arena a directory of dirLen chunks (see ringDirLen).
-func (a *ringArena[T]) init(dirLen int) {
-	a.chunks = make([]*[ringChunkLen]T, dirLen)
-	a.next = new(atomic.Int32)
+// relay readies the arena for a new layout, whose rings name no slot yet:
+// bumping restarts at chunk 1, over the chunks an earlier layout made (see
+// take), and the directory grows to dirLen chunks (see ringDirLen) when it
+// is shorter. It is never truncated, so no made chunk is lost.
+func (a *ringArena[T]) relay(dirLen int) {
+	if len(a.chunks) < dirLen {
+		chunks := make([]*[ringChunkLen]T, dirLen)
+		copy(chunks, a.chunks)
+		a.chunks = chunks
+	}
+	if a.next == nil {
+		a.next = new(atomic.Int32)
+	}
 	a.next.Store(1)
 }
 
@@ -95,22 +106,27 @@ func (a *ringArena[T]) alloc(c *ringCursor, n int32) ringRef {
 	return ref
 }
 
-// take makes m chunks of consecutive indices and returns the ref of the
-// first one's first slot.
+// take hands out m chunks of consecutive indices and returns the ref of
+// the first one's first slot. A chunk an earlier layout made is emptied
+// and reused; only a directory slot that never held one gets a new chunk.
 func (a *ringArena[T]) take(m int32) ringRef {
 	k := a.next.Add(m) - m
 	if int(k+m) > len(a.chunks) {
 		panic(fmt.Sprintf("engine: ring directory exhausted (%d chunks)", len(a.chunks)))
 	}
 	for i := k; i < k+m; i++ {
-		a.chunks[i] = new([ringChunkLen]T)
+		if c := a.chunks[i]; c != nil {
+			clear(c[:])
+		} else {
+			a.chunks[i] = new([ringChunkLen]T)
+		}
 	}
 	return ringRef(k) << ringChunkBits
 }
 
-// clear empties every ring made so far, keeping them: the rings a run grew
-// serve the next run of the same shape. Only called from the serial
-// section, between runs.
+// clear empties every ring the layout made so far, keeping them: the rings
+// a run grew serve the next run of the same shape. Only called from the
+// serial section, between runs.
 func (a *ringArena[T]) clear() {
 	for _, c := range a.chunks[1:a.next.Load()] {
 		clear(c[:])

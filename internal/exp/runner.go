@@ -54,7 +54,7 @@ type Options struct {
 	// Run overrides how a point is executed (benchmark harnesses time
 	// the engine themselves). Default: RunContext(ctx, cfg) on the pool
 	// goroutine's own dragonfly.Runner, which re-initialises one network
-	// across consecutive points of the same shape. The index is the
+	// across consecutive points of the same h. The index is the
 	// point's campaign index.
 	Run func(ctx context.Context, index int, p Point) (dragonfly.Result, error)
 }
@@ -153,7 +153,7 @@ func Run(ctx context.Context, camp Campaign, opt Options) ([]Outcome, error) {
 		go func() {
 			defer wg.Done()
 			// Each pool goroutine is one lane: it owns one Runner, so
-			// consecutive points of one network shape share an allocation.
+			// consecutive points of one h share an allocation.
 			var lane dragonfly.Runner
 			runFn := opt.Run
 			if runFn == nil {

@@ -163,7 +163,7 @@ func New(cfg Config) (*Server, error) {
 // queue — so no heartbeats are needed.
 func (s *Server) localPuller() {
 	defer s.localWG.Done()
-	// One lane, one Runner: consecutive points of one network shape share
+	// One lane, one Runner: consecutive points of one h share
 	// an allocation. When nothing is ready the network is released before
 	// blocking, so an idle coordinator does not sit on a fabric.
 	var lane dragonfly.Runner

@@ -124,7 +124,7 @@ func (wk *Worker) Run(ctx context.Context) error {
 }
 
 // pull is one claim-execute loop: one lane, which owns one Runner, so
-// consecutive leased points of one network shape share an allocation.
+// consecutive leased points of one h share an allocation.
 func (wk *Worker) pull(ctx context.Context) {
 	var lane dragonfly.Runner
 	fails := 0

@@ -10,7 +10,10 @@
 // function and turned into rates by one, so a new counter is added once.
 package metrics
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // latencyBuckets is the number of linear histogram buckets; latencies at or
 // beyond latencyMax fall in the overflow bucket.
@@ -267,7 +270,7 @@ func (s *Sheet) RecordSuppressed(cycle int64, phase int) {
 	}
 }
 
-// Merge adds other into s.
+// Merge adds other into s, growing s's windows at most once.
 func (s *Sheet) Merge(other *Sheet) {
 	s.add(&other.counts)
 	s.LocalHops += other.LocalHops
@@ -278,8 +281,9 @@ func (s *Sheet) Merge(other *Sheet) {
 	for i := range s.latHist {
 		s.latHist[i] += other.latHist[i]
 	}
-	for len(s.windows) < len(other.windows) {
-		s.windows = append(s.windows, windowCell{})
+	if n, m := len(other.windows), len(s.windows); n > m {
+		s.windows = slices.Grow(s.windows, n-m)[:n]
+		clear(s.windows[m:])
 	}
 	for i := range other.windows {
 		w, o := &s.windows[i], &other.windows[i]

@@ -109,8 +109,9 @@ func runnerMatrix() []runnerPoint {
 }
 
 // TestRunnerDifferential drives one Runner through a shuffled sample of the
-// matrix, arranged so that shape hits, shape misses and mechanism-only
-// changes on one shape all occur, and demands every Result be DeepEqual
+// matrix, arranged so that shape hits, shape misses (a re-lay of the
+// network, or another dragonfly) and mechanism-only changes on one shape
+// all occur, and demands every Result be DeepEqual
 // to a fresh dragonfly.Run of the same configuration.
 func TestRunnerDifferential(t *testing.T) {
 	twoProcs(t)
@@ -332,6 +333,61 @@ func TestRunnerReuseAllocationCeiling(t *testing.T) {
 				t.Errorf("h=%d %s->%s: the second same-shape point allocated %d B, ceiling %d B (a fresh run: %d B)",
 					h, first.Mechanism, tc.second.Mechanism, reused, tc.ceiling, fresh)
 			}
+		}
+	}
+}
+
+// relayLap is the h=3 cycle of the paper's figures on one network: OLM
+// over VCT with 8-phit packets, PAR-6/2 (6/2 VCs), RLM over wormhole with
+// 40-phit packets, and OLM again — every step another shape of one
+// dragonfly.
+func relayLap() []dragonfly.Config {
+	olm, _ := reusePair(3)
+	olm.Mechanism = dragonfly.OLM
+	par := olm
+	par.Mechanism, par.Seed = dragonfly.PAR62, 2
+	wh := olm
+	wh.Mechanism, wh.FlowControl, wh.PacketPhits, wh.Seed = dragonfly.RLM, dragonfly.WH, 40, 3
+	return []dragonfly.Config{olm, par, wh, olm}
+}
+
+// relayCeiling bounds, in bytes, what a point of relayLap's second lap may
+// allocate on a Runner: re-laid, its network makes no array and no ring
+// chunk, only the per-point routing tables and algorithms, workload and
+// Result: measured 1.4 KB for a repeated configuration and at most 5.6 KB
+// for a changed one, on amd64. A fresh run of one of these points
+// allocates 753 KB. The ceiling is about twice the measured figure, so
+// only a lost re-lay path trips it.
+const relayCeiling = 12 << 10
+
+// TestRunnerRelayAllocationCeiling: a Runner cycling through relayLap
+// re-lays its one network for every point, so once the first lap has
+// grown it to the largest of the shapes, no point of the second lap
+// allocates more than relayCeiling — a small fraction of a fresh build.
+func TestRunnerRelayAllocationCeiling(t *testing.T) {
+	lap := relayLap()
+	runtime.GC() // no idle fabric: the first point builds its own
+	fresh := allocatedBy(t, func() {
+		if _, err := dragonfly.Run(lap[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var lane dragonfly.Runner
+	for _, c := range lap {
+		if _, err := lane.RunContext(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range lap {
+		got := allocatedBy(t, func() {
+			if _, err := lane.RunContext(context.Background(), c); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("point %d (%s %s): %d B on the re-laid network, %d B a fresh run", i, c.Mechanism, c.FlowControl, got, fresh)
+		if got > relayCeiling {
+			t.Errorf("point %d (%s %s) of the second lap allocated %d B, ceiling %d B (a fresh run: %d B)",
+				i, c.Mechanism, c.FlowControl, got, relayCeiling, fresh)
 		}
 	}
 }
